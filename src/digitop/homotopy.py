@@ -1,4 +1,4 @@
-"""Function graphs and homotopy decision by component search.
+"""Function graphs and homotopy decision by breadth-first search.
 
 The vertices of a function graph are the continuous maps X -> Y.  Two
 distinct maps are pointwise-adjacent ("phi") when their values at every
@@ -7,6 +7,13 @@ two adjacent-or-equal domain points are adjacent or equal.  Homotopy is
 decided by reachability in the phi graph and strong homotopy by
 reachability in the psi graph; each witness path converts to a step table
 that an independent verifier accepts.
+
+The decisions search lazily: a map is an int row of value indices, and
+the continuous rows adjacent to a row are generated only when the search
+expands it, so a search stops at its first hit without enumerating the
+maps.  The whole graph is built only by ``build_function_graph``, which
+serves the ``functions`` view, post-composition and callers that pass a
+prebuilt ``graph=``.
 """
 
 from __future__ import annotations
@@ -18,9 +25,8 @@ from itertools import product
 from typing import Iterator
 
 from .errors import BudgetError
-from .functions import (FiniteFunction, constant_map, identity_map,
-                        induced_map, is_continuous)
-from .lattice import DigitalImage, _bits
+from .functions import FiniteFunction, induced_map, is_continuous
+from .lattice import DigitalImage, _bits, _connectivity_order
 
 #: Cap on the raw search space #Y ** #X of a function enumeration.
 DEFAULT_FUNCTION_BUDGET = 10 ** 6
@@ -46,15 +52,7 @@ def phi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
 def psi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     """Cross closeness: f != g and f(x0), g(x1) adjacent or equal whenever x0, x1 are."""
     _check_same_signature(f, g)
-    if f.pairs == g.pairs:
-        return False
-    dom, cod = f.domain, f.codomain
-    for x0 in dom.vertices:
-        fx = f.table[x0]
-        for x1 in dom.vertices:
-            if dom.adjacent_or_equal(x0, x1) and not cod.adjacent_or_equal(fx, g.table[x1]):
-                return False
-    return True
+    return f.pairs != g.pairs and psi_counterexample(f, g) is None
 
 
 def psi_counterexample(f: FiniteFunction, g: FiniteFunction):
@@ -71,6 +69,66 @@ def psi_counterexample(f: FiniteFunction, g: FiniteFunction):
 # -- enumeration of continuous maps -----------------------------------------
 
 
+def _check_budget(X: DigitalImage, Y: DigitalImage, budget: int) -> None:
+    if len(Y) ** len(X) > budget:
+        raise BudgetError("continuous-map enumeration", f"{len(Y)}^{len(X)} tables", budget)
+
+
+def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]],
+                     allow: list[int]) -> list[tuple[int, ...]]:
+    """Every continuous row whose value at point order[k] lies in allow[k].
+
+    A row lists value indices in the domain's point order.  The search
+    backtracks with an explicit stack over the positions of ``order`` (see
+    ``_connectivity_order``) and prunes a value as soon as it is not
+    adjacent or equal to the value at an earlier adjacent point.  The rows
+    come in no particular order.
+    """
+    closed = Y.closed_neighbor_masks
+    n = len(order)
+    perm = [0] * n
+    for k, i in enumerate(order):
+        perm[i] = k
+    assignment = [0] * n
+    todo = [0] * n  # per position, the candidate values not tried yet
+    todo[0] = allow[0]
+    rows = []
+    k = 0
+    while k >= 0:
+        m = todo[k]
+        if not m:
+            k -= 1
+            continue
+        low = m & -m
+        todo[k] = m ^ low
+        assignment[k] = low.bit_length() - 1
+        if k + 1 == n:
+            rows.append(tuple([assignment[p] for p in perm]))
+            continue
+        k += 1
+        m = allow[k]
+        for t in earlier[k]:
+            m &= closed[assignment[t]]
+        todo[k] = m
+    return rows
+
+
+def _map_of(X: DigitalImage, Y: DigitalImage, row: tuple[int, ...]) -> FiniteFunction:
+    ypts = Y.points
+    return FiniteFunction(X, Y, tuple((x, ypts[v]) for x, v in zip(X.points, row)))
+
+
+def _row_of(f: FiniteFunction) -> tuple[int, ...]:
+    """The row of a continuous f; ValueError when f is no function-graph vertex."""
+    closed = f.codomain.closed_neighbor_masks
+    yindex = f.codomain.point_index
+    row = tuple(yindex[y] for _, y in f.pairs)
+    for i, m in enumerate(f.domain.neighbor_masks):
+        if any(not closed[row[i]] >> row[j] & 1 for j in _bits(m)):
+            raise ValueError("function is not a vertex of this graph")
+    return row
+
+
 def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
                               budget: int = DEFAULT_FUNCTION_BUDGET) -> tuple[FiniteFunction, ...]:
     """Exactly the continuous maps X -> Y, in value order.
@@ -79,53 +137,73 @@ def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
     partial assignment is pruned as soon as an adjacent pair violates the
     adjacency-preservation criterion.
     """
-    if len(Y) ** len(X) > budget:
-        raise BudgetError("continuous-map enumeration", f"{len(Y)}^{len(X)} tables", budget)
-    order: list[int] = []
-    placed = set()
-    nbr = X.neighbor_masks
-    for comp in X.components():
-        root = X.point_index[min(comp)]
-        queue = deque([root])
-        placed.add(root)
-        while queue:
-            i = queue.popleft()
-            order.append(i)
-            for j in _bits(nbr[i]):
-                if j not in placed:
-                    placed.add(j)
-                    queue.append(j)
-    # for each position in the order, the earlier positions it is adjacent to
-    earlier: list[list[int]] = []
-    for k, i in enumerate(order):
-        earlier.append([t for t in range(k) if nbr[i] >> order[t] & 1])
-    closed = Y.closed_neighbor_masks
-    ny = len(Y)
-    full = (1 << ny) - 1
-    assignment = [0] * len(order)
-    tables: list[tuple[int, ...]] = []
+    _check_budget(X, Y, budget)
+    order, earlier = _connectivity_order(X)
+    full = (1 << len(Y)) - 1
+    rows = sorted(_continuous_rows(Y, order, earlier, [full] * len(X)))
+    return tuple(_map_of(X, Y, row) for row in rows)
 
-    def backtrack(k: int) -> None:
-        if k == len(order):
-            tables.append(tuple(assignment))
-            return
-        allowed = full
-        for t in earlier[k]:
-            allowed &= closed[assignment[t]]
-            if not allowed:
-                return
-        for yi in _bits(allowed):
-            assignment[k] = yi
-            backtrack(k + 1)
 
-    backtrack(0)
-    # normalize: value tuple indexed by X's canonical point order
-    pos_of = {i: k for k, i in enumerate(order)}
-    norm = sorted(tuple(tab[pos_of[i]] for i in range(len(X))) for tab in tables)
-    ypts = Y.points
-    xpts = X.points
-    return tuple(FiniteFunction(X, Y, tuple((xpts[i], ypts[tab[i]]) for i in range(len(xpts))))
-                 for tab in norm)
+def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None):
+    """The neighbour function of the phi or psi graph of rows X -> Y.
+
+    ``neighbors(row)`` lists the continuous rows adjacent to ``row``, in
+    lexicographic order, which is the vertex order of
+    ``build_function_graph``; so a search over these lists expands exactly
+    as it would over the whole graph.  The value at x is restricted to
+    ``closed_y[row[x]]`` (phi) or to the values adjacent or equal to
+    ``row`` on all of N[x] (psi); ``pin`` = (point index, value index) also
+    fixes the value at one point.
+    """
+    order, earlier = _connectivity_order(X)
+    closed_x, closed_y = X.closed_neighbor_masks, Y.closed_neighbor_masks
+    full = (1 << len(Y)) - 1
+    if pin is not None:
+        pin = (order.index(pin[0]), 1 << pin[1])
+
+    def neighbors(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+        if flavor == PHI:
+            allow = [closed_y[row[i]] for i in order]
+        else:
+            allow = []
+            for i in order:
+                m = full
+                for j in _bits(closed_x[i]):
+                    m &= closed_y[row[j]]
+                allow.append(m)
+        if pin is not None:
+            allow[pin[0]] &= pin[1]
+        rows = _continuous_rows(Y, order, earlier, allow)
+        rows.remove(row)
+        rows.sort()
+        return rows
+
+    return neighbors
+
+
+def _bfs(start, neighbors, is_goal):
+    """Breadth-first search from ``start``, expanding ``neighbors(v)`` in order.
+
+    Returns the path to the first vertex found with ``is_goal`` (None if
+    there is none) and the dict of reached vertices, each mapped to its
+    predecessor.
+    """
+    prev = {start: None}
+    if is_goal(start):
+        return [start], prev
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors(v):
+            if w not in prev:
+                prev[w] = v
+                if is_goal(w):
+                    path = [w]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return path[::-1], prev
+                queue.append(w)
+    return None, prev
 
 
 # -- function graphs ---------------------------------------------------------
@@ -182,39 +260,20 @@ class FunctionGraph:
         ``allowed`` optionally restricts the search to a vertex subgraph.
         """
         src, dst = self.index_of(f), self.index_of(g)
-        if allowed is not None and not (allowed(self.vertices[src])
-                                        and allowed(self.vertices[dst])):
+        verts = self.vertices
+        if allowed is not None and not (allowed(verts[src]) and allowed(verts[dst])):
             return None
-        if src == dst:
-            return (self.vertices[src],)
-        prev = {src: -1}
-        queue = deque([src])
         nbrs = self._neighbor_lists
-        while queue:
-            i = queue.popleft()
-            for j in nbrs[i]:
-                if j not in prev and (allowed is None or allowed(self.vertices[j])):
-                    prev[j] = i
-                    if j == dst:
-                        path = [j]
-                        while path[-1] != src:
-                            path.append(prev[path[-1]])
-                        return tuple(self.vertices[k] for k in reversed(path))
-                    queue.append(j)
-        return None
+        step = nbrs.__getitem__
+        if allowed is not None:
+            step = lambda i: [j for j in nbrs[i] if allowed(verts[j])]
+        path, _ = _bfs(src, step, dst.__eq__)
+        return None if path is None else tuple(verts[k] for k in path)
 
     def component_of(self, f: FiniteFunction) -> frozenset[int]:
-        src = self.index_of(f)
-        seen = {src}
-        queue = deque([src])
-        nbrs = self._neighbor_lists
-        while queue:
-            i = queue.popleft()
-            for j in nbrs[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return frozenset(seen)
+        _, reached = _bfs(self.index_of(f), self._neighbor_lists.__getitem__,
+                          lambda i: False)
+        return frozenset(reached)
 
 
 def _phi_edges(X: DigitalImage, Y: DigitalImage,
@@ -312,14 +371,29 @@ class HomotopyDecision:
         return HomotopyTable(first.domain, first.codomain, self.path)
 
 
+def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
+            basepoint=None) -> tuple[FiniteFunction, ...] | None:
+    """A shortest path from f to g in the lazily generated function graph.
+
+    With a basepoint, only maps agreeing with f there are visited.
+    """
+    X, Y = f.domain, f.codomain
+    _check_budget(X, Y, budget)
+    src, dst = _row_of(f), _row_of(g)
+    pin = None
+    if basepoint is not None:
+        i = X.point_index[basepoint]
+        pin = (i, src[i])
+    path, _ = _bfs(src, _adjacent_rows(X, Y, flavor, pin), dst.__eq__)
+    return None if path is None else tuple(_map_of(X, Y, row) for row in path)
+
+
 def homotopic(f: FiniteFunction, g: FiniteFunction,
               budget: int = DEFAULT_FUNCTION_BUDGET,
               graph: FunctionGraph | None = None) -> HomotopyDecision:
     """Decide homotopy of continuous f, g by pointwise-adjacency reachability."""
     _check_same_signature(f, g)
-    if graph is None:
-        graph = build_function_graph(f.domain, f.codomain, PHI, budget)
-    path = graph.find_path(f, g)
+    path = _search(f, g, PHI, budget) if graph is None else graph.find_path(f, g)
     return HomotopyDecision(path is not None, path)
 
 
@@ -328,9 +402,7 @@ def strongly_homotopic(f: FiniteFunction, g: FiniteFunction,
                        graph: FunctionGraph | None = None) -> HomotopyDecision:
     """Decide strong homotopy by cross-adjacency reachability."""
     _check_same_signature(f, g)
-    if graph is None:
-        graph = build_function_graph(f.domain, f.codomain, PSI, budget)
-    path = graph.find_path(f, g)
+    path = _search(f, g, PSI, budget) if graph is None else graph.find_path(f, g)
     return HomotopyDecision(path is not None, path)
 
 
@@ -350,9 +422,9 @@ def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
     if g.table[basepoint] != fixed:
         return HomotopyDecision(False, None)
     if graph is None:
-        graph = build_function_graph(f.domain, f.codomain,
-                                     PSI if strong else PHI, budget)
-    path = graph.find_path(f, g, allowed=lambda h: h.table[basepoint] == fixed)
+        path = _search(f, g, PSI if strong else PHI, budget, basepoint)
+    else:
+        path = graph.find_path(f, g, allowed=lambda h: h.table[basepoint] == fixed)
     return HomotopyDecision(path is not None, path)
 
 
@@ -379,12 +451,12 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
         if not is_continuous(h):
             return False
     for h0, h1 in zip(H.slices, H.slices[1:]):
-        for x in _space_vertices(H.domain):
+        for x in H.domain.vertices:
             if not cod.adjacent_or_equal(h0.table[x], h1.table[x]):
                 return False
     if mode == "strong":
         dom = H.domain
-        verts = _space_vertices(dom)
+        verts = dom.vertices
         for t0, h0 in enumerate(H.slices):
             for t1 in (t0, t0 + 1):
                 if t1 > H.m:
@@ -400,10 +472,6 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
         if any(h.table[fixed_point] != base for h in H.slices):
             return False
     return True
-
-
-def _space_vertices(space):
-    return space.vertices
 
 
 # -- induced homotopies ------------------------------------------------------
@@ -430,11 +498,11 @@ def _family_cached(image: DigitalImage, kind: str, budget: int):
 
 def is_contractible(X: DigitalImage, budget: int = DEFAULT_FUNCTION_BUDGET) -> bool:
     """True iff the identity reaches some constant map in the phi graph of X^X."""
-    graph = build_function_graph(X, X, PHI, budget)
-    ident = identity_map(X)
-    component = graph.component_of(ident)
-    constants = {graph.index_of(constant_map(X, X, p)) for p in X.points}
-    return bool(component & constants)
+    _check_budget(X, X, budget)
+    n = len(X)
+    path, _ = _bfs(tuple(range(n)), _adjacent_rows(X, X, PHI),
+                   lambda row: row.count(row[0]) == n)
+    return path is not None
 
 
 def postcompose_map(f: FiniteFunction, W: DigitalImage,

@@ -221,6 +221,36 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _connectivity_order(image: DigitalImage) -> tuple[list[int], list[list[int]]]:
+    """Point indices in breadth-first order, one component after another.
+
+    Components come in order of their smallest point, each searched from
+    that point.  The second list holds, per position, the earlier positions
+    whose points are adjacent to the point there, so a backtracking search
+    in this order tests each adjacent pair as soon as both ends are placed.
+    """
+    nbr = image.neighbor_masks
+    order: list[int] = []
+    placed: set[int] = set()
+    for comp in image.components():
+        root = image.point_index[min(comp)]
+        queue = deque([root])
+        placed.add(root)
+        while queue:
+            i = queue.popleft()
+            order.append(i)
+            for j in _bits(nbr[i]):
+                if j not in placed:
+                    placed.add(j)
+                    queue.append(j)
+    pos = [0] * len(order)
+    for k, i in enumerate(order):
+        pos[i] = k
+    earlier = [sorted(pos[j] for j in _bits(nbr[i]) if pos[j] < k)
+               for k, i in enumerate(order)]
+    return order, earlier
+
+
 def interval(a: int, b: int) -> DigitalImage:
     """The digital interval [a, b]_Z with c_1 adjacency."""
     if a > b:

@@ -18,7 +18,8 @@ from .errors import BudgetError
 from .functions import FamilyFunction, FiniteFunction
 from .hyperspace import (DEFAULT_POINT_BUDGET, enumerate_all_subsets,
                          enumerate_connected_subsets)
-from .lattice import DigitalImage, Point, _bits, adjacent_or_equal
+from .lattice import (DigitalImage, Point, _bits, _connectivity_order,
+                      adjacent_or_equal)
 
 #: Cap on the number of subdivision points a generator search will handle.
 DEFAULT_SUBDIVISION_BUDGET = 64
@@ -205,27 +206,8 @@ def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None
             cell_id[y] = ci
     required = [sum(1 << yindex[v] for v in F.table[x]) for x in base_points]
     remaining = [len(sub.cell(x)) for x in base_points]
-    nbr = S.neighbor_masks
     closed_y = Y.closed_neighbor_masks
-    # connectivity-respecting order over subdivision points
-    order: list[int] = []
-    placed: set[int] = set()
-    from collections import deque
-
-    for comp in S.components():
-        root = S.point_index[min(comp)]
-        queue = deque([root])
-        placed.add(root)
-        while queue:
-            i = queue.popleft()
-            order.append(i)
-            for j in _bits(nbr[i]):
-                if j not in placed:
-                    placed.add(j)
-                    queue.append(j)
-    earlier = []
-    for k, i in enumerate(order):
-        earlier.append([t for t in range(k) if nbr[i] >> order[t] & 1])
+    order, earlier = _connectivity_order(S)
     cells = [cell_id[S.points[i]] for i in order]
     allowed0 = [required[c] for c in cells]
     assignment = [0] * n

@@ -124,6 +124,23 @@ class TestCheck:
         doc = write(tmp_path, "img.json", image_to_json(interval(0, 2)))
         assert main(["check", "contractible", "--input", doc]) == 0
 
+    def test_contractible_budget_exit_code(self, tmp_path, capsys):
+        box = {"dim": 2, "adjacency": "c1",
+               "points": [[x, y] for x in range(3) for y in range(3)]}
+        doc = write(tmp_path, "box.json", box)
+        assert main(["check", "contractible", "--input", doc]) == 3
+
+    def test_homotopic_discontinuous_exit_code(self, tmp_path, capsys):
+        X = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}
+        f = {"domain": X, "codomain": X,
+             "pairs": [[[0], [0]], [[1], [2]], [[2], [2]]]}
+        g = {"domain": X, "codomain": X,
+             "pairs": [[[0], [0]], [[1], [1]], [[2], [2]]]}
+        doc = write(tmp_path, "pair.json", {"f": f, "g": g})
+        assert main(["check", "homotopic", "--input", doc]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_induced_by_absent(self, tmp_path, capsys):
         X = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
         fam = {"base": X, "kind": "connected",

@@ -1,10 +1,12 @@
 """Homotopy layer: function graphs, component search, verification, lifting."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from digitop import (BudgetError, FiniteFunction, HomotopyTable,
+from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
                      pointed_homotopic,
                      build_function_graph, compose, constant_map, cycle_image,
                      cycle_points,
@@ -345,6 +347,106 @@ class TestContractible:
 
     def test_six_cycle_not_contractible(self):
         assert not is_contractible(cycle_image(6))
+
+
+def _paths(decision):
+    return None if decision.path is None else [h.pairs for h in decision.path]
+
+
+class TestLazySearch:
+    """The lazy searches against a BFS over the prebuilt function graph."""
+
+    def assert_same_as_graph(self, f, g):
+        X, Y = f.domain, f.codomain
+        phi = build_function_graph(X, Y, PHI)
+        psi = build_function_graph(X, Y, PSI)
+        lazy = homotopic(f, g)
+        assert _paths(lazy) == _paths(homotopic(f, g, graph=phi))
+        if lazy:
+            assert verify_homotopy(lazy.table(), f, g)
+        strong = strongly_homotopic(f, g)
+        assert _paths(strong) == _paths(strongly_homotopic(f, g, graph=psi))
+        if strong:
+            assert verify_homotopy(strong.table(), f, g, mode="strong")
+        for x0 in X.points:
+            for flag, graph in ((False, phi), (True, psi)):
+                pointed = pointed_homotopic(f, g, x0, strong=flag)
+                assert _paths(pointed) == _paths(
+                    pointed_homotopic(f, g, x0, strong=flag, graph=graph))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_match_graph_search(self, seed):
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 4), random_image(rng, 4)
+        maps = enumerate_continuous_maps(X, Y)
+        f, g = rng.choice(maps), rng.choice(maps)
+        self.assert_same_as_graph(f, g)
+        assert bool(homotopic(f, g)) == oracle_homotopic(f, g)
+
+    def test_witness_follows_graph_vertex_order(self):
+        # the backtracking visits X in the order (0,0), (1,0), (1,1), (0,2),
+        # not in point order, and some shortest paths here are not unique
+        X = DigitalImage.of([(0, 0), (0, 2), (1, 0), (1, 1)], 2)
+        Y = DigitalImage.of([(0, 0), (0, 1), (1, 0), (1, 1)], 1)
+        maps = enumerate_continuous_maps(X, Y)[::5]
+        for f in maps:
+            for g in maps:
+                self.assert_same_as_graph(f, g)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_contractible_matches_graph_component(self, seed):
+        X = random_image(random.Random(seed), 4)
+        graph = build_function_graph(X, X, PHI)
+        constants = {graph.index_of(constant_map(X, X, p)) for p in X.points}
+        assert is_contractible(X) == bool(graph.component_of(identity_map(X)) & constants)
+
+    def test_rotations_match_graph_search(self):
+        rots = rotations(5)
+        for f in rots:
+            for g in rots:
+                self.assert_same_as_graph(f, g)
+        S5 = rots[0].domain
+        self.assert_same_as_graph(rots[0], constant_map(S5, S5, S5.points[0]))
+
+    def test_large_constant_map_needs_no_enumeration(self):
+        X, Y = interval(0, 1499), interval(0, 0)
+        f = constant_map(X, Y, (0,))
+        d = homotopic(f, f)
+        assert d and d.path == (f,)
+
+    def test_eight_cycle_not_contractible(self):
+        start = time.perf_counter()
+        assert not is_contractible(cycle_image(8), budget=2 * 10 ** 7)
+        assert time.perf_counter() - start < 5.0
+
+    def test_folding_box_contractible(self):
+        box = DigitalImage.of([(x, y) for x in range(2) for y in range(3)], 2)
+        start = time.perf_counter()
+        assert is_contractible(box)
+        assert time.perf_counter() - start < 5.0
+
+    def test_budget_refuses_before_search(self):
+        X = interval(0, 9)
+        f = identity_map(X)
+        jump = fn(X, X, *((0,) if i < 5 else (9,) for i in range(10)))
+        with pytest.raises(BudgetError):
+            homotopic(jump, f, budget=100)
+        with pytest.raises(BudgetError):
+            strongly_homotopic(f, f, budget=100)
+        with pytest.raises(BudgetError):
+            pointed_homotopic(f, f, (0,), budget=100)
+        with pytest.raises(BudgetError):
+            is_contractible(X, budget=100)
+
+    def test_discontinuous_map_rejected(self):
+        X = interval(0, 2)
+        jump = fn(X, X, (0,), (2,), (2,))
+        with pytest.raises(ValueError):
+            homotopic(jump, identity_map(X))
+        with pytest.raises(ValueError):
+            strongly_homotopic(identity_map(X), jump)
 
 
 class TestPostcompose:
