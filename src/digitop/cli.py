@@ -80,18 +80,17 @@ def cmd_hyperspace(args) -> int:
     build = enumerate_all_subsets if args.kind == "full" else enumerate_connected_subsets
     family = build(image, args.budget_hyperspace)
     view = hyperspace_graph(family)
-    graph = gm.as_finite_graph(view)
     if args.format == "dot":
-        _emit(args, gm.to_dot(graph))
+        _emit(args, gm.to_dot(gm.as_finite_graph(view)))
     elif args.format == "json":
         _emit(args, json.dumps({
             "kind": args.kind,
             "vertices": len(family),
-            "edges": len(view.edges),
+            "edges": view.edge_count,
             "members": [_member_doc(m) for m in family.members],
         }, indent=2) + "\n")
     else:
-        _emit(args, f"kind: {args.kind}\nvertices: {len(family)}\nedges: {len(view.edges)}\n")
+        _emit(args, f"kind: {args.kind}\nvertices: {len(family)}\nedges: {view.edge_count}\n")
     return 0
 
 

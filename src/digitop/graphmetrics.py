@@ -5,7 +5,11 @@ Images, hyperspace views and function graphs all project to
 works uniformly: shortest/longest cycles, dominating sets, eccentricity,
 center, radius, diameter, disconnecting sets, DOT and CSV emission.
 The longest-cycle and minimum-dominating-set searches are exact
-branch-and-bound kernels over bitmask adjacency rows.
+branch-and-bound kernels over bitmask adjacency rows.  A space that has
+adjacency rows (images, families, hyperspace views) hands them over as
+they are.  A graph's eccentricities are computed once, by one
+frontier-mask breadth-first search per vertex, and radius, diameter,
+center, eccentricity and the CSV table all read them.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ class FiniteGraph:
             raise ValueError("label count must equal the vertex count")
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...], labels: tuple | None = None) -> "FiniteGraph":
+        """A graph from rows that are symmetric and loop-free by construction, unchecked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adj", adj)
+        object.__setattr__(graph, "labels", labels)
+        return graph
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    labels: tuple | None = None) -> "FiniteGraph":
         rows = [0] * n
@@ -57,7 +70,13 @@ class FiniteGraph:
                 raise ValueError(f"self-loop at vertex {i}")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        return cls(n, tuple(rows), labels)
+        # Out-of-range ends fail above, so the rows are valid; only n and
+        # the labels are left to check.
+        if n < 0:
+            raise ValueError("adjacency row count must equal the vertex count")
+        if labels is not None and len(labels) != n:
+            raise ValueError("label count must equal the vertex count")
+        return cls._trusted(n, tuple(rows), labels)
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
@@ -76,7 +95,36 @@ class FiniteGraph:
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
+        return sum(row.bit_count() for row in self.adj) // 2
+
+    @cached_property
+    def _eccentricities(self) -> tuple[int, ...] | None:
+        """Every vertex's eccentricity, or None when the graph is disconnected."""
+        adj, n = self.adj, self.n
+        full = (1 << n) - 1
+        out = []
+        for s in range(n):
+            seen = frontier = 1 << s
+            ecc = -1
+            while frontier:
+                ecc += 1
+                reach = 0
+                for i in _bits(frontier):
+                    reach |= adj[i]
+                frontier = reach & ~seen
+                seen |= frontier
+            if seen != full:
+                return None
+            out.append(ecc)
+        return tuple(out)
+
+    @property
+    def eccentricities(self) -> tuple[int, ...]:
+        """Every vertex's eccentricity; ValueError when the graph is disconnected."""
+        eccs = self._eccentricities
+        if eccs is None:
+            raise ValueError("metric is undefined on a disconnected graph")
+        return eccs
 
     def label_of(self, i: int):
         return self.labels[i] if self.labels is not None else i
@@ -86,6 +134,9 @@ def as_finite_graph(space, with_labels: bool = True) -> FiniteGraph:
     """Project any vertex space (image, family, view, function graph)."""
     verts = space.vertices
     labels = tuple(verts) if with_labels else None
+    rows = getattr(space, "adjacency_rows", None)
+    if rows is not None:
+        return FiniteGraph._trusted(len(verts), rows, labels)
     return FiniteGraph.from_edges(len(verts), space.edge_index_pairs(), labels)
 
 
@@ -101,7 +152,7 @@ def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:
                 row |= 1 << pos[w]
         rows.append(row)
     labels = tuple(G.label_of(v) for v in kept) if G.labels is not None else None
-    return FiniteGraph(len(kept), tuple(rows), labels)
+    return FiniteGraph._trusted(len(kept), tuple(rows), labels)
 
 
 # -- traversal ---------------------------------------------------------------
@@ -318,35 +369,22 @@ def lift_dominating(D: Iterable[Point], X: DigitalImage,
 # -- eccentricity, center, radius, diameter ------------------------------------
 
 
-def _all_eccentricities(G: FiniteGraph) -> list[int]:
-    eccs = []
-    for v in range(G.n):
-        dist = bfs_distances(G, v)
-        if any(d is None for d in dist):
-            raise ValueError("metric is undefined on a disconnected graph")
-        eccs.append(max(dist))  # type: ignore[type-var]
-    return eccs
-
-
 def eccentricity(G: FiniteGraph, v: int) -> int:
-    dist = bfs_distances(G, v)
-    if any(d is None for d in dist):
-        raise ValueError("metric is undefined on a disconnected graph")
-    return max(dist)  # type: ignore[return-value]
+    return G.eccentricities[v]
 
 
 def center(G: FiniteGraph) -> frozenset[int]:
-    eccs = _all_eccentricities(G)
+    eccs = G.eccentricities
     r = min(eccs)
     return frozenset(v for v, e in enumerate(eccs) if e == r)
 
 
 def radius(G: FiniteGraph) -> int:
-    return min(_all_eccentricities(G))
+    return min(G.eccentricities)
 
 
 def diameter(G: FiniteGraph) -> int:
-    return max(_all_eccentricities(G))
+    return max(G.eccentricities)
 
 
 # -- disconnecting sets ---------------------------------------------------------
@@ -400,7 +438,7 @@ def to_dot(G: FiniteGraph, name: str = "G",
 
 def metrics_csv(G: FiniteGraph) -> str:
     """Per-vertex metric table: vertex, label, degree, eccentricity."""
-    eccs = _all_eccentricities(G)
+    eccs = G.eccentricities
     lines = ["vertex,label,degree,eccentricity"]
     for v in range(G.n):
         label = format_label(G.label_of(v)).replace('"', "'")

@@ -5,6 +5,13 @@ bit-vectors over the image's canonical point order.  Two distinct members
 A, B are adjacent when every point of A is within one step of B and every
 point of B is within one step of A (the closed-coverage reading of the
 hyperspace adjacency), which reduces to two bitmask coverage checks.
+
+A family's graph is held as one adjacency row per member, a bitmask over
+member indices.  The rows are built bit-parallel from per-point member
+bitsets: with S_p the members holding p and C_p the members whose cover
+holds p, row(A) is the AND of C_p over p in A minus the union of S_p over
+p outside cover(A), less A itself.  That is O(N * |X|) big-integer
+operations for N members instead of a scan over all N^2 / 2 pairs.
 """
 
 from __future__ import annotations
@@ -27,6 +34,18 @@ def _check_budget(X: DigitalImage, budget: int) -> None:
         raise BudgetError("hyperspace enumeration", f"{len(X)} points", budget)
 
 
+def _is_connected_mask(nbr: tuple[int, ...], mask: int) -> bool:
+    """True iff the nonempty point set ``mask`` is connected, by flooding ``nbr``."""
+    seen = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for i in _bits(frontier):
+            reach |= nbr[i]
+        frontier = reach & mask & ~seen
+        seen |= frontier
+    return seen == mask
+
+
 @dataclass(frozen=True)
 class SubsetFamily:
     """A family of nonempty subsets of a base image, with the lifted adjacency.
@@ -34,6 +53,8 @@ class SubsetFamily:
     ``masks`` holds the members as bit-vectors in ascending order; the
     ``members`` view materializes them as frozensets of points.  ``kind``
     records whether this is all of 2^X, all of K(X), or a custom subfamily.
+    The constructor validates every member; the enumerators, whose output
+    is valid by construction, use :meth:`_trusted` instead.
     """
 
     base: DigitalImage
@@ -56,10 +77,20 @@ class SubsetFamily:
         if self.kind == "full" and len(masks) != (1 << len(self.base)) - 1:
             raise ValueError("full family must contain every nonempty subset")
         if self.kind == "connected":
+            nbr = self.base.neighbor_masks
             for m in masks:
-                if not self.base.is_connected_subset(self.base.points_of(m)):
+                if not _is_connected_mask(nbr, m):
                     raise ValueError("connected family contains a disconnected member")
         object.__setattr__(self, "masks", masks)
+
+    @classmethod
+    def _trusted(cls, base: DigitalImage, masks: tuple[int, ...], kind: str) -> SubsetFamily:
+        """A family from ascending, distinct, valid member masks, unchecked."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "base", base)
+        object.__setattr__(family, "masks", masks)
+        object.__setattr__(family, "kind", kind)
+        return family
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -87,6 +118,27 @@ class SubsetFamily:
                 c |= closed[i]
             out.append(c)
         return tuple(out)
+
+    @cached_property
+    def adjacency_rows(self) -> tuple[int, ...]:
+        """Per member, the bitmask over member indices of its adjacent members."""
+        masks, covers = self.masks, self._covers
+        n = len(self.base)
+        # per point p: C_p (members whose cover holds p), S_p (members holding p)
+        points = tuple(zip(range(n), _point_bitsets(covers, n), _point_bitsets(masks, n)))
+        everyone = (1 << len(masks)) - 1
+        rows = []
+        for i, (m, c) in enumerate(zip(masks, covers)):
+            row, away = everyone, 0
+            for p, covered, held in points:
+                if m >> p & 1:
+                    row &= covered
+                elif not c >> p & 1:
+                    away |= held
+            # A lies in C_p for every p in A and in no S_p for p outside
+            # cover(A), so its own bit is set and the XOR clears it.
+            rows.append((row & ~away) ^ (1 << i))
+        return tuple(rows)
 
     def index_of(self, member: Iterable[Point]) -> int:
         mem = frozenset(member)
@@ -118,13 +170,7 @@ class SubsetFamily:
         return (masks[i] & ~covers[j]) == 0 and (masks[j] & ~covers[i]) == 0
 
     def edge_index_pairs(self) -> Iterator[tuple[int, int]]:
-        masks, covers = self.masks, self._covers
-        n = len(masks)
-        for i in range(n):
-            mi, ci = masks[i], covers[i]
-            for j in range(i + 1, n):
-                if (mi & ~covers[j]) == 0 and (masks[j] & ~ci) == 0:
-                    yield (i, j)
+        return _row_pairs(self.adjacency_rows)
 
     def subfamily(self, members: Iterable[Iterable[Point]], kind: str = "custom") -> SubsetFamily:
         masks = tuple(self.base.mask_of(m) for m in members)
@@ -132,6 +178,25 @@ class SubsetFamily:
             if m not in self._mask_index:
                 raise ValueError("subfamily member is not a member of this family")
         return SubsetFamily(self.base, masks, kind)
+
+
+def _point_bitsets(masks: tuple[int, ...], n: int) -> list[int]:
+    """Per point p < n, the bitmask of the indices i with p in ``masks[i]``.
+
+    A transpose of the masks' binary strings: column p, read over the
+    masks from last to first, is the binary numeral of point p's bitset.
+    """
+    columns = zip(*[format(m, f"0{n}b") for m in reversed(masks)])
+    out = [int("".join(col), 2) for col in columns]
+    out.reverse()
+    return out
+
+
+def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j), i < j, with bit j set in ``rows[i]``, in ascending order."""
+    for i, row in enumerate(rows):
+        for j in _bits(row >> (i + 1)):
+            yield (i, i + 1 + j)
 
 
 def hyper_adjacent(A: Iterable[Point], B: Iterable[Point], X: DigitalImage) -> bool:
@@ -162,7 +227,7 @@ def enumerate_all_subsets(X: DigitalImage, budget: int = DEFAULT_POINT_BUDGET) -
     """The full hyperspace 2^X: every nonempty subset, 2^n - 1 members."""
     _check_budget(X, budget)
     n = len(X)
-    return SubsetFamily(X, tuple(range(1, 1 << n)), "full")
+    return SubsetFamily._trusted(X, tuple(range(1, 1 << n)), "full")
 
 
 def enumerate_connected_subsets(X: DigitalImage, budget: int = DEFAULT_POINT_BUDGET) -> SubsetFamily:
@@ -190,15 +255,15 @@ def enumerate_connected_subsets(X: DigitalImage, budget: int = DEFAULT_POINT_BUD
     for v in range(n):
         above = ~((1 << (v + 1)) - 1)
         extend(1 << v, nbr[v] & above, nbr[v] | (1 << v), above)
-    return SubsetFamily(X, tuple(out), "connected")
+    return SubsetFamily._trusted(X, tuple(sorted(out)), "connected")
 
 
 @dataclass(frozen=True)
 class HypergraphView:
-    """A subset family together with its explicit edge list."""
+    """A subset family together with its adjacency rows (one bitmask per member)."""
 
     family: SubsetFamily
-    edges: tuple[tuple[int, int], ...]
+    adjacency_rows: tuple[int, ...]
 
     @property
     def base(self) -> DigitalImage:
@@ -209,8 +274,13 @@ class HypergraphView:
         return self.family.members
 
     @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge list (i, j), i < j, in ascending order, built on first use."""
+        return tuple(_row_pairs(self.adjacency_rows))
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.adjacency_rows) // 2
 
     # -- vertex-space protocol -------------------------------------------
 
@@ -220,18 +290,18 @@ class HypergraphView:
 
     def adjacent(self, A, B) -> bool:
         i, j = self.family.index_of(A), self.family.index_of(B)
-        return (min(i, j), max(i, j)) in self._edge_set
+        return bool(self.adjacency_rows[i] >> j & 1)
 
     def adjacent_or_equal(self, A, B) -> bool:
         return frozenset(A) == frozenset(B) or self.adjacent(A, B)
 
     def edge_index_pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(self.edges)
+        return _row_pairs(self.adjacency_rows)
 
 
 def hyperspace_graph(family: SubsetFamily) -> HypergraphView:
     """The graph on the family's members under the lifted adjacency."""
-    return HypergraphView(family, tuple(family.edge_index_pairs()))
+    return HypergraphView(family, family.adjacency_rows)
 
 
 def union_of_family(W: Iterable[Iterable[Point]]) -> frozenset[Point]:

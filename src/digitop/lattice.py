@@ -101,7 +101,7 @@ class DigitalImage:
 
     # -- the generic vertex-space protocol (shared with families and
     #    function graphs): vertices / adjacent / adjacent_or_equal /
-    #    edge_index_pairs ------------------------------------------------
+    #    edge_index_pairs, and adjacency_rows where a space has them -------
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -112,6 +112,11 @@ class DigitalImage:
 
     def adjacent_or_equal(self, x: Point, y: Point) -> bool:
         return x == y or cu_adjacent(x, y, self.adjacency)
+
+    @property
+    def adjacency_rows(self) -> tuple[int, ...]:
+        """Per point, the bitmask of its neighbors: the image's graph as rows."""
+        return self.neighbor_masks
 
     def edge_index_pairs(self) -> Iterator[tuple[int, int]]:
         idx = self.point_index

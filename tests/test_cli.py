@@ -1,6 +1,7 @@
 """Command-line front end: verbs, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -50,6 +51,23 @@ class TestHyperspace:
     def test_dot_output(self, img4, capsys):
         assert main(["hyperspace", "--input", img4, "--format", "dot"]) == 0
         assert capsys.readouterr().out.startswith("graph G {")
+
+    def test_connected_fourteen_point_blob_within_bound(self, tmp_path, capsys):
+        # K(X) of this c2 blob has 9,597 members and 34,364,721 edges; a
+        # pairwise edge scan took about 19 s on it.
+        pts = [[-2, 0], [-2, 1], [-2, 2], [-1, -1], [-1, 0], [-1, 1], [-1, 2],
+               [0, -1], [0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]]
+        doc = write(tmp_path, "blob.json", {"dim": 2, "adjacency": "c2", "points": pts})
+        start = time.perf_counter()
+        assert main(["hyperspace", "--input", doc, "--kind", "connected"]) == 0
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().out == "kind: connected\nvertices: 9597\nedges: 34364721\n"
+
+    def test_json_and_dot_edge_counts_agree(self, img4, capsys):
+        assert main(["hyperspace", "--input", img4, "--format", "json"]) == 0
+        edges = json.loads(capsys.readouterr().out)["edges"]
+        assert main(["hyperspace", "--input", img4, "--format", "dot"]) == 0
+        assert capsys.readouterr().out.count(" -- ") == edges
 
     def test_budget_exit_code(self, tmp_path, capsys):
         big = write(tmp_path, "big.json",
@@ -166,6 +184,17 @@ class TestMetricVerbs:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "vertex,label,degree,eccentricity"
         assert len(lines) == 11
+
+    def test_metrics_disconnected_exit_code_repeated(self, tmp_path, capsys):
+        doc = write(tmp_path, "gap.json", {"dim": 1, "adjacency": "c1",
+                                           "points": [[0], [1], [3]]})
+        for view in ("image", "connected", "image", "connected"):
+            for fmt in ("text", "json", "csv"):
+                assert main(["metrics", "--input", doc, "--view", view,
+                             "--format", fmt]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: metric is undefined on a disconnected graph\n"
 
     def test_dominate(self, img4, capsys):
         assert main(["dominate", "--input", img4]) == 0

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitop import (BudgetError, DigitalImage, FiniteGraph,
                      as_finite_graph, center, diameter,
@@ -12,6 +13,7 @@ from digitop import (BudgetError, DigitalImage, FiniteGraph,
                      is_dominating, is_valid_cycle, lift_dominating,
                      longest_cycle, metrics_csv, minimum_dominating_set,
                      radius, to_dot, cycle_image)
+from digitop.graphmetrics import bfs_distances
 from digitop.verify import (oracle_longest_cycle, random_connected_image,
                             random_graph, random_image)
 
@@ -32,6 +34,27 @@ class TestFiniteGraph:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             FiniteGraph.from_edges(1, [(0, 0)])
+
+    def test_bad_rows_and_edges_rejected(self):
+        for n, rows, labels in ((2, (0b10,), None), (-1, (), None), (2, (0b100, 0), None),
+                                (1, (0b1,), None), (2, (0b10, 0b01), ("a",))):
+            with pytest.raises(ValueError):
+                FiniteGraph(n, rows, labels)
+        with pytest.raises(IndexError):
+            FiniteGraph.from_edges(2, [(0, 2)])
+        with pytest.raises(ValueError):
+            FiniteGraph.from_edges(2, [(0, -1)])
+        with pytest.raises(ValueError):
+            FiniteGraph.from_edges(2, [(0, 1)], labels=("a",))
+        with pytest.raises(ValueError):
+            FiniteGraph.from_edges(-1, [])
+
+    def test_from_edges_equals_checked_constructor(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            G = random_graph(rng, 9)
+            assert FiniteGraph(G.n, G.adj, G.labels) == G
+            assert G.edge_count == len(list(G.edges()))
 
     def test_projection_from_image(self):
         X = interval(0, 2)
@@ -192,6 +215,35 @@ class TestMetrics:
             diameter(G)
         with pytest.raises(ValueError):
             eccentricity(G, 0)
+
+    def test_disconnected_rejected_on_every_call(self):
+        G = as_finite_graph(hyperspace_graph(enumerate_connected_subsets(
+            DigitalImage.of([(0,), (2,)], 1))))
+        for _ in range(3):
+            for metric in (radius, diameter, center, metrics_csv):
+                with pytest.raises(ValueError, match="disconnected"):
+                    metric(G)
+            with pytest.raises(ValueError, match="disconnected"):
+                G.eccentricities
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("full", "connected")))
+    @settings(max_examples=60, deadline=None)
+    def test_eccentricities_match_per_source_bfs(self, seed, kind):
+        X = random_image(random.Random(seed), 8)
+        build = enumerate_all_subsets if kind == "full" else enumerate_connected_subsets
+        G = as_finite_graph(hyperspace_graph(build(X)))
+        assert G.edge_count == len(list(G.edges()))
+        dists = [bfs_distances(G, v) for v in range(G.n)]
+        if any(None in d for d in dists):
+            with pytest.raises(ValueError):
+                G.eccentricities
+            return
+        eccs = tuple(max(d) for d in dists)
+        assert G.eccentricities == eccs
+        assert radius(G) == min(eccs)
+        assert diameter(G) == max(eccs)
+        assert center(G) == {v for v, e in enumerate(eccs) if e == min(eccs)}
+        assert [eccentricity(G, v) for v in range(G.n)] == list(eccs)
 
     def test_against_floyd_warshall(self):
         rng = random.Random(6)

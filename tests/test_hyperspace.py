@@ -4,8 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from digitop import (BudgetError, DigitalImage, as_finite_graph,
+from digitop import (BudgetError, DigitalImage, SubsetFamily, as_finite_graph,
                      connected_components, disconnects, enumerate_all_subsets,
                      enumerate_connected_subsets, family_from_json,
                      family_to_json, hyper_adjacent, hyperspace_graph, interval,
@@ -14,6 +15,19 @@ from digitop import (BudgetError, DigitalImage, as_finite_graph,
 from digitop.graphmetrics import bfs_distances, induced_subgraph
 from digitop.lattice import adjacent_or_equal
 from digitop.verify import random_connected_image, random_image
+
+
+def pair_scan_edges(family):
+    """Reference edge list: test every member pair against both coverage conditions."""
+    closed = family.base.closed_neighbor_masks
+    covers = [0] * len(family)
+    for k, m in enumerate(family.masks):
+        for i in range(len(family.base)):
+            if m >> i & 1:
+                covers[k] |= closed[i]
+    masks = family.masks
+    return [(i, j) for i in range(len(masks)) for j in range(i + 1, len(masks))
+            if masks[i] & ~covers[j] == 0 and masks[j] & ~covers[i] == 0]
 
 
 def quantifier_adjacent(A, B, X):
@@ -116,6 +130,41 @@ class TestHyperspaceGraph:
         assert view.adjacent_or_equal(a, a)
 
 
+class TestAdjacencyRows:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("full", "connected")))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_pair_scan(self, seed, kind):
+        X = random_image(random.Random(seed), 8)
+        build = enumerate_all_subsets if kind == "full" else enumerate_connected_subsets
+        family = build(X)
+        expect = pair_scan_edges(family)
+        view = hyperspace_graph(family)
+        assert list(family.edge_index_pairs()) == expect
+        assert list(view.edge_index_pairs()) == expect
+        assert list(view.edges) == expect
+        assert view.edge_count == len(expect)
+        rows = [0] * len(family)
+        for i, j in expect:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        assert view.adjacency_rows == tuple(rows)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_enumerators_pass_full_validation(self, seed):
+        X = random_image(random.Random(seed), 8)
+        for family in (enumerate_all_subsets(X), enumerate_connected_subsets(X)):
+            assert SubsetFamily(X, family.masks, family.kind) == family
+            assert list(family.masks) == sorted(set(family.masks))
+
+    def test_view_adjacency_matches_rows(self):
+        X = DigitalImage.of([(0, 0), (0, 1), (1, 1), (2, 2)], 2)
+        view = hyperspace_graph(enumerate_all_subsets(X))
+        for A, B in itertools.product(view.members, repeat=2):
+            expect = A != B and hyper_adjacent(A, B, X)
+            assert view.adjacent(A, B) == expect
+
+
 class TestUnion:
     def test_simple_union(self):
         assert union_of_family([{(1,)}, {(1,), (2,)}]) == {(1,), (2,)}
@@ -216,6 +265,37 @@ class TestConnectivityLifting:
                 keep = [i for i, m in enumerate(K.masks) if not m & ymask]
                 assert not is_connected_graph(induced_subgraph(G, keep))
         assert checked > 0
+
+
+class TestFamilyValidation:
+    def test_connected_check_matches_point_set_connectivity(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            X = random_image(rng, 7)
+            for m in range(1, 1 << len(X)):
+                connected = X.is_connected_subset(X.points_of(m))
+                try:
+                    SubsetFamily(X, (m,), "connected")
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == connected
+
+    def test_disconnected_member_in_connected_document_rejected(self):
+        doc = {"base": {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]},
+               "kind": "connected",
+               "members": [[[0]], [[1]], [[0], [2]]]}
+        with pytest.raises(ValueError, match="disconnected member"):
+            family_from_json(doc)
+        doc["kind"] = "custom"
+        assert len(family_from_json(doc)) == 3
+
+    def test_invalid_members_rejected(self):
+        X = interval(0, 2)
+        for masks, kind in (((0,), "custom"), ((1 << 3,), "custom"), ((1, 1), "custom"),
+                            ((1, 2), "full"), ((1,), "bogus")):
+            with pytest.raises(ValueError):
+                SubsetFamily(X, masks, kind)
 
 
 class TestFamilySerialization:
