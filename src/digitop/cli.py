@@ -19,8 +19,7 @@ from .functions import (continuity_counterexample, family_function_from_json,
 from .homotopy import (PHI, PSI, build_function_graph, homotopic, homotopy_to_json,
                        is_contractible, phi_adjacent, psi_adjacent,
                        strongly_homotopic, verify_homotopy)
-from .hyperspace import (enumerate_all_subsets, enumerate_connected_subsets,
-                         hyperspace_graph)
+from .hyperspace import family_of, hyperspace_graph
 from .lattice import image_from_json
 from .multivalued import (generates, has_weak_continuity,
                           is_connectivity_preserving, is_egs_continuous,
@@ -62,12 +61,9 @@ def _view_graph(args) -> gm.FiniteGraph:
     view = args.view
     if view == "image":
         return gm.as_finite_graph(image)
-    if view == "full":
+    if view in ("full", "connected"):
         return gm.as_finite_graph(hyperspace_graph(
-            enumerate_all_subsets(image, args.budget_hyperspace)))
-    if view == "connected":
-        return gm.as_finite_graph(hyperspace_graph(
-            enumerate_connected_subsets(image, args.budget_hyperspace)))
+            family_of(image, view, args.budget_hyperspace)))
     if view == "functions":
         codomain = image_from_json(_load(args.codomain)) if args.codomain else image
         return gm.as_finite_graph(build_function_graph(
@@ -77,20 +73,18 @@ def _view_graph(args) -> gm.FiniteGraph:
 
 def cmd_hyperspace(args) -> int:
     image = image_from_json(_load(args.input))
-    build = enumerate_all_subsets if args.kind == "full" else enumerate_connected_subsets
-    family = build(image, args.budget_hyperspace)
-    view = hyperspace_graph(family)
+    family = hyperspace_graph(family_of(image, args.kind, args.budget_hyperspace))
     if args.format == "dot":
-        _emit(args, gm.to_dot(gm.as_finite_graph(view)))
+        _emit(args, gm.to_dot(gm.as_finite_graph(family)))
     elif args.format == "json":
         _emit(args, json.dumps({
             "kind": args.kind,
             "vertices": len(family),
-            "edges": view.edge_count,
+            "edges": family.edge_count,
             "members": [_member_doc(m) for m in family.members],
         }, indent=2) + "\n")
     else:
-        _emit(args, f"kind: {args.kind}\nvertices: {len(family)}\nedges: {view.edge_count}\n")
+        _emit(args, f"kind: {args.kind}\nvertices: {len(family)}\nedges: {family.edge_count}\n")
     return 0
 
 

@@ -2,9 +2,11 @@
 
 A :class:`FiniteFunction` is a total table between two finite vertex spaces.
 The usual case is image -> image, but the same class carries maps whose
-domain or codomain is a subset family or a function graph: every space
-exposes ``vertices``, ``adjacent`` and ``adjacent_or_equal``, and the
-continuity, isomorphism and retraction checkers only use that protocol.
+domain or codomain is a subset family or a function graph, such as an
+induced map A |-> f(A).  Every space exposes ``vertices``,
+``adjacency_rows`` (per vertex, the bitmask of its neighbours' indices)
+and ``adjacent``/``adjacent_or_equal``, and the continuity, isomorphism and
+retraction checkers only use that protocol.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .hyperspace import SubsetFamily, enumerate_all_subsets, enumerate_connected_subsets
-from .lattice import DigitalImage, Point
+from .hyperspace import SubsetFamily, family_of
+from .lattice import DigitalImage, Point, _as_point, _row_pairs
 
 
 def adjacent_vertex_pairs(space) -> Iterator[tuple]:
-    """All unordered adjacent vertex pairs of a space, in canonical order."""
+    """All unordered adjacent vertex pairs of a space, in ascending index order."""
     verts = space.vertices
-    for i, j in space.edge_index_pairs():
+    for i, j in _row_pairs(space.adjacency_rows):
         yield verts[i], verts[j]
 
 
@@ -65,10 +67,6 @@ class FiniteFunction:
         return f"<map {body}>"
 
 
-class FamilyFunction(FiniteFunction):
-    """A map between subset families; members go to members."""
-
-
 def identity_map(space) -> FiniteFunction:
     return FiniteFunction(space, space, tuple((v, v) for v in space.vertices))
 
@@ -81,8 +79,7 @@ def compose(g: FiniteFunction, f: FiniteFunction) -> FiniteFunction:
     """g after f."""
     if g.domain.vertices != f.codomain.vertices:
         raise ValueError("composition mismatch: codomain of f is not domain of g")
-    cls = FamilyFunction if isinstance(f, FamilyFunction) and isinstance(g, FamilyFunction) else FiniteFunction
-    return cls(f.domain, g.codomain, tuple((x, g.table[y]) for x, y in f.pairs))
+    return FiniteFunction(f.domain, g.codomain, tuple((x, g.table[y]) for x, y in f.pairs))
 
 
 # -- continuity -------------------------------------------------------------
@@ -101,11 +98,6 @@ def continuity_counterexample(f: FiniteFunction):
         if not cod.adjacent_or_equal(table[x], table[y]):
             return (x, y)
     return None
-
-
-def is_family_continuous(F: FamilyFunction) -> bool:
-    """Continuity of a family map under the lifted adjacencies."""
-    return is_continuous(F)
 
 
 def is_isomorphism(f: FiniteFunction) -> bool:
@@ -141,28 +133,22 @@ def is_retraction(r: FiniteFunction, Y: Iterable[Point]) -> bool:
 # -- induced maps on hyperspaces --------------------------------------------
 
 
-def _family_over(image: DigitalImage, kind: str, budget: int) -> SubsetFamily:
-    if kind == "full":
-        return enumerate_all_subsets(image, budget)
-    if kind == "connected":
-        return enumerate_connected_subsets(image, budget)
-    raise ValueError(f"cannot derive a {kind!r} family over the codomain; pass one explicitly")
-
-
-def induced_map(f: FiniteFunction, family: SubsetFamily,
+def induced_map(f, family: SubsetFamily,
                 codomain_family: SubsetFamily | None = None,
-                budget: int = 24) -> FamilyFunction:
+                budget: int = 24) -> FiniteFunction:
     """The set-image map A |-> f(A) between families.
 
-    The codomain family defaults to the family of the same kind over
-    f's codomain.  If some member's image is not a member there (for a
-    connected family this happens exactly when the image is disconnected),
-    the map does not exist and a ValueError names the offending member.
+    ``f`` is a :class:`FiniteFunction` or a multifunction: all this uses
+    is ``f.domain``, ``f.codomain`` and ``f.image_of``.  The codomain
+    family defaults to the family of the same kind over f's codomain.  If
+    some member's image is not a member there (for a connected family this
+    happens exactly when the image is disconnected), the map does not
+    exist and a ValueError names the offending member.
     """
     if family.base != f.domain:
         raise ValueError("family is not over the domain of f")
     if codomain_family is None:
-        codomain_family = _family_over(f.codomain, family.kind, budget)
+        codomain_family = family_of(f.codomain, family.kind, budget)
     table = {}
     for member in family.members:
         img = f.image_of(member)
@@ -171,10 +157,10 @@ def induced_map(f: FiniteFunction, family: SubsetFamily,
                 f"image of member {sorted(member)} is {sorted(img)}, "
                 f"not a member of the codomain family")
         table[member] = img
-    return FamilyFunction.from_table(family, codomain_family, table)
+    return FiniteFunction.from_table(family, codomain_family, table)
 
 
-def find_inducing_map(F: FamilyFunction, budget: int = 10 ** 6) -> FiniteFunction | None:
+def find_inducing_map(F: FiniteFunction, budget: int = 10 ** 6) -> FiniteFunction | None:
     """A continuous f with f_* = F, or None when no continuous map induces F.
 
     Values on singletons pin down the only candidate table positions, so the
@@ -233,10 +219,10 @@ def function_from_json(doc: dict) -> FiniteFunction:
         pairs = doc["pairs"]
     except KeyError as missing:
         raise ValueError(f"function document is missing {missing}") from None
-    return FiniteFunction(dom, cod, tuple((tuple(x), tuple(y)) for x, y in pairs))
+    return FiniteFunction(dom, cod, tuple((_as_point(x), _as_point(y)) for x, y in pairs))
 
 
-def family_function_to_json(F: FamilyFunction) -> dict:
+def family_function_to_json(F: FiniteFunction) -> dict:
     from .hyperspace import family_to_json
 
     return {
@@ -247,7 +233,7 @@ def family_function_to_json(F: FamilyFunction) -> dict:
     }
 
 
-def family_function_from_json(doc: dict) -> FamilyFunction:
+def family_function_from_json(doc: dict) -> FiniteFunction:
     from .hyperspace import family_from_json
 
     if not isinstance(doc, dict):
@@ -258,6 +244,6 @@ def family_function_from_json(doc: dict) -> FamilyFunction:
         pairs = doc["pairs"]
     except KeyError as missing:
         raise ValueError(f"family function document is missing {missing}") from None
-    table = tuple((frozenset(tuple(p) for p in a), frozenset(tuple(p) for p in b))
+    table = tuple((frozenset(map(_as_point, a)), frozenset(map(_as_point, b)))
                   for a, b in pairs)
-    return FamilyFunction(dom, cod, table)
+    return FiniteFunction(dom, cod, table)

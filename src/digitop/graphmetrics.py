@@ -1,15 +1,15 @@
 """Exact metric and structural computations on finite graphs.
 
-Images, hyperspace views and function graphs all project to
+Images, subset families and function graphs all project to
 :class:`FiniteGraph` via :func:`as_finite_graph`; everything here then
 works uniformly: shortest/longest cycles, dominating sets, eccentricity,
 center, radius, diameter, disconnecting sets, DOT and CSV emission.
 The longest-cycle and minimum-dominating-set searches are exact
-branch-and-bound kernels over bitmask adjacency rows.  A space that has
-adjacency rows (images, families, hyperspace views) hands them over as
-they are.  A graph's eccentricities are computed once, by one
-frontier-mask breadth-first search per vertex, and radius, diameter,
-center, eccentricity and the CSV table all read them.
+branch-and-bound kernels over bitmask adjacency rows.  Every vertex space
+has such rows (``adjacency_rows``) and hands them over as they are.  A
+graph's eccentricities are computed once, by one frontier-mask
+breadth-first search per vertex, and radius, diameter, center,
+eccentricity and the CSV table all read them.
 """
 
 from __future__ import annotations
@@ -131,13 +131,10 @@ class FiniteGraph:
 
 
 def as_finite_graph(space, with_labels: bool = True) -> FiniteGraph:
-    """Project any vertex space (image, family, view, function graph)."""
+    """Project any vertex space (image, family, function graph)."""
     verts = space.vertices
     labels = tuple(verts) if with_labels else None
-    rows = getattr(space, "adjacency_rows", None)
-    if rows is not None:
-        return FiniteGraph._trusted(len(verts), rows, labels)
-    return FiniteGraph.from_edges(len(verts), space.edge_index_pairs(), labels)
+    return FiniteGraph._trusted(len(verts), space.adjacency_rows, labels)
 
 
 def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:

@@ -22,10 +22,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterator
 
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
+from .hyperspace import family_of
 from .lattice import DigitalImage, _bits, _connectivity_order
 
 #: Cap on the raw search space #Y ** #X of a function enumeration.
@@ -224,16 +224,13 @@ class FunctionGraph:
         return {f: i for i, f in enumerate(self.vertices)}
 
     @cached_property
-    def _edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def _neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in self.vertices]
+    def adjacency_rows(self) -> tuple[int, ...]:
+        """Per map, the bitmask over vertex indices of its adjacent maps."""
+        rows = [0] * len(self.vertices)
         for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(rows)
 
     def index_of(self, f: FiniteFunction) -> int:
         try:
@@ -243,15 +240,10 @@ class FunctionGraph:
 
     def adjacent(self, f: FiniteFunction, g: FiniteFunction) -> bool:
         i, j = self.index_of(f), self.index_of(g)
-        if i == j:
-            return False
-        return (min(i, j), max(i, j)) in self._edge_set
+        return bool(self.adjacency_rows[i] >> j & 1)
 
     def adjacent_or_equal(self, f, g) -> bool:
         return f == g or self.adjacent(f, g)
-
-    def edge_index_pairs(self) -> Iterator[tuple[int, int]]:
-        return iter(self.edges)
 
     def find_path(self, f: FiniteFunction, g: FiniteFunction,
                   allowed=None) -> tuple[FiniteFunction, ...] | None:
@@ -263,16 +255,16 @@ class FunctionGraph:
         verts = self.vertices
         if allowed is not None and not (allowed(verts[src]) and allowed(verts[dst])):
             return None
-        nbrs = self._neighbor_lists
-        step = nbrs.__getitem__
+        rows = self.adjacency_rows
+        step = lambda i: _bits(rows[i])
         if allowed is not None:
-            step = lambda i: [j for j in nbrs[i] if allowed(verts[j])]
+            step = lambda i: [j for j in _bits(rows[i]) if allowed(verts[j])]
         path, _ = _bfs(src, step, dst.__eq__)
         return None if path is None else tuple(verts[k] for k in path)
 
     def component_of(self, f: FiniteFunction) -> frozenset[int]:
-        _, reached = _bfs(self.index_of(f), self._neighbor_lists.__getitem__,
-                          lambda i: False)
+        rows = self.adjacency_rows
+        _, reached = _bfs(self.index_of(f), lambda i: _bits(rows[i]), lambda i: False)
         return frozenset(reached)
 
 
@@ -486,11 +478,7 @@ def lift_homotopy_to_hyperspace(H: HomotopyTable, kind: str = "connected",
     return HomotopyTable(dom_fam, cod_fam, lifted)
 
 
-@lru_cache(maxsize=64)
-def _family_cached(image: DigitalImage, kind: str, budget: int):
-    from .functions import _family_over
-
-    return _family_over(image, kind, budget)
+_family_cached = lru_cache(maxsize=64)(family_of)
 
 
 # -- contractibility and post-composition ------------------------------------

@@ -12,6 +12,11 @@ bitsets: with S_p the members holding p and C_p the members whose cover
 holds p, row(A) is the AND of C_p over p in A minus the union of S_p over
 p outside cover(A), less A itself.  That is O(N * |X|) big-integer
 operations for N members instead of a scan over all N^2 / 2 pairs.
+
+A family is itself a vertex space (``vertices``, ``adjacency_rows``,
+``adjacent``, ``adjacent_or_equal``), so :func:`hyperspace_graph` hands
+back the family with its rows built; :func:`family_of` is the one place a
+family kind picks an enumerator.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import BudgetError
-from .lattice import DigitalImage, Point, _bits
+from .lattice import DigitalImage, Point, _bits, _row_pairs
 
 #: Images with more points than this may not be expanded into hyperspaces.
 DEFAULT_POINT_BUDGET = 24
@@ -140,6 +145,15 @@ class SubsetFamily:
             rows.append((row & ~away) ^ (1 << i))
         return tuple(rows)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge list (i, j), i < j, in ascending order, built on first use."""
+        return tuple(_row_pairs(self.adjacency_rows))
+
+    @cached_property
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.adjacency_rows) // 2
+
     def index_of(self, member: Iterable[Point]) -> int:
         mem = frozenset(member)
         try:
@@ -190,13 +204,6 @@ def _point_bitsets(masks: tuple[int, ...], n: int) -> list[int]:
     out = [int("".join(col), 2) for col in columns]
     out.reverse()
     return out
-
-
-def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """The pairs (i, j), i < j, with bit j set in ``rows[i]``, in ascending order."""
-    for i, row in enumerate(rows):
-        for j in _bits(row >> (i + 1)):
-            yield (i, i + 1 + j)
 
 
 def hyper_adjacent(A: Iterable[Point], B: Iterable[Point], X: DigitalImage) -> bool:
@@ -258,50 +265,20 @@ def enumerate_connected_subsets(X: DigitalImage, budget: int = DEFAULT_POINT_BUD
     return SubsetFamily._trusted(X, tuple(sorted(out)), "connected")
 
 
-@dataclass(frozen=True)
-class HypergraphView:
-    """A subset family together with its adjacency rows (one bitmask per member)."""
-
-    family: SubsetFamily
-    adjacency_rows: tuple[int, ...]
-
-    @property
-    def base(self) -> DigitalImage:
-        return self.family.base
-
-    @property
-    def members(self) -> tuple[frozenset[Point], ...]:
-        return self.family.members
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The edge list (i, j), i < j, in ascending order, built on first use."""
-        return tuple(_row_pairs(self.adjacency_rows))
-
-    @cached_property
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency_rows) // 2
-
-    # -- vertex-space protocol -------------------------------------------
-
-    @property
-    def vertices(self) -> tuple[frozenset[Point], ...]:
-        return self.family.members
-
-    def adjacent(self, A, B) -> bool:
-        i, j = self.family.index_of(A), self.family.index_of(B)
-        return bool(self.adjacency_rows[i] >> j & 1)
-
-    def adjacent_or_equal(self, A, B) -> bool:
-        return frozenset(A) == frozenset(B) or self.adjacent(A, B)
-
-    def edge_index_pairs(self) -> Iterator[tuple[int, int]]:
-        return _row_pairs(self.adjacency_rows)
+def family_of(image: DigitalImage, kind: str,
+              budget: int = DEFAULT_POINT_BUDGET) -> SubsetFamily:
+    """The ``full`` (2^X) or ``connected`` (K(X)) family over an image."""
+    if kind == "full":
+        return enumerate_all_subsets(image, budget)
+    if kind == "connected":
+        return enumerate_connected_subsets(image, budget)
+    raise ValueError(f"cannot enumerate a {kind!r} family; pass one explicitly")
 
 
-def hyperspace_graph(family: SubsetFamily) -> HypergraphView:
-    """The graph on the family's members under the lifted adjacency."""
-    return HypergraphView(family, family.adjacency_rows)
+def hyperspace_graph(family: SubsetFamily) -> SubsetFamily:
+    """The family with its graph under the lifted adjacency built as rows."""
+    family.adjacency_rows  # built once and cached on the family
+    return family
 
 
 def union_of_family(W: Iterable[Iterable[Point]]) -> frozenset[Point]:

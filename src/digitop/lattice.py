@@ -9,6 +9,7 @@ agree.  Everything here is immutable and safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -58,7 +59,8 @@ def _step_offsets(dim: int, u: int) -> tuple[Point, ...]:
 
 def _as_point(p, dim: int | None = None) -> Point:
     pt = tuple(p)
-    if not pt or not all(isinstance(c, int) for c in pt):
+    # bool is an int subclass, but true/false are not coordinates
+    if not pt or not all(type(c) is int for c in pt):
         raise ValueError(f"not a lattice point: {p!r}")
     if dim is not None and len(pt) != dim:
         raise ValueError(f"point {pt} has dimension {len(pt)}, expected {dim}")
@@ -100,8 +102,8 @@ class DigitalImage:
         return cls(len(pts[0]), tuple(pts), adjacency)
 
     # -- the generic vertex-space protocol (shared with families and
-    #    function graphs): vertices / adjacent / adjacent_or_equal /
-    #    edge_index_pairs, and adjacency_rows where a space has them -------
+    #    function graphs): vertices / adjacency_rows / adjacent /
+    #    adjacent_or_equal ---------------------------------------------------
 
     @property
     def vertices(self) -> tuple[Point, ...]:
@@ -117,14 +119,6 @@ class DigitalImage:
     def adjacency_rows(self) -> tuple[int, ...]:
         """Per point, the bitmask of its neighbors: the image's graph as rows."""
         return self.neighbor_masks
-
-    def edge_index_pairs(self) -> Iterator[tuple[int, int]]:
-        idx = self.point_index
-        for i, p in enumerate(self.points):
-            for q in self.neighbors(p):
-                j = idx[q]
-                if i < j:
-                    yield (i, j)
 
     # -- basic queries ---------------------------------------------------
 
@@ -224,6 +218,13 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j), i < j, with bit j set in ``rows[i]``, in ascending order."""
+    for i, row in enumerate(rows):
+        for j in _bits(row >> (i + 1)):
+            yield (i, i + 1 + j)
 
 
 def _connectivity_order(image: DigitalImage) -> tuple[list[int], list[list[int]]]:
@@ -388,14 +389,11 @@ def image_from_json(doc: dict) -> DigitalImage:
         points = doc["points"]
     except KeyError as missing:
         raise ValueError(f"image document is missing {missing}") from None
-    if not isinstance(dim, int):
+    if type(dim) is not int:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if not isinstance(points, list):
         raise ValueError("points must be an array of point arrays")
-    if not isinstance(adjacency, str) or not adjacency.startswith("c"):
+    # only the canonical spelling: no sign, blank or leading zero
+    if not isinstance(adjacency, str) or not re.fullmatch(r"c(0|[1-9][0-9]*)", adjacency):
         raise ValueError(f"bad adjacency selector {adjacency!r} (expected e.g. 'c1')")
-    try:
-        u = int(adjacency[1:])
-    except ValueError:
-        raise ValueError(f"bad adjacency selector {adjacency!r}") from None
-    return DigitalImage(dim, tuple(tuple(p) for p in points), u)
+    return DigitalImage(dim, tuple(tuple(p) for p in points), int(adjacency[1:]))

@@ -15,10 +15,9 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetError
-from .functions import FamilyFunction, FiniteFunction
-from .hyperspace import (DEFAULT_POINT_BUDGET, enumerate_all_subsets,
-                         enumerate_connected_subsets)
-from .lattice import (DigitalImage, Point, _bits, _connectivity_order,
+from .functions import FiniteFunction, induced_map
+from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
+from .lattice import (DigitalImage, Point, _as_point, _bits, _connectivity_order,
                       adjacent_or_equal)
 
 #: Cap on the number of subdivision points a generator search will handle.
@@ -263,25 +262,10 @@ def generates(f: FiniteFunction, F: MultiFunction, sub: Subdivision) -> bool:
 
 
 def induced_multifunction_map(F: MultiFunction, kind: str = "full",
-                              budget: int = DEFAULT_POINT_BUDGET) -> FamilyFunction:
+                              budget: int = DEFAULT_POINT_BUDGET) -> FiniteFunction:
     """The set-image map A |-> F(A) on the chosen family kind."""
-    if kind == "full":
-        dom = enumerate_all_subsets(F.domain, budget)
-        cod = enumerate_all_subsets(F.codomain, budget)
-    elif kind == "connected":
-        dom = enumerate_connected_subsets(F.domain, budget)
-        cod = enumerate_connected_subsets(F.codomain, budget)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    table = {}
-    for member in dom.members:
-        img = F.image_of(member)
-        if img not in cod:
-            raise ValueError(
-                f"image of member {sorted(member)} is {sorted(img)}, "
-                f"not a member of the codomain family")
-        table[member] = img
-    return FamilyFunction.from_table(dom, cod, table)
+    return induced_map(F, family_of(F.domain, kind, budget),
+                       family_of(F.codomain, kind, budget))
 
 
 # -- JSON ------------------------------------------------------------------
@@ -309,5 +293,5 @@ def multifunction_from_json(doc: dict) -> MultiFunction:
     except KeyError as missing:
         raise ValueError(f"multifunction document is missing {missing}") from None
     return MultiFunction(dom, cod,
-                         tuple((tuple(x), frozenset(tuple(p) for p in v))
+                         tuple((_as_point(x), frozenset(map(_as_point, v)))
                                for x, v in pairs))

@@ -12,9 +12,8 @@ import random
 from dataclasses import dataclass
 
 from . import graphmetrics as gm
-from .functions import (FamilyFunction, FiniteFunction, compose, constant_map,
-                        identity_map, induced_map, is_continuous,
-                        is_family_continuous, is_isomorphism, is_retraction,
+from .functions import (FiniteFunction, compose, constant_map, identity_map,
+                        induced_map, is_continuous, is_isomorphism, is_retraction,
                         find_inducing_map)
 from .homotopy import (PHI, PSI, build_function_graph, enumerate_continuous_maps,
                        homotopic, is_contractible, lift_homotopy_to_hyperspace,
@@ -213,9 +212,9 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
         Y = random_image(rng, max_pts)
         f = random_function(rng, X, Y)
         cont = is_continuous(f)
-        full_ok = is_family_continuous(induced_map(f, enumerate_all_subsets(X)))
+        full_ok = is_continuous(induced_map(f, enumerate_all_subsets(X)))
         try:
-            conn_ok = is_family_continuous(induced_map(f, enumerate_connected_subsets(X)))
+            conn_ok = is_continuous(induced_map(f, enumerate_connected_subsets(X)))
         except ValueError:
             conn_ok = False  # some connected member has a disconnected image
         if not (cont == full_ok == conn_ok):
@@ -272,7 +271,7 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
             continue
         for build in (enumerate_all_subsets, enumerate_connected_subsets):
             rs = induced_map(r, build(X))
-            if not is_family_continuous(rs):
+            if not is_continuous(rs):
                 retr_viol.append(("lift-discontinuous", r))
             fixed = [m for m in rs.domain.members if m <= Y.point_set]
             if any(rs.table[m] != m for m in fixed):
@@ -298,7 +297,7 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
                            f"first {img_viol[:1]}" if img_viol else ""))
 
     K = enumerate_connected_subsets(interval(0, 1))
-    F = FamilyFunction.from_table(K, K, {m: frozenset(interval(0, 1).points) for m in K.members})
+    F = FiniteFunction.from_table(K, K, {m: frozenset(interval(0, 1).points) for m in K.members})
     absent = find_inducing_map(F) is None
     out.append(CheckResult("constant-family-map-not-induced", absent))
     witnessed = []
@@ -577,7 +576,7 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
     ladder_ok = (has_weak_continuity(F) and not has_strong_continuity(F)
                  and is_connectivity_preserving(F) and egs.found and egs.r == 2
                  and generates(egs.generator, F, Subdivision(X, 2))
-                 and not is_family_continuous(induced_multifunction_map(F, "full")))
+                 and not is_continuous(induced_multifunction_map(F, "full")))
     out.append(CheckResult("weak-not-strong-ladder-example", ladder_ok))
 
     impl_viol = []
@@ -615,13 +614,13 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
             if not has_strong_continuity(M):
                 continue
         produced += 1
-        if not is_family_continuous(induced_multifunction_map(M, "full")):
+        if not is_continuous(induced_multifunction_map(M, "full")):
             strong_viol.append(M)
         try:
             lifted = induced_multifunction_map(M, "connected")
         except ValueError:
             lifted = None  # some connected member has a disconnected image
-        if lifted is not None and not is_family_continuous(lifted):
+        if lifted is not None and not is_continuous(lifted):
             strong_viol.append(("connected", M))
     out.append(CheckResult("strong-continuity-lifts", not strong_viol,
                            f"first {strong_viol[:1]}" if strong_viol else f"{produced} samples"))

@@ -8,7 +8,7 @@ budgets.
 import random
 import time
 
-from digitop import (BudgetError, FamilyFunction, MultiFunction, Subdivision,
+from digitop import (BudgetError, FiniteFunction, MultiFunction, Subdivision,
                      as_finite_graph, build_function_graph, constant_map,
                      diameter, enumerate_all_subsets, enumerate_connected_subsets,
                      find_inducing_map, generates, girth, has_strong_continuity,
@@ -16,7 +16,7 @@ from digitop import (BudgetError, FamilyFunction, MultiFunction, Subdivision,
                      identity_map, induced_map, induced_multifunction_map,
                      is_connectivity_preserving, is_connected_graph,
                      is_continuous, is_dominating, is_egs_continuous,
-                     is_family_continuous, is_isomorphism, is_valid_cycle,
+                     is_isomorphism, is_valid_cycle,
                      induced_subgraph, interval, interval_triangle_iso,
                      lift_dominating, longest_cycle, phi_adjacent, radius,
                      strongly_homotopic, verify_homotopy, disconnects)
@@ -58,9 +58,9 @@ def test_03_induced_map_iff():
         X, Y = random_image(rng, 4), random_image(rng, 4)
         f = random_function(rng, X, Y)
         cont = is_continuous(f)
-        full = is_family_continuous(induced_map(f, enumerate_all_subsets(X)))
+        full = is_continuous(induced_map(f, enumerate_all_subsets(X)))
         try:
-            conn = is_family_continuous(induced_map(f, enumerate_connected_subsets(X)))
+            conn = is_continuous(induced_map(f, enumerate_connected_subsets(X)))
         except ValueError:
             conn = False
         if not (cont == full == conn):
@@ -73,7 +73,7 @@ def test_04_non_induced_family_map():
     t0 = time.perf_counter()
     X = interval(0, 1)
     K = enumerate_connected_subsets(X)
-    F = FamilyFunction.from_table(K, K, {m: frozenset(X.points) for m in K.members})
+    F = FiniteFunction.from_table(K, K, {m: frozenset(X.points) for m in K.members})
     absent = find_inducing_map(F) is None
     elapsed = time.perf_counter() - t0
     report(4, "constant family map not induced", absent and elapsed < 1.0,
@@ -160,7 +160,7 @@ def test_08_multivalued_ladder():
           and is_connectivity_preserving(F)
           and bool(egs) and egs.r == 2
           and generates(egs.generator, F, Subdivision(X, 2))
-          and not is_family_continuous(induced_multifunction_map(F, "full")))
+          and not is_continuous(induced_multifunction_map(F, "full")))
     elapsed = time.perf_counter() - t0
     report(8, "multivalued continuity ladder", ok and elapsed < 1.0, f"{elapsed:.3f}s")
 
@@ -177,7 +177,7 @@ def test_09_strong_lifting():
         if not has_strong_continuity(F):
             continue
         produced += 1
-        if not is_family_continuous(induced_multifunction_map(F, "full")):
+        if not is_continuous(induced_multifunction_map(F, "full")):
             violations += 1
     report(9, "strongly continuous lifts", produced >= 200 and violations == 0,
            f"{produced} samples, {violations} violations")

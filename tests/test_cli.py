@@ -91,8 +91,38 @@ class TestHyperspace:
                      {"dim": 1, "adjacency": "c1", "points": 3})
         assert main(["hyperspace", "--input", bad2]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"dim": 1, "adjacency": "c1", "points": [[0], [True]]},
+        {"dim": True, "adjacency": "c1", "points": [[0], [1]]},
+        {"dim": 1, "adjacency": "c01", "points": [[0], [1]]},
+        {"dim": 1, "adjacency": "c+1", "points": [[0], [1]]},
+        {"dim": 1, "adjacency": "c 1", "points": [[0], [1]]},
+    ], ids=["bool-coordinate", "bool-dim", "leading-zero-selector",
+            "signed-selector", "blank-selector"])
+    def test_malformed_image_exit_code(self, tmp_path, capsys, doc):
+        bad = write(tmp_path, "malformed.json", doc)
+        assert main(["hyperspace", "--input", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestCheck:
+    @pytest.mark.parametrize("name, doc", [
+        ("continuity", {"domain": {"dim": 1, "adjacency": "c1", "points": [[0], [1]]},
+                        "codomain": {"dim": 1, "adjacency": "c1", "points": [[0], [1]]},
+                        "pairs": [[[0], [0]], [[True], [1]]]}),
+        ("weak-continuity", {"domain": {"dim": 1, "adjacency": "c1", "points": [[0], [1]]},
+                             "codomain": {"dim": 1, "adjacency": "c1", "points": [[0], [1]]},
+                             "pairs": [[[0], [[0]]], [[1], [[False], [1]]]]}),
+    ], ids=["function-pair", "multifunction-value"])
+    def test_bool_coordinate_in_map_exit_code(self, tmp_path, capsys, name, doc):
+        bad = write(tmp_path, "map.json", doc)
+        assert main(["check", name, "--input", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_continuity_true(self, remark_docs, capsys):
         _, g, _ = remark_docs
         assert main(["check", "continuity", "--input", g]) == 0

@@ -5,16 +5,16 @@ import random
 
 import pytest
 
-from digitop import (DigitalImage, FamilyFunction, FiniteFunction, compose,
+from digitop import (DigitalImage, FiniteFunction, compose,
                      constant_map, enumerate_all_subsets,
                      enumerate_connected_subsets, find_inducing_map,
                      function_from_json, function_to_json, identity_map,
-                     induced_map, interval, is_continuous, is_family_continuous,
+                     induced_map, interval, is_continuous,
                      is_isomorphism, is_retraction)
 from digitop.functions import (continuity_counterexample,
                                family_function_from_json,
                                family_function_to_json)
-from digitop.verify import random_continuous_function, random_image
+from digitop.verify import random_continuous_function, random_function, random_image
 
 
 def fn(X, Y, *values):
@@ -35,6 +35,17 @@ class TestContinuity:
         f = fn(interval(0, 1), interval(0, 2), (0,), (2,))
         assert not is_continuous(f)
         assert continuity_counterexample(f) == ((0,), (1,))
+
+    def test_counterexample_is_lowest_index_failing_pair(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            X, Y = random_image(rng, 8), random_image(rng, 8)
+            f = random_function(rng, X, Y)
+            pts = X.points
+            failing = [(pts[i], pts[j]) for i, j in itertools.combinations(range(len(pts)), 2)
+                       if X.adjacent(pts[i], pts[j])
+                       and not Y.adjacent_or_equal(f(pts[i]), f(pts[j]))]
+            assert continuity_counterexample(f) == (failing[0] if failing else None)
 
     def test_table_must_be_total(self):
         X = interval(0, 1)
@@ -90,9 +101,9 @@ class TestFamilyContinuity:
             for values in itertools.product(Y.points, repeat=len(X)):
                 f = fn(X, Y, *values)
                 cont = is_continuous(f)
-                full = is_family_continuous(induced_map(f, enumerate_all_subsets(X)))
+                full = is_continuous(induced_map(f, enumerate_all_subsets(X)))
                 try:
-                    conn = is_family_continuous(
+                    conn = is_continuous(
                         induced_map(f, enumerate_connected_subsets(X)))
                 except ValueError:
                     conn = False
@@ -101,8 +112,8 @@ class TestFamilyContinuity:
     def test_constant_family_map_continuous(self):
         X = interval(0, 1)
         K = enumerate_connected_subsets(X)
-        F = FamilyFunction.from_table(K, K, {m: frozenset(X.points) for m in K.members})
-        assert is_family_continuous(F)
+        F = FiniteFunction.from_table(K, K, {m: frozenset(X.points) for m in K.members})
+        assert is_continuous(F)
 
 
 class TestIsomorphism:
@@ -154,7 +165,7 @@ class TestRetraction:
         assert is_retraction(r, Y.points)
         for build in (enumerate_all_subsets, enumerate_connected_subsets):
             rs = induced_map(r, build(X))
-            assert is_family_continuous(rs)
+            assert is_continuous(rs)
             for member in rs.domain.members:
                 if member <= Y.point_set:
                     assert rs.table[member] == member
@@ -171,7 +182,7 @@ class TestFindInducingMap:
     def test_constant_to_whole_absent(self):
         X = interval(0, 1)
         K = enumerate_connected_subsets(X)
-        F = FamilyFunction.from_table(K, K, {m: frozenset(X.points) for m in K.members})
+        F = FiniteFunction.from_table(K, K, {m: frozenset(X.points) for m in K.members})
         assert find_inducing_map(F) is None
 
     def test_roundtrip_of_random_induced(self):

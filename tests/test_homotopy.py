@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,62 @@ class TestFunctionGraph:
             for j, cj in comps.items():
                 if i != j:
                     assert ci != cj
+
+
+def sorted_neighbor_lists(G):
+    """Per vertex, its neighbours sorted ascending, read off the edge list."""
+    nbrs = [[] for _ in G.vertices]
+    for i, j in G.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return [sorted(ns) for ns in nbrs]
+
+
+def reference_bfs(nbrs, src, dst=None, allowed=lambda i: True):
+    """Breadth-first search over neighbour lists: (path to dst or None, reached)."""
+    prev = {src: None}
+    queue = deque([src])
+    while queue and dst not in prev:
+        i = queue.popleft()
+        for j in nbrs[i]:
+            if j not in prev and allowed(j):
+                prev[j] = i
+                queue.append(j)
+    if dst not in prev:
+        return None, set(prev)
+    path = [dst]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path[::-1], set(prev)
+
+
+class TestFunctionGraphRows:
+    """Row-based adjacency and search against the edge list and list-based BFS."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((PHI, PSI)))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_search_match_edge_list(self, seed, flavor):
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 3), random_image(rng, 3)
+        G = build_function_graph(X, Y, flavor)
+        n, edges = len(G.vertices), set(G.edges)
+        assert G.adjacency_rows == tuple(
+            sum(1 << j for j in range(n) if (min(i, j), max(i, j)) in edges)
+            for i in range(n))
+        nbrs = sorted_neighbor_lists(G)
+        x0 = rng.choice(X.points)
+        for _ in range(10):
+            s, t = rng.randrange(n), rng.randrange(n)
+            f, g = G.vertices[s], G.vertices[t]
+            path = reference_bfs(nbrs, s, t)[0]
+            found = G.find_path(f, g)
+            assert (None if found is None else [G.index_of(h) for h in found]) == path
+            assert G.component_of(f) == reference_bfs(nbrs, s)[1]
+            fixed = f.table[x0]
+            keep = lambda i: G.vertices[i].table[x0] == fixed
+            path = reference_bfs(nbrs, s, t, keep)[0] if keep(t) else None
+            found = G.find_path(f, g, allowed=lambda h: h.table[x0] == fixed)
+            assert (None if found is None else [G.index_of(h) for h in found]) == path
 
 
 class TestHomotopic:

@@ -3,18 +3,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitop import (BudgetError, DigitalImage, MultiFunction, Subdivision,
-                     as_multifunction, generates, has_strong_continuity,
+                     as_multifunction, family_of, generates, has_strong_continuity,
                      has_weak_continuity, induced_map,
                      induced_multifunction_map, interval,
-                     is_connectivity_preserving, is_egs_continuous,
-                     is_family_continuous, multifunction_from_json,
+                     is_connectivity_preserving, is_continuous, is_egs_continuous,
+                     multifunction_from_json,
                      multifunction_to_json, subdivide)
 from digitop.lattice import adjacent_or_equal
 from digitop.multivalued import strong_continuity_counterexample
-from digitop.verify import (random_continuous_function, random_image,
-                            random_multifunction)
+from digitop.verify import (random_continuous_function, random_function,
+                            random_image, random_multifunction)
 
 
 @pytest.fixture(scope="module")
@@ -159,11 +160,11 @@ class TestInducedLift:
             if not has_strong_continuity(F):
                 continue
             produced += 1
-            assert is_family_continuous(induced_multifunction_map(F, "full"))
+            assert is_continuous(induced_multifunction_map(F, "full"))
 
     def test_ladder_lift_fails(self, ladder):
         lifted = induced_multifunction_map(ladder, "full")
-        assert not is_family_continuous(lifted)
+        assert not is_continuous(lifted)
 
     def test_single_valued_agrees_with_induced_map(self):
         rng = random.Random(6)
@@ -173,6 +174,21 @@ class TestInducedLift:
             lifted = induced_multifunction_map(as_multifunction(f), "full")
             direct = induced_map(f, lifted.domain, codomain_family=lifted.codomain)
             assert lifted.pairs == direct.pairs
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("full", "connected")))
+    @settings(max_examples=100, deadline=None)
+    def test_singleton_multifunction_induces_the_same_map(self, seed, kind):
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 4), random_image(rng, 4)
+        f = random_function(rng, X, Y)
+        try:
+            direct = induced_map(f, family_of(X, kind), family_of(Y, kind))
+        except ValueError as exc:  # some member's image leaves K(Y)
+            with pytest.raises(ValueError) as lifted_exc:
+                induced_multifunction_map(as_multifunction(f), kind)
+            assert str(lifted_exc.value) == str(exc)
+            return
+        assert induced_multifunction_map(as_multifunction(f), kind).pairs == direct.pairs
 
     def test_connected_kind_rejects_disconnected_images(self):
         F = mf(interval(0, 0), interval(0, 2), {(0,), (2,)})
