@@ -2,17 +2,19 @@
 
 Verbs: hyperspace, check, verify, girth, dominate, metrics, export-dot.
 Exit codes: 0 success, 1 verification/check failure, 2 usage or parse
-error, 3 resource limit exceeded.
+error, 3 resource limit exceeded, 4 internal error (a witness failed its
+re-validation).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import graphmetrics as gm
-from .errors import BudgetError
+from .errors import BudgetError, InternalError
 from .functions import (continuity_counterexample, family_function_from_json,
                         function_from_json, function_to_json, is_isomorphism,
                         is_retraction, find_inducing_map)
@@ -126,7 +128,7 @@ def _run_check(name: str, doc: dict, args):
         table = decision.table()
         mode = "plain" if name == "homotopic" else "strong"
         if not verify_homotopy(table, f, g, mode=mode):
-            raise RuntimeError("internal error: witness failed re-validation")
+            raise InternalError("witness failed re-validation")
         return True, homotopy_to_json(table)
     if name == "contractible":
         return is_contractible(image_from_json(doc), args.budget_functions), None
@@ -146,7 +148,7 @@ def _run_check(name: str, doc: dict, args):
         if not result:
             return False, {"r_max": result.r_max}
         if not generates(result.generator, F, Subdivision(F.domain, result.r)):
-            raise RuntimeError("internal error: generator failed re-validation")
+            raise InternalError("generator failed re-validation")
         return True, {"r": result.r, "generator": function_to_json(result.generator)}
     if name == "induced-by":
         F = family_function_from_json(doc)
@@ -184,7 +186,7 @@ def cmd_girth(args) -> int:
     longest = gm.longest_cycle(graph, args.budget_cycle)
     for witness in (short, longest):
         if witness is not None and not gm.is_valid_cycle(graph, witness.vertices):
-            raise RuntimeError("internal error: cycle witness failed re-validation")
+            raise InternalError("cycle witness failed re-validation")
 
     def cycle_doc(w):
         if w is None:
@@ -209,7 +211,7 @@ def cmd_dominate(args) -> int:
     graph = _view_graph(args)
     best = gm.minimum_dominating_set(graph, args.budget_dominating)
     if not gm.is_dominating(best, graph):
-        raise RuntimeError("internal error: dominating set failed re-validation")
+        raise InternalError("dominating set failed re-validation")
     labels = [gm.format_label(graph.label_of(v)) for v in sorted(best)]
     if args.format == "json":
         _emit(args, json.dumps({"size": len(best), "vertices": labels}, indent=2) + "\n")
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="run the randomized theorem-verification suites")
-    p.add_argument("--suite", nargs="+", default=["all"],
+    p.add_argument("--suite", nargs="+", default=("all",),
                    choices=["all", "cardinality", "induced", "homotopy", "connectivity",
                             "multivalued", "cycles", "dominating", "diameter"])
     p.add_argument("--seed", type=int, default=0)
@@ -321,13 +323,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one ``digitop`` command line and return its exit code.
+
+    ``main`` may be called repeatedly in one process: the calls share one
+    parser, built by the first of them, and each parse returns a fresh
+    namespace, so no value carries over from one call to the next.
+    """
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

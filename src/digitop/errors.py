@@ -9,3 +9,11 @@ class BudgetError(RuntimeError):
         self.what = what
         self.needed = needed
         self.budget = budget
+
+
+class InternalError(Exception):
+    """Raised when a result fails its own re-validation: a bug, not bad input.
+
+    It subclasses neither :class:`BudgetError` nor ``RuntimeError``, so no
+    handler of those takes it for a resource limit.
+    """

@@ -5,7 +5,9 @@ Images, subset families and function graphs all project to
 works uniformly: shortest/longest cycles, dominating sets, eccentricity,
 center, radius, diameter, disconnecting sets, DOT and CSV emission.
 The longest-cycle and minimum-dominating-set searches are exact
-branch-and-bound kernels over bitmask adjacency rows.  Every vertex space
+branch-and-bound kernels over bitmask adjacency rows; the longest-cycle
+search is iterative, with an explicit stack, so its path length is not
+bounded by the recursion limit.  Every vertex space
 has such rows (``adjacency_rows``) and hands them over as they are.  A
 graph's eccentricities are computed once, by one frontier-mask
 breadth-first search per vertex, and radius, diameter, center,
@@ -257,7 +259,10 @@ def longest_cycle(G: FiniteGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> CycleWi
 
     Simple paths are grown over vertices above the anchor (the cycle's
     minimum vertex); a branch is cut when the vertices still reachable
-    cannot beat the incumbent or cannot close back to the anchor.
+    cannot beat the incumbent or cannot close back to the anchor.  The
+    search keeps its own stack, one entry per path vertex, so a long path
+    cannot exhaust Python's recursion limit; children are expanded in
+    ascending order.
     """
     if G.n > budget:
         raise BudgetError("longest-cycle search", f"{G.n} vertices", budget)
@@ -266,38 +271,43 @@ def longest_cycle(G: FiniteGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> CycleWi
     adj = G.adj
     full_mask = (1 << G.n) - 1
 
-    def reachable_from(v: int, allowed: int) -> int:
-        seen = 1 << v
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for i in _bits(frontier):
-                nxt |= adj[i]
-            nxt &= allowed & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen
-
-    path: list[int] = []
-
-    def dfs(v: int, free: int, anchor: int) -> None:
-        nonlocal best_len, best_path
-        path.append(v)
-        if len(path) >= 3 and adj[v] >> anchor & 1 and len(path) > best_len:
-            best_len = len(path)
-            best_path = tuple(path)
-        reach = reachable_from(v, free)
-        if len(path) + bin(reach & free).count("1") > best_len and adj[anchor] & reach:
-            for w in _bits(adj[v] & free):
-                dfs(w, free & ~(1 << w), anchor)
-        path.pop()
-
     for anchor in range(G.n):
         above = full_mask & ~((1 << (anchor + 1)) - 1)
-        path.append(anchor)
-        for w in _bits(adj[anchor] & above):
-            dfs(w, above & ~(1 << w), anchor)
-        path.pop()
+        closes = adj[anchor]
+        # path[i] is a path vertex, frees[i] the vertices still free after
+        # it and pending[i] its children not yet expanded.
+        path, frees, pending = [anchor], [above], [closes & above]
+        while path:
+            children = pending[-1]
+            if not children:
+                path.pop()
+                frees.pop()
+                pending.pop()
+                continue
+            low = children & -children
+            pending[-1] = children ^ low
+            v = low.bit_length() - 1
+            free = frees[-1] ^ low
+            path.append(v)
+            frees.append(free)
+            length = len(path)
+            if length >= 3 and adj[v] >> anchor & 1 and length > best_len:
+                best_len = length
+                best_path = tuple(path)
+            # the vertices reachable from v through free ones, v included
+            reach = frontier = low
+            while frontier:
+                nxt = 0
+                while frontier:
+                    bit = frontier & -frontier
+                    nxt |= adj[bit.bit_length() - 1]
+                    frontier ^= bit
+                frontier = nxt & free & ~reach
+                reach |= frontier
+            if length + (reach & free).bit_count() > best_len and closes & reach:
+                pending.append(adj[v] & free)
+            else:
+                pending.append(0)
     return CycleWitness(best_path) if best_path is not None else None
 
 

@@ -5,7 +5,10 @@ import time
 
 import pytest
 
-from digitop import family_from_json, image_from_json, image_to_json, interval
+import digitop.cli
+import digitop.graphmetrics
+from digitop import (cycle_image, family_from_json, image_from_json, image_to_json,
+                     interval)
 from digitop.cli import main
 
 
@@ -237,6 +240,13 @@ class TestMetricVerbs:
         out = json.loads(capsys.readouterr().out)
         assert out["vertices"] == 4
 
+    def test_girth_cycle_longer_than_recursion_limit(self, tmp_path, capsys):
+        doc = write(tmp_path, "cycle.json", image_to_json(cycle_image(1200)))
+        assert main(["girth", "--input", doc, "--budget-cycle", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert "long cycle: 1200\n" in captured.out
+        assert captured.err == ""
+
     def test_export_dot_highlight(self, img4, capsys):
         assert main(["export-dot", "--input", img4, "--view", "full",
                      "--highlight", "long-cycle"]) == 0
@@ -262,3 +272,56 @@ class TestVerify:
         assert main(["verify", "--suite", "cardinality", "--seed", "1",
                      "--output", str(target)]) == 0
         assert "checks passed" in target.read_text()
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_share_no_values(self, img4, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hyperspace", "--input", img4, "--kind", "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+        target = tmp_path / "out.json"
+        assert main(["hyperspace", "--input", img4, "--format", "json",
+                     "--output", str(target)]) == 0
+        assert json.loads(target.read_text())["vertices"] == 10
+        assert capsys.readouterr().out == ""
+
+        assert main(["hyperspace", "--input", img4]) == 0
+        assert capsys.readouterr().out == "kind: connected\nvertices: 10\nedges: 21\n"
+
+        doc = write(tmp_path, "img.json", image_to_json(interval(0, 2)))
+        assert main(["check", "contractible", "--input", doc,
+                     "--budget-functions", "26"]) == 3
+        assert capsys.readouterr().err.endswith("but the budget is 26\n")
+        assert main(["check", "contractible", "--input", doc,
+                     "--budget-functions", "27"]) == 0
+        assert capsys.readouterr().out == "contractible: true\n"
+
+
+class TestInternalError:
+    @pytest.fixture
+    def egs_doc(self, tmp_path):
+        X = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
+        Y = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}
+        return write(tmp_path, "mf.json", {
+            "domain": X, "codomain": Y,
+            "pairs": [[[0], [[0]]], [[1], [[1], [2]]]]})
+
+    @pytest.mark.parametrize("module, name, verb", [
+        (digitop.cli, "verify_homotopy", "homotopic"),
+        (digitop.cli, "generates", "egs-continuous"),
+        (digitop.graphmetrics, "is_valid_cycle", "girth"),
+        (digitop.graphmetrics, "is_dominating", "dominate"),
+    ], ids=["homotopy", "generator", "cycle", "dominating-set"])
+    def test_failed_revalidation_exit_code(self, monkeypatch, capsys, img4, remark_docs,
+                                           egs_doc, module, name, verb):
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: False)
+        argv = {"homotopic": ["check", "homotopic", "--input", remark_docs[2]],
+                "egs-continuous": ["check", "egs-continuous", "--input", egs_doc],
+                "girth": ["girth", "--input", img4, "--view", "full"],
+                "dominate": ["dominate", "--input", img4]}[verb]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1

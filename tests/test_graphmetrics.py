@@ -14,6 +14,7 @@ from digitop import (BudgetError, DigitalImage, FiniteGraph,
                      longest_cycle, metrics_csv, minimum_dominating_set,
                      radius, to_dot, cycle_image)
 from digitop.graphmetrics import bfs_distances
+from digitop.lattice import _bits
 from digitop.verify import (oracle_longest_cycle, random_connected_image,
                             random_graph, random_image)
 
@@ -24,6 +25,49 @@ def path_graph(n):
 
 def complete_graph(n):
     return FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def recursive_longest_cycle(G):
+    """The recursive longest-cycle search ``longest_cycle`` replaced; the
+    reference its witnesses must equal, vertex for vertex."""
+    best_len = 2
+    best_path = None
+    adj = G.adj
+    full_mask = (1 << G.n) - 1
+
+    def reachable_from(v, allowed):
+        seen = 1 << v
+        frontier = seen
+        while frontier:
+            nxt = 0
+            for i in _bits(frontier):
+                nxt |= adj[i]
+            nxt &= allowed & ~seen
+            seen |= nxt
+            frontier = nxt
+        return seen
+
+    path = []
+
+    def dfs(v, free, anchor):
+        nonlocal best_len, best_path
+        path.append(v)
+        if len(path) >= 3 and adj[v] >> anchor & 1 and len(path) > best_len:
+            best_len = len(path)
+            best_path = tuple(path)
+        reach = reachable_from(v, free)
+        if len(path) + bin(reach & free).count("1") > best_len and adj[anchor] & reach:
+            for w in _bits(adj[v] & free):
+                dfs(w, free & ~(1 << w), anchor)
+        path.pop()
+
+    for anchor in range(G.n):
+        above = full_mask & ~((1 << (anchor + 1)) - 1)
+        path.append(anchor)
+        for w in _bits(adj[anchor] & above):
+            dfs(w, above & ~(1 << w), anchor)
+        path.pop()
+    return best_path
 
 
 class TestFiniteGraph:
@@ -144,6 +188,16 @@ class TestLongestCycle:
     def test_budget(self):
         with pytest.raises(BudgetError):
             longest_cycle(complete_graph(21))
+
+    def test_same_witness_as_recursive_search(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(3, 16)
+            density = rng.choice((0.2, 0.35, 0.5, 0.7))
+            G = FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                           if rng.random() < density])
+            w = longest_cycle(G)
+            assert (w.vertices if w else None) == recursive_longest_cycle(G)
 
 
 class TestDominating:
