@@ -8,19 +8,22 @@ decided by reachability in the phi graph and strong homotopy by
 reachability in the psi graph; each witness path converts to a step table
 that an independent verifier accepts.
 
+The adjacency rule is written once, as the allow masks of
+``_allow_masks``: per point, the values a neighbour of a map may take.
 The decisions search lazily: a map is an int row of value indices, and
-the continuous rows adjacent to a row are generated only when the search
-expands it, so a search stops at its first hit without enumerating the
-maps.  The whole graph is built only by ``build_function_graph``, which
-serves the ``functions`` view, post-composition and callers that pass a
-prebuilt ``graph=``.
+the continuous rows within a row's allow masks are generated only when
+the search expands it, so a search stops at its first hit without
+enumerating the maps.  ``build_function_graph`` builds the whole graph
+from the same masks; it serves the ``functions`` view, post-composition
+and the verify suites, and its ``find_path`` is the reference the lazy
+search is tested against.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import product
 
 from .errors import BudgetError
@@ -144,33 +147,51 @@ def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
     return tuple(_map_of(X, Y, row) for row in rows)
 
 
+def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
+    """The phi or psi adjacency rule as allow masks over the points of ``order``.
+
+    ``allow(row)`` gives, per position of ``order``, the mask of values a
+    map adjacent or equal to ``row`` may take at the point there:
+    ``closed_y[row[i]]`` for phi, and for psi the values adjacent or equal
+    to ``row`` on all of N[i].  A continuous row other than ``row`` is a
+    neighbour of ``row`` exactly when its values lie in these masks.
+    """
+    closed_y = Y.closed_neighbor_masks
+    if flavor == PHI:
+        return lambda row: [closed_y[row[i]] for i in order]
+    closed_x = X.closed_neighbor_masks
+    nbhds = [tuple(_bits(closed_x[i])) for i in order]
+    full = (1 << len(Y)) - 1
+
+    def allow(row: tuple[int, ...]) -> list[int]:
+        masks = []
+        for nbhd in nbhds:
+            m = full
+            for j in nbhd:
+                m &= closed_y[row[j]]
+            masks.append(m)
+        return masks
+
+    return allow
+
+
 def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None):
     """The neighbour function of the phi or psi graph of rows X -> Y.
 
     ``neighbors(row)`` lists the continuous rows adjacent to ``row``, in
     lexicographic order, which is the vertex order of
     ``build_function_graph``; so a search over these lists expands exactly
-    as it would over the whole graph.  The value at x is restricted to
-    ``closed_y[row[x]]`` (phi) or to the values adjacent or equal to
-    ``row`` on all of N[x] (psi); ``pin`` = (point index, value index) also
+    as it would over the whole graph.  The values are restricted to the
+    ``_allow_masks`` of ``row``; ``pin`` = (point index, value index) also
     fixes the value at one point.
     """
     order, earlier = _connectivity_order(X)
-    closed_x, closed_y = X.closed_neighbor_masks, Y.closed_neighbor_masks
-    full = (1 << len(Y)) - 1
+    allow_masks = _allow_masks(X, Y, flavor, order)
     if pin is not None:
         pin = (order.index(pin[0]), 1 << pin[1])
 
     def neighbors(row: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if flavor == PHI:
-            allow = [closed_y[row[i]] for i in order]
-        else:
-            allow = []
-            for i in order:
-                m = full
-                for j in _bits(closed_x[i]):
-                    m &= closed_y[row[j]]
-                allow.append(m)
+        allow = allow_masks(row)
         if pin is not None:
             allow[pin[0]] &= pin[1]
         rows = _continuous_rows(Y, order, earlier, allow)
@@ -268,55 +289,28 @@ class FunctionGraph:
         return frozenset(reached)
 
 
-def _phi_edges(X: DigitalImage, Y: DigitalImage,
-               value_rows: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """Phi edges by generating pointwise-close candidate tables."""
-    closed = Y.closed_neighbor_masks
-    closed_lists = [tuple(_bits(m)) for m in closed]
-    index = {row: i for i, row in enumerate(value_rows)}
-    edges = []
-    for i, row in enumerate(value_rows):
-        for cand in product(*(closed_lists[v] for v in row)):
-            j = index.get(cand)
-            if j is not None and j > i:
-                edges.append((i, j))
-    return edges
-
-
-def _psi_filter(X: DigitalImage, Y: DigitalImage, value_rows: list[tuple[int, ...]],
-                phi_edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Keep the phi edges satisfying the cross condition (psi implies phi)."""
-    closed_x = X.closed_neighbor_masks
-    closed_y = Y.closed_neighbor_masks
-    n = len(X)
-    # per table, the mask of values taken on each closed neighborhood
-    nbhd_values = []
-    for row in value_rows:
-        masks = []
-        for i in range(n):
-            m = 0
-            for j in _bits(closed_x[i]):
-                m |= 1 << row[j]
-            masks.append(m)
-        nbhd_values.append(tuple(masks))
-    edges = []
-    for i, j in phi_edges:
-        fi, gj = value_rows[i], nbhd_values[j]
-        if all(gj[k] & ~closed_y[fi[k]] == 0 for k in range(n)):
-            edges.append((i, j))
-    return edges
-
-
 @lru_cache(maxsize=32)
 def build_function_graph(X: DigitalImage, Y: DigitalImage, flavor: str = PHI,
                          budget: int = DEFAULT_FUNCTION_BUDGET) -> FunctionGraph:
+    """The phi or psi graph of the continuous maps X -> Y, in value order.
+
+    Each row's candidate neighbours are the product of the value lists of
+    its ``_allow_masks`` in point order, which come out in lexicographic,
+    that is vertex, order; an edge (i, j) is kept for the candidates j > i
+    that are vertices, so the edges come sorted.
+    """
     if flavor not in (PHI, PSI):
         raise ValueError(f"unknown function-graph flavor {flavor!r}")
     maps = enumerate_continuous_maps(X, Y, budget=budget)
     yindex = Y.point_index
-    value_rows = [tuple(yindex[y] for _, y in f.pairs) for f in maps]
-    phi = _phi_edges(X, Y, value_rows)
-    edges = phi if flavor == PHI else _psi_filter(X, Y, value_rows, phi)
+    rows = [tuple(yindex[y] for _, y in f.pairs) for f in maps]
+    index = {row: i for i, row in enumerate(rows)}
+    allow_masks = _allow_masks(X, Y, flavor, range(len(X)))
+    values = cache(lambda m: tuple(_bits(m)))
+    edges = []
+    for i, row in enumerate(rows):
+        cands = product(*map(values, allow_masks(row)))
+        edges += [(i, j) for j in map(index.get, cands) if j is not None and j > i]
     return FunctionGraph(X, Y, flavor, maps, tuple(edges))
 
 
@@ -381,27 +375,24 @@ def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
 
 
 def homotopic(f: FiniteFunction, g: FiniteFunction,
-              budget: int = DEFAULT_FUNCTION_BUDGET,
-              graph: FunctionGraph | None = None) -> HomotopyDecision:
+              budget: int = DEFAULT_FUNCTION_BUDGET) -> HomotopyDecision:
     """Decide homotopy of continuous f, g by pointwise-adjacency reachability."""
     _check_same_signature(f, g)
-    path = _search(f, g, PHI, budget) if graph is None else graph.find_path(f, g)
+    path = _search(f, g, PHI, budget)
     return HomotopyDecision(path is not None, path)
 
 
 def strongly_homotopic(f: FiniteFunction, g: FiniteFunction,
-                       budget: int = DEFAULT_FUNCTION_BUDGET,
-                       graph: FunctionGraph | None = None) -> HomotopyDecision:
+                       budget: int = DEFAULT_FUNCTION_BUDGET) -> HomotopyDecision:
     """Decide strong homotopy by cross-adjacency reachability."""
     _check_same_signature(f, g)
-    path = _search(f, g, PSI, budget) if graph is None else graph.find_path(f, g)
+    path = _search(f, g, PSI, budget)
     return HomotopyDecision(path is not None, path)
 
 
 def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
                       budget: int = DEFAULT_FUNCTION_BUDGET,
-                      strong: bool = False,
-                      graph: FunctionGraph | None = None) -> HomotopyDecision:
+                      strong: bool = False) -> HomotopyDecision:
     """Decide (strong) homotopy holding the basepoint fixed.
 
     The search runs in the subgraph of maps agreeing with f at the
@@ -410,13 +401,9 @@ def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
     _check_same_signature(f, g)
     if basepoint not in f.table:
         raise ValueError(f"basepoint {basepoint!r} is not a domain vertex")
-    fixed = f.table[basepoint]
-    if g.table[basepoint] != fixed:
+    if g.table[basepoint] != f.table[basepoint]:
         return HomotopyDecision(False, None)
-    if graph is None:
-        path = _search(f, g, PSI if strong else PHI, budget, basepoint)
-    else:
-        path = graph.find_path(f, g, allowed=lambda h: h.table[basepoint] == fixed)
+    path = _search(f, g, PSI if strong else PHI, budget, basepoint)
     return HomotopyDecision(path is not None, path)
 
 

@@ -243,25 +243,29 @@ def enumerate_connected_subsets(X: DigitalImage, budget: int = DEFAULT_POINT_BUD
     Incremental growth: for each root point, connected sets whose smallest
     point is the root are grown by adding exclusive neighbors with larger
     index, so no set is ever produced twice and the power set is never
-    scanned.
+    scanned.  The growth runs on an explicit stack of (set, extension
+    candidates, closed neighbourhood of the set), so its depth is not
+    bounded by the recursion limit; a set with no candidates left is
+    emitted without being pushed.
     """
     _check_budget(X, budget)
     nbr = X.neighbor_masks
-    n = len(X)
     out: list[int] = []
-
-    def extend(sub: int, ext: int, snb: int, above: int) -> None:
-        out.append(sub)
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            grown = nbr[w] & above & ~snb
-            extend(sub | low, ext | grown, snb | nbr[w] | low, above)
-
-    for v in range(n):
+    for v in range(len(X)):
         above = ~((1 << (v + 1)) - 1)
-        extend(1 << v, nbr[v] & above, nbr[v] | (1 << v), above)
+        out.append(1 << v)
+        stack = [(1 << v, nbr[v] & above, nbr[v] | (1 << v))]
+        while stack:
+            sub, ext, snb = stack.pop()
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                grown = sub | low
+                out.append(grown)
+                grown_ext = ext | (nbr[w] & above & ~snb)
+                if grown_ext:
+                    stack.append((grown, grown_ext, snb | nbr[w] | low))
     return SubsetFamily._trusted(X, tuple(sorted(out)), "connected")
 
 

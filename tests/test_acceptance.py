@@ -19,7 +19,7 @@ from digitop import (BudgetError, FiniteFunction, MultiFunction, Subdivision,
                      is_isomorphism, is_valid_cycle,
                      induced_subgraph, interval, interval_triangle_iso,
                      lift_dominating, longest_cycle, phi_adjacent, radius,
-                     strongly_homotopic, verify_homotopy, disconnects)
+                     verify_homotopy, disconnects)
 from digitop.homotopy import PHI, PSI
 from digitop.verify import (oracle_homotopic, oracle_longest_cycle,
                             random_connected_image, random_image,
@@ -91,12 +91,13 @@ def test_05_cycle_homotopy_decisions():
         psi = build_function_graph(S5, S5, PSI, budget)
         for j in range(5):
             for k in range(5):
-                d = homotopic(rots[j], rots[k], graph=phi)
-                if not d or not verify_homotopy(d.table(), rots[j], rots[k]):
+                path = phi.find_path(rots[j], rots[k])
+                if path is None or not verify_homotopy(HomotopyTable(S5, S5, path),
+                                                       rots[j], rots[k]):
                     ok = False
-                if j != k and strongly_homotopic(rots[j], rots[k], graph=psi):
+                if j != k and psi.find_path(rots[j], rots[k]) is not None:
                     ok = False
-        if homotopic(identity_map(S5), constant_map(S5, S5, S5.points[0]), graph=phi):
+        if phi.find_path(identity_map(S5), constant_map(S5, S5, S5.points[0])) is not None:
             ok = False
         detail = f"{len(phi.vertices)} vertices"
     except BudgetError as exc:

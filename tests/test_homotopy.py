@@ -16,7 +16,7 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
                      is_contractible, is_continuous, interval,
                      lift_homotopy_to_hyperspace, phi_adjacent, postcompose_map,
                      psi_adjacent, strongly_homotopic, verify_homotopy)
-from digitop.homotopy import PHI, PSI
+from digitop.homotopy import PHI, PSI, _adjacent_rows
 from digitop.verify import (oracle_homotopic, random_continuous_function,
                             random_image, rotations)
 
@@ -128,22 +128,24 @@ class TestFunctionGraph:
     def test_phi_edges_match_predicate(self):
         rng = random.Random(14)
         for _ in range(10):
-            X, Y = random_image(rng, 3), random_image(rng, 3)
+            X, Y = random_image(rng, 4), random_image(rng, 4)
             G = build_function_graph(X, Y, PHI)
             verts = G.vertices
             expect = {(i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
                       if phi_adjacent(verts[i], verts[j])}
-            assert set(G.edges) == expect
+            # DOT output follows the edge order
+            assert G.edges == tuple(sorted(expect))
 
     def test_psi_edges_match_predicate(self):
         rng = random.Random(15)
         for _ in range(10):
-            X, Y = random_image(rng, 3), random_image(rng, 3)
+            X, Y = random_image(rng, 4), random_image(rng, 4)
             G = build_function_graph(X, Y, PSI)
             verts = G.vertices
             expect = {(i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
                       if psi_adjacent(verts[i], verts[j])}
-            assert set(G.edges) == expect
+            # DOT output follows the edge order
+            assert G.edges == tuple(sorted(expect))
 
     def test_rotations_in_distinct_psi_components(self):
         S5 = cycle_image(5)
@@ -406,8 +408,12 @@ class TestContractible:
         assert not is_contractible(cycle_image(6))
 
 
+def _graph_paths(path):
+    return None if path is None else [h.pairs for h in path]
+
+
 def _paths(decision):
-    return None if decision.path is None else [h.pairs for h in decision.path]
+    return _graph_paths(decision.path)
 
 
 class TestLazySearch:
@@ -418,18 +424,37 @@ class TestLazySearch:
         phi = build_function_graph(X, Y, PHI)
         psi = build_function_graph(X, Y, PSI)
         lazy = homotopic(f, g)
-        assert _paths(lazy) == _paths(homotopic(f, g, graph=phi))
+        assert _paths(lazy) == _graph_paths(phi.find_path(f, g))
         if lazy:
             assert verify_homotopy(lazy.table(), f, g)
         strong = strongly_homotopic(f, g)
-        assert _paths(strong) == _paths(strongly_homotopic(f, g, graph=psi))
+        assert _paths(strong) == _graph_paths(psi.find_path(f, g))
         if strong:
             assert verify_homotopy(strong.table(), f, g, mode="strong")
         for x0 in X.points:
+            # find_path gives None when g moves the basepoint
+            fixed = f.table[x0]
             for flag, graph in ((False, phi), (True, psi)):
                 pointed = pointed_homotopic(f, g, x0, strong=flag)
-                assert _paths(pointed) == _paths(
-                    pointed_homotopic(f, g, x0, strong=flag, graph=graph))
+                assert _paths(pointed) == _graph_paths(
+                    graph.find_path(f, g, allowed=lambda h: h.table[x0] == fixed))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((PHI, PSI)))
+    @settings(max_examples=60, deadline=None)
+    def test_neighbour_lists_match_graph_rows(self, seed, flavor):
+        # the lazy search expands exactly as a search over the whole graph
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 4), random_image(rng, 4)
+        G = build_function_graph(X, Y, flavor)
+        yindex = Y.point_index
+        rows = [tuple(yindex[y] for _, y in f.pairs) for f in G.vertices]
+        neighbors = _adjacent_rows(X, Y, flavor)
+        for i, row in enumerate(rows):
+            expect = [rows[j] for j in range(len(rows)) if G.adjacency_rows[i] >> j & 1]
+            assert neighbors(row) == expect
+            for x in range(len(X)):
+                pinned = _adjacent_rows(X, Y, flavor, pin=(x, row[x]))
+                assert pinned(row) == [r for r in expect if r[x] == row[x]]
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -85,6 +85,11 @@ class TestEnumeration:
             K = enumerate_connected_subsets(interval(1, n))
             assert len(K) == n * (n + 1) // 2
 
+    def test_connected_growth_deeper_than_recursion_limit(self):
+        # a member of 1200 points is grown one point at a time
+        K = enumerate_connected_subsets(interval(0, 1199), budget=2000)
+        assert len(K) == 1200 * 1201 // 2 == 720600
+
     def test_connected_singleton(self):
         assert len(enumerate_connected_subsets(interval(0, 0))) == 1
 
