@@ -7,7 +7,11 @@ center, radius, diameter, disconnecting sets, DOT and CSV emission.
 The longest-cycle and minimum-dominating-set searches are exact
 branch-and-bound kernels over bitmask adjacency rows; the longest-cycle
 search is iterative, with an explicit stack, so its path length is not
-bounded by the recursion limit.  Every vertex space
+bounded by the recursion limit.  It peels from the free vertices a step
+can still reach every vertex with fewer than two neighbours among them,
+the step's vertex and the anchor, and it stops the anchor loop once the
+vertices left cannot beat the incumbent; both cuts keep the witness of
+the unpruned search.  Every vertex space
 has such rows (``adjacency_rows``) and hands them over as they are.  A
 graph's eccentricities are computed once, by one frontier-mask
 breadth-first search per vertex, and radius, diameter, center,
@@ -87,7 +91,7 @@ class FiniteGraph:
         return _bits(self.adj[i])
 
     def degree(self, i: int) -> int:
-        return bin(self.adj[i]).count("1")
+        return self.adj[i].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
@@ -258,11 +262,17 @@ def longest_cycle(G: FiniteGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> CycleWi
     """A maximum-length cycle by exact depth-first search with pruning.
 
     Simple paths are grown over vertices above the anchor (the cycle's
-    minimum vertex); a branch is cut when the vertices still reachable
-    cannot beat the incumbent or cannot close back to the anchor.  The
-    search keeps its own stack, one entry per path vertex, so a long path
-    cannot exhaust Python's recursion limit; children are expanded in
-    ascending order.
+    minimum vertex).  After the search steps to v, the free vertices it can
+    still reach are peeled: a vertex with fewer than two neighbours among
+    them, v and the anchor cannot be interior to a path from v back to the
+    anchor, so it is dropped, until nothing changes.  A branch is cut when
+    the peeled set cannot beat the incumbent or the anchor has no
+    neighbour in it or at v.  The anchor loop stops once the vertices from
+    the anchor up cannot beat the incumbent.  Only subtrees without a
+    longer cycle are cut and children are expanded in ascending order, so
+    the incumbents, and the witness, are those of the unpruned search.
+    The search keeps its own stack, one entry per path vertex, so a long
+    path cannot exhaust Python's recursion limit.
     """
     if G.n > budget:
         raise BudgetError("longest-cycle search", f"{G.n} vertices", budget)
@@ -272,7 +282,10 @@ def longest_cycle(G: FiniteGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> CycleWi
     full_mask = (1 << G.n) - 1
 
     for anchor in range(G.n):
-        above = full_mask & ~((1 << (anchor + 1)) - 1)
+        if G.n - anchor <= best_len:
+            break
+        anchor_bit = 1 << anchor
+        above = full_mask & ~((anchor_bit << 1) - 1)
         closes = adj[anchor]
         # path[i] is a path vertex, frees[i] the vertices still free after
         # it and pending[i] its children not yet expanded.
@@ -304,7 +317,19 @@ def longest_cycle(G: FiniteGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> CycleWi
                     frontier ^= bit
                 frontier = nxt & free & ~reach
                 reach |= frontier
-            if length + (reach & free).bit_count() > best_len and closes & reach:
+            # peel the free reachable vertices that cannot be interior
+            cand = reach & free
+            ends = low | anchor_bit
+            while cand:
+                keep = cand | ends
+                drop = 0
+                for w in _bits(cand):
+                    if (adj[w] & keep).bit_count() < 2:
+                        drop |= 1 << w
+                if not drop:
+                    break
+                cand ^= drop
+            if length + cand.bit_count() > best_len and closes & (cand | low):
                 pending.append(adj[v] & free)
             else:
                 pending.append(0)
@@ -335,11 +360,11 @@ def minimum_dominating_set(G: FiniteGraph,
     chosen: list[int] = []
     covered = 0
     while covered != full:
-        v = max(range(G.n), key=lambda i: bin(closed[i] & ~covered).count("1"))
+        v = max(range(G.n), key=lambda i: (closed[i] & ~covered).bit_count())
         chosen.append(v)
         covered |= closed[v]
     best = list(chosen)
-    max_gain = max(bin(c).count("1") for c in closed)
+    max_gain = max(c.bit_count() for c in closed)
 
     def branch(covered: int, picked: list[int]) -> None:
         nonlocal best
@@ -347,13 +372,13 @@ def minimum_dominating_set(G: FiniteGraph,
             if len(picked) < len(best):
                 best = list(picked)
             return
-        missing = bin(full & ~covered).count("1")
+        missing = (full & ~covered).bit_count()
         lower = (missing + max_gain - 1) // max_gain
         if len(picked) + lower >= len(best):
             return
         # branch on the undominated vertex with the fewest closed dominators
         target = min(_bits(full & ~covered),
-                     key=lambda v: bin(closed[v]).count("1"))
+                     key=lambda v: closed[v].bit_count())
         for d in _bits(closed[target]):
             picked.append(d)
             branch(covered | closed[d], picked)

@@ -211,34 +211,55 @@ def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None
     allowed0 = [required[c] for c in cells]
     assignment = [0] * n
     covered = [0] * len(base_points)
+    # pending[k]: values not yet tried at level k; olds[k]: its cell's
+    # coverage before level k was entered
+    pending = [0] * n
+    olds = [0] * n
 
-    def backtrack(k: int) -> bool:
-        if k == n:
-            return all(covered[c] == required[c] for c in range(len(base_points)))
+    def options(k: int) -> int:
+        """The values level k may take given the earlier assignments."""
         c = cells[k]
         allowed = allowed0[k]
         for t in earlier[k]:
             allowed &= closed_y[assignment[t]]
             if not allowed:
-                return False
+                return 0
         uncovered = required[c] & ~covered[c]
         # each still-unassigned cell point must cover a new value when tight
-        if bin(uncovered).count("1") == remaining[c]:
-            allowed &= uncovered
-        elif bin(uncovered).count("1") > remaining[c]:
-            return False
-        remaining[c] -= 1
-        old = covered[c]
-        for yi in _bits(allowed):
-            assignment[k] = yi
-            covered[c] = old | (1 << yi)
-            if backtrack(k + 1):
-                return True
-        covered[c] = old
-        remaining[c] += 1
-        return False
+        need = uncovered.bit_count()
+        if need == remaining[c]:
+            return allowed & uncovered
+        return allowed if need < remaining[c] else 0
 
-    if backtrack(0):
+    # Backtracking on an explicit stack, values tried in ascending order,
+    # so the depth is not bounded by the recursion limit.
+    found = False
+    k = 0
+    while True:
+        if k == n:
+            if all(covered[c] == required[c] for c in range(len(base_points))):
+                found = True
+                break
+            k -= 1
+        else:
+            c = cells[k]
+            pending[k] = options(k)
+            olds[k] = covered[c]
+            remaining[c] -= 1
+        while k >= 0 and not pending[k]:
+            c = cells[k]
+            covered[c] = olds[k]
+            remaining[c] += 1
+            k -= 1
+        if k < 0:
+            break
+        low = pending[k] & -pending[k]
+        pending[k] ^= low
+        assignment[k] = low.bit_length() - 1
+        covered[cells[k]] = olds[k] | low
+        k += 1
+
+    if found:
         table = {}
         ypts = Y.points
         for k, i in enumerate(order):

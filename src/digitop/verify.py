@@ -744,7 +744,7 @@ def suite_dominating(rng, max_points=None, samples=None) -> list[CheckResult]:
         best = gm.minimum_dominating_set(G)
         if not gm.is_dominating(best, G):
             mds_viol.append(("not-dominating", G))
-        size = min(bin(m).count("1") for m in range(1, 1 << G.n)
+        size = min(m.bit_count() for m in range(1, 1 << G.n)
                    if gm.is_dominating([i for i in range(G.n) if m >> i & 1], G))
         if len(best) != size:
             mds_viol.append(("not-minimum", G, len(best), size))

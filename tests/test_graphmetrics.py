@@ -70,6 +70,32 @@ def recursive_longest_cycle(G):
     return best_path
 
 
+def subset_dp_longest_cycle_length(G):
+    """Longest cycle length by dynamic programming over vertex subsets.
+
+    For each anchor s (the cycle's minimum vertex), ``ends[sub]`` is the
+    set of vertices at which a path from s covering exactly s and the
+    vertices of ``sub`` (bit j standing for vertex s + 1 + j) can end.  An
+    independent oracle for graphs too large for the permutation oracle.
+    """
+    best = None
+    for s in range(G.n):
+        m = G.n - s - 1
+        ends = [0] * (1 << m)
+        ends[0] = 1 << s
+        for sub in range(1 << m):
+            here = ends[sub]
+            if not here:
+                continue
+            length = sub.bit_count() + 1
+            if length >= 3 and here & G.adj[s] and (best is None or length > best):
+                best = length
+            for j in range(m):
+                if not sub >> j & 1 and G.adj[s + 1 + j] & here:
+                    ends[sub | 1 << j] |= 1 << (s + 1 + j)
+    return best
+
+
 class TestFiniteGraph:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
@@ -148,6 +174,13 @@ class TestLongestCycle:
         assert w.length == 15
         assert is_valid_cycle(G, w.vertices)
 
+    def test_spanning_cycle_witness_pinned(self):
+        # the vertex tuple the search has returned on 2^[1,4] since it
+        # was recursive; pruning must not move it
+        G = as_finite_graph(hyperspace_graph(enumerate_all_subsets(interval(1, 4))))
+        assert longest_cycle(G).vertices == (0, 1, 3, 7, 11, 5, 4, 8, 9, 10,
+                                             12, 13, 14, 6, 2)
+
     def test_listed_spanning_sequence_validates(self):
         fam = enumerate_all_subsets(interval(1, 4))
         G = as_finite_graph(hyperspace_graph(fam))
@@ -198,6 +231,30 @@ class TestLongestCycle:
                                            if rng.random() < density])
             w = longest_cycle(G)
             assert (w.vertices if w else None) == recursive_longest_cycle(G)
+
+    def test_same_witness_as_recursive_search_on_hyperspaces(self):
+        # the peel cuts most on these graphs, so they get their own check
+        rng = random.Random(8)
+        checked = 0
+        while checked < 50:
+            X = random_connected_image(rng, 6, min_points=3) if checked % 2 else random_image(rng, 6)
+            G = as_finite_graph(hyperspace_graph(enumerate_connected_subsets(X)))
+            if not 4 <= G.n <= 18:
+                continue
+            checked += 1
+            w = longest_cycle(G)
+            assert (w.vertices if w else None) == recursive_longest_cycle(G)
+
+    def test_matches_subset_dp_oracle_beyond_permutations(self):
+        rng = random.Random(9)
+        for n in range(9, 14):
+            for density in (0.15, 0.25, 0.4, 0.6) * 3:
+                G = FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                               if rng.random() < density])
+                w = longest_cycle(G)
+                assert (w.length if w else None) == subset_dp_longest_cycle_length(G)
+                if w is not None:
+                    assert is_valid_cycle(G, w.vertices)
 
 
 class TestDominating:

@@ -12,10 +12,10 @@ from digitop import (BudgetError, DigitalImage, MultiFunction, Subdivision,
                      is_connectivity_preserving, is_continuous, is_egs_continuous,
                      multifunction_from_json,
                      multifunction_to_json, subdivide)
-from digitop.lattice import adjacent_or_equal
-from digitop.multivalued import strong_continuity_counterexample
-from digitop.verify import (random_continuous_function, random_function,
-                            random_image, random_multifunction)
+from digitop.lattice import _bits, _connectivity_order, adjacent_or_equal
+from digitop.multivalued import _find_generator, strong_continuity_counterexample
+from digitop.verify import (random_connected_image, random_continuous_function,
+                            random_function, random_image, random_multifunction)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,51 @@ def ladder():
 
 def mf(X, Y, *value_sets):
     return MultiFunction.from_table(X, Y, dict(zip(X.points, value_sets)))
+
+
+def recursive_find_generator(F, sub):
+    """The recursive generator search ``_find_generator`` replaced; the
+    reference its generators must equal, point for point."""
+    S = sub.image
+    Y = F.codomain
+    base_points = F.domain.points
+    cell_id = {y: ci for ci, x in enumerate(base_points) for y in sub.cell(x)}
+    required = [sum(1 << Y.point_index[v] for v in F.table[x]) for x in base_points]
+    remaining = [len(sub.cell(x)) for x in base_points]
+    closed_y = Y.closed_neighbor_masks
+    order, earlier = _connectivity_order(S)
+    cells = [cell_id[S.points[i]] for i in order]
+    assignment = [0] * len(S)
+    covered = [0] * len(base_points)
+
+    def backtrack(k):
+        if k == len(S):
+            return covered == required
+        c = cells[k]
+        allowed = required[c]
+        for t in earlier[k]:
+            allowed &= closed_y[assignment[t]]
+            if not allowed:
+                return False
+        uncovered = required[c] & ~covered[c]
+        if uncovered.bit_count() == remaining[c]:
+            allowed &= uncovered
+        elif uncovered.bit_count() > remaining[c]:
+            return False
+        remaining[c] -= 1
+        old = covered[c]
+        for yi in _bits(allowed):
+            assignment[k] = yi
+            covered[c] = old | (1 << yi)
+            if backtrack(k + 1):
+                return True
+        covered[c] = old
+        remaining[c] += 1
+        return False
+
+    if not backtrack(0):
+        return None
+    return {S.points[i]: Y.points[assignment[k]] for k, i in enumerate(order)}
 
 
 class TestWeakContinuity:
@@ -148,6 +193,31 @@ class TestGeneratorContinuity:
     def test_bad_rmax(self, ladder):
         with pytest.raises(ValueError):
             is_egs_continuous(ladder, 0)
+
+    def test_generator_deeper_than_recursion_limit(self):
+        # one cell of 1,200 points must sweep all of [0, 1199]: the search
+        # assigns one subdivision point per level
+        X, Y = interval(0, 0), interval(0, 1199)
+        F = mf(X, Y, set(Y.points))
+        sub = Subdivision(X, 1200)
+        g = _find_generator(F, sub)
+        assert g is not None and generates(g, F, sub)
+
+    def test_same_generator_as_recursive_search(self):
+        rng = random.Random(12)
+        found = 0
+        for i in range(300):
+            X = random_image(rng, 3) if i % 2 else random_connected_image(rng, 3)
+            Y = random_connected_image(rng, 5) if i % 3 else random_image(rng, 5)
+            F = random_multifunction(rng, X, Y, 3)
+            for r in (1, 2, 3):
+                sub = Subdivision(X, r)
+                if len(sub.points) > 16:
+                    break
+                g = _find_generator(F, sub)
+                assert (g.table if g else None) == recursive_find_generator(F, sub)
+                found += g is not None
+        assert found > 100  # both outcomes are exercised
 
 
 class TestInducedLift:
