@@ -19,8 +19,9 @@ from .functions import (continuity_counterexample, family_function_from_json,
                         function_from_json, function_to_json, is_isomorphism,
                         is_retraction, find_inducing_map)
 from .homotopy import (PHI, PSI, build_function_graph, homotopic, homotopy_to_json,
-                       is_contractible, phi_adjacent, psi_adjacent,
-                       strongly_homotopic, verify_homotopy)
+                       is_contractible, phi_adjacent, phi_counterexample,
+                       psi_adjacent, psi_counterexample, strongly_homotopic,
+                       verify_homotopy)
 from .hyperspace import family_of, hyperspace_graph
 from .lattice import image_from_json
 from .multivalued import (generates, has_weak_continuity,
@@ -106,21 +107,16 @@ def _run_check(name: str, doc: dict, args):
         f = function_from_json(doc["f"])
         g = function_from_json(doc["g"])
         if name == "phi-adjacent":
-            ok = phi_adjacent(f, g)
-            if ok:
+            if phi_adjacent(f, g):
                 return True, None
-            bad = [(x, y) for x, y in f.pairs
-                   if not f.codomain.adjacent_or_equal(y, g.table[x])]
-            return False, {"x": _point_doc(bad[0][0])} if bad else {"equal": True}
+            x = phi_counterexample(f, g)
+            return False, {"equal": True} if x is None else {"x": _point_doc(x)}
         if name == "psi-adjacent":
-            from .homotopy import psi_counterexample
-
-            ok = psi_adjacent(f, g)
-            if ok:
+            if psi_adjacent(f, g):
                 return True, None
             pair = psi_counterexample(f, g)
-            return False, ({"x0": _point_doc(pair[0]), "x1": _point_doc(pair[1])}
-                           if pair else {"equal": True})
+            return False, {"equal": True} if pair is None else {
+                "x0": _point_doc(pair[0]), "x1": _point_doc(pair[1])}
         decide = homotopic if name == "homotopic" else strongly_homotopic
         decision = decide(f, g, budget=args.budget_functions)
         if not decision:
@@ -152,7 +148,7 @@ def _run_check(name: str, doc: dict, args):
         return True, {"r": result.r, "generator": function_to_json(result.generator)}
     if name == "induced-by":
         F = family_function_from_json(doc)
-        f = find_inducing_map(F, budget=args.budget_functions)
+        f = find_inducing_map(F)
         return f is not None, None if f is None else function_to_json(f)
     raise ValueError(f"unknown check {name!r}")
 

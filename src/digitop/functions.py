@@ -6,7 +6,8 @@ domain or codomain is a subset family or a function graph, such as an
 induced map A |-> f(A).  Every space exposes ``vertices``,
 ``adjacency_rows`` (per vertex, the bitmask of its neighbours' indices)
 and ``adjacent``/``adjacent_or_equal``, and the continuity, isomorphism and
-retraction checkers only use that protocol.
+retraction checkers only use that protocol.  The inducing-map search
+needs no enumeration: a map's values on singletons fix it.
 """
 
 from __future__ import annotations
@@ -160,37 +161,31 @@ def induced_map(f, family: SubsetFamily,
     return FiniteFunction.from_table(family, codomain_family, table)
 
 
-def find_inducing_map(F: FiniteFunction, budget: int = 10 ** 6) -> FiniteFunction | None:
+def find_inducing_map(F: FiniteFunction) -> FiniteFunction | None:
     """A continuous f with f_* = F, or None when no continuous map induces F.
 
-    Values on singletons pin down the only candidate table positions, so the
-    search runs over continuous maps only and skips any whose singleton
-    images disagree with F.
+    Since f_*({x}) = {f(x)}, the values on singletons fix the only
+    candidate f; it is returned when it is continuous and induces F.
     """
-    from .homotopy import enumerate_continuous_maps
-
     dom_family: SubsetFamily = F.domain
     cod_family: SubsetFamily = F.codomain
     if dom_family.kind not in ("full", "connected") or cod_family.kind not in ("full", "connected"):
         raise ValueError("inducing-map search needs full or connected families")
     X, Y = dom_family.base, cod_family.base
-    singleton_value: dict[Point, frozenset[Point]] = {}
+    pairs = []
     for x in X.points:
-        member = frozenset((x,))
-        img = F.table[member]
+        img = F.table[frozenset((x,))]
         if len(img) != 1:
             return None
-        singleton_value[x] = img
-    for f in enumerate_continuous_maps(X, Y, budget=budget):
-        if any(frozenset((f.table[x],)) != singleton_value[x] for x in X.points):
-            continue
-        try:
-            candidate = induced_map(f, dom_family, codomain_family=cod_family)
-        except ValueError:
-            continue
-        if candidate.pairs == F.pairs:
-            return f
-    return None
+        pairs.append((x, *img))
+    f = FiniteFunction(X, Y, tuple(pairs))
+    if not is_continuous(f):
+        return None
+    try:
+        candidate = induced_map(f, dom_family, codomain_family=cod_family)
+    except ValueError:
+        return None
+    return f if candidate.pairs == F.pairs else None
 
 
 # -- JSON ------------------------------------------------------------------

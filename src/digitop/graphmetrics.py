@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetError
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_all_subsets
-from .lattice import DigitalImage, Point, _bits, is_connected
+from .lattice import DigitalImage, Point, _bits, _flood, is_connected
 
 #: Vertex cap for the exponential longest-cycle search.
 DEFAULT_CYCLE_BUDGET = 20
@@ -175,29 +175,19 @@ def bfs_distances(G: FiniteGraph, source: int) -> list[int | None]:
 
 
 def connected_components(G: FiniteGraph) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * G.n
+    """The components as ascending vertex tuples, in order of their lowest vertex."""
     comps = []
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            i = queue.popleft()
-            for j in _bits(G.adj[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(tuple(sorted(comp)))
+    left = (1 << G.n) - 1
+    while left:
+        comp = _flood(G.adj, left & -left, left)
+        comps.append(tuple(_bits(comp)))
+        left ^= comp
     return tuple(comps)
 
 
 def is_connected_graph(G: FiniteGraph) -> bool:
-    if G.n == 0:
-        return True
-    return sum(1 for d in bfs_distances(G, 0) if d is not None) == G.n
+    full = (1 << G.n) - 1
+    return _flood(G.adj, 1, full) == full
 
 
 # -- cycles ------------------------------------------------------------------

@@ -17,6 +17,11 @@ enumerating the maps.  ``build_function_graph`` builds the whole graph
 from the same masks; it serves the ``functions`` view, post-composition
 and the verify suites, and its ``find_path`` is the reference the lazy
 search is tested against.
+
+For two given maps, each closeness rule is written once on points:
+``phi_counterexample`` scans the domain, ``psi_counterexample`` the
+domain's closed adjacency rows.  ``phi_adjacent``, ``psi_adjacent`` and
+the step-table verifier ``verify_homotopy`` are built from them.
 """
 
 from __future__ import annotations
@@ -46,10 +51,7 @@ def _check_same_signature(f: FiniteFunction, g: FiniteFunction) -> None:
 def phi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     """Pointwise closeness: f != g and f(x), g(x) adjacent or equal for all x."""
     _check_same_signature(f, g)
-    if f.pairs == g.pairs:
-        return False
-    cod = f.codomain
-    return all(cod.adjacent_or_equal(y, g.table[x]) for x, y in f.pairs)
+    return f.pairs != g.pairs and phi_counterexample(f, g) is None
 
 
 def psi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
@@ -58,14 +60,29 @@ def psi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     return f.pairs != g.pairs and psi_counterexample(f, g) is None
 
 
-def psi_counterexample(f: FiniteFunction, g: FiniteFunction):
-    """A domain pair x0, x1 violating the cross condition, or None."""
+def phi_counterexample(f: FiniteFunction, g: FiniteFunction):
+    """The first domain vertex x with f(x), g(x) neither adjacent nor equal, or None."""
     _check_same_signature(f, g)
-    dom, cod = f.domain, f.codomain
-    for x0 in dom.vertices:
-        for x1 in dom.vertices:
-            if dom.adjacent_or_equal(x0, x1) and not cod.adjacent_or_equal(f.table[x0], g.table[x1]):
-                return (x0, x1)
+    cod = f.codomain
+    for x, y, z in zip(f.domain.vertices, f.values(), g.values()):
+        if not cod.adjacent_or_equal(y, z):
+            return x
+    return None
+
+
+def psi_counterexample(f: FiniteFunction, g: FiniteFunction):
+    """The first domain pair x0, x1 violating the cross condition, or None.
+
+    The pairs are the adjacent-or-equal ones, read from the domain's closed
+    adjacency rows in ascending order of x0, then x1.
+    """
+    _check_same_signature(f, g)
+    cod, verts = f.codomain, f.domain.vertices
+    fv, gv = f.values(), g.values()
+    for i, row in enumerate(f.domain.adjacency_rows):
+        for j in _bits(row | 1 << i):
+            if not cod.adjacent_or_equal(fv[i], gv[j]):
+                return (verts[i], verts[j])
     return None
 
 
@@ -411,10 +428,10 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
                     mode: str = "plain", fixed_point=None) -> bool:
     """Check a step table against the deformation conditions.
 
-    Plain mode: endpoint slices equal f and g, every slice is continuous,
-    and every track moves by at most one adjacency step at a time.  Strong
-    mode additionally requires values at adjacent-or-equal domain points in
-    consecutive (or equal) time steps to be adjacent or equal.  A fixed
+    The endpoint slices must equal f and g and every slice must be
+    continuous.  Consecutive slices must be pointwise close (plain mode)
+    or cross close (strong mode): ``phi_counterexample`` or
+    ``psi_counterexample`` finds nothing, equal slices allowed.  A fixed
     point must never move.
     """
     if mode not in ("plain", "strong"):
@@ -425,27 +442,11 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
         return False
     if H.slices[0].pairs != f.pairs or H.slices[-1].pairs != g.pairs:
         return False
-    cod = H.codomain
-    for h in H.slices:
-        if not is_continuous(h):
-            return False
-    for h0, h1 in zip(H.slices, H.slices[1:]):
-        for x in H.domain.vertices:
-            if not cod.adjacent_or_equal(h0.table[x], h1.table[x]):
-                return False
-    if mode == "strong":
-        dom = H.domain
-        verts = dom.vertices
-        for t0, h0 in enumerate(H.slices):
-            for t1 in (t0, t0 + 1):
-                if t1 > H.m:
-                    continue
-                h1 = H.slices[t1]
-                for x in verts:
-                    for y in verts:
-                        if dom.adjacent_or_equal(x, y):
-                            if not cod.adjacent_or_equal(h0.table[x], h1.table[y]):
-                                return False
+    if not all(is_continuous(h) for h in H.slices):
+        return False
+    step = phi_counterexample if mode == "plain" else psi_counterexample
+    if any(step(h0, h1) is not None for h0, h1 in zip(H.slices, H.slices[1:])):
+        return False
     if fixed_point is not None:
         base = H.slices[0].table[fixed_point]
         if any(h.table[fixed_point] != base for h in H.slices):

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BudgetError
-from .lattice import DigitalImage, Point, _bits, _row_pairs
+from .lattice import DigitalImage, Point, _bits, _flood, _row_pairs
 
 #: Images with more points than this may not be expanded into hyperspaces.
 DEFAULT_POINT_BUDGET = 24
@@ -37,18 +37,6 @@ FAMILY_KINDS = ("full", "connected", "custom")
 def _check_budget(X: DigitalImage, budget: int) -> None:
     if len(X) > budget:
         raise BudgetError("hyperspace enumeration", f"{len(X)} points", budget)
-
-
-def _is_connected_mask(nbr: tuple[int, ...], mask: int) -> bool:
-    """True iff the nonempty point set ``mask`` is connected, by flooding ``nbr``."""
-    seen = frontier = mask & -mask
-    while frontier:
-        reach = 0
-        for i in _bits(frontier):
-            reach |= nbr[i]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
 
 
 @dataclass(frozen=True)
@@ -84,7 +72,7 @@ class SubsetFamily:
         if self.kind == "connected":
             nbr = self.base.neighbor_masks
             for m in masks:
-                if not _is_connected_mask(nbr, m):
+                if _flood(nbr, m & -m, m) != m:
                     raise ValueError("connected family contains a disconnected member")
         object.__setattr__(self, "masks", masks)
 
@@ -182,9 +170,6 @@ class SubsetFamily:
     def _adjacent_by_index(self, i: int, j: int) -> bool:
         masks, covers = self.masks, self._covers
         return (masks[i] & ~covers[j]) == 0 and (masks[j] & ~covers[i]) == 0
-
-    def edge_index_pairs(self) -> Iterator[tuple[int, int]]:
-        return _row_pairs(self.adjacency_rows)
 
     def subfamily(self, members: Iterable[Iterable[Point]], kind: str = "custom") -> SubsetFamily:
         masks = tuple(self.base.mask_of(m) for m in members)

@@ -4,6 +4,10 @@ A digital image is treated as a graph whose vertices are lattice points and
 whose edges are given by the c_u relation: two distinct points are adjacent
 when at most u coordinates differ by exactly 1 and all other coordinates
 agree.  Everything here is immutable and safe to share between threads.
+
+Connectivity is one mask flood: ``_flood`` grows a seed along bitmask
+adjacency rows inside a mask, and subset connectivity, components, family
+validation and the graph components all call it.
 """
 
 from __future__ import annotations
@@ -187,21 +191,12 @@ class DigitalImage:
 
     def components(self) -> tuple[frozenset[Point], ...]:
         """The c_u components of the image, in order of their smallest point."""
-        remaining = set(self.points)
         comps = []
-        for start in self.points:
-            if start not in remaining:
-                continue
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                p = queue.popleft()
-                for q in self.neighbors(p):
-                    if q in remaining and q not in seen:
-                        seen.add(q)
-                        queue.append(q)
-            remaining -= seen
-            comps.append(frozenset(seen))
+        left = (1 << len(self.points)) - 1
+        while left:
+            comp = _flood(self.neighbor_masks, left & -left, left)
+            comps.append(self.points_of(comp))
+            left ^= comp
         return tuple(comps)
 
     def restrict(self, pts: Iterable[Point]) -> DigitalImage:
@@ -220,6 +215,18 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _flood(rows: tuple[int, ...], seed: int, within: int) -> int:
+    """The part of ``within`` reachable from ``seed`` along the bitmask ``rows``."""
+    seen = frontier = seed & within
+    while frontier:
+        reach = 0
+        for i in _bits(frontier):
+            reach |= rows[i]
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """The pairs (i, j), i < j, with bit j set in ``rows[i]``, in ascending order."""
     for i, row in enumerate(rows):
@@ -230,25 +237,25 @@ def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
 def _connectivity_order(image: DigitalImage) -> tuple[list[int], list[list[int]]]:
     """Point indices in breadth-first order, one component after another.
 
-    Components come in order of their smallest point, each searched from
-    that point.  The second list holds, per position, the earlier positions
+    Each component is searched from its lowest point, the lowest index not
+    placed yet.  The second list holds, per position, the earlier positions
     whose points are adjacent to the point there, so a backtracking search
     in this order tests each adjacent pair as soon as both ends are placed.
     """
     nbr = image.neighbor_masks
     order: list[int] = []
-    placed: set[int] = set()
-    for comp in image.components():
-        root = image.point_index[min(comp)]
+    placed = 0
+    for root in range(len(nbr)):
+        if placed >> root & 1:
+            continue
+        placed |= 1 << root
         queue = deque([root])
-        placed.add(root)
         while queue:
             i = queue.popleft()
             order.append(i)
-            for j in _bits(nbr[i]):
-                if j not in placed:
-                    placed.add(j)
-                    queue.append(j)
+            for j in _bits(nbr[i] & ~placed):
+                placed |= 1 << j
+                queue.append(j)
     pos = [0] * len(order)
     for k, i in enumerate(order):
         pos[i] = k
@@ -270,29 +277,10 @@ def neighbors(X: DigitalImage, x: Point) -> frozenset[Point]:
 
 def is_connected(A: Iterable[Point], X: DigitalImage) -> bool:
     """True iff every pair of points of A is joined by a c_u path inside A."""
-    pts = {_as_point(p, X.dim) for p in A}
-    if not pts:
+    mask = X.mask_of(A)
+    if not mask:
         raise ValueError("connectivity of the empty set is undefined here")
-    for p in pts:
-        if p not in X.point_set:
-            raise ValueError(f"point {p} is not in the image")
-    start = next(iter(pts))
-    seen = {start}
-    queue = deque([start])
-    u = X.adjacency
-    small_dim = 3 ** X.dim <= 4 * len(pts)
-    while queue:
-        p = queue.popleft()
-        if small_dim:
-            cand = (tuple(a + d for a, d in zip(p, delta))
-                    for delta in _step_offsets(X.dim, u))
-        else:
-            cand = (q for q in pts if cu_adjacent(p, q, u))
-        for q in cand:
-            if q in pts and q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return len(seen) == len(pts)
+    return _flood(X.neighbor_masks, mask & -mask, mask) == mask
 
 
 # -- paths ----------------------------------------------------------------

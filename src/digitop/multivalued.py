@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetError
-from .functions import FiniteFunction, induced_map
+from .functions import FiniteFunction, adjacent_vertex_pairs, induced_map
 from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
 from .lattice import (DigitalImage, Point, _as_point, _bits, _connectivity_order,
                       adjacent_or_equal)
@@ -72,7 +72,7 @@ def as_multifunction(f: FiniteFunction) -> MultiFunction:
 def has_weak_continuity(F: MultiFunction) -> bool:
     """Adjacent inputs have value sets meeting within one closed step."""
     u = F.codomain.adjacency
-    for x, y in _adjacent_inputs(F):
+    for x, y in adjacent_vertex_pairs(F.domain):
         fx, fy = F.table[x], F.table[y]
         if not any(adjacent_or_equal(a, b, u) for a in fx for b in fy):
             return False
@@ -86,7 +86,7 @@ def has_strong_continuity(F: MultiFunction) -> bool:
 def strong_continuity_counterexample(F: MultiFunction):
     """A triple (x, y, p) where p in F(x) has no closed partner in F(y), or None."""
     u = F.codomain.adjacency
-    for x, y in _adjacent_inputs(F):
+    for x, y in adjacent_vertex_pairs(F.domain):
         fx, fy = F.table[x], F.table[y]
         for p in fx:
             if not any(adjacent_or_equal(p, q, u) for q in fy):
@@ -95,14 +95,6 @@ def strong_continuity_counterexample(F: MultiFunction):
             if not any(adjacent_or_equal(q, p, u) for p in fx):
                 return (y, x, q)
     return None
-
-
-def _adjacent_inputs(F: MultiFunction):
-    pts = F.domain.points
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if F.domain.adjacent(x, y):
-                yield x, y
 
 
 def is_connectivity_preserving(F: MultiFunction,

@@ -63,7 +63,6 @@ def random_connected_image(rng: random.Random, max_points: int = 6,
     k = rng.randint(min_points, max(min_points, min(max_points, len(box))))
     pts = {rng.choice(box)}
     while len(pts) < k:
-        probe = DigitalImage(dim, tuple(sorted(pts)), u)
         frontier = sorted({q for p in pts for q in _box_neighbors(p, box, u)} - pts)
         if not frontier:
             break

@@ -7,8 +7,10 @@ import pytest
 
 import digitop.cli
 import digitop.graphmetrics
-from digitop import (cycle_image, family_from_json, image_from_json, image_to_json,
-                     interval)
+from digitop import (FiniteFunction, cycle_image, enumerate_connected_subsets,
+                     family_from_json, function_to_json, image_from_json,
+                     image_to_json, induced_map, interval)
+from digitop.functions import family_function_to_json
 from digitop.cli import main
 
 
@@ -201,6 +203,17 @@ class TestCheck:
             "domain": fam, "codomain": fam,
             "pairs": [[[[0]], whole], [[[1]], whole], [whole, whole]]})
         assert main(["check", "induced-by", "--input", doc]) == 1
+
+    def test_induced_by_beyond_the_function_budget(self, tmp_path, capsys):
+        # The shift x -> max(x - 1, 0) on [0, 9]_Z has 10^10 candidate
+        # tables, over --budget-functions; the singletons alone fix it.
+        X = interval(0, 9)
+        shift = FiniteFunction(X, X, tuple((x, (max(x[0] - 1, 0),)) for x in X.points))
+        F = induced_map(shift, enumerate_connected_subsets(X))
+        doc = write(tmp_path, "ff.json", family_function_to_json(F))
+        assert main(["check", "induced-by", "--input", doc, "--format", "json"]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert witness == function_to_json(shift)
 
 
 class TestMetricVerbs:

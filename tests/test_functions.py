@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from digitop import (DigitalImage, FiniteFunction, compose,
+from digitop import (BudgetError, DigitalImage, FiniteFunction, compose,
                      constant_map, enumerate_all_subsets,
                      enumerate_connected_subsets, find_inducing_map,
                      function_from_json, function_to_json, identity_map,
@@ -14,11 +14,58 @@ from digitop import (DigitalImage, FiniteFunction, compose,
 from digitop.functions import (continuity_counterexample,
                                family_function_from_json,
                                family_function_to_json)
+from digitop.homotopy import enumerate_continuous_maps
+from digitop.hyperspace import family_of
 from digitop.verify import random_continuous_function, random_function, random_image
 
 
 def fn(X, Y, *values):
     return FiniteFunction(X, Y, tuple(zip(X.points, values)))
+
+
+def enumeration_find_inducing_map(F, budget=10 ** 6):
+    """The search over all continuous maps that ``find_inducing_map``
+    replaced; the reference its answers must equal."""
+    dom_family, cod_family = F.domain, F.codomain
+    if dom_family.kind not in ("full", "connected") or cod_family.kind not in ("full", "connected"):
+        raise ValueError("inducing-map search needs full or connected families")
+    X, Y = dom_family.base, cod_family.base
+    singleton_value = {}
+    for x in X.points:
+        img = F.table[frozenset((x,))]
+        if len(img) != 1:
+            return None
+        singleton_value[x] = img
+    for f in enumerate_continuous_maps(X, Y, budget=budget):
+        if any(frozenset((f.table[x],)) != singleton_value[x] for x in X.points):
+            continue
+        try:
+            candidate = induced_map(f, dom_family, codomain_family=cod_family)
+        except ValueError:
+            continue
+        if candidate.pairs == F.pairs:
+            return f
+    return None
+
+
+def random_family_function(rng, X, Y, kind):
+    """F on the kind's families over X and Y: induced by a random (often
+    discontinuous) map, that with one value changed, or a random table."""
+    dom, cod = family_of(X, kind), family_of(Y, kind)
+    how = rng.randrange(3)
+    if how < 2:
+        try:
+            F = induced_map(random_function(rng, X, Y), dom, codomain_family=cod)
+        except ValueError:  # a disconnected image in a connected family
+            how = 2
+    if how == 1:
+        table = dict(F.pairs)
+        table[rng.choice(dom.members)] = rng.choice(cod.members)
+        F = FiniteFunction.from_table(dom, cod, table)
+    if how == 2:
+        F = FiniteFunction.from_table(dom, cod, {m: rng.choice(cod.members)
+                                                  for m in dom.members})
+    return F
 
 
 class TestContinuity:
@@ -194,6 +241,29 @@ class TestFindInducingMap:
             f = find_inducing_map(F)
             assert f is not None
             assert induced_map(f, enumerate_all_subsets(X)).pairs == F.pairs
+
+    def test_shift_map_beyond_the_enumeration_budget(self):
+        # 10^10 tables: the enumeration search refused this with BudgetError.
+        X = interval(0, 9)
+        shift = FiniteFunction(X, X, tuple((x, (max(x[0] - 1, 0),)) for x in X.points))
+        F = induced_map(shift, enumerate_connected_subsets(X))
+        with pytest.raises(BudgetError):
+            enumeration_find_inducing_map(F)
+        found = find_inducing_map(F)
+        assert found is not None and found.pairs == shift.pairs
+
+    def test_matches_enumeration_search(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(600):
+            X, Y = random_image(rng, 4), random_image(rng, 4)
+            kind = rng.choice(("full", "connected"))
+            F = random_family_function(rng, X, Y, kind)
+            expect = enumeration_find_inducing_map(F)
+            found = find_inducing_map(F)
+            assert (found and found.pairs) == (expect and expect.pairs)
+            outcomes.add((kind, expect is None))
+        assert len(outcomes) == 4
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitop import (BudgetError, DigitalImage, FiniteGraph,
-                     as_finite_graph, center, diameter,
+                     as_finite_graph, center, connected_components, diameter,
                      disconnects, eccentricity, enumerate_all_subsets,
                      enumerate_connected_subsets, girth, hyperspace_graph,
                      induced_subgraph, interval, is_connected_graph,
@@ -25,6 +25,17 @@ def path_graph(n):
 
 def complete_graph(n):
     return FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def bfs_components(G):
+    """The components of G by ``bfs_distances`` from each unplaced vertex."""
+    comps, placed = [], set()
+    for s in range(G.n):
+        if s not in placed:
+            dist = bfs_distances(G, s)
+            comps.append(tuple(v for v in range(G.n) if dist[v] is not None))
+            placed.update(comps[-1])
+    return tuple(comps)
 
 
 def recursive_longest_cycle(G):
@@ -136,6 +147,20 @@ class TestFiniteGraph:
         G = path_graph(4)
         sub = induced_subgraph(G, [0, 1, 3])
         assert sub.n == 3 and sorted(sub.edges()) == [(0, 1)]
+
+    def test_components_match_bfs_distances(self):
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(500):
+            n = rng.randint(0, 12)
+            p = rng.choice((0.05, 0.15, 0.3, 0.6))
+            G = FiniteGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                           if rng.random() < p])
+            comps = bfs_components(G)
+            assert connected_components(G) == comps
+            assert is_connected_graph(G) == (len(comps) <= 1)
+            seen.add(min(len(comps), 2))
+        assert seen == {0, 1, 2}
 
 
 class TestGirth:

@@ -16,13 +16,76 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
                      is_contractible, is_continuous, interval,
                      lift_homotopy_to_hyperspace, phi_adjacent, postcompose_map,
                      psi_adjacent, strongly_homotopic, verify_homotopy)
-from digitop.homotopy import PHI, PSI, _adjacent_rows
+from digitop.homotopy import (PHI, PSI, _adjacent_rows, phi_counterexample,
+                              psi_counterexample)
+from digitop.hyperspace import family_of
 from digitop.verify import (oracle_homotopic, random_continuous_function,
-                            random_image, rotations)
+                            random_function, random_image, rotations)
 
 
 def fn(X, Y, *values):
     return FiniteFunction(X, Y, tuple(zip(X.points, values)))
+
+
+def pair_scan_psi_counterexample(f, g):
+    """The scan over all domain pairs that ``psi_counterexample`` replaced."""
+    dom, cod = f.domain, f.codomain
+    for x0 in dom.vertices:
+        for x1 in dom.vertices:
+            if dom.adjacent_or_equal(x0, x1) and not cod.adjacent_or_equal(f.table[x0], g.table[x1]):
+                return (x0, x1)
+    return None
+
+
+def pair_scan_verify_homotopy(H, f, g, mode="plain", fixed_point=None):
+    """The verifier ``verify_homotopy`` replaced: a pointwise scan per step
+    and, in strong mode, a domain pair scan at t1 = t0 and t1 = t0 + 1."""
+    if H.domain != f.domain or H.codomain != f.codomain:
+        return False
+    if f.domain != g.domain or f.codomain != g.codomain:
+        return False
+    if H.slices[0].pairs != f.pairs or H.slices[-1].pairs != g.pairs:
+        return False
+    cod = H.codomain
+    for h in H.slices:
+        if not is_continuous(h):
+            return False
+    for h0, h1 in zip(H.slices, H.slices[1:]):
+        for x in H.domain.vertices:
+            if not cod.adjacent_or_equal(h0.table[x], h1.table[x]):
+                return False
+    if mode == "strong":
+        dom = H.domain
+        verts = dom.vertices
+        for t0, h0 in enumerate(H.slices):
+            for t1 in (t0, t0 + 1):
+                if t1 > H.m:
+                    continue
+                h1 = H.slices[t1]
+                for x in verts:
+                    for y in verts:
+                        if dom.adjacent_or_equal(x, y):
+                            if not cod.adjacent_or_equal(h0.table[x], h1.table[y]):
+                                return False
+    if fixed_point is not None:
+        base = H.slices[0].table[fixed_point]
+        if any(h.table[fixed_point] != base for h in H.slices):
+            return False
+    return True
+
+
+def random_step_table(rng, X, Y):
+    """Up to four slices, each after the first a continuous map within one
+    step of the one before or a random, often discontinuous, map."""
+    maps = enumerate_continuous_maps(X, Y)
+    h = rng.choice(maps) if rng.random() < 0.8 else random_function(rng, X, Y)
+    slices = [h]
+    for _ in range(rng.randint(0, 3)):
+        close = [m for m in maps if all(Y.adjacent_or_equal(a, b)
+                                        for a, b in zip(h.values(), m.values()))]
+        h = rng.choice(close) if close and rng.random() < 0.85 else random_function(rng, X, Y)
+        slices.append(h)
+    return HomotopyTable(X, Y, tuple(slices))
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +138,28 @@ class TestAdjacencies:
             f, g = rng.choice(maps), rng.choice(maps)
             if psi_adjacent(f, g):
                 assert phi_adjacent(f, g)
+
+
+class TestCounterexamples:
+    def test_match_the_pair_scans(self):
+        rng = random.Random(41)
+        found = set()
+        for _ in range(300):
+            X, Y = random_image(rng, 4), random_image(rng, 4)
+            f = random_function(rng, X, Y)
+            g = rng.choice((f, random_function(rng, X, Y)))
+            if rng.random() < 0.3:
+                kind = rng.choice(("full", "connected"))
+                try:
+                    f, g = (induced_map(h, family_of(X, kind), family_of(Y, kind))
+                            for h in (f, g))
+                except ValueError:  # a disconnected image in a connected family
+                    pass
+            first = [x for x, y in f.pairs if not f.codomain.adjacent_or_equal(y, g.table[x])]
+            assert phi_counterexample(f, g) == (first[0] if first else None)
+            assert psi_counterexample(f, g) == pair_scan_psi_counterexample(f, g)
+            found.add((isinstance(f.domain, DigitalImage), psi_counterexample(f, g) is None))
+        assert len(found) == 4
 
 
 class TestEnumeration:
@@ -330,6 +415,28 @@ class TestVerifyHomotopy:
         H = HomotopyTable(f.domain, f.codomain, (f, g))
         assert verify_homotopy(H, f, g)
         assert not verify_homotopy(H, f, g, mode="strong")
+
+
+    def test_matches_pair_scan_verifier(self):
+        rng = random.Random(43)
+        verdicts = set()
+        for _ in range(250):
+            X, Y = random_image(rng, 3), random_image(rng, 3)
+            H = random_step_table(rng, X, Y)
+            tables = [H]
+            kinds = ("full", "connected") if all(map(is_continuous, H.slices)) else ("full",)
+            tables += [lift_homotopy_to_hyperspace(H, rng.choice(kinds))]
+            for T in tables:
+                f, g = T.slices[0], T.slices[-1]
+                if rng.random() < 0.1:
+                    f, g = g, f
+                x = rng.choice(T.domain.vertices)
+                for mode in ("plain", "strong"):
+                    for fixed in (None, x):
+                        ok = verify_homotopy(T, f, g, mode=mode, fixed_point=fixed)
+                        assert ok == pair_scan_verify_homotopy(T, f, g, mode, fixed)
+                        verdicts.add((T is H, mode, ok))
+        assert len(verdicts) == 8
 
 
 class TestLifting:

@@ -144,8 +144,6 @@ class TestAdjacencyRows:
         family = build(X)
         expect = pair_scan_edges(family)
         view = hyperspace_graph(family)
-        assert list(family.edge_index_pairs()) == expect
-        assert list(view.edge_index_pairs()) == expect
         assert list(view.edges) == expect
         assert view.edge_count == len(expect)
         rows = [0] * len(family)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from digitop import (DigitalImage, LatticePath, concatenate, cu_adjacent,
                      cycle_image, cycle_points, image_from_json, image_to_json,
                      interval, is_connected, neighbors)
+from digitop.lattice import _bits, _connectivity_order
 
 points_1d = st.integers(-5, 5).map(lambda v: (v,))
 dims = st.integers(1, 4)
@@ -128,6 +130,84 @@ class TestConnectivity:
         comps = X.components()
         assert sorted(sorted(c) for c in comps) == [
             [(0,), (1,)], [(3,)], [(5,), (6,)]]
+
+
+def point_bfs_components(X):
+    """The point breadth-first search ``DigitalImage.components`` replaced."""
+    remaining = set(X.points)
+    comps = []
+    for start in X.points:
+        if start not in remaining:
+            continue
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            for q in X.neighbors(p):
+                if q in remaining and q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+        remaining -= seen
+        comps.append(frozenset(seen))
+    return tuple(comps)
+
+
+def components_connectivity_order(X):
+    """The ``_connectivity_order`` that rooted each of ``point_bfs_components``
+    at its smallest point, which it replaced."""
+    nbr = X.neighbor_masks
+    order = []
+    placed = set()
+    for comp in point_bfs_components(X):
+        root = X.point_index[min(comp)]
+        queue = deque([root])
+        placed.add(root)
+        while queue:
+            i = queue.popleft()
+            order.append(i)
+            for j in _bits(nbr[i]):
+                if j not in placed:
+                    placed.add(j)
+                    queue.append(j)
+    pos = [0] * len(order)
+    for k, i in enumerate(order):
+        pos[i] = k
+    earlier = [sorted(pos[j] for j in _bits(nbr[i]) if pos[j] < k)
+               for k, i in enumerate(order)]
+    return order, earlier
+
+
+def random_sparse_image(rng):
+    """A random image in a 4^dim box, dim 1 to 3, often disconnected."""
+    dim = rng.randint(1, 3)
+    box = list(itertools.product(range(4), repeat=dim))
+    pts = rng.sample(box, rng.randint(1, min(len(box), 12)))
+    return DigitalImage(dim, tuple(pts), rng.randint(1, dim))
+
+
+class TestConnectivityReferences:
+    def test_components_and_order_match_point_search(self):
+        rng = random.Random(31)
+        counts = set()
+        for _ in range(400):
+            X = random_sparse_image(rng)
+            comps = X.components()
+            assert comps == point_bfs_components(X)
+            assert _connectivity_order(X) == components_connectivity_order(X)
+            assert X.is_connected() == (len(comps) == 1)
+            counts.add(min(len(comps), 3))
+        assert counts == {1, 2, 3}
+
+    def test_subset_connectivity_matches_point_search(self):
+        rng = random.Random(32)
+        for _ in range(400):
+            X = random_sparse_image(rng)
+            pts = rng.sample(X.points, rng.randint(1, len(X)))
+            assert is_connected(pts, X) == (len(point_bfs_components(X.restrict(pts))) == 1)
+
+    def test_foreign_point_rejected(self):
+        with pytest.raises(ValueError, match="not in the image"):
+            is_connected([(0,), (5,)], interval(0, 2))
 
 
 class TestPaths:

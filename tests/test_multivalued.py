@@ -25,6 +25,30 @@ def ladder():
     return MultiFunction.from_table(X, Y, {(0,): {(0,)}, (1,): {(1,), (2,)}})
 
 
+def pair_scan_adjacent_inputs(F):
+    """The domain pair scan ``adjacent_vertex_pairs`` replaced here: every
+    adjacent pair x < y, ascending in x, then in y."""
+    pts = F.domain.points
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            if F.domain.adjacent(x, y):
+                yield x, y
+
+
+def pair_scan_strong_counterexample(F):
+    """``strong_continuity_counterexample`` over ``pair_scan_adjacent_inputs``."""
+    u = F.codomain.adjacency
+    for x, y in pair_scan_adjacent_inputs(F):
+        fx, fy = F.table[x], F.table[y]
+        for p in fx:
+            if not any(adjacent_or_equal(p, q, u) for q in fy):
+                return (x, y, p)
+        for q in fy:
+            if not any(adjacent_or_equal(q, p, u) for p in fx):
+                return (y, x, q)
+    return None
+
+
 def mf(X, Y, *value_sets):
     return MultiFunction.from_table(X, Y, dict(zip(X.points, value_sets)))
 
@@ -117,6 +141,18 @@ class TestStrongContinuity:
                     if not any(adjacent_or_equal(p, q, u) for q in F(y)):
                         expect = False
         assert has_strong_continuity(F) == expect
+
+
+    def test_witness_follows_the_pair_scan_order(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(300):
+            X, Y = random_image(rng, 6), random_image(rng, 4)
+            F = random_multifunction(rng, X, Y)
+            bad = strong_continuity_counterexample(F)
+            assert bad == pair_scan_strong_counterexample(F)
+            outcomes.add(bad is None)
+        assert outcomes == {True, False}
 
 
 class TestConnectivityPreserving:
