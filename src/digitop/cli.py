@@ -250,6 +250,13 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a positive integer, else a usage error (exit 2)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--input", required=True, help="path to the JSON input document")
     p.add_argument("--format", choices=formats, default=formats[0])
@@ -298,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", "cardinality", "induced", "homotopy", "connectivity",
                             "multivalued", "cycles", "dominating", "diameter"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-points", type=int, default=None,
+    p.add_argument("--max-points", type=_positive_int, default=None,
                    help="override the per-suite image size cap")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_positive_int, default=None,
                    help="override the per-suite sample count")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.set_defaults(func=cmd_verify)

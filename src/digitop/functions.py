@@ -3,11 +3,13 @@
 A :class:`FiniteFunction` is a total table between two finite vertex spaces.
 The usual case is image -> image, but the same class carries maps whose
 domain or codomain is a subset family or a function graph, such as an
-induced map A |-> f(A).  Every space exposes ``vertices``,
-``adjacency_rows`` (per vertex, the bitmask of its neighbours' indices)
-and ``adjacent``/``adjacent_or_equal``, and the continuity, isomorphism and
-retraction checkers only use that protocol.  The inducing-map search
-needs no enumeration: a map's values on singletons fix it.
+induced map A |-> f(A).  Every space exposes ``vertices``, ``vertex_index``
+(vertex -> index) and ``adjacency_rows`` (per vertex, the bitmask of its
+neighbours' indices).  A map's core form is its value ``row`` of codomain
+indices in domain order, and the checkers below read rows: values a, b
+are adjacent or equal iff ``a == b or cod_rows[a] >> b & 1``, whatever the
+codomain.  The inducing-map search needs no enumeration: a map's values
+on singletons fix it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .hyperspace import SubsetFamily, family_of
-from .lattice import DigitalImage, Point, _as_point, _row_pairs
+from .lattice import DigitalImage, Point, _as_point, _bits, _row_pairs
 
 
 def adjacent_vertex_pairs(space) -> Iterator[tuple]:
@@ -29,7 +31,7 @@ def adjacent_vertex_pairs(space) -> Iterator[tuple]:
 
 @dataclass(frozen=True)
 class FiniteFunction:
-    """A total map between two vertex spaces, stored as a canonical pair table."""
+    """A total map between two vertex spaces: a canonical pair table and its ``row``."""
 
     domain: object
     codomain: object
@@ -40,11 +42,21 @@ class FiniteFunction:
         verts = self.domain.vertices
         if len(self.pairs) != len(verts) or set(table) != set(verts):
             raise ValueError("function table must be total on the domain")
-        cod = set(self.codomain.vertices)
+        index = self.codomain.vertex_index
         for x, y in table.items():
-            if y not in cod:
+            if y not in index:
                 raise ValueError(f"value {y!r} at {x!r} is outside the codomain")
         object.__setattr__(self, "pairs", tuple((x, table[x]) for x in verts))
+        object.__setattr__(self, "row", tuple(index[table[x]] for x in verts))
+
+    @classmethod
+    def _trusted(cls, domain, codomain, row: tuple[int, ...]) -> FiniteFunction:
+        """The map with a value row that is valid by construction, unchecked."""
+        f = object.__new__(cls)
+        values = codomain.vertices
+        f.__dict__.update(domain=domain, codomain=codomain, row=row,
+                          pairs=tuple(zip(domain.vertices, map(values.__getitem__, row))))
+        return f
 
     @classmethod
     def from_table(cls, domain, codomain, table: Mapping) -> "FiniteFunction":
@@ -69,7 +81,7 @@ class FiniteFunction:
 
 
 def identity_map(space) -> FiniteFunction:
-    return FiniteFunction(space, space, tuple((v, v) for v in space.vertices))
+    return FiniteFunction._trusted(space, space, tuple(range(len(space.adjacency_rows))))
 
 
 def constant_map(domain, codomain, value) -> FiniteFunction:
@@ -78,9 +90,9 @@ def constant_map(domain, codomain, value) -> FiniteFunction:
 
 def compose(g: FiniteFunction, f: FiniteFunction) -> FiniteFunction:
     """g after f."""
-    if g.domain.vertices != f.codomain.vertices:
+    if g.domain != f.codomain and g.domain.vertices != f.codomain.vertices:
         raise ValueError("composition mismatch: codomain of f is not domain of g")
-    return FiniteFunction(f.domain, g.codomain, tuple((x, g.table[y]) for x, y in f.pairs))
+    return FiniteFunction._trusted(f.domain, g.codomain, tuple(map(g.row.__getitem__, f.row)))
 
 
 # -- continuity -------------------------------------------------------------
@@ -92,27 +104,22 @@ def is_continuous(f: FiniteFunction) -> bool:
 
 
 def continuity_counterexample(f: FiniteFunction):
-    """An adjacent domain pair whose images are neither adjacent nor equal, or None."""
-    table = f.table
-    cod = f.codomain
-    for x, y in adjacent_vertex_pairs(f.domain):
-        if not cod.adjacent_or_equal(table[x], table[y]):
-            return (x, y)
+    """The first adjacent domain pair whose values are neither adjacent nor equal, or None."""
+    row, cod_rows = f.row, f.codomain.adjacency_rows
+    for i, j in _row_pairs(f.domain.adjacency_rows):
+        a, b = row[i], row[j]
+        if a != b and not cod_rows[a] >> b & 1:
+            return (f.domain.vertices[i], f.domain.vertices[j])
     return None
 
 
 def is_isomorphism(f: FiniteFunction) -> bool:
     """True iff f is a continuous bijection with a continuous inverse."""
-    dom, cod = f.domain.vertices, f.codomain.vertices
-    if len(dom) != len(cod):
+    row = f.row
+    if sorted(row) != list(range(len(f.codomain.adjacency_rows))) or not is_continuous(f):
         return False
-    seen = set(f.table.values())
-    if len(seen) != len(cod):
-        return False
-    if not is_continuous(f):
-        return False
-    inverse = FiniteFunction(f.codomain, f.domain, tuple((y, x) for x, y in f.pairs))
-    return is_continuous(inverse)
+    inverse = tuple(sorted(range(len(row)), key=row.__getitem__))
+    return is_continuous(FiniteFunction._trusted(f.codomain, f.domain, inverse))
 
 
 def is_retraction(r: FiniteFunction, Y: Iterable[Point]) -> bool:
@@ -120,15 +127,11 @@ def is_retraction(r: FiniteFunction, Y: Iterable[Point]) -> bool:
     pts = frozenset(Y)
     if not pts:
         raise ValueError("a retraction target cannot be empty")
-    dom = set(r.domain.vertices)
-    if not pts <= dom:
+    if not pts <= set(r.domain.vertices):
         raise ValueError("retraction target is not a subset of the domain")
     if set(r.codomain.vertices) != pts:
         raise ValueError("retraction codomain must equal the target set")
-    table = r.table
-    if any(table[y] != y for y in pts):
-        return False
-    return is_continuous(r)
+    return all(r.table[y] == y for y in pts) and is_continuous(r)
 
 
 # -- induced maps on hyperspaces --------------------------------------------
@@ -140,25 +143,32 @@ def induced_map(f, family: SubsetFamily,
     """The set-image map A |-> f(A) between families.
 
     ``f`` is a :class:`FiniteFunction` or a multifunction: all this uses
-    is ``f.domain``, ``f.codomain`` and ``f.image_of``.  The codomain
-    family defaults to the family of the same kind over f's codomain.  If
-    some member's image is not a member there (for a connected family this
-    happens exactly when the image is disconnected), the map does not
-    exist and a ValueError names the offending member.
+    is ``f.domain``, ``f.codomain`` and ``f.image_of``.  A member's image
+    is the OR of its points' value masks, looked up among the codomain
+    family's member masks.  The codomain family defaults to the family of
+    the same kind over f's codomain.  If some member's image is not a
+    member there (for a connected family this happens exactly when the
+    image is disconnected), the map does not exist and a ValueError names
+    the offending member.
     """
     if family.base != f.domain:
         raise ValueError("family is not over the domain of f")
     if codomain_family is None:
         codomain_family = family_of(f.codomain, family.kind, budget)
-    table = {}
-    for member in family.members:
-        img = f.image_of(member)
-        if img not in codomain_family:
+    base = codomain_family.base
+    value_masks = [base.mask_of(f.image_of((x,))) for x in f.domain.points]
+    index = codomain_family._mask_index
+    row = []
+    for m in family.masks:
+        img = 0
+        for i in _bits(m):
+            img |= value_masks[i]
+        if img not in index:
             raise ValueError(
-                f"image of member {sorted(member)} is {sorted(img)}, "
-                f"not a member of the codomain family")
-        table[member] = img
-    return FiniteFunction.from_table(family, codomain_family, table)
+                f"image of member {sorted(family.base.points_of(m))} is "
+                f"{sorted(base.points_of(img))}, not a member of the codomain family")
+        row.append(index[img])
+    return FiniteFunction._trusted(family, codomain_family, tuple(row))
 
 
 def find_inducing_map(F: FiniteFunction) -> FiniteFunction | None:
@@ -167,25 +177,22 @@ def find_inducing_map(F: FiniteFunction) -> FiniteFunction | None:
     Since f_*({x}) = {f(x)}, the values on singletons fix the only
     candidate f; it is returned when it is continuous and induces F.
     """
-    dom_family: SubsetFamily = F.domain
-    cod_family: SubsetFamily = F.codomain
+    dom_family, cod_family = F.domain, F.codomain
     if dom_family.kind not in ("full", "connected") or cod_family.kind not in ("full", "connected"):
         raise ValueError("inducing-map search needs full or connected families")
     X, Y = dom_family.base, cod_family.base
-    pairs = []
-    for x in X.points:
-        img = F.table[frozenset((x,))]
-        if len(img) != 1:
-            return None
-        pairs.append((x, *img))
-    f = FiniteFunction(X, Y, tuple(pairs))
+    singleton = dom_family._mask_index
+    images = [cod_family.masks[F.row[singleton[1 << i]]] for i in range(len(X))]
+    if any(m & (m - 1) for m in images):
+        return None
+    f = FiniteFunction._trusted(X, Y, tuple(m.bit_length() - 1 for m in images))
     if not is_continuous(f):
         return None
     try:
         candidate = induced_map(f, dom_family, codomain_family=cod_family)
     except ValueError:
         return None
-    return f if candidate.pairs == F.pairs else None
+    return f if candidate.row == F.row else None
 
 
 # -- JSON ------------------------------------------------------------------

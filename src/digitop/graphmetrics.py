@@ -138,9 +138,9 @@ class FiniteGraph:
 
 def as_finite_graph(space, with_labels: bool = True) -> FiniteGraph:
     """Project any vertex space (image, family, function graph)."""
-    verts = space.vertices
-    labels = tuple(verts) if with_labels else None
-    return FiniteGraph._trusted(len(verts), space.adjacency_rows, labels)
+    rows = space.adjacency_rows
+    labels = tuple(space.vertices) if with_labels else None
+    return FiniteGraph._trusted(len(rows), rows, labels)
 
 
 def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:

@@ -10,15 +10,16 @@ that an independent verifier accepts.
 
 The adjacency rule is written once, as the allow masks of
 ``_allow_masks``: per point, the values a neighbour of a map may take.
-The decisions search lazily: a map is an int row of value indices, and
-the continuous rows within a row's allow masks are generated only when
-the search expands it, so a search stops at its first hit without
+The decisions search lazily: a map is its value row (``FiniteFunction.row``),
+and the continuous rows within a row's allow masks are generated only
+when the search expands it, so a search stops at its first hit without
 enumerating the maps.  ``build_function_graph`` builds the whole graph
-from the same masks; it serves the ``functions`` view, post-composition
-and the verify suites, and its ``find_path`` is the reference the lazy
-search is tested against.
+from the same masks as a vertex space of rows (``vertices``,
+``vertex_index``, ``adjacency_rows``) whose ``FiniteFunction`` vertices
+are built only when asked for; its ``find_path`` is the reference the
+lazy search is tested against.
 
-For two given maps, each closeness rule is written once on points:
+For two given maps, each closeness rule is written once on rows:
 ``phi_counterexample`` scans the domain, ``psi_counterexample`` the
 domain's closed adjacency rows.  ``phi_adjacent``, ``psi_adjacent`` and
 the step-table verifier ``verify_homotopy`` are built from them.
@@ -34,7 +35,7 @@ from itertools import product
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
 from .hyperspace import family_of
-from .lattice import DigitalImage, _bits, _connectivity_order
+from .lattice import DigitalImage, _bits, _connectivity_order, _row_pairs
 
 #: Cap on the raw search space #Y ** #X of a function enumeration.
 DEFAULT_FUNCTION_BUDGET = 10 ** 6
@@ -63,9 +64,9 @@ def psi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
 def phi_counterexample(f: FiniteFunction, g: FiniteFunction):
     """The first domain vertex x with f(x), g(x) neither adjacent nor equal, or None."""
     _check_same_signature(f, g)
-    cod = f.codomain
-    for x, y, z in zip(f.domain.vertices, f.values(), g.values()):
-        if not cod.adjacent_or_equal(y, z):
+    cod_rows = f.codomain.adjacency_rows
+    for x, a, b in zip(f.domain.vertices, f.row, g.row):
+        if a != b and not cod_rows[a] >> b & 1:
             return x
     return None
 
@@ -77,12 +78,12 @@ def psi_counterexample(f: FiniteFunction, g: FiniteFunction):
     adjacency rows in ascending order of x0, then x1.
     """
     _check_same_signature(f, g)
-    cod, verts = f.codomain, f.domain.vertices
-    fv, gv = f.values(), g.values()
-    for i, row in enumerate(f.domain.adjacency_rows):
+    cod_rows, grow = f.codomain.adjacency_rows, g.row
+    for i, (row, a) in enumerate(zip(f.domain.adjacency_rows, f.row)):
+        close = cod_rows[a] | 1 << a
         for j in _bits(row | 1 << i):
-            if not cod.adjacent_or_equal(fv[i], gv[j]):
-                return (verts[i], verts[j])
+            if not close >> grow[j] & 1:
+                return (f.domain.vertices[i], f.domain.vertices[j])
     return None
 
 
@@ -133,22 +134,6 @@ def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]]
     return rows
 
 
-def _map_of(X: DigitalImage, Y: DigitalImage, row: tuple[int, ...]) -> FiniteFunction:
-    ypts = Y.points
-    return FiniteFunction(X, Y, tuple((x, ypts[v]) for x, v in zip(X.points, row)))
-
-
-def _row_of(f: FiniteFunction) -> tuple[int, ...]:
-    """The row of a continuous f; ValueError when f is no function-graph vertex."""
-    closed = f.codomain.closed_neighbor_masks
-    yindex = f.codomain.point_index
-    row = tuple(yindex[y] for _, y in f.pairs)
-    for i, m in enumerate(f.domain.neighbor_masks):
-        if any(not closed[row[i]] >> row[j] & 1 for j in _bits(m)):
-            raise ValueError("function is not a vertex of this graph")
-    return row
-
-
 def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
                               budget: int = DEFAULT_FUNCTION_BUDGET) -> tuple[FiniteFunction, ...]:
     """Exactly the continuous maps X -> Y, in value order.
@@ -157,11 +142,14 @@ def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
     partial assignment is pruned as soon as an adjacent pair violates the
     adjacency-preservation criterion.
     """
+    return tuple(FiniteFunction._trusted(X, Y, row) for row in _all_continuous_rows(X, Y, budget))
+
+
+def _all_continuous_rows(X: DigitalImage, Y: DigitalImage, budget: int) -> list[tuple[int, ...]]:
     _check_budget(X, Y, budget)
     order, earlier = _connectivity_order(X)
     full = (1 << len(Y)) - 1
-    rows = sorted(_continuous_rows(Y, order, earlier, [full] * len(X)))
-    return tuple(_map_of(X, Y, row) for row in rows)
+    return sorted(_continuous_rows(Y, order, earlier, [full] * len(X)))
 
 
 def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
@@ -249,32 +237,55 @@ def _bfs(start, neighbors, is_goal):
 
 @dataclass(frozen=True)
 class FunctionGraph:
-    """The graph of continuous maps X -> Y under the phi or psi adjacency."""
+    """The graph of continuous maps X -> Y under the phi or psi adjacency.
+
+    ``rows`` holds the maps as value rows in lexicographic order; the
+    adjacency rows, edges and ``FiniteFunction`` vertices are built on first use.
+    """
 
     domain: DigitalImage
     codomain: DigitalImage
     flavor: str
-    vertices: tuple[FiniteFunction, ...]
-    edges: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def vertices(self) -> tuple[FiniteFunction, ...]:
+        return tuple(FiniteFunction._trusted(self.domain, self.codomain, row) for row in self.rows)
 
     @cached_property
     def vertex_index(self) -> dict[FiniteFunction, int]:
         return {f: i for i, f in enumerate(self.vertices)}
 
     @cached_property
+    def _row_index(self) -> dict[tuple[int, ...], int]:
+        return {row: i for i, row in enumerate(self.rows)}
+
+    @cached_property
     def adjacency_rows(self) -> tuple[int, ...]:
-        """Per map, the bitmask over vertex indices of its adjacent maps."""
-        rows = [0] * len(self.vertices)
-        for i, j in self.edges:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
+        """Per map, the bitmask of its neighbours' indices: the rows among the
+        product of the value lists of its ``_allow_masks``, less itself."""
+        X, index = self.domain, self._row_index
+        allow_masks = _allow_masks(X, self.codomain, self.flavor, range(len(X)))
+        values = cache(lambda m: tuple(_bits(m)))
+        adjacency = []
+        for i, row in enumerate(self.rows):
+            adj = 0
+            for j in map(index.get, product(*map(values, allow_masks(row)))):
+                if j is not None:
+                    adj |= 1 << j
+            adjacency.append(adj ^ 1 << i)
+        return tuple(adjacency)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge list (i, j), i < j, in ascending order, built on first use."""
+        return tuple(_row_pairs(self.adjacency_rows))
 
     def index_of(self, f: FiniteFunction) -> int:
-        try:
-            return self.vertex_index[f]
-        except KeyError:
-            raise ValueError("function is not a vertex of this graph") from None
+        i = self._row_index.get(getattr(f, "row", None))
+        if i is None or f.domain != self.domain or f.codomain != self.codomain:
+            raise ValueError("function is not a vertex of this graph")
+        return i
 
     def adjacent(self, f: FiniteFunction, g: FiniteFunction) -> bool:
         i, j = self.index_of(f), self.index_of(g)
@@ -290,15 +301,16 @@ class FunctionGraph:
         ``allowed`` optionally restricts the search to a vertex subgraph.
         """
         src, dst = self.index_of(f), self.index_of(g)
-        verts = self.vertices
-        if allowed is not None and not (allowed(verts[src]) and allowed(verts[dst])):
-            return None
         rows = self.adjacency_rows
         step = lambda i: _bits(rows[i])
         if allowed is not None:
+            verts = self.vertices
+            if not (allowed(verts[src]) and allowed(verts[dst])):
+                return None
             step = lambda i: [j for j in _bits(rows[i]) if allowed(verts[j])]
         path, _ = _bfs(src, step, dst.__eq__)
-        return None if path is None else tuple(verts[k] for k in path)
+        X, Y, maps = self.domain, self.codomain, self.rows
+        return None if path is None else tuple(FiniteFunction._trusted(X, Y, maps[k]) for k in path)
 
     def component_of(self, f: FiniteFunction) -> frozenset[int]:
         rows = self.adjacency_rows
@@ -309,26 +321,12 @@ class FunctionGraph:
 @lru_cache(maxsize=32)
 def build_function_graph(X: DigitalImage, Y: DigitalImage, flavor: str = PHI,
                          budget: int = DEFAULT_FUNCTION_BUDGET) -> FunctionGraph:
-    """The phi or psi graph of the continuous maps X -> Y, in value order.
-
-    Each row's candidate neighbours are the product of the value lists of
-    its ``_allow_masks`` in point order, which come out in lexicographic,
-    that is vertex, order; an edge (i, j) is kept for the candidates j > i
-    that are vertices, so the edges come sorted.
-    """
+    """The phi or psi graph of the continuous maps X -> Y, in value order."""
     if flavor not in (PHI, PSI):
         raise ValueError(f"unknown function-graph flavor {flavor!r}")
-    maps = enumerate_continuous_maps(X, Y, budget=budget)
-    yindex = Y.point_index
-    rows = [tuple(yindex[y] for _, y in f.pairs) for f in maps]
-    index = {row: i for i, row in enumerate(rows)}
-    allow_masks = _allow_masks(X, Y, flavor, range(len(X)))
-    values = cache(lambda m: tuple(_bits(m)))
-    edges = []
-    for i, row in enumerate(rows):
-        cands = product(*map(values, allow_masks(row)))
-        edges += [(i, j) for j in map(index.get, cands) if j is not None and j > i]
-    return FunctionGraph(X, Y, flavor, maps, tuple(edges))
+    graph = FunctionGraph(X, Y, flavor, tuple(_all_continuous_rows(X, Y, budget)))
+    graph.adjacency_rows  # built once and cached on the graph
+    return graph
 
 
 # -- homotopy tables ---------------------------------------------------------
@@ -382,13 +380,14 @@ def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
     """
     X, Y = f.domain, f.codomain
     _check_budget(X, Y, budget)
-    src, dst = _row_of(f), _row_of(g)
+    if not (is_continuous(f) and is_continuous(g)):
+        raise ValueError("function is not a vertex of this graph")
     pin = None
     if basepoint is not None:
         i = X.point_index[basepoint]
-        pin = (i, src[i])
-    path, _ = _bfs(src, _adjacent_rows(X, Y, flavor, pin), dst.__eq__)
-    return None if path is None else tuple(_map_of(X, Y, row) for row in path)
+        pin = (i, f.row[i])
+    path, _ = _bfs(f.row, _adjacent_rows(X, Y, flavor, pin), g.row.__eq__)
+    return None if path is None else tuple(FiniteFunction._trusted(X, Y, row) for row in path)
 
 
 def homotopic(f: FiniteFunction, g: FiniteFunction,
@@ -436,9 +435,7 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
     """
     if mode not in ("plain", "strong"):
         raise ValueError(f"unknown homotopy mode {mode!r}")
-    if H.domain != f.domain or H.codomain != f.codomain:
-        return False
-    if f.domain != g.domain or f.codomain != g.codomain:
+    if not (H.domain == f.domain == g.domain and H.codomain == f.codomain == g.codomain):
         return False
     if H.slices[0].pairs != f.pairs or H.slices[-1].pairs != g.pairs:
         return False
@@ -488,10 +485,9 @@ def postcompose_map(f: FiniteFunction, W: DigitalImage,
         raise ValueError("post-composition needs a continuous map")
     source = build_function_graph(W, f.domain, PHI, budget)
     target = build_function_graph(W, f.codomain, PHI, budget)
-    from .functions import compose
-
-    table = tuple((F, compose(f, F)) for F in source.vertices)
-    return FiniteFunction(source, target, table)
+    index, values = target._row_index, f.row
+    row = tuple(index[tuple(map(values.__getitem__, F))] for F in source.rows)
+    return FiniteFunction._trusted(source, target, row)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -13,10 +13,11 @@ holds p, row(A) is the AND of C_p over p in A minus the union of S_p over
 p outside cover(A), less A itself.  That is O(N * |X|) big-integer
 operations for N members instead of a scan over all N^2 / 2 pairs.
 
-A family is itself a vertex space (``vertices``, ``adjacency_rows``,
-``adjacent``, ``adjacent_or_equal``), so :func:`hyperspace_graph` hands
-back the family with its rows built; :func:`family_of` is the one place a
-family kind picks an enumerator.
+A family is itself a vertex space (``vertices``, ``vertex_index``,
+``adjacency_rows``), so maps between families are value rows like maps
+between images, and :func:`hyperspace_graph` hands back the family with
+its rows built; :func:`family_of` is the one place a family kind picks an
+enumerator.
 """
 
 from __future__ import annotations
@@ -93,30 +94,14 @@ class SubsetFamily:
         return tuple(self.base.points_of(m) for m in self.masks)
 
     @cached_property
-    def member_index(self) -> dict[frozenset[Point], int]:
-        return {mem: i for i, mem in enumerate(self.members)}
-
-    @cached_property
     def _mask_index(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.masks)}
 
     @cached_property
-    def _covers(self) -> tuple[int, ...]:
-        """Per member, the union of closed neighborhoods of its points."""
-        closed = self.base.closed_neighbor_masks
-        out = []
-        for m in self.masks:
-            c = 0
-            for i in _bits(m):
-                c |= closed[i]
-            out.append(c)
-        return tuple(out)
-
-    @cached_property
     def adjacency_rows(self) -> tuple[int, ...]:
         """Per member, the bitmask over member indices of its adjacent members."""
-        masks, covers = self.masks, self._covers
-        n = len(self.base)
+        masks, n = self.masks, len(self.base)
+        covers = [_cover(self.base.closed_neighbor_masks, m) for m in masks]
         # per point p: C_p (members whose cover holds p), S_p (members holding p)
         points = tuple(zip(range(n), _point_bitsets(covers, n), _point_bitsets(masks, n)))
         everyone = (1 << len(masks)) - 1
@@ -145,12 +130,12 @@ class SubsetFamily:
     def index_of(self, member: Iterable[Point]) -> int:
         mem = frozenset(member)
         try:
-            return self.member_index[mem]
+            return self.vertex_index[mem]
         except KeyError:
             raise ValueError(f"not a member of the family: {sorted(mem)}") from None
 
     def __contains__(self, member) -> bool:
-        return frozenset(member) in self.member_index
+        return frozenset(member) in self.vertex_index
 
     # -- vertex-space protocol -------------------------------------------
 
@@ -158,18 +143,15 @@ class SubsetFamily:
     def vertices(self) -> tuple[frozenset[Point], ...]:
         return self.members
 
+    @cached_property
+    def vertex_index(self) -> dict[frozenset[Point], int]:
+        return {mem: i for i, mem in enumerate(self.members)}
+
     def adjacent(self, A: frozenset[Point], B: frozenset[Point]) -> bool:
-        if A == B:
-            return False
-        i, j = self.index_of(A), self.index_of(B)
-        return self._adjacent_by_index(i, j)
+        return bool(self.adjacency_rows[self.index_of(A)] >> self.index_of(B) & 1)
 
     def adjacent_or_equal(self, A, B) -> bool:
         return frozenset(A) == frozenset(B) or self.adjacent(A, B)
-
-    def _adjacent_by_index(self, i: int, j: int) -> bool:
-        masks, covers = self.masks, self._covers
-        return (masks[i] & ~covers[j]) == 0 and (masks[j] & ~covers[i]) == 0
 
     def subfamily(self, members: Iterable[Iterable[Point]], kind: str = "custom") -> SubsetFamily:
         masks = tuple(self.base.mask_of(m) for m in members)
@@ -204,15 +186,15 @@ def hyper_adjacent(A: Iterable[Point], B: Iterable[Point], X: DigitalImage) -> b
     if a == b:
         raise ValueError("hyperspace adjacency is between distinct members")
     closed = X.closed_neighbor_masks
-    cover_a = 0
-    for i in _bits(a):
-        cover_a |= closed[i]
-    if b & ~cover_a:
-        return False
-    cover_b = 0
-    for i in _bits(b):
-        cover_b |= closed[i]
-    return (a & ~cover_b) == 0
+    return not (b & ~_cover(closed, a) or a & ~_cover(closed, b))
+
+
+def _cover(closed: tuple[int, ...], mask: int) -> int:
+    """The union of the closed neighbourhoods of the points in ``mask``."""
+    c = 0
+    for i in _bits(mask):
+        c |= closed[i]
+    return c
 
 
 def enumerate_all_subsets(X: DigitalImage, budget: int = DEFAULT_POINT_BUDGET) -> SubsetFamily:

@@ -106,23 +106,26 @@ class DigitalImage:
         return cls(len(pts[0]), tuple(pts), adjacency)
 
     # -- the generic vertex-space protocol (shared with families and
-    #    function graphs): vertices / adjacency_rows / adjacent /
-    #    adjacent_or_equal ---------------------------------------------------
+    #    function graphs): vertices / vertex_index / adjacency_rows --------
 
     @property
     def vertices(self) -> tuple[Point, ...]:
         return self.points
+
+    @property
+    def vertex_index(self) -> dict[Point, int]:
+        return self.point_index
+
+    @property
+    def adjacency_rows(self) -> tuple[int, ...]:
+        """Per point, the bitmask of its neighbors: the image's graph as rows."""
+        return self.neighbor_masks
 
     def adjacent(self, x: Point, y: Point) -> bool:
         return cu_adjacent(x, y, self.adjacency)
 
     def adjacent_or_equal(self, x: Point, y: Point) -> bool:
         return x == y or cu_adjacent(x, y, self.adjacency)
-
-    @property
-    def adjacency_rows(self) -> tuple[int, ...]:
-        """Per point, the bitmask of its neighbors: the image's graph as rows."""
-        return self.neighbor_masks
 
     # -- basic queries ---------------------------------------------------
 

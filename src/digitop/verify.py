@@ -184,8 +184,8 @@ def suite_cardinality(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
     bad = [n for n in range(1, 13)
            if len(enumerate_all_subsets(interval(1, n))) != 2 ** n - 1]
-    for _ in range(samples or 20):
-        X = random_image(rng, max_points or 6)
+    for _ in range(20 if samples is None else samples):
+        X = random_image(rng, 6 if max_points is None else max_points)
         if len(enumerate_all_subsets(X)) != 2 ** len(X) - 1:
             bad.append(X)
     out.append(CheckResult("full-hyperspace-cardinality", not bad,
@@ -203,8 +203,8 @@ def suite_cardinality(rng, max_points=None, samples=None) -> list[CheckResult]:
 
 def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
-    n_samples = samples or 200
-    max_pts = max_points or 4
+    n_samples = 200 if samples is None else samples
+    max_pts = 4 if max_points is None else max_points
     violations = []
     for _ in range(n_samples):
         X = random_image(rng, max_pts)
@@ -315,8 +315,8 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
 
 def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
-    n_samples = samples or 200
-    max_pts = max_points or 3
+    n_samples = 200 if samples is None else samples
+    max_pts = 3 if max_points is None else max_points
 
     onestep_viol = []
     for _ in range(n_samples):
@@ -381,7 +381,8 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
     for _ in range(n_samples // 10):
         X = random_connected_image(rng, 4)
         if is_contractible(X):
-            if not gm.is_connected_graph(gm.as_finite_graph(build_function_graph(X, X, PHI))):
+            graph = gm.as_finite_graph(build_function_graph(X, X, PHI), with_labels=False)
+            if not gm.is_connected_graph(graph):
                 contract_viol.append(X)
     out.append(CheckResult("contractible-gives-connected-selfmap-graph", not contract_viol,
                            f"first {contract_viol[:1]}" if contract_viol else ""))
@@ -482,8 +483,8 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
 
 def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
-    n_samples = samples or 200
-    max_pts = max_points or 7
+    n_samples = 200 if samples is None else samples
+    max_pts = 7 if max_points is None else max_points
 
     iff_viol = []
     corr_viol = []
@@ -566,8 +567,8 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
 
 def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
-    n_samples = samples or 200
-    max_pts = max_points or 5
+    n_samples = 200 if samples is None else samples
+    max_pts = 5 if max_points is None else max_points
 
     X, Y = interval(0, 1), interval(0, 2)
     F = MultiFunction.from_table(X, Y, {(0,): {(0,)}, (1,): {(1,), (2,)}})
@@ -602,7 +603,7 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
     strong_viol = []
     produced = 0
     attempts = 0
-    while produced < (samples or 200) and attempts < 20 * (samples or 200):
+    while produced < n_samples and attempts < 20 * n_samples:
         attempts += 1
         A = random_image(rng, 4)
         B = random_image(rng, 4)
@@ -642,8 +643,8 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
 
 def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
-    n_samples = samples or 100
-    max_pts = max_points or 6
+    n_samples = 100 if samples is None else samples
+    max_pts = 6 if max_points is None else max_points
 
     iff_viol = []
     for _ in range(n_samples):
@@ -718,8 +719,8 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
 
 def suite_dominating(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
-    n_samples = samples or 100
-    max_pts = max_points or 5
+    n_samples = 100 if samples is None else samples
+    max_pts = 5 if max_points is None else max_points
     viol = []
     for _ in range(n_samples):
         X = random_image(rng, max_pts)
@@ -754,8 +755,8 @@ def suite_dominating(rng, max_points=None, samples=None) -> list[CheckResult]:
 
 def suite_diameter(rng, max_points=None, samples=None) -> list[CheckResult]:
     out = []
-    n_samples = samples or 200
-    max_pts = max_points or 7
+    n_samples = 200 if samples is None else samples
+    max_pts = 7 if max_points is None else max_points
     bound_viol = []
     ineq_viol = []
     for _ in range(n_samples):
@@ -793,6 +794,8 @@ SUITES = {
 
 
 def run_suites(names, seed: int = 0, max_points=None, samples=None) -> list[CheckResult]:
+    if any(v is not None and v < 1 for v in (max_points, samples)):
+        raise ValueError("max_points and samples must be positive integers")
     if "all" in names:
         names = list(SUITES)
     results = []

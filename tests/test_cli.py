@@ -280,6 +280,18 @@ class TestVerify:
               "--samples", "10"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-3"),
+                                             ("--max-points", "-1"), ("--max-points", "0"),
+                                             ("--samples", "two")])
+    def test_counts_must_be_positive(self, flag, value, capsys):
+        # --samples 0 used to run the default count and --samples -3 none at all
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "cardinality", "induced", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive integer" in captured.err and "Traceback" not in captured.err
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "report.txt"
         assert main(["verify", "--suite", "cardinality", "--seed", "1",

@@ -83,7 +83,8 @@ class TestContinuity:
         assert not is_continuous(f)
         assert continuity_counterexample(f) == ((0,), (1,))
 
-    def test_counterexample_is_lowest_index_failing_pair(self):
+    def test_counterexample_is_lowest_index_failing_pair(self, close_on_points,
+                                                         other_codomain_maps):
         rng = random.Random(9)
         for _ in range(200):
             X, Y = random_image(rng, 8), random_image(rng, 8)
@@ -93,6 +94,20 @@ class TestContinuity:
                        if X.adjacent(pts[i], pts[j])
                        and not Y.adjacent_or_equal(f(pts[i]), f(pts[j]))]
             assert continuity_counterexample(f) == (failing[0] if failing else None)
+        # family- and function-graph-valued maps against point-level scans
+        found = set()
+        for _ in range(80):
+            for f in other_codomain_maps(rng):
+                dom, cod = f.domain, f.codomain
+                verts = dom.vertices
+                failing = [(verts[i], verts[j])
+                           for i, j in itertools.combinations(range(len(verts)), 2)
+                           if close_on_points(dom, verts[i], verts[j])
+                           and not close_on_points(cod, f(verts[i]), f(verts[j]))]
+                assert continuity_counterexample(f) == (failing[0] if failing else None)
+                found.add((type(cod).__name__, not failing))
+        assert found == {(name, ok) for name in ("SubsetFamily", "FunctionGraph")
+                         for ok in (False, True)}
 
     def test_table_must_be_total(self):
         X = interval(0, 1)
@@ -100,6 +115,24 @@ class TestContinuity:
             FiniteFunction(X, X, (((0,), (0,)),))
         with pytest.raises(ValueError):
             FiniteFunction(X, X, (((0,), (0,)), ((1,), (7,))))
+
+
+class TestTrustedRows:
+    def test_trusted_maps_equal_validated_ones(self, other_codomain_maps):
+        rng = random.Random(31)
+        for _ in range(40):
+            X, Y = random_image(rng, 3), random_image(rng, 3)
+            kind = rng.choice(("full", "connected"))
+            maps = list(enumerate_continuous_maps(X, Y))
+            maps += [induced_map(f, family_of(X, kind), family_of(Y, kind)) for f in maps[:3]]
+            maps += [identity_map(X), identity_map(family_of(X, kind))]
+            maps += other_codomain_maps(rng)
+            for f in maps:
+                checked = FiniteFunction(f.domain, f.codomain, f.pairs)
+                assert checked.pairs == f.pairs and checked.row == f.row
+                assert checked == f and hash(checked) == hash(f)
+                trusted = FiniteFunction._trusted(f.domain, f.codomain, checked.row)
+                assert trusted.pairs == f.pairs and trusted == f and hash(trusted) == hash(f)
 
 
 class TestInducedMap:

@@ -141,7 +141,7 @@ class TestAdjacencies:
 
 
 class TestCounterexamples:
-    def test_match_the_pair_scans(self):
+    def test_match_the_pair_scans(self, close_on_points, other_codomain_maps):
         rng = random.Random(41)
         found = set()
         for _ in range(300):
@@ -160,6 +160,22 @@ class TestCounterexamples:
             assert psi_counterexample(f, g) == pair_scan_psi_counterexample(f, g)
             found.add((isinstance(f.domain, DigitalImage), psi_counterexample(f, g) is None))
         assert len(found) == 4
+        # family- and function-graph-valued maps against point-level scans
+        found = set()
+        for _ in range(60):
+            maps = other_codomain_maps(rng)
+            dom, cod = maps[0].domain, maps[0].codomain
+            close = lambda a, b: close_on_points(cod, a, b)
+            for f in maps:
+                for g in maps:
+                    first = [x for x in dom.vertices if not close(f(x), g(x))]
+                    assert phi_counterexample(f, g) == (first[0] if first else None)
+                    first = [(x0, x1) for x0 in dom.vertices for x1 in dom.vertices
+                             if close_on_points(dom, x0, x1) and not close(f(x0), g(x1))]
+                    assert psi_counterexample(f, g) == (first[0] if first else None)
+                    found.add((type(cod).__name__, not first))
+        assert found == {(name, ok) for name in ("SubsetFamily", "FunctionGraph")
+                         for ok in (False, True)}
 
 
 class TestEnumeration:
@@ -231,6 +247,21 @@ class TestFunctionGraph:
                       if psi_adjacent(verts[i], verts[j])}
             # DOT output follows the edge order
             assert G.edges == tuple(sorted(expect))
+
+    def test_index_of_rejects_maps_of_other_spaces(self):
+        X, Y = interval(0, 1), interval(0, 2)
+        G = build_function_graph(X, Y, PHI)
+        assert G.index_of(constant_map(X, Y, (0,))) == 0
+        # the vertex row (0, 0) on another codomain, on another domain, and
+        # on a domain with the same points under another adjacency
+        X2 = DigitalImage.of([(0, 0), (1, 1)], 2)
+        G2 = build_function_graph(X2, Y, PHI)
+        for graph, h in ((G, constant_map(X, interval(0, 3), (0,))),
+                         (G, constant_map(interval(5, 6), Y, (0,))),
+                         (G2, constant_map(DigitalImage.of(X2.points, 1), Y, (0,))),
+                         (G, fn(X, Y, (0,), (2,)))):
+            with pytest.raises(ValueError, match="function is not a vertex of this graph"):
+                graph.index_of(h)
 
     def test_rotations_in_distinct_psi_components(self):
         S5 = cycle_image(5)

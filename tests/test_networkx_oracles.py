@@ -1,0 +1,81 @@
+"""Graph kernels against networkx, used here as an independent oracle only.
+
+Girth length, eccentricities, radius, diameter, center and connected
+components on random graphs and on the graphs of random images and of
+their connected hyperspaces, disconnected ones included.  Skipped when
+networkx is not installed; the library itself never imports it.
+"""
+
+import random
+
+import pytest
+
+from digitop import (as_finite_graph, center, connected_components, diameter, eccentricity,
+                     enumerate_connected_subsets, girth, hyperspace_graph, radius)
+from digitop.verify import random_graph, random_image
+
+nx = pytest.importorskip("networkx")
+
+
+def sample_graphs(seed, count=150):
+    """Random graphs and the graphs of random images and their K(X)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(random_graph(rng, 12))
+            continue
+        X = random_image(rng, 6)
+        space = X if kind == 1 else hyperspace_graph(enumerate_connected_subsets(X))
+        out.append(as_finite_graph(space, with_labels=False))
+    return out
+
+
+def to_networkx(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return H
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_components_match(seed):
+    seen = set()
+    for G in sample_graphs(seed):
+        expect = sorted(sorted(c) for c in nx.connected_components(to_networkx(G)))
+        assert sorted(map(list, connected_components(G))) == expect
+        seen.add(len(expect) > 1)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_girth_length_matches(seed):
+    seen = set()
+    for G in sample_graphs(seed):
+        expect = nx.girth(to_networkx(G))
+        found = girth(G)
+        assert (found.length if found else float("inf")) == expect
+        seen.add(found is None)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_distance_metrics_match(seed):
+    seen = set()
+    for G in sample_graphs(seed):
+        H = to_networkx(G)
+        connected = nx.is_connected(H)
+        seen.add(connected)
+        if not connected:
+            with pytest.raises(ValueError, match="disconnected"):
+                radius(G)
+            with pytest.raises(nx.NetworkXError):
+                nx.radius(H)
+            continue
+        eccs = nx.eccentricity(H)
+        assert [eccentricity(G, v) for v in range(G.n)] == [eccs[v] for v in range(G.n)]
+        assert radius(G) == nx.radius(H)
+        assert diameter(G) == nx.diameter(H)
+        assert center(G) == frozenset(nx.center(H))
+    assert seen == {False, True}

@@ -27,3 +27,19 @@ def test_unknown_suite_rejected():
 
     with pytest.raises(ValueError):
         run_suites(["nonsense"], seed=0)
+
+
+def test_counts_below_one_rejected():
+    import pytest
+
+    for kwargs in ({"samples": 0}, {"samples": -3}, {"max_points": 0}, {"max_points": -1}):
+        with pytest.raises(ValueError, match="positive"):
+            run_suites(["cardinality", "induced"], seed=0, **kwargs)
+
+
+def test_explicit_counts_are_used():
+    from digitop.verify import suite_diameter
+    import random
+
+    [bound, _] = suite_diameter(random.Random(0), max_points=2, samples=1)
+    assert bound.passed and bound.details == "1 samples"
