@@ -18,13 +18,13 @@ from .errors import BudgetError, InternalError
 from .functions import (continuity_counterexample, family_function_from_json,
                         function_from_json, function_to_json, is_isomorphism,
                         is_retraction, find_inducing_map)
-from .homotopy import (PHI, PSI, build_function_graph, homotopic, homotopy_to_json,
-                       is_contractible, phi_adjacent, phi_counterexample,
-                       psi_adjacent, psi_counterexample, strongly_homotopic,
-                       verify_homotopy)
-from .hyperspace import family_of, hyperspace_graph
+from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
+                       homotopic, homotopy_to_json, is_contractible, phi_adjacent,
+                       phi_counterexample, psi_adjacent, psi_counterexample,
+                       strongly_homotopic, verify_homotopy)
+from .hyperspace import DEFAULT_POINT_BUDGET, family_of, hyperspace_graph
 from .lattice import image_from_json
-from .multivalued import (generates, has_weak_continuity,
+from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
                           is_connectivity_preserving, is_egs_continuous,
                           multifunction_from_json, strong_continuity_counterexample,
                           Subdivision)
@@ -261,15 +261,15 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--input", required=True, help="path to the JSON input document")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", help="write to this path instead of stdout")
-    p.add_argument("--budget-hyperspace", type=int, default=24,
+    p.add_argument("--budget-hyperspace", type=int, default=DEFAULT_POINT_BUDGET,
                    help="max image points for hyperspace enumeration")
-    p.add_argument("--budget-functions", type=int, default=10 ** 6,
+    p.add_argument("--budget-functions", type=int, default=DEFAULT_FUNCTION_BUDGET,
                    help="max raw table count for function enumeration")
-    p.add_argument("--budget-cycle", type=int, default=20,
+    p.add_argument("--budget-cycle", type=int, default=gm.DEFAULT_CYCLE_BUDGET,
                    help="max vertices for the long-cycle search")
-    p.add_argument("--budget-dominating", type=int, default=40,
+    p.add_argument("--budget-dominating", type=int, default=gm.DEFAULT_DOMINATING_BUDGET,
                    help="max vertices for the dominating-set search")
-    p.add_argument("--budget-subdivision", type=int, default=64,
+    p.add_argument("--budget-subdivision", type=int, default=DEFAULT_SUBDIVISION_BUDGET,
                    help="max subdivision points for the generator search")
 
 

@@ -16,17 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .hyperspace import SubsetFamily, family_of
+from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, family_of
 from .lattice import DigitalImage, Point, _as_point, _bits, _row_pairs
-
-
-def adjacent_vertex_pairs(space) -> Iterator[tuple]:
-    """All unordered adjacent vertex pairs of a space, in ascending index order."""
-    verts = space.vertices
-    for i, j in _row_pairs(space.adjacency_rows):
-        yield verts[i], verts[j]
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,7 @@ def is_retraction(r: FiniteFunction, Y: Iterable[Point]) -> bool:
 
 def induced_map(f, family: SubsetFamily,
                 codomain_family: SubsetFamily | None = None,
-                budget: int = 24) -> FiniteFunction:
+                budget: int = DEFAULT_POINT_BUDGET) -> FiniteFunction:
     """The set-image map A |-> f(A) between families.
 
     ``f`` is a :class:`FiniteFunction` or a multifunction: all this uses

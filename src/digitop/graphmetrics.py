@@ -4,6 +4,10 @@ Images, subset families and function graphs all project to
 :class:`FiniteGraph` via :func:`as_finite_graph`; everything here then
 works uniformly: shortest/longest cycles, dominating sets, eccentricity,
 center, radius, diameter, disconnecting sets, DOT and CSV emission.
+The girth search runs the library's one predecessor breadth-first search
+(``lattice._bfs``) from one end of each edge with the edge masked out of
+that end's row, so the first path found to the other end closes a
+shortest cycle through the edge.
 The longest-cycle and minimum-dominating-set searches are exact
 branch-and-bound kernels over bitmask adjacency rows; the longest-cycle
 search is iterative, with an explicit stack, so its path length is not
@@ -28,7 +32,7 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetError
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_all_subsets
-from .lattice import DigitalImage, Point, _bits, _flood, is_connected
+from .lattice import DigitalImage, Point, _bfs, _bits, _flood, is_connected
 
 #: Vertex cap for the exponential longest-cycle search.
 DEFAULT_CYCLE_BUDGET = 20
@@ -219,33 +223,16 @@ def girth(G: FiniteGraph) -> CycleWitness | None:
     For each edge, the shortest path between its ends avoiding the edge
     closes a shortest cycle through it.
     """
+    adj = G.adj
     best: tuple[int, ...] | None = None
     for u, v in G.edges():
-        path = _shortest_path_avoiding_edge(G, u, v)
+        # v is the goal and is never expanded, so masking the edge out of u's row suffices
+        path, _ = _bfs(u, lambda i: _bits(adj[i] & ~(1 << v) if i == u else adj[i]), v.__eq__)
         if path is not None and (best is None or len(path) < len(best)):
-            best = path
+            best = tuple(path)
             if len(best) == 3:
                 break
     return CycleWitness(best) if best is not None else None
-
-
-def _shortest_path_avoiding_edge(G: FiniteGraph, u: int, v: int) -> tuple[int, ...] | None:
-    prev = {u: -1}
-    queue = deque([u])
-    while queue:
-        i = queue.popleft()
-        for j in _bits(G.adj[i]):
-            if (i, j) in ((u, v), (v, u)):
-                continue
-            if j not in prev:
-                prev[j] = i
-                if j == v:
-                    path = [v]
-                    while path[-1] != u:
-                        path.append(prev[path[-1]])
-                    return tuple(reversed(path))
-                queue.append(j)
-    return None
 
 
 def longest_cycle(G: FiniteGraph, budget: int = DEFAULT_CYCLE_BUDGET) -> CycleWitness | None:

@@ -27,15 +27,14 @@ the step-table verifier ``verify_homotopy`` are built from them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import product
 
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
-from .hyperspace import family_of
-from .lattice import DigitalImage, _bits, _connectivity_order, _row_pairs
+from .hyperspace import DEFAULT_POINT_BUDGET, family_of
+from .lattice import DigitalImage, _bfs, _bits, _connectivity_order, _flood, _row_pairs
 
 #: Cap on the raw search space #Y ** #X of a function enumeration.
 DEFAULT_FUNCTION_BUDGET = 10 ** 6
@@ -207,31 +206,6 @@ def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None):
     return neighbors
 
 
-def _bfs(start, neighbors, is_goal):
-    """Breadth-first search from ``start``, expanding ``neighbors(v)`` in order.
-
-    Returns the path to the first vertex found with ``is_goal`` (None if
-    there is none) and the dict of reached vertices, each mapped to its
-    predecessor.
-    """
-    prev = {start: None}
-    if is_goal(start):
-        return [start], prev
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in neighbors(v):
-            if w not in prev:
-                prev[w] = v
-                if is_goal(w):
-                    path = [w]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1], prev
-                queue.append(w)
-    return None, prev
-
-
 # -- function graphs ---------------------------------------------------------
 
 
@@ -314,8 +288,7 @@ class FunctionGraph:
 
     def component_of(self, f: FiniteFunction) -> frozenset[int]:
         rows = self.adjacency_rows
-        _, reached = _bfs(self.index_of(f), lambda i: _bits(rows[i]), lambda i: False)
-        return frozenset(reached)
+        return frozenset(_bits(_flood(rows, 1 << self.index_of(f), (1 << len(rows)) - 1)))
 
 
 @lru_cache(maxsize=32)
@@ -455,7 +428,7 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
 
 
 def lift_homotopy_to_hyperspace(H: HomotopyTable, kind: str = "connected",
-                                budget: int = 24) -> HomotopyTable:
+                                budget: int = DEFAULT_POINT_BUDGET) -> HomotopyTable:
     """The family-level table A, t |-> H_t(A) over the chosen family kind."""
     dom_fam = _family_cached(H.domain, kind, budget)
     cod_fam = _family_cached(H.codomain, kind, budget)

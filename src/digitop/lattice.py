@@ -7,7 +7,10 @@ agree.  Everything here is immutable and safe to share between threads.
 
 Connectivity is one mask flood: ``_flood`` grows a seed along bitmask
 adjacency rows inside a mask, and subset connectivity, components, family
-validation and the graph components all call it.
+validation, function-graph components, connectivity preservation and the
+graph components all call it.  Paths are one predecessor search: ``_bfs``
+returns the first path it finds to a goal, expanding neighbours in the
+order given, and the function-graph searches and girth call it.
 """
 
 from __future__ import annotations
@@ -228,6 +231,31 @@ def _flood(rows: tuple[int, ...], seed: int, within: int) -> int:
         frontier = reach & within & ~seen
         seen |= frontier
     return seen
+
+
+def _bfs(start, neighbors, is_goal):
+    """Breadth-first search from ``start``, expanding ``neighbors(v)`` in order.
+
+    Returns the path to the first vertex found with ``is_goal`` (None if
+    there is none) and the dict of reached vertices, each mapped to its
+    predecessor.
+    """
+    prev = {start: None}
+    if is_goal(start):
+        return [start], prev
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors(v):
+            if w not in prev:
+                prev[w] = v
+                if is_goal(w):
+                    path = [w]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return path[::-1], prev
+                queue.append(w)
+    return None, prev
 
 
 def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:

@@ -5,6 +5,16 @@ adjacent value sets), strong continuity (adjacent inputs have mutually
 covering value sets), connectivity preservation (connected sets have
 connected images), and generator continuity (the map is produced by a
 single-valued continuous map on a subdivision of the domain).
+
+A multifunction's core form is its ``masks`` row: per domain point, the
+bitmask of its value set over the codomain's point order.  Every check
+reads that row and adjacency rows.  A value set's closed cover is the OR
+of its values' closed neighbourhood rows, so x, y meet weakly when
+``cover(masks[x]) & masks[y]`` is nonzero and F(x) has an unmatched
+value in F(y) when ``masks[x] & ~cover(masks[y])`` is; the image of a
+domain mask is the OR of its points' masks, tested with one flood.  A
+witness value is the lowest unmatched one in codomain order, so it does
+not depend on how a document lists a value set.
 """
 
 from __future__ import annotations
@@ -15,10 +25,9 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetError
-from .functions import FiniteFunction, adjacent_vertex_pairs, induced_map
-from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
-from .lattice import (DigitalImage, Point, _as_point, _bits, _connectivity_order,
-                      adjacent_or_equal)
+from .functions import FiniteFunction, induced_map, is_continuous
+from .hyperspace import DEFAULT_POINT_BUDGET, _cover, enumerate_connected_subsets, family_of
+from .lattice import DigitalImage, Point, _as_point, _connectivity_order, _flood, _row_pairs
 
 #: Cap on the number of subdivision points a generator search will handle.
 DEFAULT_SUBDIVISION_BUDGET = 64
@@ -26,7 +35,8 @@ DEFAULT_SUBDIVISION_BUDGET = 64
 
 @dataclass(frozen=True)
 class MultiFunction:
-    """A total map from points to nonempty point sets of the codomain."""
+    """A total map from points to nonempty point sets of the codomain: a
+    canonical pair table and its ``masks`` row of value-set bitmasks."""
 
     domain: DigitalImage
     codomain: DigitalImage
@@ -44,6 +54,9 @@ class MultiFunction:
                 raise ValueError(f"value set at {x} leaves the codomain")
         object.__setattr__(self, "pairs",
                            tuple((x, table[x]) for x in self.domain.points))
+        index = self.codomain.point_index
+        object.__setattr__(self, "masks", tuple(sum(1 << index[p] for p in table[x])
+                                                for x in self.domain.points))
 
     @classmethod
     def from_table(cls, domain, codomain, table) -> "MultiFunction":
@@ -71,12 +84,9 @@ def as_multifunction(f: FiniteFunction) -> MultiFunction:
 
 def has_weak_continuity(F: MultiFunction) -> bool:
     """Adjacent inputs have value sets meeting within one closed step."""
-    u = F.codomain.adjacency
-    for x, y in adjacent_vertex_pairs(F.domain):
-        fx, fy = F.table[x], F.table[y]
-        if not any(adjacent_or_equal(a, b, u) for a in fx for b in fy):
-            return False
-    return True
+    closed_y, masks = F.codomain.closed_neighbor_masks, F.masks
+    return all(_cover(closed_y, masks[i]) & masks[j]
+               for i, j in _row_pairs(F.domain.adjacency_rows))
 
 
 def has_strong_continuity(F: MultiFunction) -> bool:
@@ -84,16 +94,18 @@ def has_strong_continuity(F: MultiFunction) -> bool:
 
 
 def strong_continuity_counterexample(F: MultiFunction):
-    """A triple (x, y, p) where p in F(x) has no closed partner in F(y), or None."""
-    u = F.codomain.adjacency
-    for x, y in adjacent_vertex_pairs(F.domain):
-        fx, fy = F.table[x], F.table[y]
-        for p in fx:
-            if not any(adjacent_or_equal(p, q, u) for q in fy):
-                return (x, y, p)
-        for q in fy:
-            if not any(adjacent_or_equal(q, p, u) for p in fx):
-                return (y, x, q)
+    """A triple (x, y, p) where p in F(x) has no closed partner in F(y), or None.
+
+    Adjacent pairs are scanned in ascending index order, each first from
+    its lower end; p is the lowest unmatched value in codomain order.
+    """
+    closed_y, masks = F.codomain.closed_neighbor_masks, F.masks
+    xs, ys = F.domain.points, F.codomain.points
+    for i, j in _row_pairs(F.domain.adjacency_rows):
+        for a, b in ((i, j), (j, i)):
+            unmatched = masks[a] & ~_cover(closed_y, masks[b])
+            if unmatched:
+                return (xs[a], xs[b], ys[(unmatched & -unmatched).bit_length() - 1])
     return None
 
 
@@ -101,8 +113,10 @@ def is_connectivity_preserving(F: MultiFunction,
                                budget: int = DEFAULT_POINT_BUDGET) -> bool:
     """Every connected subset of the domain has a connected image."""
     family = enumerate_connected_subsets(F.domain, budget)
-    for member in family.members:
-        if not F.codomain.is_connected_subset(F.image_of(member)):
+    rows, masks = F.codomain.neighbor_masks, F.masks
+    for member in family.masks:
+        image = _cover(masks, member)
+        if _flood(rows, image & -image, image) != image:
             return False
     return True
 
@@ -187,22 +201,18 @@ def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None
     """Backtracking search for a continuous map on the subdivision generating F."""
     S = sub.image
     Y = F.codomain
-    yindex = Y.point_index
     n = len(S)
-    # cell id and allowed-value mask per subdivision point
-    base_points = F.domain.points
-    cell_id = {}
-    for ci, x in enumerate(base_points):
-        for y in sub.cell(x):
-            cell_id[y] = ci
-    required = [sum(1 << yindex[v] for v in F.table[x]) for x in base_points]
-    remaining = [len(sub.cell(x)) for x in base_points]
+    # cell (base point index) and allowed-value mask per subdivision point
+    required = F.masks
+    n_cells = len(required)
+    remaining = [n // n_cells] * n_cells
     closed_y = Y.closed_neighbor_masks
     order, earlier = _connectivity_order(S)
-    cells = [cell_id[S.points[i]] for i in order]
+    base_index = F.domain.point_index
+    cells = [base_index[sub.base_point_of(S.points[i])] for i in order]
     allowed0 = [required[c] for c in cells]
     assignment = [0] * n
-    covered = [0] * len(base_points)
+    covered = [0] * n_cells
     # pending[k]: values not yet tried at level k; olds[k]: its cell's
     # coverage before level k was entered
     pending = [0] * n
@@ -229,7 +239,7 @@ def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None
     k = 0
     while True:
         if k == n:
-            if all(covered[c] == required[c] for c in range(len(base_points))):
+            if all(covered[c] == required[c] for c in range(n_cells)):
                 found = True
                 break
             k -= 1
@@ -251,24 +261,23 @@ def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None
         covered[cells[k]] = olds[k] | low
         k += 1
 
-    if found:
-        table = {}
-        ypts = Y.points
-        for k, i in enumerate(order):
-            table[S.points[i]] = ypts[assignment[k]]
-        return FiniteFunction.from_table(S, Y, table)
-    return None
+    if not found:
+        return None
+    row = [0] * n
+    for k, i in enumerate(order):
+        row[i] = assignment[k]
+    return FiniteFunction._trusted(S, Y, tuple(row))
 
 
 def generates(f: FiniteFunction, F: MultiFunction, sub: Subdivision) -> bool:
     """Independent check that f on the subdivision produces exactly F."""
-    if f.domain != sub.image or f.codomain != F.codomain:
+    if f.domain != sub.image or f.codomain != F.codomain or not is_continuous(f):
         return False
-    from .functions import is_continuous
-
-    if not is_continuous(f):
-        return False
-    return all(f.image_of(sub.cell(x)) == F.table[x] for x in F.domain.points)
+    base_index = F.domain.point_index
+    images = [0] * len(F.masks)
+    for p, v in zip(sub.points, f.row):
+        images[base_index[sub.base_point_of(p)]] |= 1 << v
+    return tuple(images) == F.masks
 
 
 # -- induced maps on hyperspaces ---------------------------------------------

@@ -162,6 +162,22 @@ class TestCheck:
         out = json.loads(capsys.readouterr().out)
         assert out["witness"]["unmatched"] == [2]
 
+    def test_strong_continuity_witness_ignores_value_listing_order(self, tmp_path, capsys):
+        # F(0) = {0, 6, 7} listed in two orders; 0 and 6 both lack a partner
+        # in F(1) = {8, 9}, and the witness is the lower one
+        X = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
+        Y = {"dim": 1, "adjacency": "c1", "points": [[i] for i in range(10)]}
+        outputs = []
+        for listing in ([[6], [0], [7]], [[0], [6], [7]]):
+            doc = write(tmp_path, "mf.json", {
+                "domain": X, "codomain": Y,
+                "pairs": [[[0], listing], [[1], [[9], [8]]]]})
+            assert main(["check", "strong-continuity", "--input", doc,
+                         "--format", "json"]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["witness"] == {"x": [0], "y": [1], "unmatched": [0]}
+
     def test_egs_witness(self, tmp_path, capsys):
         X = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
         Y = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}

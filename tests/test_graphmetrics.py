@@ -1,6 +1,7 @@
 """Graph metrics layer: cycles, domination, eccentricity, disconnection."""
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +164,37 @@ class TestFiniteGraph:
         assert seen == {0, 1, 2}
 
 
+def edge_scan_girth(G):
+    """The girth search ``girth`` replaced: per edge, its own BFS that skips
+    the edge both ways; the reference its witnesses must equal."""
+    def shortest_path_avoiding_edge(u, v):
+        prev = {u: -1}
+        queue = deque([u])
+        while queue:
+            i = queue.popleft()
+            for j in _bits(G.adj[i]):
+                if (i, j) in ((u, v), (v, u)):
+                    continue
+                if j not in prev:
+                    prev[j] = i
+                    if j == v:
+                        path = [v]
+                        while path[-1] != u:
+                            path.append(prev[path[-1]])
+                        return tuple(reversed(path))
+                    queue.append(j)
+        return None
+
+    best = None
+    for u, v in G.edges():
+        path = shortest_path_avoiding_edge(u, v)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
+            if len(best) == 3:
+                break
+    return best
+
+
 class TestGirth:
     def test_isolated_hyperspace_acyclic(self):
         X = DigitalImage.of([(0,), (2,), (4,)], 1)
@@ -186,6 +218,25 @@ class TestGirth:
 
     def test_tree_acyclic(self):
         assert girth(path_graph(6)) is None
+
+    def test_same_witness_as_edge_scan(self):
+        rng = random.Random(13)
+        lengths = set()
+        graphs = [as_finite_graph(cycle_image(n)) for n in (4, 5, 6, 12)]
+        for _ in range(400):
+            n = rng.randint(3, 14)
+            density = rng.choice((0.12, 0.2, 0.35, 0.6))
+            graphs.append(FiniteGraph.from_edges(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]))
+        for i in range(100):
+            X = random_image(rng, 6) if i % 2 else random_connected_image(rng, 6)
+            graphs.append(as_finite_graph(X))
+            graphs.append(as_finite_graph(hyperspace_graph(enumerate_connected_subsets(X))))
+        for G in graphs:
+            w = girth(G)
+            assert (w.vertices if w else None) == edge_scan_girth(G)
+            lengths.add(w.length if w else None)
+        assert {None, 3, 4, 5} <= lengths
 
 
 class TestLongestCycle:

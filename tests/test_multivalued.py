@@ -1,13 +1,14 @@
 """Multivalued layer: the four continuity notions and the induced lift."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from digitop import (BudgetError, DigitalImage, MultiFunction, Subdivision,
-                     as_multifunction, family_of, generates, has_strong_continuity,
-                     has_weak_continuity, induced_map,
+                     as_multifunction, enumerate_connected_subsets, family_of,
+                     generates, has_strong_continuity, has_weak_continuity, induced_map,
                      induced_multifunction_map, interval,
                      is_connectivity_preserving, is_continuous, is_egs_continuous,
                      multifunction_from_json,
@@ -26,8 +27,8 @@ def ladder():
 
 
 def pair_scan_adjacent_inputs(F):
-    """The domain pair scan ``adjacent_vertex_pairs`` replaced here: every
-    adjacent pair x < y, ascending in x, then in y."""
+    """Every adjacent domain pair x < y, ascending in x, then in y: the pair
+    order of the row checks, found by testing all point pairs."""
     pts = F.domain.points
     for i, x in enumerate(pts):
         for y in pts[i + 1:]:
@@ -36,17 +37,37 @@ def pair_scan_adjacent_inputs(F):
 
 
 def pair_scan_strong_counterexample(F):
-    """``strong_continuity_counterexample`` over ``pair_scan_adjacent_inputs``."""
+    """``strong_continuity_counterexample`` over ``pair_scan_adjacent_inputs``,
+    each value set scanned in codomain (sorted) order."""
     u = F.codomain.adjacency
     for x, y in pair_scan_adjacent_inputs(F):
         fx, fy = F.table[x], F.table[y]
-        for p in fx:
+        for p in sorted(fx):
             if not any(adjacent_or_equal(p, q, u) for q in fy):
                 return (x, y, p)
-        for q in fy:
+        for q in sorted(fy):
             if not any(adjacent_or_equal(q, p, u) for p in fx):
                 return (y, x, q)
     return None
+
+
+def pair_scan_weak_continuity(F):
+    """The point-level weak-continuity check ``has_weak_continuity`` replaced."""
+    u = F.codomain.adjacency
+    for x, y in pair_scan_adjacent_inputs(F):
+        fx, fy = F.table[x], F.table[y]
+        if not any(adjacent_or_equal(a, b, u) for a in fx for b in fy):
+            return False
+    return True
+
+
+def point_level_connectivity_preserving(F):
+    """The point-level check ``is_connectivity_preserving`` replaced: each
+    connected member's image as a point set, tested for connectivity."""
+    for member in enumerate_connected_subsets(F.domain).members:
+        if not F.codomain.is_connected_subset(F.image_of(member)):
+            return False
+    return True
 
 
 def mf(X, Y, *value_sets):
@@ -96,6 +117,40 @@ def recursive_find_generator(F, sub):
     if not backtrack(0):
         return None
     return {S.points[i]: Y.points[assignment[k]] for k, i in enumerate(order)}
+
+
+class TestValueMasks:
+    def test_masks_are_value_sets_in_codomain_order(self):
+        rng = random.Random(21)
+        for _ in range(50):
+            X, Y = random_image(rng, 5), random_image(rng, 6)
+            F = random_multifunction(rng, X, Y)
+            assert F.masks == tuple(Y.mask_of(F(x)) for x in X.points)
+
+    def test_masks_leave_equality_and_hashing_alone(self):
+        X, Y = interval(0, 1), interval(0, 9)
+        F = mf(X, Y, [(6,), (0,), (7,)], [(9,), (8,)])
+        G = mf(X, Y, [(0,), (6,), (7,)], [(8,), (9,)])
+        assert "masks" not in {field.name for field in fields(MultiFunction)}
+        assert F == G and hash(F) == hash(G) and F.masks == G.masks == (0b11000001, 0b1100000000)
+
+    def test_row_checks_match_the_point_level_references(self):
+        rng = random.Random(23)
+        seen = {"weak": set(), "strong": set(), "cp": set()}
+        for i in range(360):
+            X = random_image(rng, 5) if i % 2 else random_connected_image(rng, 5)
+            Y = random_image(rng, 6) if i % 3 else random_connected_image(rng, 6)
+            F = random_multifunction(rng, X, Y, 1 + i % 4)
+            weak = has_weak_continuity(F)
+            assert weak == pair_scan_weak_continuity(F)
+            bad = strong_continuity_counterexample(F)
+            assert bad == pair_scan_strong_counterexample(F)
+            cp = is_connectivity_preserving(F)
+            assert cp == point_level_connectivity_preserving(F)
+            seen["weak"].add(weak)
+            seen["strong"].add(bad is None)
+            seen["cp"].add(cp)
+        assert all(outcomes == {True, False} for outcomes in seen.values())
 
 
 class TestWeakContinuity:
