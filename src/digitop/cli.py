@@ -38,9 +38,16 @@ CHECKS = (
 )
 
 
+class _ParseError(ValueError):
+    """A document the JSON decoder gave up on without a JSONDecodeError."""
+
+
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:  # the decoder recurses once per nesting level
+            raise _ParseError(str(exc)) from None
 
 
 def _emit(args, text: str) -> None:
@@ -264,7 +271,8 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--budget-hyperspace", type=int, default=DEFAULT_POINT_BUDGET,
                    help="max image points for hyperspace enumeration")
     p.add_argument("--budget-functions", type=int, default=DEFAULT_FUNCTION_BUDGET,
-                   help="max raw table count for function enumeration")
+                   help="max raw table count #Y^#X for function enumeration, and max "
+                        "continuous rows generated by one homotopy or contractibility search")
     p.add_argument("--budget-cycle", type=int, default=gm.DEFAULT_CYCLE_BUDGET,
                    help="max vertices for the long-cycle search")
     p.add_argument("--budget-dominating", type=int, default=gm.DEFAULT_DOMINATING_BUDGET,
@@ -348,7 +356,7 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, _ParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, OSError, KeyError) as exc:

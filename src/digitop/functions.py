@@ -135,21 +135,24 @@ def induced_map(f, family: SubsetFamily,
                 budget: int = DEFAULT_POINT_BUDGET) -> FiniteFunction:
     """The set-image map A |-> f(A) between families.
 
-    ``f`` is a :class:`FiniteFunction` or a multifunction: all this uses
-    is ``f.domain``, ``f.codomain`` and ``f.image_of``.  A member's image
-    is the OR of its points' value masks, looked up among the codomain
-    family's member masks.  The codomain family defaults to the family of
-    the same kind over f's codomain.  If some member's image is not a
-    member there (for a connected family this happens exactly when the
-    image is disconnected), the map does not exist and a ValueError names
-    the offending member.
+    ``f`` is a :class:`FiniteFunction` or a multifunction.  Its value
+    masks per domain point are ``1 << v`` for each value v of its ``row``,
+    or a multifunction's ``masks``, moved onto the codomain family's base
+    when that is another image.  A member's image is the OR of its points'
+    value masks, looked up among the codomain family's member masks.  The
+    codomain family defaults to the family of the same kind over f's
+    codomain.  If some member's image is not a member there (for a
+    connected family this happens exactly when the image is disconnected),
+    the map does not exist and a ValueError names the offending member.
     """
     if family.base != f.domain:
         raise ValueError("family is not over the domain of f")
     if codomain_family is None:
         codomain_family = family_of(f.codomain, family.kind, budget)
     base = codomain_family.base
-    value_masks = [base.mask_of(f.image_of((x,))) for x in f.domain.points]
+    value_masks = f.masks if hasattr(f, "masks") else [1 << v for v in f.row]
+    if base != f.codomain:
+        value_masks = [base.mask_of(f.codomain.points_of(m)) for m in value_masks]
     index = codomain_family._mask_index
     row = []
     for m in family.masks:

@@ -12,12 +12,17 @@ The adjacency rule is written once, as the allow masks of
 ``_allow_masks``: per point, the values a neighbour of a map may take.
 The decisions search lazily: a map is its value row (``FiniteFunction.row``),
 and the continuous rows within a row's allow masks are generated only
-when the search expands it, so a search stops at its first hit without
-enumerating the maps.  ``build_function_graph`` builds the whole graph
-from the same masks as a vertex space of rows (``vertices``,
-``vertex_index``, ``adjacency_rows``) whose ``FiniteFunction`` vertices
-are built only when asked for; its ``find_path`` is the reference the
-lazy search is tested against.
+when the search expands it, so a search stops when it is decided without
+enumerating the maps.  The homotopy searches grow balls from f and from g
+and meet in the middle; their witness is the lexicographically least
+shortest path, comparing rows from f on, which is the path a search from
+f alone finds when it expands neighbours in row order.  Contractibility
+searches from the identity only, for a map one phi step from a constant.
+Each search charges the rows it generates to its function budget.
+``build_function_graph`` builds the whole graph from the same masks as a
+vertex space of rows (``vertices``, ``vertex_index``, ``adjacency_rows``)
+whose ``FiniteFunction`` vertices are built only when asked for; its
+``find_path`` is the reference the lazy search is tested against.
 
 For two given maps, each closeness rule is written once on rows:
 ``phi_counterexample`` scans the domain, ``psi_counterexample`` the
@@ -34,9 +39,11 @@ from itertools import product
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of
-from .lattice import DigitalImage, _bfs, _bits, _connectivity_order, _flood, _row_pairs
+from .lattice import (DigitalImage, _bfs, _bidirectional_bfs, _bits, _connectivity_order,
+                      _flood, _row_pairs)
 
-#: Cap on the raw search space #Y ** #X of a function enumeration.
+#: Cap on the raw search space #Y ** #X of a function enumeration, and on
+#: the continuous rows one lazy search generates over all its expansions.
 DEFAULT_FUNCTION_BUDGET = 10 ** 6
 
 PHI = "phi"
@@ -95,14 +102,15 @@ def _check_budget(X: DigitalImage, Y: DigitalImage, budget: int) -> None:
 
 
 def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]],
-                     allow: list[int]) -> list[tuple[int, ...]]:
+                     allow: list[int], budget: int, spent: int = 0) -> list[tuple[int, ...]]:
     """Every continuous row whose value at point order[k] lies in allow[k].
 
     A row lists value indices in the domain's point order.  The search
     backtracks with an explicit stack over the positions of ``order`` (see
     ``_connectivity_order``) and prunes a value as soon as it is not
     adjacent or equal to the value at an earlier adjacent point.  The rows
-    come in no particular order.
+    come in no particular order.  With ``spent`` rows generated before, a
+    BudgetError stops the search as soon as the total passes ``budget``.
     """
     closed = Y.closed_neighbor_masks
     n = len(order)
@@ -113,6 +121,7 @@ def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]]
     todo = [0] * n  # per position, the candidate values not tried yet
     todo[0] = allow[0]
     rows = []
+    limit = budget - spent
     k = 0
     while k >= 0:
         m = todo[k]
@@ -124,6 +133,8 @@ def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]]
         assignment[k] = low.bit_length() - 1
         if k + 1 == n:
             rows.append(tuple([assignment[p] for p in perm]))
+            if len(rows) > limit:
+                raise BudgetError("function-graph search", f"more than {budget} rows", budget)
             continue
         k += 1
         m = allow[k]
@@ -148,7 +159,7 @@ def _all_continuous_rows(X: DigitalImage, Y: DigitalImage, budget: int) -> list[
     _check_budget(X, Y, budget)
     order, earlier = _connectivity_order(X)
     full = (1 << len(Y)) - 1
-    return sorted(_continuous_rows(Y, order, earlier, [full] * len(X)))
+    return sorted(_continuous_rows(Y, order, earlier, [full] * len(X), budget))
 
 
 def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
@@ -179,7 +190,8 @@ def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
     return allow
 
 
-def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None):
+def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
+                   budget: int = DEFAULT_FUNCTION_BUDGET):
     """The neighbour function of the phi or psi graph of rows X -> Y.
 
     ``neighbors(row)`` lists the continuous rows adjacent to ``row``, in
@@ -187,18 +199,23 @@ def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None):
     ``build_function_graph``; so a search over these lists expands exactly
     as it would over the whole graph.  The values are restricted to the
     ``_allow_masks`` of ``row``; ``pin`` = (point index, value index) also
-    fixes the value at one point.
+    fixes the value at one point.  The rows generated over all calls, each
+    call's ``row`` included, are charged to ``budget``: a BudgetError stops
+    the call in which they pass it.
     """
     order, earlier = _connectivity_order(X)
     allow_masks = _allow_masks(X, Y, flavor, order)
     if pin is not None:
         pin = (order.index(pin[0]), 1 << pin[1])
+    spent = 0
 
     def neighbors(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+        nonlocal spent
         allow = allow_masks(row)
         if pin is not None:
             allow[pin[0]] &= pin[1]
-        rows = _continuous_rows(Y, order, earlier, allow)
+        rows = _continuous_rows(Y, order, earlier, allow, budget, spent)
+        spent += len(rows)
         rows.remove(row)
         rows.sort()
         return rows
@@ -347,19 +364,24 @@ class HomotopyDecision:
 
 def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
             basepoint=None) -> tuple[FiniteFunction, ...] | None:
-    """A shortest path from f to g in the lazily generated function graph.
+    """The witness path from f to g in the lazily generated function graph.
 
-    With a basepoint, only maps agreeing with f there are visited.
+    The witness is the lexicographically least shortest path, comparing
+    value rows from f on: the path a breadth-first search from f finds
+    when it expands neighbours in row order, as ``find_path`` does on the
+    whole graph.  ``_bidirectional_bfs`` finds it from balls grown at f and
+    at g, so neither ball reaches as far as a search from f alone.  The
+    rows generated by both balls are charged to ``budget``.  With a
+    basepoint, only maps agreeing with f there are visited, on both sides.
     """
     X, Y = f.domain, f.codomain
-    _check_budget(X, Y, budget)
     if not (is_continuous(f) and is_continuous(g)):
         raise ValueError("function is not a vertex of this graph")
     pin = None
     if basepoint is not None:
         i = X.point_index[basepoint]
         pin = (i, f.row[i])
-    path, _ = _bfs(f.row, _adjacent_rows(X, Y, flavor, pin), g.row.__eq__)
+    path = _bidirectional_bfs(f.row, g.row, _adjacent_rows(X, Y, flavor, pin, budget))
     return None if path is None else tuple(FiniteFunction._trusted(X, Y, row) for row in path)
 
 
@@ -443,11 +465,27 @@ _family_cached = lru_cache(maxsize=64)(family_of)
 
 
 def is_contractible(X: DigitalImage, budget: int = DEFAULT_FUNCTION_BUDGET) -> bool:
-    """True iff the identity reaches some constant map in the phi graph of X^X."""
-    _check_budget(X, X, budget)
-    n = len(X)
-    path, _ = _bfs(tuple(range(n)), _adjacent_rows(X, X, PHI),
-                   lambda row: row.count(row[0]) == n)
+    """True iff the identity reaches some constant map in the phi graph of X^X.
+
+    A breadth-first search from the identity stops one step short of the
+    constants: a row is phi-adjacent or equal to the constant c exactly
+    when c is adjacent or equal to each of its values, so the goal is a
+    row whose values' closed neighbourhoods share a point.  It does not
+    search from the constants as well: a constant's neighbours are all the
+    continuous rows into one closed neighbourhood, so that ball grows wide.
+    The rows the search generates are charged to ``budget``.
+    """
+    closed = X.closed_neighbor_masks
+
+    def near_constant(row: tuple[int, ...]) -> bool:
+        common = -1
+        for v in row:
+            common &= closed[v]
+            if not common:
+                return False
+        return True
+
+    path, _ = _bfs(tuple(range(len(X))), _adjacent_rows(X, X, PHI, budget=budget), near_constant)
     return path is not None
 
 

@@ -8,9 +8,12 @@ agree.  Everything here is immutable and safe to share between threads.
 Connectivity is one mask flood: ``_flood`` grows a seed along bitmask
 adjacency rows inside a mask, and subset connectivity, components, family
 validation, function-graph components, connectivity preservation and the
-graph components all call it.  Paths are one predecessor search: ``_bfs``
+graph components all call it.  Paths come from two searches.  ``_bfs``
 returns the first path it finds to a goal, expanding neighbours in the
-order given, and the function-graph searches and girth call it.
+order given; girth, ``FunctionGraph.find_path`` and contractibility call
+it.  ``_bidirectional_bfs`` returns the same path to one given goal,
+the lexicographically least shortest one, from balls grown at both ends;
+the homotopy searches call it.
 """
 
 from __future__ import annotations
@@ -149,25 +152,33 @@ class DigitalImage:
     def neighbors(self, x: Point) -> frozenset[Point]:
         """N(X, x, c_u): the points of the image adjacent to x."""
         x = _as_point(x, self.dim)
-        if x not in self.point_set:
+        i = self.point_index.get(x)
+        if i is None:
             raise ValueError(f"point {x} is not in the image")
-        if 3 ** self.dim <= 4 * len(self.points):
-            found = []
-            for delta in _step_offsets(self.dim, self.adjacency):
-                y = tuple(a + d for a, d in zip(x, delta))
-                if y in self.point_set:
-                    found.append(y)
-            return frozenset(found)
-        return frozenset(y for y in self.points if cu_adjacent(x, y, self.adjacency))
+        return self.points_of(self.neighbor_masks[i])
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        """Per point, the bitmask (over the point order) of its open neighborhood."""
-        idx = self.point_index
-        masks = [0] * len(self.points)
-        for i, p in enumerate(self.points):
-            for q in self.neighbors(p):
-                masks[i] |= 1 << idx[q]
+        """Per point, the bitmask (over the point order) of its open neighborhood.
+
+        Each point's c_u steps are looked up in the point index, unless
+        there are more steps than a scan of all point pairs would test.
+        """
+        pts, idx = self.points, self.point_index
+        masks = [0] * len(pts)
+        if 3 ** self.dim <= 4 * len(pts):
+            steps = _step_offsets(self.dim, self.adjacency)
+            for i, p in enumerate(pts):
+                for delta in steps:
+                    j = idx.get(tuple([a + d for a, d in zip(p, delta)]))
+                    if j is not None:
+                        masks[i] |= 1 << j
+        else:
+            for i, p in enumerate(pts):
+                for j in range(i + 1, len(pts)):
+                    if cu_adjacent(p, pts[j], self.adjacency):
+                        masks[i] |= 1 << j
+                        masks[j] |= 1 << i
         return tuple(masks)
 
     @cached_property
@@ -256,6 +267,59 @@ def _bfs(start, neighbors, is_goal):
                     return path[::-1], prev
                 queue.append(w)
     return None, prev
+
+
+def _bidirectional_bfs(start, goal, neighbors):
+    """The path ``_bfs`` finds from ``start`` to ``goal`` over sorted
+    neighbour lists, found from both ends; None if there is none.
+
+    That path is the lexicographically least shortest path, comparing
+    vertices with ``<`` from ``start`` on.  ``neighbors`` must be symmetric;
+    the order of its lists does not matter.  Balls grow from both ends, the
+    smaller frontier by one whole level at a time, until they meet at
+    distance d, or until one frontier empties: then there is no path.  Each
+    vertex keeps its neighbours one level nearer its own end.  A forward
+    vertex at distance k lies on a shortest path when it is kept by one at
+    distance k + 1 that does, and the last forward level does so exactly
+    inside the backward ball; ``on_path`` holds these sets, level by level.
+    The walk from ``start`` then takes, at each step, the least neighbour
+    one step nearer ``goal``: from ``on_path`` while in the forward ball,
+    then from the backward neighbours the current vertex keeps.
+    """
+    if start == goal:
+        return [start]
+    balls = ({start: []}, {goal: []})  # vertex -> its neighbours nearer its end
+    fronts = [[start], [goal]]
+    levels = [fronts[0]]  # the forward levels
+    while True:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        ball = balls[side]
+        new = {}
+        for v in fronts[side]:
+            for w in neighbors(v):
+                if w in new:
+                    new[w].append(v)
+                elif w not in ball:
+                    new[w] = [v]
+        if not new:
+            return None
+        ball.update(new)
+        fronts[side] = list(new)
+        if side == 0:
+            levels.append(fronts[0])
+        if not balls[1 - side].keys().isdisjoint(new):
+            break
+    forward, backward = balls
+    on_path = [{w for w in levels[-1] if w in backward}]
+    while len(on_path) < len(levels):
+        on_path.append({v for w in on_path[-1] for v in forward[w]})
+    path = [start]
+    for level in reversed(on_path[:-1]):
+        u = path[-1]
+        path.append(min(w for w in level if u in forward[w]))
+    while path[-1] != goal:
+        path.append(min(backward[path[-1]]))
+    return path
 
 
 def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:

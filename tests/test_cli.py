@@ -194,10 +194,23 @@ class TestCheck:
         assert main(["check", "contractible", "--input", doc]) == 0
 
     def test_contractible_budget_exit_code(self, tmp_path, capsys):
+        # #Y^#X = 9^9 tables, but the search charges the 423 rows it generates
         box = {"dim": 2, "adjacency": "c1",
                "points": [[x, y] for x in range(3) for y in range(3)]}
         doc = write(tmp_path, "box.json", box)
-        assert main(["check", "contractible", "--input", doc]) == 3
+        assert main(["check", "contractible", "--input", doc]) == 0
+        assert capsys.readouterr().out == "contractible: true\n"
+        assert main(["check", "contractible", "--input", doc,
+                     "--budget-functions", "100"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("resource limit: ")
+
+    def test_deeply_nested_document_is_a_parse_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main(["check", "contractible", "--input", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("parse error: ")
 
     def test_homotopic_discontinuous_exit_code(self, tmp_path, capsys):
         X = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}
@@ -331,12 +344,13 @@ class TestRepeatedCalls:
         assert main(["hyperspace", "--input", img4]) == 0
         assert capsys.readouterr().out == "kind: connected\nvertices: 10\nedges: 21\n"
 
-        doc = write(tmp_path, "img.json", image_to_json(interval(0, 2)))
+        # the search from the identity of [0, 5]_Z generates 66 rows
+        doc = write(tmp_path, "img.json", image_to_json(interval(0, 5)))
         assert main(["check", "contractible", "--input", doc,
-                     "--budget-functions", "26"]) == 3
-        assert capsys.readouterr().err.endswith("but the budget is 26\n")
+                     "--budget-functions", "65"]) == 3
+        assert capsys.readouterr().err.endswith("but the budget is 65\n")
         assert main(["check", "contractible", "--input", doc,
-                     "--budget-functions", "27"]) == 0
+                     "--budget-functions", "66"]) == 0
         assert capsys.readouterr().out == "contractible: true\n"
 
 

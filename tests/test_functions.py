@@ -163,6 +163,15 @@ class TestInducedMap:
         with pytest.raises(ValueError):
             induced_map(f, enumerate_all_subsets(Y))
 
+    def test_codomain_family_over_another_image(self):
+        # the value masks move onto that family's base, point by point
+        X, Y, Z = interval(0, 1), interval(1, 2), interval(0, 3)
+        f = fn(X, Y, (1,), (2,))
+        F = induced_map(f, enumerate_all_subsets(X), codomain_family=enumerate_all_subsets(Z))
+        assert F.pairs == tuple((A, frozenset((a + 1,) for (a,) in A)) for A, _ in F.pairs)
+        with pytest.raises(ValueError, match=r"point \(2,\) is not in the image"):
+            induced_map(f, enumerate_all_subsets(X), codomain_family=enumerate_all_subsets(X))
+
     def test_disconnected_image_named(self):
         X, Y = interval(0, 1), interval(0, 2)
         f = fn(X, Y, (0,), (2,))  # discontinuous; {0,1} maps to a gap

@@ -16,9 +16,11 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
                      is_contractible, is_continuous, interval,
                      lift_homotopy_to_hyperspace, phi_adjacent, postcompose_map,
                      psi_adjacent, strongly_homotopic, verify_homotopy)
-from digitop.homotopy import (PHI, PSI, _adjacent_rows, phi_counterexample,
-                              psi_counterexample)
+import digitop.homotopy
+from digitop.homotopy import (PHI, PSI, _adjacent_rows, _all_continuous_rows,
+                              phi_counterexample, psi_counterexample)
 from digitop.hyperspace import family_of
+from digitop.lattice import _bfs
 from digitop.verify import (oracle_homotopic, random_continuous_function,
                             random_function, random_image, rotations)
 
@@ -554,6 +556,10 @@ def _paths(decision):
     return _graph_paths(decision.path)
 
 
+def _rows(decision):
+    return None if decision.path is None else [h.row for h in decision.path]
+
+
 class TestLazySearch:
     """The lazy searches against a BFS over the prebuilt function graph."""
 
@@ -615,6 +621,36 @@ class TestLazySearch:
                 self.assert_same_as_graph(f, g)
 
     @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_forward_search(self, seed):
+        # the forward search that the two-ball search replaced is the reference
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 6), random_image(rng, 7)
+        rows = _all_continuous_rows(X, Y, 10 ** 6)
+        f, g = rng.choice(rows), rng.choice(rows)
+        F, G = (FiniteFunction._trusted(X, Y, row) for row in (f, g))
+        for flavor, strong in ((PHI, False), (PSI, True)):
+            path, _ = _bfs(f, _adjacent_rows(X, Y, flavor, budget=10 ** 9), g.__eq__)
+            decide = strongly_homotopic if strong else homotopic
+            assert _rows(decide(F, G, budget=10 ** 9)) == path
+            for i, x in enumerate(X.points):
+                path = None
+                if f[i] == g[i]:
+                    neighbors = _adjacent_rows(X, Y, flavor, (i, f[i]), 10 ** 9)
+                    path, _ = _bfs(f, neighbors, g.__eq__)
+                assert _rows(pointed_homotopic(F, G, x, 10 ** 9, strong)) == path
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_step_goal_matches_constant_goal(self, seed):
+        # random images in Z and Z^2 under c1 and c2, disconnected ones included
+        X = random_image(random.Random(seed), 5)
+        n = len(X)
+        path, _ = _bfs(tuple(range(n)), _adjacent_rows(X, X, PHI, budget=10 ** 9),
+                       lambda row: row.count(row[0]) == n)
+        assert is_contractible(X, 10 ** 9) == (path is not None)
+
+    @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_contractible_matches_graph_component(self, seed):
         X = random_image(random.Random(seed), 4)
@@ -647,18 +683,31 @@ class TestLazySearch:
         assert is_contractible(box)
         assert time.perf_counter() - start < 5.0
 
-    def test_budget_refuses_before_search(self):
-        X = interval(0, 9)
-        f = identity_map(X)
-        jump = fn(X, X, *((0,) if i < 5 else (9,) for i in range(10)))
-        with pytest.raises(BudgetError):
-            homotopic(jump, f, budget=100)
-        with pytest.raises(BudgetError):
-            strongly_homotopic(f, f, budget=100)
-        with pytest.raises(BudgetError):
-            pointed_homotopic(f, f, (0,), budget=100)
-        with pytest.raises(BudgetError):
-            is_contractible(X, budget=100)
+    def test_work_budget_charges_every_generated_row(self, monkeypatch):
+        # both balls of a search are charged; #Y^#X is not
+        generated = []
+        rows_of = digitop.homotopy._continuous_rows
+
+        def counted(*args):
+            rows = rows_of(*args)
+            generated.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(digitop.homotopy, "_continuous_rows", counted)
+        X = interval(0, 4)
+        f, c = identity_map(X), constant_map(X, X, (0,))
+        searches = (lambda b: homotopic(f, c, b), lambda b: strongly_homotopic(f, c, b),
+                    lambda b: pointed_homotopic(f, c, (0,), b),
+                    lambda b: pointed_homotopic(f, c, (0,), b, strong=True),
+                    lambda b: is_contractible(interval(0, 5), b))
+        for search in searches:
+            generated.clear()
+            expect = search(10 ** 6)
+            rows = sum(generated)
+            assert 0 < rows < 5 ** 5 and search(rows) == expect
+            with pytest.raises(BudgetError):
+                search(rows - 1)
+        assert homotopic(f, f, budget=0) and is_contractible(interval(0, 2), budget=0)
 
     def test_discontinuous_map_rejected(self):
         X = interval(0, 2)

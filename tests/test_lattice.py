@@ -69,6 +69,17 @@ class TestNeighbors:
         with pytest.raises(ValueError):
             neighbors(interval(0, 2), (5,))
 
+    @given(dims.flatmap(lambda d: st.tuples(
+        st.sets(lattice_points(d), min_size=1, max_size=30), st.integers(1, d))))
+    @settings(max_examples=100)
+    def test_rows_match_pair_scan(self, data):
+        # rows come from step lookups when 3**dim <= 4 * #points, else from a pair scan
+        pts, u = data
+        X = DigitalImage.of(pts, u)
+        for i, p in enumerate(X.points):
+            expect = {q for q in X.points if cu_adjacent(p, q, u)}
+            assert X.points_of(X.neighbor_masks[i]) == expect == X.neighbors(p)
+
     def test_neighbor_count_bounds(self):
         line = interval(-3, 3)
         for p in line.points:
