@@ -268,16 +268,16 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--input", required=True, help="path to the JSON input document")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", help="write to this path instead of stdout")
-    p.add_argument("--budget-hyperspace", type=int, default=DEFAULT_POINT_BUDGET,
+    p.add_argument("--budget-hyperspace", type=_positive_int, default=DEFAULT_POINT_BUDGET,
                    help="max image points for hyperspace enumeration")
-    p.add_argument("--budget-functions", type=int, default=DEFAULT_FUNCTION_BUDGET,
+    p.add_argument("--budget-functions", type=_positive_int, default=DEFAULT_FUNCTION_BUDGET,
                    help="max raw table count #Y^#X for function enumeration, and max "
                         "continuous rows generated by one homotopy or contractibility search")
-    p.add_argument("--budget-cycle", type=int, default=gm.DEFAULT_CYCLE_BUDGET,
+    p.add_argument("--budget-cycle", type=_positive_int, default=gm.DEFAULT_CYCLE_BUDGET,
                    help="max vertices for the long-cycle search")
-    p.add_argument("--budget-dominating", type=int, default=gm.DEFAULT_DOMINATING_BUDGET,
+    p.add_argument("--budget-dominating", type=_positive_int, default=gm.DEFAULT_DOMINATING_BUDGET,
                    help="max vertices for the dominating-set search")
-    p.add_argument("--budget-subdivision", type=int, default=DEFAULT_SUBDIVISION_BUDGET,
+    p.add_argument("--budget-subdivision", type=_positive_int, default=DEFAULT_SUBDIVISION_BUDGET,
                    help="max subdivision points for the generator search")
 
 

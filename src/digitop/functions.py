@@ -5,11 +5,13 @@ The usual case is image -> image, but the same class carries maps whose
 domain or codomain is a subset family or a function graph, such as an
 induced map A |-> f(A).  Every space exposes ``vertices``, ``vertex_index``
 (vertex -> index) and ``adjacency_rows`` (per vertex, the bitmask of its
-neighbours' indices).  A map's core form is its value ``row`` of codomain
-indices in domain order, and the checkers below read rows: values a, b
-are adjacent or equal iff ``a == b or cod_rows[a] >> b & 1``, whatever the
-codomain.  The inducing-map search needs no enumeration: a map's values
-on singletons fix it.
+neighbours' indices).  A map is its value ``row`` of codomain indices in
+domain order: two maps are equal exactly when their spaces and rows are,
+and the labelled ``pairs`` and ``table`` are views built on first use.
+The checkers below read rows: values a, b are adjacent or equal iff
+``a == b or cod_rows[a] >> b & 1``, whatever the codomain.  The
+inducing-map search needs no enumeration: a map's values on singletons
+fix it.
 """
 
 from __future__ import annotations
@@ -18,42 +20,53 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, family_of
-from .lattice import DigitalImage, Point, _as_point, _bits, _row_pairs
+from .hyperspace import (DEFAULT_POINT_BUDGET, SubsetFamily, _cover, family_from_json,
+                         family_of, family_to_json)
+from .lattice import (DigitalImage, Point, _as_point, _fields, _row_pairs, image_from_json,
+                      image_to_json)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteFunction:
-    """A total map between two vertex spaces: a canonical pair table and its ``row``."""
+    """A total map between two vertex spaces, held as its value ``row``.
+
+    Identity is (domain, codomain, row).  The constructor takes a table of
+    (vertex, value) pairs and checks it; maps the library builds itself
+    come from the unchecked :meth:`_trusted`.  ``pairs`` (in domain order)
+    and ``table`` are label views built from the row on first use.
+    """
 
     domain: object
     codomain: object
-    pairs: tuple[tuple[object, object], ...]
+    row: tuple[int, ...]
 
-    def __post_init__(self):
-        table = dict(self.pairs)
-        verts = self.domain.vertices
-        if len(self.pairs) != len(verts) or set(table) != set(verts):
+    def __init__(self, domain, codomain, pairs):
+        table = dict(pairs)
+        verts = domain.vertices
+        if len(pairs) != len(verts) or set(table) != set(verts):
             raise ValueError("function table must be total on the domain")
-        index = self.codomain.vertex_index
+        index = codomain.vertex_index
         for x, y in table.items():
             if y not in index:
                 raise ValueError(f"value {y!r} at {x!r} is outside the codomain")
-        object.__setattr__(self, "pairs", tuple((x, table[x]) for x in verts))
-        object.__setattr__(self, "row", tuple(index[table[x]] for x in verts))
+        self.__dict__.update(domain=domain, codomain=codomain,
+                             row=tuple(index[table[x]] for x in verts))
 
     @classmethod
     def _trusted(cls, domain, codomain, row: tuple[int, ...]) -> FiniteFunction:
         """The map with a value row that is valid by construction, unchecked."""
         f = object.__new__(cls)
-        values = codomain.vertices
-        f.__dict__.update(domain=domain, codomain=codomain, row=row,
-                          pairs=tuple(zip(domain.vertices, map(values.__getitem__, row))))
+        f.__dict__.update(domain=domain, codomain=codomain, row=row)
         return f
 
     @classmethod
     def from_table(cls, domain, codomain, table: Mapping) -> "FiniteFunction":
         return cls(domain, codomain, tuple(table.items()))
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[object, object], ...]:
+        values = self.codomain.vertices
+        return tuple(zip(self.domain.vertices, map(values.__getitem__, self.row)))
 
     @cached_property
     def table(self) -> dict:
@@ -156,9 +169,7 @@ def induced_map(f, family: SubsetFamily,
     index = codomain_family._mask_index
     row = []
     for m in family.masks:
-        img = 0
-        for i in _bits(m):
-            img |= value_masks[i]
+        img = _cover(value_masks, m)
         if img not in index:
             raise ValueError(
                 f"image of member {sorted(family.base.points_of(m))} is "
@@ -195,8 +206,6 @@ def find_inducing_map(F: FiniteFunction) -> FiniteFunction | None:
 
 
 def function_to_json(f: FiniteFunction) -> dict:
-    from .lattice import image_to_json
-
     if not isinstance(f.domain, DigitalImage) or not isinstance(f.codomain, DigitalImage):
         raise ValueError("only image-to-image functions have a JSON document form")
     return {
@@ -207,22 +216,12 @@ def function_to_json(f: FiniteFunction) -> dict:
 
 
 def function_from_json(doc: dict) -> FiniteFunction:
-    from .lattice import image_from_json
-
-    if not isinstance(doc, dict):
-        raise ValueError("function document must be a JSON object")
-    try:
-        dom = image_from_json(doc["domain"])
-        cod = image_from_json(doc["codomain"])
-        pairs = doc["pairs"]
-    except KeyError as missing:
-        raise ValueError(f"function document is missing {missing}") from None
-    return FiniteFunction(dom, cod, tuple((_as_point(x), _as_point(y)) for x, y in pairs))
+    domain, codomain, pairs = _fields(doc, "function", "domain", "codomain", "pairs")
+    return FiniteFunction(image_from_json(domain), image_from_json(codomain),
+                          tuple((_as_point(x), _as_point(y)) for x, y in pairs))
 
 
 def family_function_to_json(F: FiniteFunction) -> dict:
-    from .hyperspace import family_to_json
-
     return {
         "domain": family_to_json(F.domain),
         "codomain": family_to_json(F.codomain),
@@ -232,16 +231,7 @@ def family_function_to_json(F: FiniteFunction) -> dict:
 
 
 def family_function_from_json(doc: dict) -> FiniteFunction:
-    from .hyperspace import family_from_json
-
-    if not isinstance(doc, dict):
-        raise ValueError("family function document must be a JSON object")
-    try:
-        dom = family_from_json(doc["domain"])
-        cod = family_from_json(doc["codomain"])
-        pairs = doc["pairs"]
-    except KeyError as missing:
-        raise ValueError(f"family function document is missing {missing}") from None
+    domain, codomain, pairs = _fields(doc, "family function", "domain", "codomain", "pairs")
     table = tuple((frozenset(map(_as_point, a)), frozenset(map(_as_point, b)))
                   for a, b in pairs)
-    return FiniteFunction(dom, cod, table)
+    return FiniteFunction(family_from_json(domain), family_from_json(codomain), table)

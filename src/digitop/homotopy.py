@@ -37,10 +37,11 @@ from functools import cache, cached_property, lru_cache
 from itertools import product
 
 from .errors import BudgetError
-from .functions import FiniteFunction, induced_map, is_continuous
+from .functions import (FiniteFunction, function_from_json, function_to_json, induced_map,
+                        is_continuous)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of
 from .lattice import (DigitalImage, _bfs, _bidirectional_bfs, _bits, _connectivity_order,
-                      _flood, _row_pairs)
+                      _fields, _flood, _row_pairs)
 
 #: Cap on the raw search space #Y ** #X of a function enumeration, and on
 #: the continuous rows one lazy search generates over all its expansions.
@@ -58,13 +59,13 @@ def _check_same_signature(f: FiniteFunction, g: FiniteFunction) -> None:
 def phi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     """Pointwise closeness: f != g and f(x), g(x) adjacent or equal for all x."""
     _check_same_signature(f, g)
-    return f.pairs != g.pairs and phi_counterexample(f, g) is None
+    return f != g and phi_counterexample(f, g) is None
 
 
 def psi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     """Cross closeness: f != g and f(x0), g(x1) adjacent or equal whenever x0, x1 are."""
     _check_same_signature(f, g)
-    return f.pairs != g.pairs and psi_counterexample(f, g) is None
+    return f != g and psi_counterexample(f, g) is None
 
 
 def phi_counterexample(f: FiniteFunction, g: FiniteFunction):
@@ -410,9 +411,10 @@ def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
     basepoint, so every step of a witness keeps the basepoint still.
     """
     _check_same_signature(f, g)
-    if basepoint not in f.table:
+    i = f.domain.vertex_index.get(basepoint)
+    if i is None:
         raise ValueError(f"basepoint {basepoint!r} is not a domain vertex")
-    if g.table[basepoint] != f.table[basepoint]:
+    if g.row[i] != f.row[i]:
         return HomotopyDecision(False, None)
     path = _search(f, g, PSI if strong else PHI, budget, basepoint)
     return HomotopyDecision(path is not None, path)
@@ -432,7 +434,7 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
         raise ValueError(f"unknown homotopy mode {mode!r}")
     if not (H.domain == f.domain == g.domain and H.codomain == f.codomain == g.codomain):
         return False
-    if H.slices[0].pairs != f.pairs or H.slices[-1].pairs != g.pairs:
+    if H.slices[0] != f or H.slices[-1] != g:
         return False
     if not all(is_continuous(h) for h in H.slices):
         return False
@@ -440,8 +442,9 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
     if any(step(h0, h1) is not None for h0, h1 in zip(H.slices, H.slices[1:])):
         return False
     if fixed_point is not None:
-        base = H.slices[0].table[fixed_point]
-        if any(h.table[fixed_point] != base for h in H.slices):
+        i = H.domain.vertex_index[fixed_point]
+        base = H.slices[0].row[i]
+        if any(h.row[i] != base for h in H.slices):
             return False
     return True
 
@@ -505,21 +508,12 @@ def postcompose_map(f: FiniteFunction, W: DigitalImage,
 
 
 def homotopy_to_json(H: HomotopyTable) -> dict:
-    from .functions import function_to_json
-
     return {"m": H.m, "slices": [function_to_json(h) for h in H.slices]}
 
 
 def homotopy_from_json(doc: dict) -> HomotopyTable:
-    from .functions import function_from_json
-
-    if not isinstance(doc, dict):
-        raise ValueError("homotopy document must be a JSON object")
-    try:
-        m = doc["m"]
-        slices = [function_from_json(s) for s in doc["slices"]]
-    except KeyError as missing:
-        raise ValueError(f"homotopy document is missing {missing}") from None
+    m, slices = _fields(doc, "homotopy", "m", "slices")
+    slices = [function_from_json(s) for s in slices]
     if not slices or m != len(slices) - 1:
         raise ValueError("homotopy document slice count does not match m")
     return HomotopyTable(slices[0].domain, slices[0].codomain, tuple(slices))

@@ -27,7 +27,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetError
-from .lattice import DigitalImage, Point, _bits, _flood, _row_pairs
+from .lattice import (DigitalImage, Point, _bits, _fields, _flood, _row_pairs, image_from_json,
+                      image_to_json, interval)
 
 #: Images with more points than this may not be expanded into hyperspaces.
 DEFAULT_POINT_BUDGET = 24
@@ -282,8 +283,6 @@ def interval_triangle_iso(a: int, b: int):
 
     if a > b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    from .lattice import interval
-
     family = enumerate_connected_subsets(interval(a, b))
     tri = triangle_image(a, b)
     table = {}
@@ -297,8 +296,6 @@ def interval_triangle_iso(a: int, b: int):
 
 
 def family_to_json(family: SubsetFamily) -> dict:
-    from .lattice import image_to_json
-
     return {
         "base": image_to_json(family.base),
         "kind": family.kind,
@@ -307,15 +304,7 @@ def family_to_json(family: SubsetFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> SubsetFamily:
-    from .lattice import image_from_json
-
-    if not isinstance(doc, dict):
-        raise ValueError("family document must be a JSON object")
-    try:
-        base = image_from_json(doc["base"])
-        kind = doc["kind"]
-        members = doc["members"]
-    except KeyError as missing:
-        raise ValueError(f"family document is missing {missing}") from None
+    base, kind, members = _fields(doc, "family", "base", "kind", "members")
+    base = image_from_json(base)
     masks = tuple(base.mask_of(tuple(tuple(p) for p in m)) for m in members)
     return SubsetFamily(base, masks, kind)

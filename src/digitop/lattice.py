@@ -14,6 +14,10 @@ order given; girth, ``FunctionGraph.find_path`` and contractibility call
 it.  ``_bidirectional_bfs`` returns the same path to one given goal,
 the lexicographically least shortest one, from balls grown at both ends;
 the homotopy searches call it.
+
+Every JSON document loader (images here, families, maps, multifunctions
+and homotopy tables) reads its top-level fields through ``_fields``, the
+one place a document that is not an object or lacks a key is refused.
 """
 
 from __future__ import annotations
@@ -463,15 +467,23 @@ def image_to_json(X: DigitalImage) -> dict:
     }
 
 
-def image_from_json(doc: dict) -> DigitalImage:
+def _fields(doc, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``doc``, in that order.
+
+    Every document loader reads its fields here.  A ValueError says
+    "<what> document must be a JSON object" or "<what> document is
+    missing '<key>'", naming the first key that is absent.
+    """
     if not isinstance(doc, dict):
-        raise ValueError("image document must be a JSON object")
-    try:
-        dim = doc["dim"]
-        adjacency = doc["adjacency"]
-        points = doc["points"]
-    except KeyError as missing:
-        raise ValueError(f"image document is missing {missing}") from None
+        raise ValueError(f"{what} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} document is missing {key!r}")
+    return [doc[key] for key in keys]
+
+
+def image_from_json(doc: dict) -> DigitalImage:
+    dim, adjacency, points = _fields(doc, "image", "dim", "adjacency", "points")
     if type(dim) is not int:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if not isinstance(points, list):

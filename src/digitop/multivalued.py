@@ -27,7 +27,8 @@ from typing import Iterable
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
 from .hyperspace import DEFAULT_POINT_BUDGET, _cover, enumerate_connected_subsets, family_of
-from .lattice import DigitalImage, Point, _as_point, _connectivity_order, _flood, _row_pairs
+from .lattice import (DigitalImage, Point, _as_point, _connectivity_order, _fields, _flood,
+                      _row_pairs, image_from_json, image_to_json)
 
 #: Cap on the number of subdivision points a generator search will handle.
 DEFAULT_SUBDIVISION_BUDGET = 64
@@ -294,8 +295,6 @@ def induced_multifunction_map(F: MultiFunction, kind: str = "full",
 
 
 def multifunction_to_json(F: MultiFunction) -> dict:
-    from .lattice import image_to_json
-
     return {
         "domain": image_to_json(F.domain),
         "codomain": image_to_json(F.codomain),
@@ -304,16 +303,7 @@ def multifunction_to_json(F: MultiFunction) -> dict:
 
 
 def multifunction_from_json(doc: dict) -> MultiFunction:
-    from .lattice import image_from_json
-
-    if not isinstance(doc, dict):
-        raise ValueError("multifunction document must be a JSON object")
-    try:
-        dom = image_from_json(doc["domain"])
-        cod = image_from_json(doc["codomain"])
-        pairs = doc["pairs"]
-    except KeyError as missing:
-        raise ValueError(f"multifunction document is missing {missing}") from None
-    return MultiFunction(dom, cod,
+    domain, codomain, pairs = _fields(doc, "multifunction", "domain", "codomain", "pairs")
+    return MultiFunction(image_from_json(domain), image_from_json(codomain),
                          tuple((_as_point(x), frozenset(map(_as_point, v)))
                                for x, v in pairs))

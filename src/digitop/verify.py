@@ -20,8 +20,9 @@ from .homotopy import (PHI, PSI, build_function_graph, enumerate_continuous_maps
                        phi_adjacent, postcompose_map, strongly_homotopic,
                        verify_homotopy, HomotopyTable)
 from .hyperspace import (enumerate_all_subsets, enumerate_connected_subsets,
-                         hyper_adjacent, hyperspace_graph, union_of_family)
-from .lattice import DigitalImage, Point, cycle_image, cycle_points, interval
+                         hyper_adjacent, hyperspace_graph, interval_triangle_iso,
+                         union_of_family)
+from .lattice import DigitalImage, Point, cu_adjacent, cycle_image, cycle_points, interval
 from .multivalued import (MultiFunction, Subdivision, as_multifunction, generates,
                           has_strong_continuity, has_weak_continuity,
                           induced_multifunction_map, is_connectivity_preserving,
@@ -71,8 +72,6 @@ def random_connected_image(rng: random.Random, max_points: int = 6,
 
 
 def _box_neighbors(p: Point, box: tuple[Point, ...], u: int) -> set[Point]:
-    from .lattice import cu_adjacent
-
     return {q for q in box if cu_adjacent(p, q, u)}
 
 
@@ -194,8 +193,6 @@ def suite_cardinality(rng, max_points=None, samples=None) -> list[CheckResult]:
             if len(enumerate_connected_subsets(interval(1, n))) != n * (n + 1) // 2]
     out.append(CheckResult("interval-connected-count", not bad2,
                            f"failed for n={bad2}" if bad2 else "n(n+1)/2 for n<=8"))
-    from .hyperspace import interval_triangle_iso
-
     ok_iso = all(is_isomorphism(interval_triangle_iso(1, b)) for b in range(1, 7))
     out.append(CheckResult("interval-triangle-isomorphism", ok_iso))
     return out
@@ -252,10 +249,10 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
                             ("connected", enumerate_connected_subsets)):
             gf_star = induced_map(compose(g, f), build(X))
             star_gf = compose(induced_map(g, build(Y)), induced_map(f, build(X)))
-            if gf_star.pairs != star_gf.pairs:
+            if gf_star != star_gf:
                 functor_viol.append((kind, f, g))
-        if induced_map(identity_map(X), enumerate_all_subsets(X)).pairs != \
-                identity_map(enumerate_all_subsets(X)).pairs:
+        if induced_map(identity_map(X), enumerate_all_subsets(X)) != \
+                identity_map(enumerate_all_subsets(X)):
             functor_viol.append(("identity", X))
     out.append(CheckResult("induced-functor-laws", not functor_viol,
                            f"first {functor_viol[:1]}" if functor_viol else ""))
@@ -284,7 +281,7 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
         Y = random_image(rng, max_pts)
         maps = enumerate_continuous_maps(X, Y)
         f = rng.choice(maps)
-        partners = [h for h in maps if h.pairs != f.pairs and phi_adjacent(f, h)]
+        partners = [h for h in maps if h != f and phi_adjacent(f, h)]
         if not partners:
             continue
         g = rng.choice(partners)
@@ -306,7 +303,7 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
         g = random_continuous_function(rng, X, Y)
         F2 = induced_map(g, enumerate_connected_subsets(X))
         f2 = find_inducing_map(F2)
-        if f2 is None or induced_map(f2, enumerate_connected_subsets(X)).pairs != F2.pairs:
+        if f2 is None or induced_map(f2, enumerate_connected_subsets(X)) != F2:
             witnessed.append(g)
     out.append(CheckResult("induced-map-search-roundtrip", not witnessed,
                            f"first {witnessed[:1]}" if witnessed else ""))
@@ -326,7 +323,7 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
         f, g = rng.choice(maps), rng.choice(maps)
         H = HomotopyTable(X, Y, (f, g))
         accepted = verify_homotopy(H, f, g)
-        expected = f.pairs == g.pairs or phi_adjacent(f, g)
+        expected = f == g or phi_adjacent(f, g)
         if accepted != expected:
             onestep_viol.append((f, g))
     out.append(CheckResult("one-step-deformation-iff-pointwise-close", not onestep_viol,
@@ -428,7 +425,7 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
         g = random_continuous_function(rng, Y, Z)
         gf_star = postcompose_map(compose(g, f), W)
         star_gf = compose(postcompose_map(g, W), fstar)
-        if gf_star.pairs != star_gf.pairs:
+        if gf_star != star_gf:
             post_viol.append(("composition", f, g))
     out.append(CheckResult("postcomposition-continuity-and-functor", not post_viol,
                            f"first {post_viol[:1]}" if post_viol else ""))
@@ -460,7 +457,7 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
     gf = compose(g, f)
     idX = identity_map(X)
     steps = [idX]
-    while steps[-1].pairs != gf.pairs:
+    while steps[-1] != gf:
         nxt = {x: (max(y[0] - 1, 0),) for x, y in steps[-1].pairs}
         steps.append(FiniteFunction.from_table(X, X, nxt))
     H1 = HomotopyTable(X, X, tuple(steps))

@@ -1,14 +1,18 @@
 """Command-line front end: verbs, formats, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import digitop.cli
 import digitop.graphmetrics
 from digitop import (FiniteFunction, cycle_image, enumerate_connected_subsets,
-                     family_from_json, function_to_json, image_from_json,
+                     family_from_json, function_to_json, identity_map, image_from_json,
                      image_to_json, induced_map, interval)
 from digitop.functions import family_function_to_json
 from digitop.cli import main
@@ -289,6 +293,19 @@ class TestMetricVerbs:
         assert "long cycle: 1200\n" in captured.out
         assert captured.err == ""
 
+    @pytest.mark.parametrize("flag", ["--budget-hyperspace", "--budget-functions",
+                                      "--budget-cycle", "--budget-dominating",
+                                      "--budget-subdivision"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_budgets_must_be_positive(self, img4, flag, value, capsys):
+        # girth --budget-cycle -1 used to exit 3, as if a resource limit were hit
+        with pytest.raises(SystemExit) as exc:
+            main(["girth", "--input", img4, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive integer" in captured.err and "Traceback" not in captured.err
+
     def test_export_dot_highlight(self, img4, capsys):
         assert main(["export-dot", "--input", img4, "--view", "full",
                      "--highlight", "long-cycle"]) == 0
@@ -380,3 +397,69 @@ class TestInternalError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+
+def _field_paths(doc, prefix=()):
+    """The path of every object field in a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield prefix + (key,)
+            yield from _field_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _field_paths(value, prefix + (i,))
+
+
+def _fuzz_jobs():
+    """(verb argv, a valid document, its field paths) for every verb that reads a document."""
+    X = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}
+    f = {"domain": X, "codomain": X, "pairs": [[[0], [0]], [[1], [1]], [[2], [2]]]}
+    g = {"domain": X, "codomain": X, "pairs": [[[0], [1]], [[1], [2]], [[2], [2]]]}
+    mf = {"domain": X, "codomain": X, "pairs": [[[0], [[0]]], [[1], [[1], [2]]], [[2], [[2]]]]}
+    I2 = interval(0, 1)
+    ff = family_function_to_json(induced_map(identity_map(I2), enumerate_connected_subsets(I2)))
+    jobs = [(["hyperspace", "--kind", kind], X) for kind in ("full", "connected")]
+    jobs += [(["check", name], f) for name in ("continuity", "isomorphism", "retraction")]
+    jobs += [(["check", name], {"f": f, "g": g})
+             for name in ("phi-adjacent", "psi-adjacent", "homotopic", "strongly-homotopic")]
+    jobs.append((["check", "contractible"], X))
+    jobs += [(["check", name], mf) for name in ("weak-continuity", "strong-continuity",
+                                                "connectivity-preserving", "egs-continuous")]
+    jobs.append((["check", "induced-by"], ff))
+    jobs += [([verb, "--view", view], X) for verb in ("girth", "dominate", "metrics", "export-dot")
+             for view in ("image", "connected", "functions")]
+    return [(argv, doc, list(_field_paths(doc))) for argv, doc in jobs]
+
+
+FUZZ_JOBS = _fuzz_jobs()
+SMALL_BUDGETS = ["--budget-hyperspace", "6", "--budget-functions", "2000", "--budget-cycle",
+                 "12", "--budget-dominating", "16", "--budget-subdivision", "16"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+class TestDocumentFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_replaced_field_is_refused_cleanly(self, tmp_path_factory, data):
+        argv, doc, paths = data.draw(st.sampled_from(FUZZ_JOBS), label="job")
+        path = data.draw(st.sampled_from(paths), label="field")
+        doc = copy.deepcopy(doc)
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = data.draw(json_values, label="value")
+        target = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        target.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--input", str(target)] + SMALL_BUDGETS)
+        assert rc in (0, 1, 2, 3)
+        message = err.getvalue()
+        assert message == "" or (message.count("\n") == 1 and message.endswith("\n"))
+        if rc == 2:
+            assert message.startswith(("error:", "parse error:"))

@@ -14,7 +14,7 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, compose,
 from digitop.functions import (continuity_counterexample,
                                family_function_from_json,
                                family_function_to_json)
-from digitop.homotopy import enumerate_continuous_maps
+from digitop.homotopy import enumerate_continuous_maps, homotopic
 from digitop.hyperspace import family_of
 from digitop.verify import random_continuous_function, random_function, random_image
 
@@ -133,6 +133,35 @@ class TestTrustedRows:
                 assert checked == f and hash(checked) == hash(f)
                 trusted = FiniteFunction._trusted(f.domain, f.codomain, checked.row)
                 assert trusted.pairs == f.pairs and trusted == f and hash(trusted) == hash(f)
+
+    def test_pairs_are_built_on_first_read(self):
+        X, Y = interval(0, 2), interval(0, 3)
+        maps = list(enumerate_continuous_maps(X, Y))
+        maps += homotopic(maps[0], maps[-1]).path
+        K = family_of(X, "connected")
+        F = induced_map(maps[0], K)
+        maps.append(F)
+        # a map over a family leaves the family's member frozensets unbuilt
+        assert "members" not in K.__dict__ and "members" not in F.codomain.__dict__
+        for f in maps:
+            assert "pairs" not in f.__dict__
+            assert f.pairs == tuple(zip(f.domain.vertices,
+                                        (f.codomain.vertices[v] for v in f.row)))
+            assert "pairs" in f.__dict__
+
+    def test_equal_rows_over_different_codomains_are_unequal(self):
+        X = interval(0, 1)
+        f, g = fn(X, interval(0, 2), (0,), (1,)), fn(X, interval(5, 7), (5,), (6,))
+        assert f.row == g.row == (0, 1)
+        assert f != g
+
+    def test_json_round_trip_is_equal(self):
+        rng = random.Random(12)
+        for _ in range(30):
+            X, Y = random_image(rng, 4), random_image(rng, 4)
+            f = random_function(rng, X, Y)
+            back = function_from_json(function_to_json(f))
+            assert back == f and hash(back) == hash(f)
 
 
 class TestInducedMap:

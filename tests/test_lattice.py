@@ -7,9 +7,13 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitop import (DigitalImage, LatticePath, concatenate, cu_adjacent,
-                     cycle_image, cycle_points, image_from_json, image_to_json,
-                     interval, is_connected, neighbors)
+from digitop import (DigitalImage, HomotopyTable, LatticePath, as_multifunction, concatenate,
+                     cu_adjacent, cycle_image, cycle_points, enumerate_connected_subsets,
+                     family_from_json, family_to_json, function_from_json, function_to_json,
+                     homotopy_from_json, homotopy_to_json, identity_map, image_from_json,
+                     image_to_json, induced_map, interval, is_connected,
+                     multifunction_from_json, multifunction_to_json, neighbors)
+from digitop.functions import family_function_from_json, family_function_to_json
 from digitop.lattice import _bits, _connectivity_order
 
 points_1d = st.integers(-5, 5).map(lambda v: (v,))
@@ -303,3 +307,37 @@ class TestCycleImages:
     def test_odd_large_unsupported(self):
         with pytest.raises(ValueError):
             cycle_image(7)
+
+
+def _loader_cases():
+    """(document name, loader, a valid document) for each of the six loaders."""
+    X = interval(0, 1)
+    K = enumerate_connected_subsets(X)
+    f = identity_map(X)
+    return [
+        ("image", image_from_json, image_to_json(X)),
+        ("family", family_from_json, family_to_json(K)),
+        ("function", function_from_json, function_to_json(f)),
+        ("family function", family_function_from_json,
+         family_function_to_json(induced_map(f, K))),
+        ("multifunction", multifunction_from_json, multifunction_to_json(as_multifunction(f))),
+        ("homotopy", homotopy_from_json, homotopy_to_json(HomotopyTable(X, X, (f, f)))),
+    ]
+
+
+def _malformed_documents():
+    for what, load, doc in _loader_cases():
+        yield pytest.param(load, ["not", "an", "object"],
+                           f"{what} document must be a JSON object", id=f"{what}-not-object")
+        for key in doc:
+            short = {k: v for k, v in doc.items() if k != key}
+            yield pytest.param(load, short, f"{what} document is missing {key!r}",
+                               id=f"{what}-missing-{key}")
+
+
+class TestDocumentLoaders:
+    @pytest.mark.parametrize("load, doc, message", _malformed_documents())
+    def test_malformed_document_message(self, load, doc, message):
+        with pytest.raises(ValueError) as exc:
+            load(doc)
+        assert str(exc.value) == message
