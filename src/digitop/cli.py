@@ -3,7 +3,9 @@
 Verbs: hyperspace, check, verify, girth, dominate, metrics, export-dot.
 Exit codes: 0 success, 1 verification/check failure, 2 usage or parse
 error, 3 resource limit exceeded, 4 internal error (a witness failed its
-re-validation).
+re-validation, or an output held a value the JSON writer does not take).
+Every ``--format json`` document comes from one writer, ``_dumps``, whose
+bytes are those of ``json.dumps(value, indent=2)``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import graphmetrics as gm
 from .errors import BudgetError, InternalError
@@ -23,7 +26,7 @@ from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
                        phi_counterexample, psi_adjacent, psi_counterexample,
                        strongly_homotopic, verify_homotopy)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of, hyperspace_graph
-from .lattice import image_from_json
+from .lattice import _bits, image_from_json
 from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
                           is_connectivity_preserving, is_egs_continuous,
                           multifunction_from_json, strong_continuity_counterexample,
@@ -58,12 +61,61 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _point_doc(p):
-    return list(p)
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values the CLI writes.
 
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder; this writes
+    the same layout in fewer steps.  It takes dicts with str keys, lists,
+    tuples, str, int, bool and None, and raises InternalError on anything
+    else: the CLI builds no other value, so one would be a bug, not input.
+    Points are tuples that recur through a document, so each tuple is
+    written once per nesting depth and its text reused.  The memo is keyed
+    by identity, so an equal tuple of other types, such as (True,) for
+    (1,), never shares text, and the document keeps every key alive.
+    """
+    memo: dict[tuple[int, int], str] = {}
 
-def _member_doc(m):
-    return [list(p) for p in sorted(m)]
+    def write(v, depth: int) -> str:
+        kind = type(v)
+        if kind is tuple:
+            key = (id(v), depth)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = write_items(v, depth)
+            return text
+        if kind is list:
+            return write_items(v, depth)
+        if kind is str:
+            return encode_basestring_ascii(v)
+        if kind is int:
+            return int.__repr__(v)
+        if kind is dict:
+            if not v:
+                return "{}"
+            inner = "\n" + "  " * (depth + 1)
+            fields = []
+            for k, x in v.items():
+                if type(k) is not str:
+                    raise InternalError(f"cannot write a {type(k).__name__} key as JSON")
+                fields.append(encode_basestring_ascii(k) + ": " + write(x, depth + 1))
+            return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
+        if v is None:
+            return "null"
+        if kind is bool:
+            return "true" if v else "false"
+        raise InternalError(f"cannot write a {kind.__name__} as JSON")
+
+    def write_items(v, depth: int) -> str:
+        if not v:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        if all(type(x) is int for x in v):
+            items = map(int.__repr__, v)
+        else:
+            items = [write(x, depth + 1) for x in v]
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+    return write(value, 0)
 
 
 def _view_graph(args) -> gm.FiniteGraph:
@@ -87,12 +139,13 @@ def cmd_hyperspace(args) -> int:
     if args.format == "dot":
         _emit(args, gm.to_dot(gm.as_finite_graph(family)))
     elif args.format == "json":
-        _emit(args, json.dumps({
+        points = image.points  # sorted, so a mask's ascending bits list its points in order
+        _emit(args, _dumps({
             "kind": args.kind,
             "vertices": len(family),
             "edges": family.edge_count,
-            "members": [_member_doc(m) for m in family.members],
-        }, indent=2) + "\n")
+            "members": [[points[i] for i in _bits(m)] for m in family.masks],
+        }) + "\n")
     else:
         _emit(args, f"kind: {args.kind}\nvertices: {len(family)}\nedges: {family.edge_count}\n")
     return 0
@@ -103,8 +156,7 @@ def _run_check(name: str, doc: dict, args):
     if name == "continuity":
         f = function_from_json(doc)
         pair = continuity_counterexample(f)
-        return pair is None, None if pair is None else {
-            "x": _point_doc(pair[0]), "x_prime": _point_doc(pair[1])}
+        return pair is None, None if pair is None else {"x": pair[0], "x_prime": pair[1]}
     if name == "isomorphism":
         return is_isomorphism(function_from_json(doc)), None
     if name == "retraction":
@@ -117,13 +169,12 @@ def _run_check(name: str, doc: dict, args):
             if phi_adjacent(f, g):
                 return True, None
             x = phi_counterexample(f, g)
-            return False, {"equal": True} if x is None else {"x": _point_doc(x)}
+            return False, {"equal": True} if x is None else {"x": x}
         if name == "psi-adjacent":
             if psi_adjacent(f, g):
                 return True, None
             pair = psi_counterexample(f, g)
-            return False, {"equal": True} if pair is None else {
-                "x0": _point_doc(pair[0]), "x1": _point_doc(pair[1])}
+            return False, {"equal": True} if pair is None else {"x0": pair[0], "x1": pair[1]}
         decide = homotopic if name == "homotopic" else strongly_homotopic
         decision = decide(f, g, budget=args.budget_functions)
         if not decision:
@@ -143,8 +194,7 @@ def _run_check(name: str, doc: dict, args):
         if name == "strong-continuity":
             bad = strong_continuity_counterexample(F)
             return bad is None, None if bad is None else {
-                "x": _point_doc(bad[0]), "y": _point_doc(bad[1]),
-                "unmatched": _point_doc(bad[2])}
+                "x": bad[0], "y": bad[1], "unmatched": bad[2]}
         if name == "connectivity-preserving":
             return is_connectivity_preserving(F, args.budget_hyperspace), None
         result = is_egs_continuous(F, args.r_max, args.budget_subdivision)
@@ -163,8 +213,7 @@ def _run_check(name: str, doc: dict, args):
 def cmd_check(args) -> int:
     verdict, witness = _run_check(args.name, _load(args.input), args)
     if args.format == "json":
-        _emit(args, json.dumps({"check": args.name, "verdict": verdict,
-                                "witness": witness}, indent=2) + "\n")
+        _emit(args, _dumps({"check": args.name, "verdict": verdict, "witness": witness}) + "\n")
     else:
         lines = [f"{args.name}: {'true' if verdict else 'false'}"]
         if witness is not None:
@@ -198,8 +247,7 @@ def cmd_girth(args) -> int:
                 "vertices": [gm.format_label(graph.label_of(v)) for v in w.vertices]}
 
     if args.format == "json":
-        _emit(args, json.dumps({"girth": cycle_doc(short),
-                                "long_cycle": cycle_doc(longest)}, indent=2) + "\n")
+        _emit(args, _dumps({"girth": cycle_doc(short), "long_cycle": cycle_doc(longest)}) + "\n")
     else:
         if short is None:
             _emit(args, "acyclic\n")
@@ -217,7 +265,7 @@ def cmd_dominate(args) -> int:
         raise InternalError("dominating set failed re-validation")
     labels = [gm.format_label(graph.label_of(v)) for v in sorted(best)]
     if args.format == "json":
-        _emit(args, json.dumps({"size": len(best), "vertices": labels}, indent=2) + "\n")
+        _emit(args, _dumps({"size": len(best), "vertices": labels}) + "\n")
     else:
         _emit(args, f"minimum dominating set size: {len(best)}\nmembers: {' '.join(labels)}\n")
     return 0
@@ -231,14 +279,14 @@ def cmd_metrics(args) -> int:
     rad, diam = gm.radius(graph), gm.diameter(graph)
     ctr = sorted(gm.center(graph))
     if args.format == "json":
-        _emit(args, json.dumps({
+        _emit(args, _dumps({
             "vertices": graph.n,
             "edges": graph.edge_count,
             "radius": rad,
             "diameter": diam,
             "center": [gm.format_label(graph.label_of(v)) for v in ctr],
             "eccentricity": {str(v): gm.eccentricity(graph, v) for v in range(graph.n)},
-        }, indent=2) + "\n")
+        }) + "\n")
     else:
         _emit(args, f"vertices: {graph.n}\nedges: {graph.edge_count}\n"
                     f"radius: {rad}\ndiameter: {diam}\n"

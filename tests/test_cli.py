@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import digitop.cli
 import digitop.graphmetrics
-from digitop import (FiniteFunction, cycle_image, enumerate_connected_subsets,
+from digitop import (DigitalImage, FiniteFunction, cycle_image, enumerate_connected_subsets,
                      family_from_json, function_to_json, identity_map, image_from_json,
                      image_to_json, induced_map, interval)
+from digitop.errors import InternalError
 from digitop.functions import family_function_to_json
-from digitop.cli import main
+from digitop.hyperspace import family_of
+from digitop.cli import _dumps, main
 
 
 def write(tmp_path, name, doc):
@@ -397,6 +399,146 @@ class TestInternalError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+    def test_unwritable_json_value_exit_code(self, monkeypatch, capsys, remark_docs):
+        monkeypatch.setattr(digitop.cli, "homotopy_to_json",
+                            lambda table: {"m": 1.0, "slices": []})
+        assert main(["check", "homotopic", "--input", remark_docs[2], "--format", "json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: cannot write a float as JSON\n"
+
+
+def _check_layout_cases():
+    """(id, check, document, extra argv, exit code): every witness shape, and each verdict."""
+    X = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}
+
+    def on_x(*values):
+        return {"domain": X, "codomain": X, "pairs": [[[x], [y]] for x, y in enumerate(values)]}
+
+    ident, shift, jump = on_x(0, 1, 2), on_x(1, 2, 2), on_x(0, 2, 2)
+    point = {"dim": 1, "adjacency": "c1", "points": [[0]]}
+    gap = {"dim": 1, "adjacency": "c1", "points": [[0], [2]]}
+    apart = {"f": {"domain": point, "codomain": gap, "pairs": [[[0], [0]]]},
+             "g": {"domain": point, "codomain": gap, "pairs": [[[0], [2]]]}}
+    X2 = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
+    Y3 = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}
+    split = {"domain": X2, "codomain": Y3, "pairs": [[[0], [[0]]], [[1], [[1], [2]]]]}
+    single = {"domain": X2, "codomain": Y3, "pairs": [[[0], [[0]]], [[1], [[1]]]]}
+    I2 = interval(0, 1)
+    induced = family_function_to_json(induced_map(identity_map(I2), enumerate_connected_subsets(I2)))
+    fam = {"base": X2, "kind": "connected", "members": [[[0]], [[1]], [[0], [1]]]}
+    whole = [[0], [1]]
+    not_induced = {"domain": fam, "codomain": fam,
+                   "pairs": [[[[0]], whole], [[[1]], whole], [whole, whole]]}
+    return [
+        ("continuity-false", "continuity", jump, (), 1),
+        ("continuity-true", "continuity", ident, (), 0),
+        ("phi-true", "phi-adjacent", {"f": ident, "g": shift}, (), 0),
+        ("phi-false-point", "phi-adjacent", {"f": ident, "g": on_x(2, 2, 2)}, (), 1),
+        ("phi-false-equal", "phi-adjacent", {"f": ident, "g": ident}, (), 1),
+        ("psi-true", "psi-adjacent", {"f": on_x(0, 0, 0), "g": on_x(1, 1, 1)}, (), 0),
+        ("psi-false-pair", "psi-adjacent", {"f": ident, "g": shift}, (), 1),
+        ("psi-false-equal", "psi-adjacent", {"f": ident, "g": ident}, (), 1),
+        ("homotopic-true", "homotopic", {"f": ident, "g": shift}, (), 0),
+        ("homotopic-false", "homotopic", apart, (), 1),
+        ("strongly-homotopic-true", "strongly-homotopic", {"f": ident, "g": shift}, (), 0),
+        ("strongly-homotopic-false", "strongly-homotopic", apart, (), 1),
+        ("strong-continuity-false", "strong-continuity", split, (), 1),
+        ("strong-continuity-true", "strong-continuity", single, (), 0),
+        ("egs-true", "egs-continuous", split, (), 0),
+        ("egs-false", "egs-continuous", split, ("--r-max", "1"), 1),
+        ("induced-by-true", "induced-by", induced, (), 0),
+        ("induced-by-false", "induced-by", not_induced, (), 1),
+    ]
+
+
+CHECK_LAYOUT_CASES = _check_layout_cases()
+
+
+class TestJsonLayout:
+    """Every --format json document has the bytes of json.dumps(indent=2)."""
+
+    @pytest.mark.parametrize("name, doc, extra, rc", [case[1:] for case in CHECK_LAYOUT_CASES],
+                             ids=[case[0] for case in CHECK_LAYOUT_CASES])
+    def test_check(self, tmp_path, capsys, name, doc, extra, rc):
+        path = write(tmp_path, "doc.json", doc)
+        assert main(["check", name, "--input", path, "--format", "json", *extra]) == rc
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        witness = json.loads(out)["witness"]
+        # the text form writes the same witness on one line, with json.dumps' defaults
+        assert main(["check", name, "--input", path, *extra]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        if witness is None:
+            assert len(lines) == 1
+        else:
+            assert lines[1].startswith("witness: ")
+            rest = lines[1][len("witness: "):]
+            assert rest == json.dumps(json.loads(rest)) == json.dumps(witness)
+
+    @pytest.mark.parametrize("argv", [
+        ["hyperspace", "--kind", "connected"],
+        ["hyperspace", "--kind", "full"],
+        ["girth", "--view", "full"],
+        ["girth", "--view", "image"],
+        ["dominate", "--view", "connected"],
+        ["metrics", "--view", "connected"],
+        ["metrics", "--view", "functions"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("image", [interval(1, 4), DigitalImage.of(
+        [(0, 0), (0, 1), (1, 0), (1, 1)], 1)], ids=["interval", "square"])
+    def test_views(self, tmp_path, capsys, argv, image):
+        path = write(tmp_path, "img.json", image_to_json(image))
+        assert main(argv + ["--input", path, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_acyclic_girth(self, img4, capsys):
+        assert main(["girth", "--input", img4, "--format", "json"]) == 0
+        assert capsys.readouterr().out == '{\n  "girth": null,\n  "long_cycle": null\n}\n'
+
+    @pytest.mark.parametrize("kind", ["connected", "full"])
+    def test_hyperspace_members_list_points_in_order(self, tmp_path, capsys, kind):
+        image = DigitalImage.of([(1, 0), (0, 1), (0, 0), (1, 1), (2, 1)], 2)
+        path = write(tmp_path, "img.json", image_to_json(image))
+        assert main(["hyperspace", "--input", path, "--kind", kind, "--format", "json"]) == 0
+        members = json.loads(capsys.readouterr().out)["members"]
+        assert members == [[list(p) for p in sorted(m)] for m in family_of(image, kind).members]
+
+
+json_strings = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f", "caf\u00e9", "\u2028", "\U0001f600", "a\"b\\c"])
+json_ints = (st.sampled_from([0, 1, -1]) | st.integers()
+             | st.integers(min_value=-(2 ** 100), max_value=2 ** 100))
+
+
+class TestDumps:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps_indent_2(self, data):
+        # a few tuples, each placed at several depths, some equal to others
+        # but for a bool, such as (1, 0) and (True, False)
+        pool = data.draw(st.lists(
+            st.tuples(st.booleans() | json_ints, st.booleans() | json_ints)
+            | st.tuples(json_ints) | st.just(()), max_size=4), label="tuples")
+        pool += [(1, 0), (True, False), (0,), (False,)]
+        value = data.draw(st.recursive(
+            st.none() | st.booleans() | json_ints | json_strings | st.sampled_from(pool),
+            lambda inner: (st.lists(inner, max_size=4)
+                           | st.lists(inner, max_size=4).map(tuple)
+                           | st.dictionaries(json_strings, inner, max_size=4)),
+            max_leaves=24), label="value")
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1, 2}, b"x", {1: "a"}, {"a": [None, {True: 0}]}, [0, 1, 2.0],
+        [(1,), (1.0,)], ((0, 1), frozenset()),
+    ], ids=["float", "set", "bytes", "int-key", "nested-bool-key", "float-among-ints",
+            "float-tuple-equal-to-an-int-tuple", "frozenset-in-tuple"])
+    def test_other_types_raise_internal_error(self, value):
+        with pytest.raises(InternalError):
+            _dumps(value)
 
 
 def _field_paths(doc, prefix=()):
