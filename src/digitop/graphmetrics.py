@@ -18,8 +18,9 @@ vertices left cannot beat the incumbent; both cuts keep the witness of
 the unpruned search.  Every vertex space
 has such rows (``adjacency_rows``) and hands them over as they are.  A
 graph's eccentricities are computed once, by one frontier-mask
-breadth-first search per vertex, and radius, diameter, center,
-eccentricity and the CSV table all read them.
+breadth-first search per vertex that stops as soon as every vertex is
+seen, or with no result at the first level that adds none, and radius,
+diameter, center, eccentricity and the CSV table all read them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator
 
 from .errors import BudgetError
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_all_subsets
-from .lattice import DigitalImage, Point, _bfs, _bits, _flood, is_connected
+from .lattice import DigitalImage, Point, _bfs, _bits, _flood, _row_pairs, is_connected
 
 #: Vertex cap for the exponential longest-cycle search.
 DEFAULT_CYCLE_BUDGET = 20
@@ -98,10 +99,8 @@ class FiniteGraph:
         return self.adj[i].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            for j in _bits(self.adj[i]):
-                if i < j:
-                    yield (i, j)
+        """The edges (i, j), i < j, in ascending order."""
+        return _row_pairs(self.adj)
 
     @cached_property
     def edge_count(self) -> int:
@@ -115,16 +114,18 @@ class FiniteGraph:
         out = []
         for s in range(n):
             seen = frontier = 1 << s
-            ecc = -1
-            while frontier:
-                ecc += 1
+            ecc = 0
+            while seen != full:
                 reach = 0
-                for i in _bits(frontier):
-                    reach |= adj[i]
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adj[low.bit_length() - 1]
+                    frontier ^= low
                 frontier = reach & ~seen
+                if not frontier:
+                    return None
                 seen |= frontier
-            if seen != full:
-                return None
+                ecc += 1
             out.append(ecc)
         return tuple(out)
 

@@ -9,9 +9,18 @@ hyperspace adjacency), which reduces to two bitmask coverage checks.
 A family's graph is held as one adjacency row per member, a bitmask over
 member indices.  The rows are built bit-parallel from per-point member
 bitsets: with S_p the members holding p and C_p the members whose cover
-holds p, row(A) is the AND of C_p over p in A minus the union of S_p over
-p outside cover(A), less A itself.  That is O(N * |X|) big-integer
-operations for N members instead of a scan over all N^2 / 2 pairs.
+holds p (the members meeting N[p], so the OR of S_q over q in N[p]),
+row(A) is within(A), the AND of C_p over p in A, cut to the members in
+no S_p for p outside cover(A), less A itself.  One pass over the
+ascending masks serves every family: a member A with an earlier member
+A - {p} takes cover(A) = cover(A - {p}) | N[p] and within(A) =
+within(A - {p}) & C_p from it, and the mask of the members inside a
+cover is built once per distinct cover.  Every member of 2^X or K(X) but
+the singletons has such a smaller member (a connected set stays
+connected without a point that is not a cut point), so only singletons
+and some members of custom families AND over their points.  That is a
+few big-integer operations per member and |X| per distinct cover,
+instead of O(|X|) per member or a scan over all N^2 / 2 pairs.
 
 A family is itself a vertex space (``vertices``, ``vertex_index``,
 ``adjacency_rows``), so maps between families are value rows like maps
@@ -102,21 +111,43 @@ class SubsetFamily:
     def adjacency_rows(self) -> tuple[int, ...]:
         """Per member, the bitmask over member indices of its adjacent members."""
         masks, n = self.masks, len(self.base)
-        covers = [_cover(self.base.closed_neighbor_masks, m) for m in masks]
-        # per point p: C_p (members whose cover holds p), S_p (members holding p)
-        points = tuple(zip(range(n), _point_bitsets(covers, n), _point_bitsets(masks, n)))
-        everyone = (1 << len(masks)) - 1
-        rows = []
-        for i, (m, c) in enumerate(zip(masks, covers)):
-            row, away = everyone, 0
-            for p, covered, held in points:
-                if m >> p & 1:
-                    row &= covered
-                elif not c >> p & 1:
-                    away |= held
-            # A lies in C_p for every p in A and in no S_p for p outside
-            # cover(A), so its own bit is set and the XOR clears it.
-            rows.append((row & ~away) ^ (1 << i))
+        if len(masks) < 2:
+            return (0,) * len(masks)
+        closed, index = self.base.closed_neighbor_masks, self._mask_index
+        # per point p: S_p (members holding p) and C_p (members whose cover
+        # holds p, that is, members meeting N[p]: the OR of S_q over q in N[p])
+        held = _point_bitsets(masks, n)
+        covered = [_cover(held, c) for c in closed]
+        # rows[i] is first within(A), the AND of C_p over p in A: the members
+        # whose cover holds A.  A member one point p larger than an earlier
+        # member takes its cover and within from that member, whose row is
+        # not cut before every member has read it.
+        covers, rows = [], []
+        for m in masks:
+            rest = m
+            while rest:
+                p = rest.bit_length() - 1
+                j = index.get(m ^ (1 << p))
+                if j is not None:
+                    covers.append(covers[j] | closed[p])
+                    rows.append(rows[j] & covered[p])
+                    break
+                rest ^= 1 << p
+            else:
+                covers.append(_cover(closed, m))
+                within = -1
+                for p in _bits(m):
+                    within &= covered[p]
+                rows.append(within)
+        # Then each row is cut to the members inside cover(A), those in no
+        # S_p for p outside it, with one such mask per distinct cover.
+        points, inside = (1 << n) - 1, {}
+        for i, c in enumerate(covers):
+            keep = inside.get(c)
+            if keep is None:
+                keep = inside[c] = ~_cover(held, points ^ c)
+            # A lies in within(A) and inside cover(A), so the XOR clears its own bit.
+            rows[i] = (rows[i] & keep) ^ (1 << i)
         return tuple(rows)
 
     @cached_property
@@ -163,15 +194,16 @@ class SubsetFamily:
 
 
 def _point_bitsets(masks: tuple[int, ...], n: int) -> list[int]:
-    """Per point p < n, the bitmask of the indices i with p in ``masks[i]``.
+    """Per bit p < n, the bitmask of the indices i with bit p set in ``masks[i]``.
 
-    A transpose of the masks' binary strings: column p, read over the
-    masks from last to first, is the binary numeral of point p's bitset.
+    A transpose of the masks' binary strings, for nonempty ``masks`` of at
+    most n bits: ``bin(m | 1 << n)`` is "0b1" and then m's n digits, so in
+    these strings joined from the last mask to the first, the digits at
+    stride n + 3 from n + 2 - p spell the binary numeral of bit p's bitset.
     """
-    columns = zip(*[format(m, f"0{n}b") for m in reversed(masks)])
-    out = [int("".join(col), 2) for col in columns]
-    out.reverse()
-    return out
+    width = n + 3
+    s = "".join(map(bin, map((1 << n).__or__, reversed(masks))))
+    return [int(s[width - 1 - p::width], 2) for p in range(n)]
 
 
 def hyper_adjacent(A: Iterable[Point], B: Iterable[Point], X: DigitalImage) -> bool:
@@ -190,11 +222,12 @@ def hyper_adjacent(A: Iterable[Point], B: Iterable[Point], X: DigitalImage) -> b
     return not (b & ~_cover(closed, a) or a & ~_cover(closed, b))
 
 
-def _cover(closed: tuple[int, ...], mask: int) -> int:
-    """The union of the closed neighbourhoods of the points in ``mask``."""
+def _cover(rows: tuple[int, ...] | list[int], mask: int) -> int:
+    """The OR of ``rows[i]`` over the bits i of ``mask``: over closed
+    neighbourhood rows, the union of the closed neighbourhoods of its points."""
     c = 0
     for i in _bits(mask):
-        c |= closed[i]
+        c |= rows[i]
     return c
 
 

@@ -39,6 +39,39 @@ def bfs_components(G):
     return tuple(comps)
 
 
+def frontier_eccentricities(G):
+    """The generator-based frontier search ``FiniteGraph._eccentricities``
+    replaced, one level past the last vertex; the reference it must equal."""
+    adj, n = G.adj, G.n
+    full = (1 << n) - 1
+    out = []
+    for s in range(n):
+        seen = frontier = 1 << s
+        ecc = -1
+        while frontier:
+            ecc += 1
+            reach = 0
+            for i in _bits(frontier):
+                reach |= adj[i]
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen != full:
+            return None
+        out.append(ecc)
+    return tuple(out)
+
+
+def cycle_graph(n):
+    return FiniteGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def lollipop_graph(clique, tail):
+    """A clique on 0..clique-1 with a path of ``tail`` more vertices hung from its last vertex."""
+    return FiniteGraph.from_edges(clique + tail, [(i, j) for i in range(clique)
+                                                  for j in range(i + 1, clique)]
+                                  + [(i, i + 1) for i in range(clique - 1, clique + tail - 1)])
+
+
 def recursive_longest_cycle(G):
     """The recursive longest-cycle search ``longest_cycle`` replaced; the
     reference its witnesses must equal, vertex for vertex."""
@@ -431,6 +464,35 @@ class TestMetrics:
         assert diameter(G) == max(eccs)
         assert center(G) == {v for v, e in enumerate(eccs) if e == min(eccs)}
         assert [eccentricity(G, v) for v in range(G.n)] == list(eccs)
+
+    @pytest.mark.parametrize("G", [
+        path_graph(150), path_graph(300), cycle_graph(151), cycle_graph(300),
+        lollipop_graph(30, 30), FiniteGraph.from_edges(0, []), path_graph(1),
+        FiniteGraph.from_edges(4, [(0, 1), (1, 3)]), FiniteGraph.from_edges(2, []),
+    ], ids=["path150", "path300", "cycle151", "cycle300", "lollipop30", "empty",
+            "single", "isolated", "two-isolated"])
+    def test_eccentricities_match_frontier_reference(self, G):
+        eccs = frontier_eccentricities(G)
+        assert G._eccentricities == eccs
+        if eccs is None:
+            for metric in (radius, diameter, center, metrics_csv,
+                           lambda G: eccentricity(G, 0)):
+                with pytest.raises(ValueError, match="disconnected"):
+                    metric(G)
+
+    def test_eccentricities_match_frontier_reference_on_hyperspaces(self):
+        rng = random.Random(10)
+        seen = set()
+        for k in range(60):
+            X = random_connected_image(rng, 6) if k % 3 else random_image(rng, 6)
+            family = enumerate_all_subsets(X) if k % 2 else enumerate_connected_subsets(X)
+            custom = family.subfamily(m for m in family.members if rng.random() < 0.6)
+            for space in (family, custom):
+                G = as_finite_graph(space, with_labels=False)
+                eccs = frontier_eccentricities(G)
+                assert G._eccentricities == eccs
+                seen.add(eccs is None)
+        assert seen == {False, True}
 
     def test_against_floyd_warshall(self):
         rng = random.Random(6)

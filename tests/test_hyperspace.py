@@ -30,6 +30,15 @@ def pair_scan_edges(family):
             if masks[i] & ~covers[j] == 0 and masks[j] & ~covers[i] == 0]
 
 
+def rows_of(count, edges):
+    """Adjacency rows over ``count`` vertices from an edge list."""
+    rows = [0] * count
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
 def quantifier_adjacent(A, B, X):
     """Direct reading of the hyperspace adjacency: closed partners both ways."""
     u = X.adjacency
@@ -146,11 +155,37 @@ class TestAdjacencyRows:
         view = hyperspace_graph(family)
         assert list(view.edges) == expect
         assert view.edge_count == len(expect)
-        rows = [0] * len(family)
-        for i, j in expect:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        assert view.adjacency_rows == tuple(rows)
+        assert view.adjacency_rows == rows_of(len(family), expect)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("full", "connected")),
+           st.floats(0.05, 0.95))
+    @settings(max_examples=80, deadline=None)
+    def test_custom_rows_match_pair_scan(self, seed, kind, share):
+        # Sparse subfamilies drop many one-point-smaller subsets, so their
+        # members also take covers and rows without a parent in the family.
+        rng = random.Random(seed)
+        X = random_image(rng, 7)
+        whole = (enumerate_all_subsets if kind == "full" else enumerate_connected_subsets)(X)
+        family = whole.subfamily(m for m in whole.members if rng.random() < share)
+        expect = pair_scan_edges(family)
+        assert family.adjacency_rows == rows_of(len(family), expect)
+        assert family.edge_count == len(expect)
+
+    def test_members_without_a_smaller_member(self):
+        X = interval(0, 3)
+        for members in ([{0, 2}], [{0}, {0, 1, 2}], [{0, 2}, {1, 3}, {0, 1, 2, 3}],
+                        [{1}, {0, 2}, {0, 1, 2}, {3}, {1, 2, 3}]):
+            family = SubsetFamily(X, tuple(X.mask_of((p,) for p in m) for m in members),
+                                  "custom")
+            assert family.adjacency_rows == rows_of(len(family), pair_scan_edges(family))
+
+    def test_empty_family(self):
+        X = interval(0, 2)
+        doc = family_to_json(enumerate_all_subsets(X))
+        doc.update(kind="custom", members=[])
+        for family in (SubsetFamily(X, (), "custom"), family_from_json(doc)):
+            assert family.adjacency_rows == ()
+            assert family.edge_count == 0 and family.edges == ()
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -1,9 +1,10 @@
 """Graph kernels against networkx, used here as an independent oracle only.
 
 Girth length, eccentricities, radius, diameter, center and connected
-components on random graphs and on the graphs of random images and of
-their connected hyperspaces, disconnected ones included.  Skipped when
-networkx is not installed; the library itself never imports it.
+components on random graphs and on the graphs of random images, of their
+hyperspaces and of custom subfamilies, disconnected ones included.
+Skipped when networkx is not installed; the library itself never imports
+it.
 """
 
 import random
@@ -11,23 +12,33 @@ import random
 import pytest
 
 from digitop import (as_finite_graph, center, connected_components, diameter, eccentricity,
-                     enumerate_connected_subsets, girth, hyperspace_graph, radius)
+                     enumerate_all_subsets, enumerate_connected_subsets, girth,
+                     hyperspace_graph, radius)
 from digitop.verify import random_graph, random_image
 
 nx = pytest.importorskip("networkx")
 
 
 def sample_graphs(seed, count=150):
-    """Random graphs and the graphs of random images and their K(X)."""
+    """Random graphs, and the graphs of random images, their K(X) and 2^X,
+    and random custom subfamilies of 2^X."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        kind = rng.randrange(3)
+        kind = rng.randrange(5)
         if kind == 0:
             out.append(random_graph(rng, 12))
             continue
-        X = random_image(rng, 6)
-        space = X if kind == 1 else hyperspace_graph(enumerate_connected_subsets(X))
+        X = random_image(rng, 6 if kind < 3 else 5)
+        if kind == 1:
+            space = X
+        elif kind == 2:
+            space = hyperspace_graph(enumerate_connected_subsets(X))
+        else:
+            space = hyperspace_graph(enumerate_all_subsets(X))
+            if kind == 4:
+                kept = [m for m in space.members if rng.random() < 0.6]
+                space = hyperspace_graph(space.subfamily(kept or space.members[:1]))
         out.append(as_finite_graph(space, with_labels=False))
     return out
 
