@@ -6,6 +6,8 @@ error, 3 resource limit exceeded, 4 internal error (a witness failed its
 re-validation, or an output held a value the JSON writer does not take).
 Every ``--format json`` document comes from one writer, ``_dumps``, whose
 bytes are those of ``json.dumps(value, indent=2)``.
+Each verb takes only the ``--budget-*`` flags it reads (``BUDGETS``), and
+the graph verbs label a vertex by its entry in the view's ``vertices``.
 """
 
 from __future__ import annotations
@@ -118,26 +120,25 @@ def _dumps(value) -> str:
     return write(value, 0)
 
 
-def _view_graph(args) -> gm.FiniteGraph:
+def _view_graph(args) -> tuple[gm.FiniteGraph, tuple]:
+    """The view's graph, and its space's vertices to print as labels."""
     image = image_from_json(_load(args.input))
     view = args.view
     if view == "image":
-        return gm.as_finite_graph(image)
-    if view in ("full", "connected"):
-        return gm.as_finite_graph(hyperspace_graph(
-            family_of(image, view, args.budget_hyperspace)))
-    if view == "functions":
+        space = image
+    elif view == "functions":
         codomain = image_from_json(_load(args.codomain)) if args.codomain else image
-        return gm.as_finite_graph(build_function_graph(
-            image, codomain, args.flavor, args.budget_functions))
-    raise ValueError(f"unknown view {view!r}")
+        space = build_function_graph(image, codomain, args.flavor, args.budget_functions)
+    else:  # family_of refuses any view but full and connected
+        space = hyperspace_graph(family_of(image, view, args.budget_hyperspace))
+    return gm.as_finite_graph(space), space.vertices
 
 
 def cmd_hyperspace(args) -> int:
     image = image_from_json(_load(args.input))
     family = hyperspace_graph(family_of(image, args.kind, args.budget_hyperspace))
     if args.format == "dot":
-        _emit(args, gm.to_dot(gm.as_finite_graph(family)))
+        _emit(args, gm.to_dot(gm.as_finite_graph(family), labels=family.vertices))
     elif args.format == "json":
         points = image.points  # sorted, so a mask's ascending bits list its points in order
         _emit(args, _dumps({
@@ -233,7 +234,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_girth(args) -> int:
-    graph = _view_graph(args)
+    graph, labels = _view_graph(args)
     short = gm.girth(graph)
     longest = gm.longest_cycle(graph, args.budget_cycle)
     for witness in (short, longest):
@@ -244,7 +245,7 @@ def cmd_girth(args) -> int:
         if w is None:
             return None
         return {"length": w.length,
-                "vertices": [gm.format_label(graph.label_of(v)) for v in w.vertices]}
+                "vertices": [gm.format_label(labels[v]) for v in w.vertices]}
 
     if args.format == "json":
         _emit(args, _dumps({"girth": cycle_doc(short), "long_cycle": cycle_doc(longest)}) + "\n")
@@ -254,27 +255,27 @@ def cmd_girth(args) -> int:
         else:
             _emit(args, f"girth: {short.length}\nlong cycle: {longest.length}\n"
                         f"long cycle witness: "
-                        f"{' '.join(gm.format_label(graph.label_of(v)) for v in longest.vertices)}\n")
+                        f"{' '.join(gm.format_label(labels[v]) for v in longest.vertices)}\n")
     return 0
 
 
 def cmd_dominate(args) -> int:
-    graph = _view_graph(args)
+    graph, labels = _view_graph(args)
     best = gm.minimum_dominating_set(graph, args.budget_dominating)
     if not gm.is_dominating(best, graph):
         raise InternalError("dominating set failed re-validation")
-    labels = [gm.format_label(graph.label_of(v)) for v in sorted(best)]
+    names = [gm.format_label(labels[v]) for v in sorted(best)]
     if args.format == "json":
-        _emit(args, _dumps({"size": len(best), "vertices": labels}) + "\n")
+        _emit(args, _dumps({"size": len(best), "vertices": names}) + "\n")
     else:
-        _emit(args, f"minimum dominating set size: {len(best)}\nmembers: {' '.join(labels)}\n")
+        _emit(args, f"minimum dominating set size: {len(best)}\nmembers: {' '.join(names)}\n")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    graph = _view_graph(args)
+    graph, labels = _view_graph(args)
     if args.format == "csv":
-        _emit(args, gm.metrics_csv(graph))
+        _emit(args, gm.metrics_csv(graph, labels=labels))
         return 0
     rad, diam = gm.radius(graph), gm.diameter(graph)
     ctr = sorted(gm.center(graph))
@@ -284,24 +285,24 @@ def cmd_metrics(args) -> int:
             "edges": graph.edge_count,
             "radius": rad,
             "diameter": diam,
-            "center": [gm.format_label(graph.label_of(v)) for v in ctr],
+            "center": [gm.format_label(labels[v]) for v in ctr],
             "eccentricity": {str(v): gm.eccentricity(graph, v) for v in range(graph.n)},
         }) + "\n")
     else:
         _emit(args, f"vertices: {graph.n}\nedges: {graph.edge_count}\n"
                     f"radius: {rad}\ndiameter: {diam}\n"
-                    f"center: {' '.join(gm.format_label(graph.label_of(v)) for v in ctr)}\n")
+                    f"center: {' '.join(gm.format_label(labels[v]) for v in ctr)}\n")
     return 0
 
 
 def cmd_export_dot(args) -> int:
-    graph = _view_graph(args)
+    graph, labels = _view_graph(args)
     highlight = None
     if args.highlight == "girth":
         highlight = gm.girth(graph)
     elif args.highlight == "long-cycle":
         highlight = gm.longest_cycle(graph, args.budget_cycle)
-    _emit(args, gm.to_dot(graph, highlight=highlight))
+    _emit(args, gm.to_dot(graph, highlight=highlight, labels=labels))
     return 0
 
 
@@ -312,21 +313,26 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
+#: Every ``--budget-NAME`` flag: NAME -> (default, help).  A verb takes the ones it reads.
+BUDGETS = {
+    "hyperspace": (DEFAULT_POINT_BUDGET, "max image points for hyperspace enumeration"),
+    "functions": (DEFAULT_FUNCTION_BUDGET,
+                  "max raw table count #Y^#X for function enumeration, and max "
+                  "continuous rows generated by one homotopy or contractibility search"),
+    "cycle": (gm.DEFAULT_CYCLE_BUDGET, "max vertices for the long-cycle search"),
+    "dominating": (gm.DEFAULT_DOMINATING_BUDGET, "max vertices for the dominating-set search"),
+    "subdivision": (DEFAULT_SUBDIVISION_BUDGET, "max subdivision points for the generator search"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, budgets: tuple[str, ...],
+                formats=("text", "json")) -> None:
     p.add_argument("--input", required=True, help="path to the JSON input document")
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--output", help="write to this path instead of stdout")
-    p.add_argument("--budget-hyperspace", type=_positive_int, default=DEFAULT_POINT_BUDGET,
-                   help="max image points for hyperspace enumeration")
-    p.add_argument("--budget-functions", type=_positive_int, default=DEFAULT_FUNCTION_BUDGET,
-                   help="max raw table count #Y^#X for function enumeration, and max "
-                        "continuous rows generated by one homotopy or contractibility search")
-    p.add_argument("--budget-cycle", type=_positive_int, default=gm.DEFAULT_CYCLE_BUDGET,
-                   help="max vertices for the long-cycle search")
-    p.add_argument("--budget-dominating", type=_positive_int, default=gm.DEFAULT_DOMINATING_BUDGET,
-                   help="max vertices for the dominating-set search")
-    p.add_argument("--budget-subdivision", type=_positive_int, default=DEFAULT_SUBDIVISION_BUDGET,
-                   help="max subdivision points for the generator search")
+    for name in budgets:
+        default, text = BUDGETS[name]
+        p.add_argument(f"--budget-{name}", type=_positive_int, default=default, help=text)
 
 
 def _add_view(p: argparse.ArgumentParser) -> None:
@@ -345,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hyperspace", help="enumerate a hyperspace and report its graph")
-    _add_common(p, formats=("text", "json", "dot"))
+    _add_common(p, ("hyperspace",), formats=("text", "json", "dot"))
     p.add_argument("--kind", choices=("full", "connected"), default="connected")
     p.set_defaults(func=cmd_hyperspace)
 
     p = sub.add_parser("check", help="run a named check on a JSON document")
     p.add_argument("name", choices=CHECKS)
-    _add_common(p)
+    _add_common(p, ("hyperspace", "functions", "subdivision"))
     p.add_argument("--r-max", type=int, default=4,
                    help="largest subdivision factor for the generator search")
     p.set_defaults(func=cmd_check)
@@ -368,12 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write to this path instead of stdout")
     p.set_defaults(func=cmd_verify)
 
-    for verb, fn, extra in (("girth", cmd_girth, ()),
-                            ("dominate", cmd_dominate, ()),
-                            ("metrics", cmd_metrics, ("csv",)),
-                            ("export-dot", cmd_export_dot, ())):
+    for verb, fn, extra, search in (("girth", cmd_girth, (), ("cycle",)),
+                                    ("dominate", cmd_dominate, (), ("dominating",)),
+                                    ("metrics", cmd_metrics, ("csv",), ()),
+                                    ("export-dot", cmd_export_dot, (), ("cycle",))):
         p = sub.add_parser(verb)
-        _add_common(p, formats=("text", "json") + tuple(extra))
+        _add_common(p, ("hyperspace", "functions") + search, formats=("text", "json") + extra)
         _add_view(p)
         if verb == "export-dot":
             p.add_argument("--highlight", choices=("girth", "long-cycle"),

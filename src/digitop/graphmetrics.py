@@ -4,6 +4,8 @@ Images, subset families and function graphs all project to
 :class:`FiniteGraph` via :func:`as_finite_graph`; everything here then
 works uniformly: shortest/longest cycles, dominating sets, eccentricity,
 center, radius, diameter, disconnecting sets, DOT and CSV emission.
+A graph is its vertex count and rows; the writers that print vertices
+take the space's ``vertices`` as ``labels``.
 The girth search runs the library's one predecessor breadth-first search
 (``lattice._bfs``) from one end of each edge with the edge masked out of
 that end's row, so the first path found to the other end closes a
@@ -47,7 +49,6 @@ class FiniteGraph:
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple | None = None
 
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
@@ -60,34 +61,23 @@ class FiniteGraph:
             for j in _bits(row):
                 if not self.adj[j] >> i & 1:
                     raise ValueError(f"edge {i}-{j} is not symmetric")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count must equal the vertex count")
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...], labels: tuple | None = None) -> "FiniteGraph":
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "FiniteGraph":
         """A graph from rows that are symmetric and loop-free by construction, unchecked."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
         object.__setattr__(graph, "adj", adj)
-        object.__setattr__(graph, "labels", labels)
         return graph
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   labels: tuple | None = None) -> "FiniteGraph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "FiniteGraph":
+        """The graph on 0..n-1 with these edges, checked by the constructor."""
         rows = [0] * n
         for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        # Out-of-range ends fail above, so the rows are valid; only n and
-        # the labels are left to check.
-        if n < 0:
-            raise ValueError("adjacency row count must equal the vertex count")
-        if labels is not None and len(labels) != n:
-            raise ValueError("label count must equal the vertex count")
-        return cls._trusted(n, tuple(rows), labels)
+        return cls(n, tuple(rows))
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
@@ -131,25 +121,23 @@ class FiniteGraph:
 
     @property
     def eccentricities(self) -> tuple[int, ...]:
-        """Every vertex's eccentricity; ValueError when the graph is disconnected."""
+        """Every vertex's eccentricity; ValueError when the graph is disconnected or empty."""
         eccs = self._eccentricities
         if eccs is None:
             raise ValueError("metric is undefined on a disconnected graph")
+        if not eccs:
+            raise ValueError("metric is undefined on a graph with no vertices")
         return eccs
 
-    def label_of(self, i: int):
-        return self.labels[i] if self.labels is not None else i
 
-
-def as_finite_graph(space, with_labels: bool = True) -> FiniteGraph:
-    """Project any vertex space (image, family, function graph)."""
+def as_finite_graph(space) -> FiniteGraph:
+    """Project any vertex space (image, family, function graph) to its rows."""
     rows = space.adjacency_rows
-    labels = tuple(space.vertices) if with_labels else None
-    return FiniteGraph._trusted(len(rows), rows, labels)
+    return FiniteGraph._trusted(len(rows), rows)
 
 
 def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:
-    """The subgraph on the kept vertices (ascending), labels carried over."""
+    """The subgraph on the kept vertices, renumbered in ascending order."""
     kept = sorted(set(keep))
     pos = {v: i for i, v in enumerate(kept)}
     rows = []
@@ -159,8 +147,7 @@ def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:
             if w in pos:
                 row |= 1 << pos[w]
         rows.append(row)
-    labels = tuple(G.label_of(v) for v in kept) if G.labels is not None else None
-    return FiniteGraph._trusted(len(kept), tuple(rows), labels)
+    return FiniteGraph._trusted(len(kept), tuple(rows))
 
 
 # -- traversal ---------------------------------------------------------------
@@ -332,6 +319,8 @@ def minimum_dominating_set(G: FiniteGraph,
     """A dominating set of minimum size, by exact branch and bound."""
     if G.n > budget:
         raise BudgetError("dominating-set search", f"{G.n} vertices", budget)
+    if not G.n:
+        return frozenset()
     full = (1 << G.n) - 1
     closed = tuple(G.adj[i] | (1 << i) for i in range(G.n))
     # greedy cover for the initial upper bound
@@ -429,8 +418,11 @@ def format_label(obj) -> str:
 
 
 def to_dot(G: FiniteGraph, name: str = "G",
-           highlight: CycleWitness | None = None) -> str:
-    """Graphviz source for the graph; an optional cycle is drawn bold."""
+           highlight: CycleWitness | None = None, *, labels=None) -> str:
+    """Graphviz source for the graph; an optional cycle is drawn bold.
+
+    Vertex i is printed as ``labels[i]``, or as i when there are no labels.
+    """
     hot = set()
     if highlight is not None:
         seq = highlight.vertices
@@ -438,7 +430,7 @@ def to_dot(G: FiniteGraph, name: str = "G",
     out = io.StringIO()
     out.write(f"graph {name} {{\n")
     for i in range(G.n):
-        out.write(f'  n{i} [label="{format_label(G.label_of(i))}"];\n')
+        out.write(f'  n{i} [label="{format_label(labels[i] if labels is not None else i)}"];\n')
     for i, j in G.edges():
         style = " [style=bold color=red]" if (i, j) in hot else ""
         out.write(f"  n{i} -- n{j}{style};\n")
@@ -446,11 +438,11 @@ def to_dot(G: FiniteGraph, name: str = "G",
     return out.getvalue()
 
 
-def metrics_csv(G: FiniteGraph) -> str:
-    """Per-vertex metric table: vertex, label, degree, eccentricity."""
-    eccs = G.eccentricities
+def metrics_csv(G: FiniteGraph, *, labels=None) -> str:
+    """Per-vertex metric table: vertex, label, degree, eccentricity; labels as in to_dot."""
+    eccs = G.eccentricities if G.n else ()
     lines = ["vertex,label,degree,eccentricity"]
     for v in range(G.n):
-        label = format_label(G.label_of(v)).replace('"', "'")
+        label = format_label(labels[v] if labels is not None else v).replace('"', "'")
         lines.append(f'{v},"{label}",{G.degree(v)},{eccs[v]}')
     return "\n".join(lines) + "\n"

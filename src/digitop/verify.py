@@ -378,7 +378,7 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
     for _ in range(n_samples // 10):
         X = random_connected_image(rng, 4)
         if is_contractible(X):
-            graph = gm.as_finite_graph(build_function_graph(X, X, PHI), with_labels=False)
+            graph = gm.as_finite_graph(build_function_graph(X, X, PHI))
             if not gm.is_connected_graph(graph):
                 contract_viol.append(X)
     out.append(CheckResult("contractible-gives-connected-selfmap-graph", not contract_viol,
@@ -488,7 +488,7 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
     for _ in range(n_samples):
         X = random_image(rng, max_pts)
         K = enumerate_connected_subsets(X)
-        G = gm.as_finite_graph(hyperspace_graph(K), with_labels=False)
+        G = gm.as_finite_graph(hyperspace_graph(K))
         if X.is_connected() != gm.is_connected_graph(G):
             iff_viol.append(X)
         comps = X.components()
@@ -514,7 +514,7 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
     for _ in range(n_samples // 4):
         X = random_connected_image(rng, min(max_pts, 5))
         K = enumerate_connected_subsets(X)
-        G = gm.as_finite_graph(hyperspace_graph(K), with_labels=False)
+        G = gm.as_finite_graph(hyperspace_graph(K))
         start = rng.randrange(len(K))
         seen = {start}
         frontier = [start]
@@ -527,11 +527,12 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
             seen.add(pick)
             frontier.append(pick)
         W = [K.members[i] for i in sorted(seen)]
-        if not X.is_connected_subset(union_of_family(W)):
+        U = union_of_family(W)  # the flood and the pairwise-path oracle must agree
+        if not (X.is_connected_subset(U) and oracle_pairwise_connected(U, X)):
             union_viol.append((X, W))
         A = rng.choice(K.members)
         KA = enumerate_connected_subsets(X.restrict(A))
-        GA = gm.as_finite_graph(hyperspace_graph(KA), with_labels=False)
+        GA = gm.as_finite_graph(hyperspace_graph(KA))
         dist = gm.bfs_distances(GA, KA.index_of(frozenset((min(A),))))
         if dist[KA.index_of(A)] is None:
             path_viol.append((X, A))
@@ -547,7 +548,7 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
         if len(X) < 3:
             continue
         K = enumerate_connected_subsets(X)
-        G = gm.as_finite_graph(hyperspace_graph(K), with_labels=False)
+        G = gm.as_finite_graph(hyperspace_graph(K))
         for ymask in range(1, (1 << len(X)) - 1):
             Y = [X.points[i] for i in range(len(X)) if ymask >> i & 1]
             if not gm.disconnects(Y, X):
@@ -647,7 +648,7 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
     for _ in range(n_samples):
         X = random_image(rng, max_pts)
         K = enumerate_connected_subsets(X)
-        G = gm.as_finite_graph(hyperspace_graph(K), with_labels=False)
+        G = gm.as_finite_graph(hyperspace_graph(K))
         w = gm.girth(G)
         has_nonisolated = any(X.neighbors(p) for p in X.points)
         if has_nonisolated != (w is not None and w.length == 3):
@@ -676,7 +677,7 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
             continue
         x, u, v = found
         K = enumerate_connected_subsets(X)
-        G = gm.as_finite_graph(hyperspace_graph(K), with_labels=False)
+        G = gm.as_finite_graph(hyperspace_graph(K))
         seq = [frozenset(s) for s in
                ({u}, {u, x}, {u, x, v}, {x, v}, {v}, {x})]
         idx = [K.index_of(s) for s in seq]
@@ -690,7 +691,7 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
                            f"first {six_viol[:1]}" if six_viol else ""))
 
     fam = enumerate_all_subsets(interval(1, 4))
-    G = gm.as_finite_graph(hyperspace_graph(fam), with_labels=False)
+    G = gm.as_finite_graph(hyperspace_graph(fam))
     w = gm.longest_cycle(G)
     listed = [{1, 2}, {1, 2, 3}, {1, 3}, {1, 4}, {1, 3, 4}, {1, 2, 4},
               {1, 2, 3, 4}, {2, 3, 4}, {2, 3}, {2, 4}, {3, 4}, {4}, {3}, {2}, {1}]
@@ -722,8 +723,8 @@ def suite_dominating(rng, max_points=None, samples=None) -> list[CheckResult]:
     for _ in range(n_samples):
         X = random_image(rng, max_pts)
         fam = enumerate_all_subsets(X)
-        G = gm.as_finite_graph(hyperspace_graph(fam), with_labels=False)
-        GX = gm.as_finite_graph(X, with_labels=False)
+        G = gm.as_finite_graph(hyperspace_graph(fam))
+        GX = gm.as_finite_graph(X)
         n = len(X)
         for dmask in range(1 << n):
             D = [X.points[i] for i in range(n) if dmask >> i & 1]
@@ -760,9 +761,9 @@ def suite_diameter(rng, max_points=None, samples=None) -> list[CheckResult]:
         # the strict bound degenerates to 0 < 0 on one-point images, so the
         # claim is sampled over images with at least one adjacency step
         X = random_connected_image(rng, max_pts, min_points=2)
-        GX = gm.as_finite_graph(X, with_labels=False)
+        GX = gm.as_finite_graph(X)
         K = enumerate_connected_subsets(X)
-        G = gm.as_finite_graph(hyperspace_graph(K), with_labels=False)
+        G = gm.as_finite_graph(hyperspace_graph(K))
         r = gm.radius(GX)
         d = gm.diameter(G)
         if not d < 2 * (len(X) + r - 1):

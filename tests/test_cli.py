@@ -1,5 +1,6 @@
 """Command-line front end: verbs, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -301,8 +302,10 @@ class TestMetricVerbs:
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_budgets_must_be_positive(self, img4, flag, value, capsys):
         # girth --budget-cycle -1 used to exit 3, as if a resource limit were hit
+        verb = {"--budget-dominating": ["dominate"],
+                "--budget-subdivision": ["check", "egs-continuous"]}.get(flag, ["girth"])
         with pytest.raises(SystemExit) as exc:
-            main(["girth", "--input", img4, flag, value])
+            main(verb + ["--input", img4, flag, value])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -312,6 +315,363 @@ class TestMetricVerbs:
         assert main(["export-dot", "--input", img4, "--view", "full",
                      "--highlight", "long-cycle"]) == 0
         assert "style=bold" in capsys.readouterr().out
+
+
+# The printed labels of each view of interval(0, 2), as the graph verbs wrote
+# them when the graphs still carried their labels.
+LABEL_VIEWS = {
+    "image": ["--view", "image"],
+    "connected": ["--view", "connected"],
+    "full": ["--view", "full"],
+    "functions": ["--view", "functions", "--flavor", "phi", "--codomain", "{codomain}"],
+}
+LABEL_VERBS = {
+    "export-dot": ["export-dot"],
+    "export-dot-girth": ["export-dot", "--highlight", "girth"],
+    "metrics-csv": ["metrics", "--format", "csv"],
+    "girth": ["girth"],
+    "dominate": ["dominate"],
+    "metrics": ["metrics"],
+}
+LABEL_GOLDEN = {
+    ("image", "export-dot"): """\
+graph G {
+  n0 [label="0"];
+  n1 [label="1"];
+  n2 [label="2"];
+  n0 -- n1;
+  n1 -- n2;
+}
+""",
+    ("image", "export-dot-girth"): """\
+graph G {
+  n0 [label="0"];
+  n1 [label="1"];
+  n2 [label="2"];
+  n0 -- n1;
+  n1 -- n2;
+}
+""",
+    ("image", "metrics-csv"): """\
+vertex,label,degree,eccentricity
+0,"0",1,2
+1,"1",2,1
+2,"2",1,2
+""",
+    ("image", "girth"): """\
+acyclic
+""",
+    ("image", "dominate"): """\
+minimum dominating set size: 1
+members: 1
+""",
+    ("image", "metrics"): """\
+vertices: 3
+edges: 2
+radius: 1
+diameter: 2
+center: 1
+""",
+    ("connected", "export-dot"): """\
+graph G {
+  n0 [label="{0}"];
+  n1 [label="{1}"];
+  n2 [label="{0,1}"];
+  n3 [label="{2}"];
+  n4 [label="{1,2}"];
+  n5 [label="{0,1,2}"];
+  n0 -- n1;
+  n0 -- n2;
+  n1 -- n2;
+  n1 -- n3;
+  n1 -- n4;
+  n1 -- n5;
+  n2 -- n4;
+  n2 -- n5;
+  n3 -- n4;
+  n4 -- n5;
+}
+""",
+    ("connected", "export-dot-girth"): """\
+graph G {
+  n0 [label="{0}"];
+  n1 [label="{1}"];
+  n2 [label="{0,1}"];
+  n3 [label="{2}"];
+  n4 [label="{1,2}"];
+  n5 [label="{0,1,2}"];
+  n0 -- n1 [style=bold color=red];
+  n0 -- n2 [style=bold color=red];
+  n1 -- n2 [style=bold color=red];
+  n1 -- n3;
+  n1 -- n4;
+  n1 -- n5;
+  n2 -- n4;
+  n2 -- n5;
+  n3 -- n4;
+  n4 -- n5;
+}
+""",
+    ("connected", "metrics-csv"): """\
+vertex,label,degree,eccentricity
+0,"{0}",2,2
+1,"{1}",5,1
+2,"{0,1}",4,2
+3,"{2}",2,2
+4,"{1,2}",4,2
+5,"{0,1,2}",3,2
+""",
+    ("connected", "girth"): """\
+girth: 3
+long cycle: 6
+long cycle witness: {0} {1} {2} {1,2} {0,1,2} {0,1}
+""",
+    ("connected", "dominate"): """\
+minimum dominating set size: 1
+members: {1}
+""",
+    ("connected", "metrics"): """\
+vertices: 6
+edges: 10
+radius: 1
+diameter: 2
+center: {1}
+""",
+    ("full", "export-dot"): """\
+graph G {
+  n0 [label="{0}"];
+  n1 [label="{1}"];
+  n2 [label="{0,1}"];
+  n3 [label="{2}"];
+  n4 [label="{0,2}"];
+  n5 [label="{1,2}"];
+  n6 [label="{0,1,2}"];
+  n0 -- n1;
+  n0 -- n2;
+  n1 -- n2;
+  n1 -- n3;
+  n1 -- n4;
+  n1 -- n5;
+  n1 -- n6;
+  n2 -- n4;
+  n2 -- n5;
+  n2 -- n6;
+  n3 -- n5;
+  n4 -- n5;
+  n4 -- n6;
+  n5 -- n6;
+}
+""",
+    ("full", "export-dot-girth"): """\
+graph G {
+  n0 [label="{0}"];
+  n1 [label="{1}"];
+  n2 [label="{0,1}"];
+  n3 [label="{2}"];
+  n4 [label="{0,2}"];
+  n5 [label="{1,2}"];
+  n6 [label="{0,1,2}"];
+  n0 -- n1 [style=bold color=red];
+  n0 -- n2 [style=bold color=red];
+  n1 -- n2 [style=bold color=red];
+  n1 -- n3;
+  n1 -- n4;
+  n1 -- n5;
+  n1 -- n6;
+  n2 -- n4;
+  n2 -- n5;
+  n2 -- n6;
+  n3 -- n5;
+  n4 -- n5;
+  n4 -- n6;
+  n5 -- n6;
+}
+""",
+    ("full", "metrics-csv"): """\
+vertex,label,degree,eccentricity
+0,"{0}",2,2
+1,"{1}",6,1
+2,"{0,1}",5,2
+3,"{2}",2,2
+4,"{0,2}",4,2
+5,"{1,2}",5,2
+6,"{0,1,2}",4,2
+""",
+    ("full", "girth"): """\
+girth: 3
+long cycle: 7
+long cycle witness: {0} {1} {2} {1,2} {0,2} {0,1,2} {0,1}
+""",
+    ("full", "dominate"): """\
+minimum dominating set size: 1
+members: {1}
+""",
+    ("full", "metrics"): """\
+vertices: 7
+edges: 14
+radius: 1
+diameter: 2
+center: {1}
+""",
+    ("functions", "export-dot"): """\
+graph G {
+  n0 [label="[0>0 1>0 2>0]"];
+  n1 [label="[0>0 1>0 2>1]"];
+  n2 [label="[0>0 1>1 2>0]"];
+  n3 [label="[0>0 1>1 2>1]"];
+  n4 [label="[0>1 1>0 2>0]"];
+  n5 [label="[0>1 1>0 2>1]"];
+  n6 [label="[0>1 1>1 2>0]"];
+  n7 [label="[0>1 1>1 2>1]"];
+  n0 -- n1;
+  n0 -- n2;
+  n0 -- n3;
+  n0 -- n4;
+  n0 -- n5;
+  n0 -- n6;
+  n0 -- n7;
+  n1 -- n2;
+  n1 -- n3;
+  n1 -- n4;
+  n1 -- n5;
+  n1 -- n6;
+  n1 -- n7;
+  n2 -- n3;
+  n2 -- n4;
+  n2 -- n5;
+  n2 -- n6;
+  n2 -- n7;
+  n3 -- n4;
+  n3 -- n5;
+  n3 -- n6;
+  n3 -- n7;
+  n4 -- n5;
+  n4 -- n6;
+  n4 -- n7;
+  n5 -- n6;
+  n5 -- n7;
+  n6 -- n7;
+}
+""",
+    ("functions", "export-dot-girth"): """\
+graph G {
+  n0 [label="[0>0 1>0 2>0]"];
+  n1 [label="[0>0 1>0 2>1]"];
+  n2 [label="[0>0 1>1 2>0]"];
+  n3 [label="[0>0 1>1 2>1]"];
+  n4 [label="[0>1 1>0 2>0]"];
+  n5 [label="[0>1 1>0 2>1]"];
+  n6 [label="[0>1 1>1 2>0]"];
+  n7 [label="[0>1 1>1 2>1]"];
+  n0 -- n1 [style=bold color=red];
+  n0 -- n2 [style=bold color=red];
+  n0 -- n3;
+  n0 -- n4;
+  n0 -- n5;
+  n0 -- n6;
+  n0 -- n7;
+  n1 -- n2 [style=bold color=red];
+  n1 -- n3;
+  n1 -- n4;
+  n1 -- n5;
+  n1 -- n6;
+  n1 -- n7;
+  n2 -- n3;
+  n2 -- n4;
+  n2 -- n5;
+  n2 -- n6;
+  n2 -- n7;
+  n3 -- n4;
+  n3 -- n5;
+  n3 -- n6;
+  n3 -- n7;
+  n4 -- n5;
+  n4 -- n6;
+  n4 -- n7;
+  n5 -- n6;
+  n5 -- n7;
+  n6 -- n7;
+}
+""",
+    ("functions", "metrics-csv"): """\
+vertex,label,degree,eccentricity
+0,"[0>0 1>0 2>0]",7,1
+1,"[0>0 1>0 2>1]",7,1
+2,"[0>0 1>1 2>0]",7,1
+3,"[0>0 1>1 2>1]",7,1
+4,"[0>1 1>0 2>0]",7,1
+5,"[0>1 1>0 2>1]",7,1
+6,"[0>1 1>1 2>0]",7,1
+7,"[0>1 1>1 2>1]",7,1
+""",
+    ("functions", "girth"): """\
+girth: 3
+long cycle: 8
+long cycle witness: [0>0 1>0 2>0] [0>0 1>0 2>1] [0>0 1>1 2>0] [0>0 1>1 2>1] [0>1 1>0 2>0] [0>1 1>0 2>1] [0>1 1>1 2>0] [0>1 1>1 2>1]
+""",
+    ("functions", "dominate"): """\
+minimum dominating set size: 1
+members: [0>0 1>0 2>0]
+""",
+    ("functions", "metrics"): """\
+vertices: 8
+edges: 28
+radius: 1
+diameter: 1
+center: [0>0 1>0 2>0] [0>0 1>0 2>1] [0>0 1>1 2>0] [0>0 1>1 2>1] [0>1 1>0 2>0] [0>1 1>0 2>1] [0>1 1>1 2>0] [0>1 1>1 2>1]
+""",
+}
+
+
+class TestLabelGolden:
+    @pytest.mark.parametrize("view, verb", sorted(LABEL_GOLDEN))
+    def test_stdout(self, tmp_path, capsys, view, verb):
+        doc = write(tmp_path, "i3.json", image_to_json(interval(0, 2)))
+        codomain = write(tmp_path, "i2.json", image_to_json(interval(0, 1)))
+        argv = [arg.format(codomain=codomain) for arg in LABEL_VIEWS[view]]
+        assert main(LABEL_VERBS[verb] + ["--input", doc] + argv) == 0
+        assert capsys.readouterr().out == LABEL_GOLDEN[view, verb]
+
+    def test_hyperspace_dot_labels_members(self, img4, capsys):
+        assert main(["hyperspace", "--input", img4, "--kind", "connected", "--format", "dot"]) == 0
+        dot = capsys.readouterr().out
+        assert main(["export-dot", "--input", img4, "--view", "connected"]) == 0
+        assert dot == capsys.readouterr().out
+        assert '  n9 [label="{1,2,3,4}"];\n' in dot
+
+
+# The budget flags each verb reads; every other budget flag is refused.
+VERB_BUDGETS = {
+    "hyperspace": {"--budget-hyperspace"},
+    "check": {"--budget-hyperspace", "--budget-functions", "--budget-subdivision"},
+    "girth": {"--budget-hyperspace", "--budget-functions", "--budget-cycle"},
+    "dominate": {"--budget-hyperspace", "--budget-functions", "--budget-dominating"},
+    "metrics": {"--budget-hyperspace", "--budget-functions"},
+    "export-dot": {"--budget-hyperspace", "--budget-functions", "--budget-cycle"},
+}
+ALL_BUDGETS = {f"--budget-{name}" for name in digitop.cli.BUDGETS}
+
+
+class TestBudgetFlags:
+    def test_each_verb_lists_the_flags_it_reads(self):
+        parser = digitop.cli.build_parser()
+        verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for verb, flags in VERB_BUDGETS.items():
+            options = {opt for action in verbs.choices[verb]._actions
+                       for opt in action.option_strings if opt.startswith("--budget-")}
+            assert options == flags, verb
+        assert sum(map(len, VERB_BUDGETS.values())) == 15
+
+    @pytest.mark.parametrize("verb, flag", sorted(
+        (verb, flag) for verb, flags in VERB_BUDGETS.items() for flag in ALL_BUDGETS - flags))
+    def test_unread_flag_is_a_usage_error(self, img4, verb, flag, capsys):
+        argv = [verb] + (["contractible"] if verb == "check" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--input", img4, flag, "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 5" in captured.err
 
 
 class TestVerify:
@@ -574,8 +934,15 @@ def _fuzz_jobs():
 
 
 FUZZ_JOBS = _fuzz_jobs()
-SMALL_BUDGETS = ["--budget-hyperspace", "6", "--budget-functions", "2000", "--budget-cycle",
-                 "12", "--budget-dominating", "16", "--budget-subdivision", "16"]
+_VIEW_BUDGETS = ["--budget-hyperspace", "6", "--budget-functions", "2000"]
+SMALL_BUDGETS = {  # verb -> small values of the budget flags it takes
+    "hyperspace": ["--budget-hyperspace", "6"],
+    "check": _VIEW_BUDGETS + ["--budget-subdivision", "16"],
+    "girth": _VIEW_BUDGETS + ["--budget-cycle", "12"],
+    "dominate": _VIEW_BUDGETS + ["--budget-dominating", "16"],
+    "metrics": _VIEW_BUDGETS,
+    "export-dot": _VIEW_BUDGETS + ["--budget-cycle", "12"],
+}
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
@@ -599,7 +966,7 @@ class TestDocumentFuzz:
         target.write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv + ["--input", str(target)] + SMALL_BUDGETS)
+            rc = main(argv + ["--input", str(target)] + SMALL_BUDGETS[argv[0]])
         assert rc in (0, 1, 2, 3)
         message = err.getvalue()
         assert message == "" or (message.count("\n") == 1 and message.endswith("\n"))

@@ -1,13 +1,14 @@
 """Graph metrics layer: cycles, domination, eccentricity, disconnection."""
 
+import dataclasses
 import random
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitop import (BudgetError, DigitalImage, FiniteGraph,
-                     as_finite_graph, center, connected_components, diameter,
+from digitop import (BudgetError, DigitalImage, FiniteGraph, SubsetFamily,
+                     as_finite_graph, build_function_graph, center, connected_components, diameter,
                      disconnects, eccentricity, enumerate_all_subsets,
                      enumerate_connected_subsets, girth, hyperspace_graph,
                      induced_subgraph, interval, is_connected_graph,
@@ -151,16 +152,13 @@ class TestFiniteGraph:
             FiniteGraph.from_edges(1, [(0, 0)])
 
     def test_bad_rows_and_edges_rejected(self):
-        for n, rows, labels in ((2, (0b10,), None), (-1, (), None), (2, (0b100, 0), None),
-                                (1, (0b1,), None), (2, (0b10, 0b01), ("a",))):
+        for n, rows in ((2, (0b10,)), (-1, ()), (2, (0b100, 0)), (1, (0b1,))):
             with pytest.raises(ValueError):
-                FiniteGraph(n, rows, labels)
+                FiniteGraph(n, rows)
         with pytest.raises(IndexError):
             FiniteGraph.from_edges(2, [(0, 2)])
         with pytest.raises(ValueError):
             FiniteGraph.from_edges(2, [(0, -1)])
-        with pytest.raises(ValueError):
-            FiniteGraph.from_edges(2, [(0, 1)], labels=("a",))
         with pytest.raises(ValueError):
             FiniteGraph.from_edges(-1, [])
 
@@ -168,14 +166,28 @@ class TestFiniteGraph:
         rng = random.Random(4)
         for _ in range(30):
             G = random_graph(rng, 9)
-            assert FiniteGraph(G.n, G.adj, G.labels) == G
+            assert FiniteGraph(G.n, G.adj) == G
             assert G.edge_count == len(list(G.edges()))
 
     def test_projection_from_image(self):
         X = interval(0, 2)
         G = as_finite_graph(X)
         assert G.n == 3 and sorted(G.edges()) == [(0, 1), (1, 2)]
-        assert G.labels == X.points
+
+    def test_a_graph_is_its_rows(self):
+        assert [f.name for f in dataclasses.fields(FiniteGraph)] == ["n", "adj"]
+        X = interval(0, 2)
+        spaces = [X, cycle_image(5), hyperspace_graph(enumerate_all_subsets(X)),
+                  hyperspace_graph(enumerate_connected_subsets(X)),
+                  SubsetFamily(X, (), "custom"), build_function_graph(X, interval(0, 1))]
+        for space in spaces:
+            G = as_finite_graph(space)
+            rows = FiniteGraph(len(space.vertices), space.adjacency_rows)
+            assert G == rows and hash(G) == hash(rows)
+        G = as_finite_graph(X)
+        assert G == FiniteGraph(len(X), X.neighbor_masks)
+        assert hash(G) == hash(FiniteGraph(len(X), X.neighbor_masks))
+        assert as_finite_graph(SubsetFamily(X, (), "custom")) == FiniteGraph(0, ())
 
     def test_induced_subgraph(self):
         G = path_graph(4)
@@ -436,6 +448,18 @@ class TestMetrics:
         with pytest.raises(ValueError):
             eccentricity(G, 0)
 
+    @pytest.mark.parametrize("G", [
+        as_finite_graph(SubsetFamily(interval(0, 2), (), "custom")), FiniteGraph(0, ()),
+    ], ids=["empty-custom-family", "empty"])
+    def test_no_vertices(self, G):
+        for metric in (radius, diameter, center):
+            with pytest.raises(ValueError,
+                               match="^metric is undefined on a graph with no vertices$"):
+                metric(G)
+        best = minimum_dominating_set(G)
+        assert best == frozenset() and is_dominating(best, G)
+        assert metrics_csv(G) == "vertex,label,degree,eccentricity\n"
+
     def test_disconnected_rejected_on_every_call(self):
         G = as_finite_graph(hyperspace_graph(enumerate_connected_subsets(
             DigitalImage.of([(0,), (2,)], 1))))
@@ -488,7 +512,7 @@ class TestMetrics:
             family = enumerate_all_subsets(X) if k % 2 else enumerate_connected_subsets(X)
             custom = family.subfamily(m for m in family.members if rng.random() < 0.6)
             for space in (family, custom):
-                G = as_finite_graph(space, with_labels=False)
+                G = as_finite_graph(space)
                 eccs = frontier_eccentricities(G)
                 assert G._eccentricities == eccs
                 seen.add(eccs is None)
@@ -559,10 +583,18 @@ class TestExport:
         fam = enumerate_connected_subsets(interval(1, 2))
         G = as_finite_graph(hyperspace_graph(fam))
         w = longest_cycle(G)
-        dot = to_dot(G, highlight=w)
+        dot = to_dot(G, highlight=w, labels=fam.vertices)
         assert dot.startswith("graph G {")
         assert '"{1,2}"' in dot
         assert "style=bold" in dot
+
+    def test_labels_default_to_vertex_numbers(self):
+        G = path_graph(3)
+        assert to_dot(G) == to_dot(G, labels=(0, 1, 2))
+        assert '  n2 [label="2"];' in to_dot(G)
+        assert metrics_csv(G) == metrics_csv(G, labels=range(3))
+        named = metrics_csv(G, labels=((5,), frozenset({(1,), (2,)}), 'a"b'))
+        assert named.splitlines()[1:] == ['0,"5",1,2', '1,"{1,2}",2,1', '2,"a\'b",1,2']
 
     def test_csv_shape(self):
         G = path_graph(3)

@@ -39,7 +39,7 @@ def sample_graphs(seed, count=150):
             if kind == 4:
                 kept = [m for m in space.members if rng.random() < 0.6]
                 space = hyperspace_graph(space.subfamily(kept or space.members[:1]))
-        out.append(as_finite_graph(space, with_labels=False))
+        out.append(as_finite_graph(space))
     return out
 
 
