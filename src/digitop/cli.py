@@ -20,9 +20,9 @@ from json.encoder import encode_basestring_ascii
 
 from . import graphmetrics as gm
 from .errors import BudgetError, InternalError
-from .functions import (continuity_counterexample, family_function_from_json,
-                        function_from_json, function_to_json, is_isomorphism,
-                        is_retraction, find_inducing_map)
+from .functions import (FiniteFunction, continuity_counterexample,
+                        family_function_from_json, function_from_json, function_to_json,
+                        is_isomorphism, is_retraction, find_inducing_map)
 from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
                        homotopic, homotopy_to_json, is_contractible, phi_adjacent,
                        phi_counterexample, psi_adjacent, psi_counterexample,
@@ -70,20 +70,22 @@ def _dumps(value) -> str:
     the same layout in fewer steps.  It takes dicts with str keys, lists,
     tuples, str, int, bool and None, and raises InternalError on anything
     else: the CLI builds no other value, so one would be a bug, not input.
-    Points are tuples that recur through a document, so each tuple is
-    written once per nesting depth and its text reused.  The memo is keyed
-    by identity, so an equal tuple of other types, such as (True,) for
-    (1,), never shares text, and the document keeps every key alive.
+    Point tuples and the image documents all slices of a homotopy witness
+    share recur, so each tuple and dict is written once per nesting depth
+    and its text reused.  Lists rarely recur, and a memo entry each costs
+    more than it saves.  The memo is keyed by identity, so an equal tuple
+    of other types, such as (True,) for (1,), never shares text, and the
+    document keeps every key alive.
     """
     memo: dict[tuple[int, int], str] = {}
 
     def write(v, depth: int) -> str:
         kind = type(v)
-        if kind is tuple:
+        if kind is tuple or kind is dict:
             key = (id(v), depth)
             text = memo.get(key)
             if text is None:
-                text = memo[key] = write_items(v, depth)
+                text = memo[key] = (write_items if kind is tuple else write_fields)(v, depth)
             return text
         if kind is list:
             return write_items(v, depth)
@@ -91,21 +93,22 @@ def _dumps(value) -> str:
             return encode_basestring_ascii(v)
         if kind is int:
             return int.__repr__(v)
-        if kind is dict:
-            if not v:
-                return "{}"
-            inner = "\n" + "  " * (depth + 1)
-            fields = []
-            for k, x in v.items():
-                if type(k) is not str:
-                    raise InternalError(f"cannot write a {type(k).__name__} key as JSON")
-                fields.append(encode_basestring_ascii(k) + ": " + write(x, depth + 1))
-            return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
         if v is None:
             return "null"
         if kind is bool:
             return "true" if v else "false"
         raise InternalError(f"cannot write a {kind.__name__} as JSON")
+
+    def write_fields(v, depth: int) -> str:
+        if not v:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        fields = []
+        for k, x in v.items():
+            if type(k) is not str:
+                raise InternalError(f"cannot write a {type(k).__name__} key as JSON")
+            fields.append(encode_basestring_ascii(k) + ": " + write(x, depth + 1))
+        return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
 
     def write_items(v, depth: int) -> str:
         if not v:
@@ -166,6 +169,9 @@ def _run_check(name: str, doc: dict, args):
     if name in ("phi-adjacent", "psi-adjacent", "homotopic", "strongly-homotopic"):
         f = function_from_json(doc["f"])
         g = function_from_json(doc["g"])
+        if g.domain == f.domain and g.codomain == f.codomain:
+            # one set of images, so their adjacency rows are built once
+            g = FiniteFunction._trusted(f.domain, f.codomain, g.row)
         if name == "phi-adjacent":
             if phi_adjacent(f, g):
                 return True, None
@@ -317,8 +323,9 @@ def _positive_int(text: str) -> int:
 BUDGETS = {
     "hyperspace": (DEFAULT_POINT_BUDGET, "max image points for hyperspace enumeration"),
     "functions": (DEFAULT_FUNCTION_BUDGET,
-                  "max raw table count #Y^#X for function enumeration, and max "
-                  "continuous rows generated by one homotopy or contractibility search"),
+                  "max raw table count #Y^#X for function enumeration, and max continuous "
+                  "rows one homotopy or contractibility search generates, a row counted "
+                  "once per expanded map it is adjacent or equal to"),
     "cycle": (gm.DEFAULT_CYCLE_BUDGET, "max vertices for the long-cycle search"),
     "dominating": (gm.DEFAULT_DOMINATING_BUDGET, "max vertices for the dominating-set search"),
     "subdivision": (DEFAULT_SUBDIVISION_BUDGET, "max subdivision points for the generator search"),

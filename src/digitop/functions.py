@@ -205,14 +205,16 @@ def find_inducing_map(F: FiniteFunction) -> FiniteFunction | None:
 # -- JSON ------------------------------------------------------------------
 
 
-def function_to_json(f: FiniteFunction) -> dict:
-    if not isinstance(f.domain, DigitalImage) or not isinstance(f.codomain, DigitalImage):
-        raise ValueError("only image-to-image functions have a JSON document form")
-    return {
-        "domain": image_to_json(f.domain),
-        "codomain": image_to_json(f.codomain),
-        "pairs": [[list(x), list(y)] for x, y in f.pairs],
-    }
+def function_to_json(f: FiniteFunction, images: dict | None = None) -> dict:
+    """The map's document.  Its pairs reuse the point lists of its image
+    documents; ``images``, a document with "domain" and "codomain" fields
+    (another map's, say), gives the image documents to share."""
+    if images is None:
+        if not isinstance(f.domain, DigitalImage) or not isinstance(f.codomain, DigitalImage):
+            raise ValueError("only image-to-image functions have a JSON document form")
+        images = {"domain": image_to_json(f.domain), "codomain": image_to_json(f.codomain)}
+    xs, ys = images["domain"]["points"], images["codomain"]["points"]
+    return {**images, "pairs": [[xs[i], ys[v]] for i, v in enumerate(f.row)]}
 
 
 def function_from_json(doc: dict) -> FiniteFunction:

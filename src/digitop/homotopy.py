@@ -9,20 +9,22 @@ reachability in the psi graph; each witness path converts to a step table
 that an independent verifier accepts.
 
 The adjacency rule is written once, as the allow masks of
-``_allow_masks``: per point, the values a neighbour of a map may take.
-The decisions search lazily: a map is its value row (``FiniteFunction.row``),
-and the continuous rows within a row's allow masks are generated only
-when the search expands it, so a search stops when it is decided without
-enumerating the maps.  The homotopy searches grow balls from f and from g
-and meet in the middle; their witness is the lexicographically least
-shortest path, comparing rows from f on, which is the path a search from
-f alone finds when it expands neighbours in row order.  Contractibility
-searches from the identity only, for a map one phi step from a constant.
-Each search charges the rows it generates to its function budget.
-``build_function_graph`` builds the whole graph from the same masks as a
-vertex space of rows (``vertices``, ``vertex_index``, ``adjacency_rows``)
-whose ``FiniteFunction`` vertices are built only when asked for; its
-``find_path`` is the reference the lazy search is tested against.
+``_allow_masks``: per point, the values a neighbour of a map may take, a
+box around the map.  One kernel, ``_continuous_rows``, builds each
+continuous row inside a list of boxes once, with the mask of the boxes
+that hold it.  A map is its value row (``FiniteFunction.row``).  The
+decisions search lazily and stop once decided.  The homotopy searches
+grow balls from f and from g, one level (one kernel call) at a time, and
+meet in the middle; their witness is the lexicographically least
+shortest path from f, the one a search from f alone finds over sorted
+neighbours.  Contractibility searches from the identity, one row at a
+time, for a map one phi step from a constant.  A search charges its
+function budget, per row met, the number of expanded maps whose box
+holds it: the rows that expanding each map alone would generate.
+``build_function_graph`` enumerates the maps with one full box and their
+adjacency with one kernel call over all their boxes; its ``vertices``
+are built only when asked for, and its ``find_path`` is the reference
+the lazy search is tested against.
 
 For two given maps, each closeness rule is written once on rows:
 ``phi_counterexample`` scans the domain, ``psi_counterexample`` the
@@ -33,8 +35,8 @@ the step-table verifier ``verify_homotopy`` are built from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import BudgetError
 from .functions import (FiniteFunction, function_from_json, function_to_json, induced_map,
@@ -103,26 +105,44 @@ def _check_budget(X: DigitalImage, Y: DigitalImage, budget: int) -> None:
 
 
 def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]],
-                     allow: list[int], budget: int, spent: int = 0) -> list[tuple[int, ...]]:
-    """Every continuous row whose value at point order[k] lies in allow[k].
+                     boxes: list[list[int]], budget: float = float("inf"),
+                     spent: int = 0) -> tuple[dict[tuple[int, ...], int], int]:
+    """Every continuous row inside at least one box, mapped to the mask of
+    the boxes that hold it, and the charge: the sum of their popcounts.
 
-    A row lists value indices in the domain's point order.  The search
-    backtracks with an explicit stack over the positions of ``order`` (see
-    ``_connectivity_order``) and prunes a value as soon as it is not
-    adjacent or equal to the value at an earlier adjacent point.  The rows
-    come in no particular order.  With ``spent`` rows generated before, a
-    BudgetError stops the search as soon as the total passes ``budget``.
+    A box is an allow mask per position of ``order`` (see
+    ``_connectivity_order``); a row lists value indices in point order.
+    The search backtracks over the positions with an explicit stack and
+    carries the mask of boxes that hold the prefix (``holders[k][y]``: the
+    boxes whose mask at position k holds y).  It drops a prefix once no
+    box holds it or a value is not adjacent or equal to the value at an
+    earlier adjacent point, so each row is built once, in no particular
+    order.  With ``spent`` charged before, a BudgetError stops the search
+    as soon as the total charge passes ``budget``.
     """
     closed = Y.closed_neighbor_masks
     n = len(order)
     perm = [0] * n
     for k, i in enumerate(order):
         perm[i] = k
+    take = itemgetter(*perm) if n > 1 else tuple
+    if len(boxes) == 1:  # the one box holds every candidate
+        union, holders = boxes[0], [[1] * len(Y)] * n
+    else:
+        holders = [[0] * len(Y) for _ in range(n)]
+        union = [0] * n
+        for b, box in enumerate(boxes):
+            for k, m in enumerate(box):
+                union[k] |= m
+                held = holders[k]
+                for y in _bits(m):
+                    held[y] |= 1 << b
     assignment = [0] * n
+    live = [0] * n  # per position, the boxes holding the prefix before it
     todo = [0] * n  # per position, the candidate values not tried yet
-    todo[0] = allow[0]
-    rows = []
-    limit = budget - spent
+    live[0], todo[0] = (1 << len(boxes)) - 1, union[0]
+    rows = {}
+    charge, limit = 0, budget - spent
     k = 0
     while k >= 0:
         m = todo[k]
@@ -131,18 +151,23 @@ def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]]
             continue
         low = m & -m
         todo[k] = m ^ low
-        assignment[k] = low.bit_length() - 1
+        assignment[k] = y = low.bit_length() - 1
+        held = live[k] & holders[k][y]
+        if not held:
+            continue
         if k + 1 == n:
-            rows.append(tuple([assignment[p] for p in perm]))
-            if len(rows) > limit:
+            rows[take(assignment)] = held
+            charge += held.bit_count()
+            if charge > limit:
                 raise BudgetError("function-graph search", f"more than {budget} rows", budget)
             continue
         k += 1
-        m = allow[k]
+        live[k] = held
+        m = union[k]
         for t in earlier[k]:
             m &= closed[assignment[t]]
         todo[k] = m
-    return rows
+    return rows, charge
 
 
 def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
@@ -159,8 +184,8 @@ def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
 def _all_continuous_rows(X: DigitalImage, Y: DigitalImage, budget: int) -> list[tuple[int, ...]]:
     _check_budget(X, Y, budget)
     order, earlier = _connectivity_order(X)
-    full = (1 << len(Y)) - 1
-    return sorted(_continuous_rows(Y, order, earlier, [full] * len(X), budget))
+    rows, _ = _continuous_rows(Y, order, earlier, [[(1 << len(Y)) - 1] * len(X)], budget)
+    return sorted(rows)
 
 
 def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
@@ -191,18 +216,15 @@ def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
     return allow
 
 
-def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
-                   budget: int = DEFAULT_FUNCTION_BUDGET):
-    """The neighbour function of the phi or psi graph of rows X -> Y.
+def _level_expansion(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
+                     budget: int = DEFAULT_FUNCTION_BUDGET):
+    """The level expansion of the phi or psi graph of rows X -> Y.
 
-    ``neighbors(row)`` lists the continuous rows adjacent to ``row``, in
-    lexicographic order, which is the vertex order of
-    ``build_function_graph``; so a search over these lists expands exactly
-    as it would over the whole graph.  The values are restricted to the
-    ``_allow_masks`` of ``row``; ``pin`` = (point index, value index) also
-    fixes the value at one point.  The rows generated over all calls, each
-    call's ``row`` included, are charged to ``budget``: a BudgetError stops
-    the call in which they pass it.
+    ``expand(level)``, one ``_continuous_rows`` call over the boxes of the
+    rows in the list ``level``, maps each continuous row adjacent or equal
+    to one of them to the mask of their positions.  ``pin`` = (point index,
+    value index) fixes the value at one point in every box.  A BudgetError
+    stops the call in which the summed charges pass ``budget``.
     """
     order, earlier = _connectivity_order(X)
     allow_masks = _allow_masks(X, Y, flavor, order)
@@ -210,16 +232,34 @@ def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
         pin = (order.index(pin[0]), 1 << pin[1])
     spent = 0
 
-    def neighbors(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+    def expand(level: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
         nonlocal spent
-        allow = allow_masks(row)
+        boxes = [allow_masks(row) for row in level]
         if pin is not None:
-            allow[pin[0]] &= pin[1]
-        rows = _continuous_rows(Y, order, earlier, allow, budget, spent)
-        spent += len(rows)
-        rows.remove(row)
-        rows.sort()
+            for box in boxes:
+                box[pin[0]] &= pin[1]
+        rows, charge = _continuous_rows(Y, order, earlier, boxes, budget, spent)
+        spent += charge
         return rows
+
+    return expand
+
+
+def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
+                   budget: int = DEFAULT_FUNCTION_BUDGET):
+    """The neighbour function of the phi or psi graph of rows X -> Y.
+
+    ``neighbors(row)`` expands the level ``[row]`` and lists the rows
+    adjacent to ``row`` in lexicographic order, the vertex order of
+    ``build_function_graph``; so a search over these lists expands exactly
+    as it would over the whole graph, and is charged as ``expand`` is.
+    """
+    expand = _level_expansion(X, Y, flavor, pin, budget)
+
+    def neighbors(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+        rows = expand([row])
+        del rows[row]
+        return sorted(rows)
 
     return neighbors
 
@@ -254,19 +294,18 @@ class FunctionGraph:
 
     @cached_property
     def adjacency_rows(self) -> tuple[int, ...]:
-        """Per map, the bitmask of its neighbours' indices: the rows among the
-        product of the value lists of its ``_allow_masks``, less itself."""
-        X, index = self.domain, self._row_index
-        allow_masks = _allow_masks(X, self.codomain, self.flavor, range(len(X)))
-        values = cache(lambda m: tuple(_bits(m)))
-        adjacency = []
-        for i, row in enumerate(self.rows):
-            adj = 0
-            for j in map(index.get, product(*map(values, allow_masks(row)))):
-                if j is not None:
-                    adj |= 1 << j
-            adjacency.append(adj ^ 1 << i)
-        return tuple(adjacency)
+        """Per map, the bitmask of its neighbours' indices.
+
+        One ``_continuous_rows`` call over the ``_allow_masks`` boxes of all
+        rows, in index order, maps each row to the boxes that hold it: the
+        indices of the maps adjacent or equal to it.  Row i is that mask
+        less bit i.
+        """
+        X, Y = self.domain, self.codomain
+        order, earlier = _connectivity_order(X)
+        boxes = list(map(_allow_masks(X, Y, self.flavor, order), self.rows))
+        held, _ = _continuous_rows(Y, order, earlier, boxes)
+        return tuple(held[row] ^ 1 << i for i, row in enumerate(self.rows))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -371,8 +410,8 @@ def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
     value rows from f on: the path a breadth-first search from f finds
     when it expands neighbours in row order, as ``find_path`` does on the
     whole graph.  ``_bidirectional_bfs`` finds it from balls grown at f and
-    at g, so neither ball reaches as far as a search from f alone.  The
-    rows generated by both balls are charged to ``budget``.  With a
+    at g, so neither ball reaches as far as a search from f alone.  Both
+    balls' level expansions are charged to ``budget``.  With a
     basepoint, only maps agreeing with f there are visited, on both sides.
     """
     X, Y = f.domain, f.codomain
@@ -382,7 +421,7 @@ def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
     if basepoint is not None:
         i = X.point_index[basepoint]
         pin = (i, f.row[i])
-    path = _bidirectional_bfs(f.row, g.row, _adjacent_rows(X, Y, flavor, pin, budget))
+    path = _bidirectional_bfs(f.row, g.row, _level_expansion(X, Y, flavor, pin, budget))
     return None if path is None else tuple(FiniteFunction._trusted(X, Y, row) for row in path)
 
 
@@ -508,7 +547,9 @@ def postcompose_map(f: FiniteFunction, W: DigitalImage,
 
 
 def homotopy_to_json(H: HomotopyTable) -> dict:
-    return {"m": H.m, "slices": [function_to_json(h) for h in H.slices]}
+    """The table's document: its slices share one domain and one codomain document."""
+    first = function_to_json(H.slices[0])
+    return {"m": H.m, "slices": [first] + [function_to_json(h, first) for h in H.slices[1:]]}
 
 
 def homotopy_from_json(doc: dict) -> HomotopyTable:

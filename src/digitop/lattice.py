@@ -12,8 +12,10 @@ graph components all call it.  Paths come from two searches.  ``_bfs``
 returns the first path it finds to a goal, expanding neighbours in the
 order given; girth, ``FunctionGraph.find_path`` and contractibility call
 it.  ``_bidirectional_bfs`` returns the same path to one given goal,
-the lexicographically least shortest one, from balls grown at both ends;
-the homotopy searches call it.
+the lexicographically least shortest one, from balls grown at both ends
+one whole level at a time: it takes a level expansion, which maps a list
+of vertices to their closed neighbours, each with the mask of the list
+positions it is adjacent or equal to.  The homotopy searches call it.
 
 Every JSON document loader (images here, families, maps, multifunctions
 and homotopy tables) reads its top-level fields through ``_fields``, the
@@ -273,56 +275,51 @@ def _bfs(start, neighbors, is_goal):
     return None, prev
 
 
-def _bidirectional_bfs(start, goal, neighbors):
+def _bidirectional_bfs(start, goal, expand):
     """The path ``_bfs`` finds from ``start`` to ``goal`` over sorted
     neighbour lists, found from both ends; None if there is none.
 
     That path is the lexicographically least shortest path, comparing
-    vertices with ``<`` from ``start`` on.  ``neighbors`` must be symmetric;
-    the order of its lists does not matter.  Balls grow from both ends, the
-    smaller frontier by one whole level at a time, until they meet at
-    distance d, or until one frontier empties: then there is no path.  Each
-    vertex keeps its neighbours one level nearer its own end.  A forward
-    vertex at distance k lies on a shortest path when it is kept by one at
-    distance k + 1 that does, and the last forward level does so exactly
-    inside the backward ball; ``on_path`` holds these sets, level by level.
-    The walk from ``start`` then takes, at each step, the least neighbour
-    one step nearer ``goal``: from ``on_path`` while in the forward ball,
-    then from the backward neighbours the current vertex keeps.
+    vertices with ``<`` from ``start`` on.  ``expand(level)`` maps each
+    vertex adjacent or equal to one of the list ``level`` to the mask of
+    the positions of those in ``level``; adjacency must be symmetric.
+    Balls grow from both ends, the smaller frontier by one whole level (one
+    ``expand`` call) at a time, until they meet at distance d, or until one
+    frontier empties: then there is no path.  Each new vertex keeps its
+    mask over the level before it.  A forward vertex lies on a shortest
+    path when it is kept by one a level further on that does, and the last
+    forward level does so exactly inside the backward ball; ``on_path``
+    holds these sets as masks.  The walk from ``start`` then takes, at each
+    step, the least neighbour one step nearer ``goal``: from ``on_path``
+    while in the forward ball, then from the level its mask points into.
     """
     if start == goal:
         return [start]
-    balls = ({start: []}, {goal: []})  # vertex -> its neighbours nearer its end
-    fronts = [[start], [goal]]
-    levels = [fronts[0]]  # the forward levels
+    balls = ({start: 0}, {goal: 0})  # vertex -> its neighbours in the level before
+    levels = ([[start]], [[goal]])  # the levels of each ball, as lists
     while True:
-        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        side = 0 if len(levels[0][-1]) <= len(levels[1][-1]) else 1
         ball = balls[side]
-        new = {}
-        for v in fronts[side]:
-            for w in neighbors(v):
-                if w in new:
-                    new[w].append(v)
-                elif w not in ball:
-                    new[w] = [v]
+        new = {w: m for w, m in expand(levels[side][-1]).items() if w not in ball}
         if not new:
             return None
         ball.update(new)
-        fronts[side] = list(new)
-        if side == 0:
-            levels.append(fronts[0])
+        levels[side].append(list(new))
         if not balls[1 - side].keys().isdisjoint(new):
             break
-    forward, backward = balls
-    on_path = [{w for w in levels[-1] if w in backward}]
-    while len(on_path) < len(levels):
-        on_path.append({v for w in on_path[-1] for v in forward[w]})
-    path = [start]
-    for level in reversed(on_path[:-1]):
-        u = path[-1]
-        path.append(min(w for w in level if u in forward[w]))
-    while path[-1] != goal:
-        path.append(min(backward[path[-1]]))
+    (forward, backward), (ahead, behind) = balls, levels
+    on_path = [sum(1 << q for q, w in enumerate(ahead[-1]) if w in backward)]
+    for level in reversed(ahead[2:]):
+        kept = 0
+        for q in _bits(on_path[-1]):
+            kept |= forward[level[q]]
+        on_path.append(kept)
+    path, p = [start], 0
+    for level, mask in zip(ahead[1:], reversed(on_path)):
+        w, p = min((level[q], q) for q in _bits(mask) if forward[level[q]] >> p & 1)
+        path.append(w)
+    for level in reversed(behind[:-1]):
+        path.append(min(level[i] for i in _bits(backward[path[-1]])))
     return path
 
 

@@ -1,11 +1,12 @@
 """Homotopy layer: function graphs, component search, verification, lifting."""
 
+import itertools
 import random
 import time
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
                      pointed_homotopic,
@@ -249,6 +250,24 @@ class TestFunctionGraph:
                       if psi_adjacent(verts[i], verts[j])}
             # DOT output follows the edge order
             assert G.edges == tuple(sorted(expect))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((PHI, PSI)))
+    @settings(max_examples=40, deadline=None)
+    def test_graph_matches_pair_predicates(self, seed, flavor):
+        # the row kernel that builds the graph against the map-pair predicates
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 5), random_image(rng, 6)
+        tables = [FiniteFunction._trusted(X, Y, row)
+                  for row in itertools.product(range(len(Y)), repeat=len(X))]
+        maps = [f for f in tables if is_continuous(f)]
+        # every pair is tested, so keep the graphs small enough to be quick
+        assume(len(maps) <= 256)
+        G = build_function_graph(X, Y, flavor)
+        assert G.rows == tuple(f.row for f in maps)
+        assert all(is_continuous(f) for f in G.vertices)
+        adjacent = phi_adjacent if flavor == PHI else psi_adjacent
+        assert G.edges == tuple((i, j) for i in range(len(maps)) for j in range(i + 1, len(maps))
+                                if adjacent(maps[i], maps[j]))
 
     def test_index_of_rejects_maps_of_other_spaces(self):
         X, Y = interval(0, 1), interval(0, 2)
@@ -560,6 +579,47 @@ def _rows(decision):
     return None if decision.path is None else [h.row for h in decision.path]
 
 
+def reference_bidirectional_bfs(start, goal, neighbors):
+    """The two-ball search that expands a level one vertex at a time, calling
+    ``neighbors(v)`` once per vertex v of the frontier; each vertex keeps the
+    list of its neighbours one level nearer its own end.  It is the reference
+    for the level expansion of ``lattice._bidirectional_bfs``."""
+    if start == goal:
+        return [start]
+    balls = ({start: []}, {goal: []})
+    fronts = [[start], [goal]]
+    levels = [fronts[0]]
+    while True:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        ball = balls[side]
+        new = {}
+        for v in fronts[side]:
+            for w in neighbors(v):
+                if w in new:
+                    new[w].append(v)
+                elif w not in ball:
+                    new[w] = [v]
+        if not new:
+            return None
+        ball.update(new)
+        fronts[side] = list(new)
+        if side == 0:
+            levels.append(fronts[0])
+        if not balls[1 - side].keys().isdisjoint(new):
+            break
+    forward, backward = balls
+    on_path = [{w for w in levels[-1] if w in backward}]
+    while len(on_path) < len(levels):
+        on_path.append({v for w in on_path[-1] for v in forward[w]})
+    path = [start]
+    for level in reversed(on_path[:-1]):
+        u = path[-1]
+        path.append(min(w for w in level if u in forward[w]))
+    while path[-1] != goal:
+        path.append(min(backward[path[-1]]))
+    return path
+
+
 class TestLazySearch:
     """The lazy searches against a BFS over the prebuilt function graph."""
 
@@ -640,6 +700,41 @@ class TestLazySearch:
                     path, _ = _bfs(f, neighbors, g.__eq__)
                 assert _rows(pointed_homotopic(F, G, x, 10 ** 9, strong)) == path
 
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((PHI, PSI)), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_level_search_matches_row_by_row_search(self, seed, flavor, pinned):
+        # same witness as the row-by-row two-ball search, and the same
+        # charge c: the search passes at budget c and stops at c - 1
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 5), random_image(rng, 6)
+        rows = _all_continuous_rows(X, Y, 10 ** 6)
+        f, g = rng.choice(rows), rng.choice(rows)
+        F, G = (FiniteFunction._trusted(X, Y, row) for row in (f, g))
+        strong = flavor == PSI
+        if pinned:
+            i = rng.randrange(len(X))
+            pin = (i, f[i])
+            search = lambda budget: pointed_homotopic(F, G, X.points[i], budget, strong)
+        else:
+            pin = None
+            search = lambda budget: (strongly_homotopic if strong else homotopic)(F, G, budget)
+        neighbors = _adjacent_rows(X, Y, flavor, pin, 10 ** 9)
+        charged = []
+
+        def counted(row):
+            rows = neighbors(row)
+            charged.append(len(rows) + 1)  # the row itself is generated too
+            return rows
+
+        path = None
+        if pin is None or f[pin[0]] == g[pin[0]]:
+            path = reference_bidirectional_bfs(f, g, counted)
+        c = sum(charged)
+        assert _rows(search(c)) == path
+        if c:
+            with pytest.raises(BudgetError):
+                search(c - 1)
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_one_step_goal_matches_constant_goal(self, seed):
@@ -689,9 +784,9 @@ class TestLazySearch:
         rows_of = digitop.homotopy._continuous_rows
 
         def counted(*args):
-            rows = rows_of(*args)
-            generated.append(len(rows))
-            return rows
+            rows, charge = rows_of(*args)
+            generated.append(charge)
+            return rows, charge
 
         monkeypatch.setattr(digitop.homotopy, "_continuous_rows", counted)
         X = interval(0, 4)
