@@ -28,7 +28,7 @@ from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
                        phi_counterexample, psi_adjacent, psi_counterexample,
                        strongly_homotopic, verify_homotopy)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of, hyperspace_graph
-from .lattice import _bits, image_from_json
+from .lattice import _bits, _fields, image_from_json
 from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
                           is_connectivity_preserving, is_egs_continuous,
                           multifunction_from_json, strong_continuity_counterexample,
@@ -167,8 +167,7 @@ def _run_check(name: str, doc: dict, args):
         f = function_from_json(doc)
         return is_retraction(f, f.codomain.points), None
     if name in ("phi-adjacent", "psi-adjacent", "homotopic", "strongly-homotopic"):
-        f = function_from_json(doc["f"])
-        g = function_from_json(doc["g"])
+        f, g = map(function_from_json, _fields(doc, "pair", "f", "g"))
         if g.domain == f.domain and g.codomain == f.codomain:
             # one set of images, so their adjacency rows are built once
             g = FiniteFunction._trusted(f.domain, f.codomain, g.row)

@@ -137,7 +137,8 @@ def is_retraction(r: FiniteFunction, Y: Iterable[Point]) -> bool:
         raise ValueError("retraction target is not a subset of the domain")
     if set(r.codomain.vertices) != pts:
         raise ValueError("retraction codomain must equal the target set")
-    return all(r.table[y] == y for y in pts) and is_continuous(r)
+    dom, cod = r.domain.vertex_index, r.codomain.vertex_index
+    return all(r.row[dom[y]] == cod[y] for y in pts) and is_continuous(r)
 
 
 # -- induced maps on hyperspaces --------------------------------------------

@@ -17,9 +17,9 @@ one whole level at a time: it takes a level expansion, which maps a list
 of vertices to their closed neighbours, each with the mask of the list
 positions it is adjacent or equal to.  The homotopy searches call it.
 
-Every JSON document loader (images here, families, maps, multifunctions
-and homotopy tables) reads its top-level fields through ``_fields``, the
-one place a document that is not an object or lacks a key is refused.
+Every JSON document loader (images here, families, maps, multifunctions,
+homotopy tables and the CLI's map pairs) reads its top-level fields through
+``_fields``, the one place a non-object or a missing key is refused.
 """
 
 from __future__ import annotations

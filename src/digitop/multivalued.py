@@ -6,15 +6,17 @@ covering value sets), connectivity preservation (connected sets have
 connected images), and generator continuity (the map is produced by a
 single-valued continuous map on a subdivision of the domain).
 
-A multifunction's core form is its ``masks`` row: per domain point, the
-bitmask of its value set over the codomain's point order.  Every check
-reads that row and adjacency rows.  A value set's closed cover is the OR
-of its values' closed neighbourhood rows, so x, y meet weakly when
-``cover(masks[x]) & masks[y]`` is nonzero and F(x) has an unmatched
-value in F(y) when ``masks[x] & ~cover(masks[y])`` is; the image of a
-domain mask is the OR of its points' masks, tested with one flood.  A
-witness value is the lowest unmatched one in codomain order, so it does
-not depend on how a document lists a value set.
+A multifunction is its ``masks`` row: per domain point, the bitmask of
+its value set over the codomain's point order.  Equality and hashing read
+the spaces and the masks; the labelled ``pairs`` and ``table`` are views
+built on first use.  Every check reads that row and adjacency rows.  A
+value set's closed cover is the OR of its values' closed neighbourhood
+rows, so x, y meet weakly when ``cover(masks[x]) & masks[y]`` is nonzero
+and F(x) has an unmatched value in F(y) when
+``masks[x] & ~cover(masks[y])`` is; the image of a domain mask is the OR
+of its points' masks, tested with one flood.  A witness value is the
+lowest unmatched one in codomain order, so it does not depend on how a
+document lists a value set.
 """
 
 from __future__ import annotations
@@ -34,34 +36,47 @@ from .lattice import (DigitalImage, Point, _as_point, _connectivity_order, _fiel
 DEFAULT_SUBDIVISION_BUDGET = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MultiFunction:
-    """A total map from points to nonempty point sets of the codomain: a
-    canonical pair table and its ``masks`` row of value-set bitmasks."""
+    """A total map from points to nonempty point sets, held as its ``masks`` row.
+
+    Identity is (domain, codomain, masks).  The constructor checks a table
+    of (point, value set) pairs; :meth:`_trusted` builds one unchecked.
+    ``pairs`` and ``table`` are label views built from the masks on first use.
+    """
 
     domain: DigitalImage
     codomain: DigitalImage
-    pairs: tuple[tuple[Point, frozenset[Point]], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        table = {x: frozenset(v) for x, v in self.pairs}
-        if set(table) != set(self.domain.points) or len(self.pairs) != len(self.domain.points):
+    def __init__(self, domain, codomain, pairs):
+        table = {x: frozenset(v) for x, v in pairs}
+        if set(table) != set(domain.points) or len(pairs) != len(domain.points):
             raise ValueError("multifunction table must be total on the domain")
-        cod = self.codomain.point_set
+        cod = codomain.point_set
         for x, vals in table.items():
             if not vals:
                 raise ValueError(f"value set at {x} is empty")
             if not vals <= cod:
                 raise ValueError(f"value set at {x} leaves the codomain")
-        object.__setattr__(self, "pairs",
-                           tuple((x, table[x]) for x in self.domain.points))
-        index = self.codomain.point_index
-        object.__setattr__(self, "masks", tuple(sum(1 << index[p] for p in table[x])
-                                                for x in self.domain.points))
+        index = codomain.point_index
+        masks = tuple(sum(1 << index[p] for p in table[x]) for x in domain.points)
+        self.__dict__.update(domain=domain, codomain=codomain, masks=masks)
+
+    @classmethod
+    def _trusted(cls, domain, codomain, masks: tuple[int, ...]) -> MultiFunction:
+        """The multifunction with value masks that are valid by construction, unchecked."""
+        F = object.__new__(cls)
+        F.__dict__.update(domain=domain, codomain=codomain, masks=masks)
+        return F
 
     @classmethod
     def from_table(cls, domain, codomain, table) -> "MultiFunction":
         return cls(domain, codomain, tuple((x, frozenset(v)) for x, v in table.items()))
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[Point, frozenset[Point]], ...]:
+        return tuple(zip(self.domain.points, map(self.codomain.points_of, self.masks)))
 
     @cached_property
     def table(self) -> dict[Point, frozenset[Point]]:
@@ -79,8 +94,7 @@ class MultiFunction:
 
 def as_multifunction(f: FiniteFunction) -> MultiFunction:
     """View a single-valued map as a multifunction with singleton values."""
-    return MultiFunction(f.domain, f.codomain,
-                         tuple((x, frozenset((y,))) for x, y in f.pairs))
+    return MultiFunction._trusted(f.domain, f.codomain, tuple(1 << v for v in f.row))
 
 
 def has_weak_continuity(F: MultiFunction) -> bool:

@@ -22,7 +22,7 @@ from .homotopy import (PHI, PSI, build_function_graph, enumerate_continuous_maps
 from .hyperspace import (enumerate_all_subsets, enumerate_connected_subsets,
                          hyper_adjacent, hyperspace_graph, interval_triangle_iso,
                          union_of_family)
-from .lattice import DigitalImage, Point, cu_adjacent, cycle_image, cycle_points, interval
+from .lattice import DigitalImage, cycle_image, cycle_points, interval
 from .multivalued import (MultiFunction, Subdivision, as_multifunction, generates,
                           has_strong_continuity, has_weak_continuity,
                           induced_multifunction_map, is_connectivity_preserving,
@@ -45,6 +45,8 @@ class CheckResult:
 
 _BOX1 = tuple((i,) for i in range(6))
 _BOX2 = tuple((i, j) for i in range(4) for j in range(4))
+_BOX_IMAGES = {(1, 1): DigitalImage(1, _BOX1, 1), (2, 1): DigitalImage(2, _BOX2, 1),
+               (2, 2): DigitalImage(2, _BOX2, 2)}
 
 
 def random_image(rng: random.Random, max_points: int = 6) -> DigitalImage:
@@ -59,20 +61,16 @@ def random_image(rng: random.Random, max_points: int = 6) -> DigitalImage:
 def random_connected_image(rng: random.Random, max_points: int = 6,
                            min_points: int = 1) -> DigitalImage:
     dim = rng.choice((1, 2))
-    box = _BOX1 if dim == 1 else _BOX2
     u = 1 if dim == 1 else rng.choice((1, 2))
+    box = _BOX_IMAGES[dim, u]
     k = rng.randint(min_points, max(min_points, min(max_points, len(box))))
-    pts = {rng.choice(box)}
+    pts = {rng.choice(box.points)}
     while len(pts) < k:
-        frontier = sorted({q for p in pts for q in _box_neighbors(p, box, u)} - pts)
+        frontier = sorted({q for p in pts for q in box.neighbors(p)} - pts)
         if not frontier:
             break
         pts.add(rng.choice(frontier))
     return DigitalImage(dim, tuple(sorted(pts)), u)
-
-
-def _box_neighbors(p: Point, box: tuple[Point, ...], u: int) -> set[Point]:
-    return {q for q in box if cu_adjacent(p, q, u)}
 
 
 def random_function(rng: random.Random, X: DigitalImage, Y: DigitalImage) -> FiniteFunction:
@@ -401,13 +399,12 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
             gs = induced_map(g, lifted.domain, codomain_family=lifted.codomain)
             if not verify_homotopy(lifted, fs, gs):
                 lift_viol.append((kind, f, g))
-        x0 = f.pairs[0][0]
-        if all(h.table[x0] == f.table[x0] for h in H.slices):
+        if all(h.row[0] == f.row[0] for h in H.slices):
             lifted = lift_homotopy_to_hyperspace(H, "connected")
             if not verify_homotopy(lifted,
                                    induced_map(f, lifted.domain, codomain_family=lifted.codomain),
                                    induced_map(g, lifted.domain, codomain_family=lifted.codomain),
-                                   fixed_point=frozenset((x0,))):
+                                   fixed_point=frozenset(X.points[:1])):
                 lift_viol.append(("pointed", f, g))
     out.append(CheckResult("deformation-lifts-to-hyperspace", not lift_viol,
                            f"first {lift_viol[:1]}" if lift_viol else ""))
@@ -442,10 +439,11 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
         T = FiniteFunction(YX, YX, tuple(table.items()))
         if not is_continuous(T):
             retract_viol.append(("discontinuous", r, X))
-        w_valued = [F for F in YX.vertices if all(y in W.point_set for _, y in F.pairs)]
-        if any(T.table[F] != F for F in w_valued):
+        wmask = Y.mask_of(W.points)
+        w_valued = {i for i, row in enumerate(YX.rows) if all(wmask >> v & 1 for v in row)}
+        if any(T.row[i] != i for i in w_valued):
             retract_viol.append(("moves-fixed-function", r, X))
-        if any(T.table[F] not in set(w_valued) for F in YX.vertices):
+        if not w_valued.issuperset(T.row):
             retract_viol.append(("image-escapes", r, X))
     out.append(CheckResult("retract-lifts-to-function-graph", not retract_viol,
                            f"first {retract_viol[:1]}" if retract_viol else ""))
@@ -491,17 +489,9 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
         G = gm.as_finite_graph(hyperspace_graph(K))
         if X.is_connected() != gm.is_connected_graph(G):
             iff_viol.append(X)
-        comps = X.components()
-        comp_of_point = {}
-        for ci, comp in enumerate(comps):
-            for p in comp:
-                comp_of_point[p] = ci
-        by_graph = gm.connected_components(G)
-        partition_graph = sorted(sorted(c) for c in by_graph)
-        groups: dict[int, list[int]] = {}
-        for i, member in enumerate(K.members):
-            groups.setdefault(comp_of_point[next(iter(member))], []).append(i)
-        partition_image = sorted(sorted(v) for v in groups.values())
+        partition_graph = sorted(sorted(c) for c in gm.connected_components(G))
+        partition_image = sorted([i for i, m in enumerate(K.masks) if m & c]
+                                 for c in map(X.mask_of, X.components()))
         if partition_graph != partition_image:
             corr_viol.append(X)
     out.append(CheckResult("connectivity-lifting-iff", not iff_viol,

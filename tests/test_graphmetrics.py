@@ -1,6 +1,7 @@
 """Graph metrics layer: cycles, domination, eccentricity, disconnection."""
 
 import dataclasses
+import itertools
 import random
 from collections import deque
 
@@ -140,6 +141,20 @@ def subset_dp_longest_cycle_length(G):
                 if not sub >> j & 1 and G.adj[s + 1 + j] & here:
                     ends[sub | 1 << j] |= 1 << (s + 1 + j)
     return best
+
+
+def brute_force_domination_number(G):
+    """The smallest k such that some k-subset of the vertices dominates G,
+    found by trying every k-subset from itertools.combinations in turn."""
+    closed = [{v} for v in range(G.n)]
+    for i, j in G.edges():
+        closed[i].add(j)
+        closed[j].add(i)
+    everything = set(range(G.n))
+    for k in range(1, G.n + 1):
+        for subset in itertools.combinations(range(G.n), k):
+            if set().union(*(closed[v] for v in subset)) == everything:
+                return k, closed
 
 
 class TestFiniteGraph:
@@ -409,6 +424,27 @@ class TestDominating:
                 (bin(m).count("1") for m in range(1, 1 << G.n)
                  if is_dominating([i for i in range(G.n) if m >> i & 1], G)))
             assert len(best) == brute
+
+    def test_minimum_matches_subset_oracle_beyond_verify_sizes(self):
+        rng = random.Random(41)
+        graphs = []
+        for _ in range(30):
+            n, density = rng.randint(10, 15), rng.choice((0.15, 0.3, 0.5))
+            graphs.append(FiniteGraph.from_edges(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]))
+        while len(graphs) < 60:
+            X = random_image(rng, 4)
+            if len(X) >= 3:
+                graphs.append(as_finite_graph(hyperspace_graph(enumerate_all_subsets(X))))
+                graphs.append(as_finite_graph(hyperspace_graph(enumerate_connected_subsets(X))))
+        sizes = set()
+        for G in graphs:
+            size, closed = brute_force_domination_number(G)
+            best = minimum_dominating_set(G)
+            assert len(best) == size
+            assert set().union(*(closed[v] for v in best)) == set(range(G.n))
+            sizes.add(size)
+        assert max(sizes) >= 4 and min(sizes) <= 2
 
     def test_lift_whole_image(self):
         X = interval(0, 2)

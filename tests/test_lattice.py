@@ -13,6 +13,7 @@ from digitop import (DigitalImage, HomotopyTable, LatticePath, as_multifunction,
                      homotopy_from_json, homotopy_to_json, identity_map, image_from_json,
                      image_to_json, induced_map, interval, is_connected,
                      multifunction_from_json, multifunction_to_json, neighbors)
+from digitop.cli import _run_check
 from digitop.functions import family_function_from_json, family_function_to_json
 from digitop.lattice import _bits, _connectivity_order
 
@@ -309,8 +310,14 @@ class TestCycleImages:
             cycle_image(7)
 
 
+def _pair_from_json(doc):
+    """Read a pair document the way the CLI's two-map checks do."""
+    return _run_check("phi-adjacent", doc, None)
+
+
 def _loader_cases():
-    """(document name, loader, a valid document) for each of the six loaders."""
+    """(document name, loader, a valid document) for each of the six loaders
+    and for the pair document of the CLI's two-map checks."""
     X = interval(0, 1)
     K = enumerate_connected_subsets(X)
     f = identity_map(X)
@@ -322,6 +329,7 @@ def _loader_cases():
          family_function_to_json(induced_map(f, K))),
         ("multifunction", multifunction_from_json, multifunction_to_json(as_multifunction(f))),
         ("homotopy", homotopy_from_json, homotopy_to_json(HomotopyTable(X, X, (f, f)))),
+        ("pair", _pair_from_json, {"f": function_to_json(f), "g": function_to_json(f)}),
     ]
 
 

@@ -127,12 +127,37 @@ class TestValueMasks:
             F = random_multifunction(rng, X, Y)
             assert F.masks == tuple(Y.mask_of(F(x)) for x in X.points)
 
-    def test_masks_leave_equality_and_hashing_alone(self):
+    def test_identity_is_the_spaces_and_masks(self):
         X, Y = interval(0, 1), interval(0, 9)
         F = mf(X, Y, [(6,), (0,), (7,)], [(9,), (8,)])
         G = mf(X, Y, [(0,), (6,), (7,)], [(8,), (9,)])
-        assert "masks" not in {field.name for field in fields(MultiFunction)}
+        assert [field.name for field in fields(MultiFunction)] == ["domain", "codomain", "masks"]
         assert F == G and hash(F) == hash(G) and F.masks == G.masks == (0b11000001, 0b1100000000)
+        assert F != mf(X, Y, [(0,), (6,), (7,)], [(8,)])
+        assert F != MultiFunction._trusted(X, interval(0, 10), F.masks)
+        trusted = MultiFunction._trusted(X, Y, F.masks)
+        assert trusted == F and hash(trusted) == hash(F)
+        assert trusted.pairs == F.pairs == (((0,), frozenset({(0,), (6,), (7,)})),
+                                            ((1,), frozenset({(8,), (9,)})))
+
+    def test_singleton_view_equals_the_checked_table(self):
+        rng = random.Random(22)
+        for _ in range(50):
+            f = random_function(rng, random_image(rng, 5), random_image(rng, 6))
+            F = as_multifunction(f)
+            checked = MultiFunction(f.domain, f.codomain,
+                                    tuple((x, frozenset((y,))) for x, y in f.pairs))
+            assert F == checked and hash(F) == hash(checked) and F.pairs == checked.pairs
+
+    @pytest.mark.parametrize("pairs, message", [
+        ((((0,), [(0,)]),), "multifunction table must be total on the domain"),
+        ((((0,), [(0,)]), ((1,), [])), "value set at (1,) is empty"),
+        ((((0,), [(0,)]), ((1,), [(5,)])), "value set at (1,) leaves the codomain"),
+    ])
+    def test_constructor_messages(self, pairs, message):
+        with pytest.raises(ValueError) as exc:
+            MultiFunction(interval(0, 1), interval(0, 2), pairs)
+        assert str(exc.value) == message
 
     def test_row_checks_match_the_point_level_references(self):
         rng = random.Random(23)

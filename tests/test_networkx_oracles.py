@@ -2,18 +2,20 @@
 
 Girth length, eccentricities, radius, diameter, center and connected
 components on random graphs and on the graphs of random images, of their
-hyperspaces and of custom subfamilies, disconnected ones included.
+hyperspaces and of custom subfamilies, disconnected ones included; and
+isomorphism of random images, decided by trying every bijection.
 Skipped when networkx is not installed; the library itself never imports
 it.
 """
 
 import random
+from itertools import combinations, permutations
 
 import pytest
 
-from digitop import (as_finite_graph, center, connected_components, diameter, eccentricity,
-                     enumerate_all_subsets, enumerate_connected_subsets, girth,
-                     hyperspace_graph, radius)
+from digitop import (FiniteFunction, as_finite_graph, center, connected_components, diameter,
+                     eccentricity, enumerate_all_subsets, enumerate_connected_subsets, girth,
+                     hyperspace_graph, is_isomorphism, radius)
 from digitop.verify import random_graph, random_image
 
 nx = pytest.importorskip("networkx")
@@ -89,4 +91,30 @@ def test_distance_metrics_match(seed):
         assert radius(G) == nx.radius(H)
         assert diameter(G) == nx.diameter(H)
         assert center(G) == frozenset(nx.center(H))
+    assert seen == {False, True}
+
+
+def image_to_networkx(X):
+    """The graph of an image from its c_u adjacency test on point pairs."""
+    H = nx.Graph()
+    H.add_nodes_from(range(len(X)))
+    H.add_edges_from((i, j) for i, j in combinations(range(len(X)), 2)
+                     if X.adjacent(X.points[i], X.points[j]))
+    return H
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_some_bijection_is_an_isomorphism_iff_networkx_says_so(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(60):
+        X = random_image(rng, 5)
+        Y = random_image(rng, 5)
+        while len(Y) != len(X):
+            Y = random_image(rng, 5)
+        found = any(is_isomorphism(FiniteFunction(X, Y, tuple(zip(X.points, values))))
+                    for values in permutations(Y.points))
+        assert found == nx.is_isomorphic(image_to_networkx(X), image_to_networkx(Y))
+        if len(X) >= 4:
+            seen.add(found)
     assert seen == {False, True}
