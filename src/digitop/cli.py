@@ -6,8 +6,9 @@ error, 3 resource limit exceeded, 4 internal error (a witness failed its
 re-validation, or an output held a value the JSON writer does not take).
 Every ``--format json`` document comes from one writer, ``_dumps``, whose
 bytes are those of ``json.dumps(value, indent=2)``.
-Each verb takes only the ``--budget-*`` flags it reads (``BUDGETS``), and
-the graph verbs label a vertex by its entry in the view's ``vertices``.
+Each verb takes only the ``--budget-*`` flags it reads (``BUDGETS``).  The
+library returns vertex indices, witnesses included; only the CLI names them,
+from the points, member masks and map rows of the space.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
                        phi_counterexample, psi_adjacent, psi_counterexample,
                        strongly_homotopic, verify_homotopy)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of, hyperspace_graph
-from .lattice import _bits, _fields, image_from_json
+from .lattice import DigitalImage, _bits, _fields, image_from_json
 from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
                           is_connectivity_preserving, is_egs_continuous,
                           multifunction_from_json, strong_continuity_counterexample,
                           Subdivision)
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 CHECKS = (
     "continuity", "isomorphism", "retraction",
@@ -123,25 +124,43 @@ def _dumps(value) -> str:
     return write(value, 0)
 
 
-def _view_graph(args) -> tuple[gm.FiniteGraph, tuple]:
-    """The view's graph, and its space's vertices to print as labels."""
+def _point_names(image: DigitalImage) -> list[str]:
+    """Each point's printed name: its one coordinate, or ``(x,y,...)``."""
+    return [str(p[0]) if len(p) == 1 else "(" + ",".join(map(str, p)) + ")"
+            for p in image.points]
+
+
+def _member_names(family, points: list[str]):
+    """``name(i)``: member i's point names in ascending bit order, in braces."""
+    masks = family.masks
+    return lambda i: "{" + ",".join(points[p] for p in _bits(masks[i])) + "}"
+
+
+def _view_graph(args):
+    """The view's graph, and ``name(i)``, the printed name of its vertex i:
+    an image point, a member's points, or ``[x>y ...]`` over a map's domain."""
     image = image_from_json(_load(args.input))
-    view = args.view
+    points, view = _point_names(image), args.view
     if view == "image":
-        space = image
-    elif view == "functions":
+        return gm.as_finite_graph(image), points.__getitem__
+    if view == "functions":
         codomain = image_from_json(_load(args.codomain)) if args.codomain else image
         space = build_function_graph(image, codomain, args.flavor, args.budget_functions)
+        values, rows = _point_names(codomain), space.rows
+        name = lambda i: "[" + " ".join(f"{points[x]}>{values[y]}"
+                                        for x, y in enumerate(rows[i])) + "]"
     else:  # family_of refuses any view but full and connected
         space = hyperspace_graph(family_of(image, view, args.budget_hyperspace))
-    return gm.as_finite_graph(space), space.vertices
+        name = _member_names(space, points)
+    return gm.as_finite_graph(space), name
 
 
 def cmd_hyperspace(args) -> int:
     image = image_from_json(_load(args.input))
     family = hyperspace_graph(family_of(image, args.kind, args.budget_hyperspace))
     if args.format == "dot":
-        _emit(args, gm.to_dot(gm.as_finite_graph(family), labels=family.vertices))
+        _emit(args, gm.to_dot(gm.as_finite_graph(family),
+                              labels=_member_names(family, _point_names(image))))
     elif args.format == "json":
         points = image.points  # sorted, so a mask's ascending bits list its points in order
         _emit(args, _dumps({
@@ -160,7 +179,8 @@ def _run_check(name: str, doc: dict, args):
     if name == "continuity":
         f = function_from_json(doc)
         pair = continuity_counterexample(f)
-        return pair is None, None if pair is None else {"x": pair[0], "x_prime": pair[1]}
+        xs = f.domain.points
+        return pair is None, None if pair is None else {"x": xs[pair[0]], "x_prime": xs[pair[1]]}
     if name == "isomorphism":
         return is_isomorphism(function_from_json(doc)), None
     if name == "retraction":
@@ -171,16 +191,17 @@ def _run_check(name: str, doc: dict, args):
         if g.domain == f.domain and g.codomain == f.codomain:
             # one set of images, so their adjacency rows are built once
             g = FiniteFunction._trusted(f.domain, f.codomain, g.row)
+        xs = f.domain.points
         if name == "phi-adjacent":
             if phi_adjacent(f, g):
                 return True, None
             x = phi_counterexample(f, g)
-            return False, {"equal": True} if x is None else {"x": x}
+            return False, {"equal": True} if x is None else {"x": xs[x]}
         if name == "psi-adjacent":
             if psi_adjacent(f, g):
                 return True, None
-            pair = psi_counterexample(f, g)
-            return False, {"equal": True} if pair is None else {"x0": pair[0], "x1": pair[1]}
+            bad = psi_counterexample(f, g)
+            return False, {"equal": True} if bad is None else {"x0": xs[bad[0]], "x1": xs[bad[1]]}
         decide = homotopic if name == "homotopic" else strongly_homotopic
         decision = decide(f, g, budget=args.budget_functions)
         if not decision:
@@ -199,8 +220,9 @@ def _run_check(name: str, doc: dict, args):
             return has_weak_continuity(F), None
         if name == "strong-continuity":
             bad = strong_continuity_counterexample(F)
+            xs = F.domain.points
             return bad is None, None if bad is None else {
-                "x": bad[0], "y": bad[1], "unmatched": bad[2]}
+                "x": xs[bad[0]], "y": xs[bad[1]], "unmatched": F.codomain.points[bad[2]]}
         if name == "connectivity-preserving":
             return is_connectivity_preserving(F, args.budget_hyperspace), None
         result = is_egs_continuous(F, args.r_max, args.budget_subdivision)
@@ -239,7 +261,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_girth(args) -> int:
-    graph, labels = _view_graph(args)
+    graph, name = _view_graph(args)
     short = gm.girth(graph)
     longest = gm.longest_cycle(graph, args.budget_cycle)
     for witness in (short, longest):
@@ -249,8 +271,7 @@ def cmd_girth(args) -> int:
     def cycle_doc(w):
         if w is None:
             return None
-        return {"length": w.length,
-                "vertices": [gm.format_label(labels[v]) for v in w.vertices]}
+        return {"length": w.length, "vertices": [name(v) for v in w.vertices]}
 
     if args.format == "json":
         _emit(args, _dumps({"girth": cycle_doc(short), "long_cycle": cycle_doc(longest)}) + "\n")
@@ -260,16 +281,16 @@ def cmd_girth(args) -> int:
         else:
             _emit(args, f"girth: {short.length}\nlong cycle: {longest.length}\n"
                         f"long cycle witness: "
-                        f"{' '.join(gm.format_label(labels[v]) for v in longest.vertices)}\n")
+                        f"{' '.join(map(name, longest.vertices))}\n")
     return 0
 
 
 def cmd_dominate(args) -> int:
-    graph, labels = _view_graph(args)
+    graph, name = _view_graph(args)
     best = gm.minimum_dominating_set(graph, args.budget_dominating)
     if not gm.is_dominating(best, graph):
         raise InternalError("dominating set failed re-validation")
-    names = [gm.format_label(labels[v]) for v in sorted(best)]
+    names = [name(v) for v in sorted(best)]
     if args.format == "json":
         _emit(args, _dumps({"size": len(best), "vertices": names}) + "\n")
     else:
@@ -278,9 +299,9 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    graph, labels = _view_graph(args)
+    graph, name = _view_graph(args)
     if args.format == "csv":
-        _emit(args, gm.metrics_csv(graph, labels=labels))
+        _emit(args, gm.metrics_csv(graph, labels=name))
         return 0
     rad, diam = gm.radius(graph), gm.diameter(graph)
     ctr = sorted(gm.center(graph))
@@ -290,24 +311,24 @@ def cmd_metrics(args) -> int:
             "edges": graph.edge_count,
             "radius": rad,
             "diameter": diam,
-            "center": [gm.format_label(labels[v]) for v in ctr],
+            "center": [name(v) for v in ctr],
             "eccentricity": {str(v): gm.eccentricity(graph, v) for v in range(graph.n)},
         }) + "\n")
     else:
         _emit(args, f"vertices: {graph.n}\nedges: {graph.edge_count}\n"
                     f"radius: {rad}\ndiameter: {diam}\n"
-                    f"center: {' '.join(gm.format_label(labels[v]) for v in ctr)}\n")
+                    f"center: {' '.join(map(name, ctr))}\n")
     return 0
 
 
 def cmd_export_dot(args) -> int:
-    graph, labels = _view_graph(args)
+    graph, name = _view_graph(args)
     highlight = None
     if args.highlight == "girth":
         highlight = gm.girth(graph)
     elif args.highlight == "long-cycle":
         highlight = gm.longest_cycle(graph, args.budget_cycle)
-    _emit(args, gm.to_dot(graph, highlight=highlight, labels=labels))
+    _emit(args, gm.to_dot(graph, highlight=highlight, labels=name))
     return 0
 
 
@@ -369,9 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("verify", help="run the randomized theorem-verification suites")
-    p.add_argument("--suite", nargs="+", default=("all",),
-                   choices=["all", "cardinality", "induced", "homotopy", "connectivity",
-                            "multivalued", "cycles", "dominating", "diameter"])
+    p.add_argument("--suite", nargs="+", default=("all",), choices=["all", *SUITES])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-points", type=_positive_int, default=None,
                    help="override the per-suite image size cap")

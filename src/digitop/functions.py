@@ -109,13 +109,13 @@ def is_continuous(f: FiniteFunction) -> bool:
     return continuity_counterexample(f) is None
 
 
-def continuity_counterexample(f: FiniteFunction):
-    """The first adjacent domain pair whose values are neither adjacent nor equal, or None."""
+def continuity_counterexample(f: FiniteFunction) -> tuple[int, int] | None:
+    """The first adjacent domain pair (i, j) with values neither adjacent nor equal, or None."""
     row, cod_rows = f.row, f.codomain.adjacency_rows
     for i, j in _row_pairs(f.domain.adjacency_rows):
         a, b = row[i], row[j]
         if a != b and not cod_rows[a] >> b & 1:
-            return (f.domain.vertices[i], f.domain.vertices[j])
+            return (i, j)
     return None
 
 

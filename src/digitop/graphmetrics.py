@@ -4,8 +4,8 @@ Images, subset families and function graphs all project to
 :class:`FiniteGraph` via :func:`as_finite_graph`; everything here then
 works uniformly: shortest/longest cycles, dominating sets, eccentricity,
 center, radius, diameter, disconnecting sets, DOT and CSV emission.
-A graph is its vertex count and rows; the writers that print vertices
-take the space's ``vertices`` as ``labels``.
+A graph is its vertex count and rows and knows no vertex label: the DOT
+and CSV writers print vertex i as ``labels(i)``, by default its number.
 The girth search runs the library's one predecessor breadth-first search
 (``lattice._bfs``) from one end of each edge with the edge masked out of
 that end's row, so the first path found to the other end closes a
@@ -404,24 +404,11 @@ def disconnects(Y: Iterable[Point], X: DigitalImage) -> bool:
 # -- export -------------------------------------------------------------------
 
 
-def format_label(obj) -> str:
-    """Human-readable vertex labels for points, members and functions."""
-    if isinstance(obj, tuple):
-        return str(obj[0]) if len(obj) == 1 else "(" + ",".join(map(str, obj)) + ")"
-    if isinstance(obj, frozenset):
-        return "{" + ",".join(format_label(p) for p in sorted(obj)) + "}"
-    from .functions import FiniteFunction
-
-    if isinstance(obj, FiniteFunction):
-        return "[" + " ".join(f"{format_label(x)}>{format_label(y)}" for x, y in obj.pairs) + "]"
-    return str(obj)
-
-
 def to_dot(G: FiniteGraph, name: str = "G",
-           highlight: CycleWitness | None = None, *, labels=None) -> str:
+           highlight: CycleWitness | None = None, *, labels=str) -> str:
     """Graphviz source for the graph; an optional cycle is drawn bold.
 
-    Vertex i is printed as ``labels[i]``, or as i when there are no labels.
+    Vertex i is printed as the name string ``labels(i)``.
     """
     hot = set()
     if highlight is not None:
@@ -430,7 +417,7 @@ def to_dot(G: FiniteGraph, name: str = "G",
     out = io.StringIO()
     out.write(f"graph {name} {{\n")
     for i in range(G.n):
-        out.write(f'  n{i} [label="{format_label(labels[i] if labels is not None else i)}"];\n')
+        out.write(f'  n{i} [label="{labels(i)}"];\n')
     for i, j in G.edges():
         style = " [style=bold color=red]" if (i, j) in hot else ""
         out.write(f"  n{i} -- n{j}{style};\n")
@@ -438,11 +425,12 @@ def to_dot(G: FiniteGraph, name: str = "G",
     return out.getvalue()
 
 
-def metrics_csv(G: FiniteGraph, *, labels=None) -> str:
-    """Per-vertex metric table: vertex, label, degree, eccentricity; labels as in to_dot."""
+def metrics_csv(G: FiniteGraph, *, labels=str) -> str:
+    """Per-vertex metric table: vertex, label, degree, eccentricity; labels as in
+    to_dot, with each double quote printed as a single one."""
     eccs = G.eccentricities if G.n else ()
     lines = ["vertex,label,degree,eccentricity"]
     for v in range(G.n):
-        label = format_label(labels[v] if labels is not None else v).replace('"', "'")
+        label = labels(v).replace('"', "'")
         lines.append(f'{v},"{label}",{G.degree(v)},{eccs[v]}')
     return "\n".join(lines) + "\n"

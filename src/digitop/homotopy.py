@@ -26,10 +26,10 @@ adjacency with one kernel call over all their boxes; its ``vertices``
 are built only when asked for, and its ``find_path`` is the reference
 the lazy search is tested against.
 
-For two given maps, each closeness rule is written once on rows:
-``phi_counterexample`` scans the domain, ``psi_counterexample`` the
-domain's closed adjacency rows.  ``phi_adjacent``, ``psi_adjacent`` and
-the step-table verifier ``verify_homotopy`` are built from them.
+For two given maps, each closeness rule is written once on rows and
+returns domain indices: ``phi_counterexample`` scans the domain,
+``psi_counterexample`` the domain's closed adjacency rows.  ``phi_adjacent``,
+``psi_adjacent`` and the step-table verifier ``verify_homotopy`` read them.
 """
 
 from __future__ import annotations
@@ -70,21 +70,21 @@ def psi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     return f != g and psi_counterexample(f, g) is None
 
 
-def phi_counterexample(f: FiniteFunction, g: FiniteFunction):
-    """The first domain vertex x with f(x), g(x) neither adjacent nor equal, or None."""
+def phi_counterexample(f: FiniteFunction, g: FiniteFunction) -> int | None:
+    """The index of the first domain vertex where f, g are neither adjacent nor equal, or None."""
     _check_same_signature(f, g)
     cod_rows = f.codomain.adjacency_rows
-    for x, a, b in zip(f.domain.vertices, f.row, g.row):
+    for i, (a, b) in enumerate(zip(f.row, g.row)):
         if a != b and not cod_rows[a] >> b & 1:
-            return x
+            return i
     return None
 
 
-def psi_counterexample(f: FiniteFunction, g: FiniteFunction):
-    """The first domain pair x0, x1 violating the cross condition, or None.
+def psi_counterexample(f: FiniteFunction, g: FiniteFunction) -> tuple[int, int] | None:
+    """The first domain index pair (i, j) violating the cross condition, or None.
 
     The pairs are the adjacent-or-equal ones, read from the domain's closed
-    adjacency rows in ascending order of x0, then x1.
+    adjacency rows in ascending order of i, then j.
     """
     _check_same_signature(f, g)
     cod_rows, grow = f.codomain.adjacency_rows, g.row
@@ -92,7 +92,7 @@ def psi_counterexample(f: FiniteFunction, g: FiniteFunction):
         close = cod_rows[a] | 1 << a
         for j in _bits(row | 1 << i):
             if not close >> grow[j] & 1:
-                return (f.domain.vertices[i], f.domain.vertices[j])
+                return (i, j)
     return None
 
 
@@ -325,21 +325,10 @@ class FunctionGraph:
     def adjacent_or_equal(self, f, g) -> bool:
         return f == g or self.adjacent(f, g)
 
-    def find_path(self, f: FiniteFunction, g: FiniteFunction,
-                  allowed=None) -> tuple[FiniteFunction, ...] | None:
-        """A shortest path of vertices from f to g, or None if separated.
-
-        ``allowed`` optionally restricts the search to a vertex subgraph.
-        """
-        src, dst = self.index_of(f), self.index_of(g)
+    def find_path(self, f: FiniteFunction, g: FiniteFunction) -> tuple[FiniteFunction, ...] | None:
+        """A shortest path of vertices from f to g, or None if separated."""
         rows = self.adjacency_rows
-        step = lambda i: _bits(rows[i])
-        if allowed is not None:
-            verts = self.vertices
-            if not (allowed(verts[src]) and allowed(verts[dst])):
-                return None
-            step = lambda i: [j for j in _bits(rows[i]) if allowed(verts[j])]
-        path, _ = _bfs(src, step, dst.__eq__)
+        path, _ = _bfs(self.index_of(f), lambda i: _bits(rows[i]), self.index_of(g).__eq__)
         X, Y, maps = self.domain, self.codomain, self.rows
         return None if path is None else tuple(FiniteFunction._trusted(X, Y, maps[k]) for k in path)
 

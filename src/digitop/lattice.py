@@ -210,7 +210,8 @@ class DigitalImage:
         return is_connected(pts, self)
 
     def is_connected(self) -> bool:
-        return is_connected(self.points, self)
+        full = (1 << len(self.points)) - 1
+        return _flood(self.neighbor_masks, 1, full) == full
 
     def components(self) -> tuple[frozenset[Point], ...]:
         """The c_u components of the image, in order of their smallest point."""

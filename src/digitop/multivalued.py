@@ -16,7 +16,7 @@ and F(x) has an unmatched value in F(y) when
 ``masks[x] & ~cover(masks[y])`` is; the image of a domain mask is the OR
 of its points' masks, tested with one flood.  A witness value is the
 lowest unmatched one in codomain order, so it does not depend on how a
-document lists a value set.
+document lists a value set.  Witnesses are indices: the caller names them.
 """
 
 from __future__ import annotations
@@ -108,19 +108,19 @@ def has_strong_continuity(F: MultiFunction) -> bool:
     return strong_continuity_counterexample(F) is None
 
 
-def strong_continuity_counterexample(F: MultiFunction):
-    """A triple (x, y, p) where p in F(x) has no closed partner in F(y), or None.
+def strong_continuity_counterexample(F: MultiFunction) -> tuple[int, int, int] | None:
+    """Indices (x, y, p), x and y in the domain and p in the codomain, where
+    p in F(x) has no closed partner in F(y), or None.
 
     Adjacent pairs are scanned in ascending index order, each first from
     its lower end; p is the lowest unmatched value in codomain order.
     """
     closed_y, masks = F.codomain.closed_neighbor_masks, F.masks
-    xs, ys = F.domain.points, F.codomain.points
     for i, j in _row_pairs(F.domain.adjacency_rows):
         for a, b in ((i, j), (j, i)):
             unmatched = masks[a] & ~_cover(closed_y, masks[b])
             if unmatched:
-                return (xs[a], xs[b], ys[(unmatched & -unmatched).bit_length() - 1])
+                return (a, b, (unmatched & -unmatched).bit_length() - 1)
     return None
 
 

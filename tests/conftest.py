@@ -2,8 +2,8 @@
 
 import pytest
 
-from digitop import (DigitalImage, FiniteFunction, SubsetFamily, build_function_graph,
-                     compose, induced_map, interval, postcompose_map)
+from digitop import (DigitalImage, FiniteFunction, FunctionGraph, SubsetFamily,
+                     build_function_graph, compose, induced_map, interval, postcompose_map)
 from digitop.homotopy import PHI, PSI
 from digitop.hyperspace import family_of
 from digitop.verify import (random_connected_image, random_continuous_function,
@@ -81,3 +81,17 @@ def _close_on_points():
 @pytest.fixture(name="other_codomain_maps")
 def _other_codomain_maps():
     return other_codomain_maps
+
+
+@pytest.fixture(name="refuse_labels")
+def _refuse_labels(monkeypatch):
+    """A call that makes every later build of a family's ``members`` or a
+    function graph's ``vertices``, and of the indexes read from them, fail."""
+    def refuse(space):
+        raise AssertionError(f"a {type(space).__name__} built its vertex labels")
+
+    def install():
+        monkeypatch.setattr(SubsetFamily, "members", property(refuse))
+        monkeypatch.setattr(FunctionGraph, "vertices", property(refuse))
+
+    return install

@@ -640,6 +640,215 @@ class TestLabelGolden:
         assert '  n9 [label="{1,2,3,4}"];\n' in dot
 
 
+# The printed labels of the 2x2 c1 square, whose points print as (x,y): its
+# image, its connected family and its maps to the point (3,5), as the graph
+# verbs wrote them when they named vertices from their label objects.
+SQUARE = {"dim": 2, "adjacency": "c1", "points": [[0, 0], [0, 1], [1, 0], [1, 1]]}
+SQUARE_CODOMAIN = {"dim": 2, "adjacency": "c1", "points": [[3, 5]]}
+SQUARE_LABEL_GOLDEN = {
+    ("image", "export-dot"): """\
+graph G {
+  n0 [label="(0,0)"];
+  n1 [label="(0,1)"];
+  n2 [label="(1,0)"];
+  n3 [label="(1,1)"];
+  n0 -- n1;
+  n0 -- n2;
+  n1 -- n3;
+  n2 -- n3;
+}
+""",
+    ("image", "metrics-csv"): """\
+vertex,label,degree,eccentricity
+0,"(0,0)",2,2
+1,"(0,1)",2,2
+2,"(1,0)",2,2
+3,"(1,1)",2,2
+""",
+    ("image", "metrics"): """\
+vertices: 4
+edges: 4
+radius: 2
+diameter: 2
+center: (0,0) (0,1) (1,0) (1,1)
+""",
+    ("image", "girth"): """\
+girth: 4
+long cycle: 4
+long cycle witness: (0,0) (0,1) (1,1) (1,0)
+""",
+    ("image", "dominate"): """\
+minimum dominating set size: 2
+members: (0,0) (0,1)
+""",
+    ("connected", "export-dot"): """\
+graph G {
+  n0 [label="{(0,0)}"];
+  n1 [label="{(0,1)}"];
+  n2 [label="{(0,0),(0,1)}"];
+  n3 [label="{(1,0)}"];
+  n4 [label="{(0,0),(1,0)}"];
+  n5 [label="{(0,0),(0,1),(1,0)}"];
+  n6 [label="{(1,1)}"];
+  n7 [label="{(0,1),(1,1)}"];
+  n8 [label="{(0,0),(0,1),(1,1)}"];
+  n9 [label="{(1,0),(1,1)}"];
+  n10 [label="{(0,0),(1,0),(1,1)}"];
+  n11 [label="{(0,1),(1,0),(1,1)}"];
+  n12 [label="{(0,0),(0,1),(1,0),(1,1)}"];
+  n0 -- n1;
+  n0 -- n2;
+  n0 -- n3;
+  n0 -- n4;
+  n0 -- n5;
+  n1 -- n2;
+  n1 -- n6;
+  n1 -- n7;
+  n1 -- n8;
+  n2 -- n4;
+  n2 -- n5;
+  n2 -- n7;
+  n2 -- n8;
+  n2 -- n9;
+  n2 -- n10;
+  n2 -- n11;
+  n2 -- n12;
+  n3 -- n4;
+  n3 -- n6;
+  n3 -- n9;
+  n3 -- n10;
+  n4 -- n5;
+  n4 -- n7;
+  n4 -- n8;
+  n4 -- n9;
+  n4 -- n10;
+  n4 -- n11;
+  n4 -- n12;
+  n5 -- n7;
+  n5 -- n8;
+  n5 -- n9;
+  n5 -- n10;
+  n5 -- n11;
+  n5 -- n12;
+  n6 -- n7;
+  n6 -- n9;
+  n6 -- n11;
+  n7 -- n8;
+  n7 -- n9;
+  n7 -- n10;
+  n7 -- n11;
+  n7 -- n12;
+  n8 -- n9;
+  n8 -- n10;
+  n8 -- n11;
+  n8 -- n12;
+  n9 -- n10;
+  n9 -- n11;
+  n9 -- n12;
+  n10 -- n11;
+  n10 -- n12;
+  n11 -- n12;
+}
+""",
+    ("connected", "metrics-csv"): """\
+vertex,label,degree,eccentricity
+0,"{(0,0)}",5,2
+1,"{(0,1)}",5,2
+2,"{(0,0),(0,1)}",10,2
+3,"{(1,0)}",5,2
+4,"{(0,0),(1,0)}",10,2
+5,"{(0,0),(0,1),(1,0)}",9,2
+6,"{(1,1)}",5,2
+7,"{(0,1),(1,1)}",10,2
+8,"{(0,0),(0,1),(1,1)}",9,2
+9,"{(1,0),(1,1)}",10,2
+10,"{(0,0),(1,0),(1,1)}",9,2
+11,"{(0,1),(1,0),(1,1)}",9,2
+12,"{(0,0),(0,1),(1,0),(1,1)}",8,2
+""",
+    ("connected", "metrics"): """\
+vertices: 13
+edges: 52
+radius: 2
+diameter: 2
+center: {(0,0)} {(0,1)} {(0,0),(0,1)} {(1,0)} {(0,0),(1,0)} {(0,0),(0,1),(1,0)} {(1,1)} {(0,1),(1,1)} {(0,0),(0,1),(1,1)} {(1,0),(1,1)} {(0,0),(1,0),(1,1)} {(0,1),(1,0),(1,1)} {(0,0),(0,1),(1,0),(1,1)}
+""",
+    ("connected", "girth"): """\
+girth: 3
+long cycle: 13
+long cycle witness: {(0,0)} {(0,1)} {(0,0),(0,1)} {(0,0),(1,0)} {(1,0)} {(1,1)} {(0,1),(1,1)} {(0,0),(0,1),(1,1)} {(1,0),(1,1)} {(0,0),(1,0),(1,1)} {(0,1),(1,0),(1,1)} {(0,0),(0,1),(1,0),(1,1)} {(0,0),(0,1),(1,0)}
+""",
+    ("connected", "dominate"): """\
+minimum dominating set size: 2
+members: {(0,0),(0,1)} {(1,0)}
+""",
+    ("functions", "export-dot"): """\
+graph G {
+  n0 [label="[(0,0)>(3,5) (0,1)>(3,5) (1,0)>(3,5) (1,1)>(3,5)]"];
+}
+""",
+    ("functions", "metrics-csv"): """\
+vertex,label,degree,eccentricity
+0,"[(0,0)>(3,5) (0,1)>(3,5) (1,0)>(3,5) (1,1)>(3,5)]",0,0
+""",
+    ("functions", "metrics"): """\
+vertices: 1
+edges: 0
+radius: 0
+diameter: 0
+center: [(0,0)>(3,5) (0,1)>(3,5) (1,0)>(3,5) (1,1)>(3,5)]
+""",
+    ("functions", "girth"): """\
+acyclic
+""",
+    ("functions", "dominate"): """\
+minimum dominating set size: 1
+members: [(0,0)>(3,5) (0,1)>(3,5) (1,0)>(3,5) (1,1)>(3,5)]
+""",
+}
+
+
+LABEL_DOCS = {  # image, functions-view codomain and golden output of each labelled shape
+    "interval": (image_to_json(interval(0, 2)), image_to_json(interval(0, 1)), LABEL_GOLDEN),
+    "square": (SQUARE, SQUARE_CODOMAIN, SQUARE_LABEL_GOLDEN),
+}
+
+
+class TestNamesOnlyWherePrinted:
+    """The graph verbs print their golden labels without building a family's
+    members or a function graph's vertices."""
+
+    @pytest.mark.parametrize("shape, view, verb", [
+        (shape, *key) for shape in LABEL_DOCS for key in sorted(LABEL_DOCS[shape][2])])
+    def test_golden_labels(self, tmp_path, capsys, refuse_labels, shape, view, verb):
+        image, codomain, golden = LABEL_DOCS[shape]
+        doc, codomain = write(tmp_path, "image.json", image), write(tmp_path, "cod.json", codomain)
+        argv = [arg.format(codomain=codomain) for arg in LABEL_VIEWS[view]]
+        refuse_labels()
+        assert main(LABEL_VERBS[verb] + ["--input", doc] + argv) == 0
+        assert capsys.readouterr().out == golden[view, verb]
+
+    @pytest.mark.parametrize("argv", [
+        ["hyperspace", "--kind", "connected", "--format", "dot"],
+        ["hyperspace", "--kind", "full", "--format", "json"],
+        ["hyperspace", "--kind", "full"],
+        ["girth", "--view", "connected", "--format", "json"],
+        ["dominate", "--view", "full", "--format", "json"],
+        ["metrics", "--view", "connected", "--format", "json"],
+        ["girth", "--view", "functions", "--codomain", "{codomain}", "--format", "json"],
+        ["dominate", "--view", "functions", "--codomain", "{codomain}", "--format", "json"],
+        ["metrics", "--view", "functions", "--codomain", "{codomain}", "--format", "json"],
+        ["export-dot", "--view", "functions", "--codomain", "{codomain}", "--flavor", "psi",
+         "--highlight", "long-cycle"],
+    ], ids=" ".join)
+    def test_other_formats(self, tmp_path, capsys, refuse_labels, argv):
+        doc = write(tmp_path, "square.json", SQUARE)
+        codomain = write(tmp_path, "i2.json", image_to_json(interval(0, 1)))
+        refuse_labels()
+        assert main([arg.format(codomain=codomain) for arg in argv] + ["--input", doc]) == 0
+        assert capsys.readouterr().out
+
+
 # The budget flags each verb reads; every other budget flag is refused.
 VERB_BUDGETS = {
     "hyperspace": {"--budget-hyperspace"},

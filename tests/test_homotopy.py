@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
                      pointed_homotopic,
                      build_function_graph, compose, constant_map, cycle_image,
-                     cycle_points,
-                     enumerate_continuous_maps, homotopic, homotopy_from_json,
+                     cycle_points, enumerate_continuous_maps, has_strong_continuity,
+                     homotopic, homotopy_from_json,
                      homotopy_to_json, identity_map, induced_map,
                      is_contractible, is_continuous, interval,
                      lift_homotopy_to_hyperspace, phi_adjacent, postcompose_map,
@@ -22,7 +22,7 @@ from digitop.homotopy import (PHI, PSI, _adjacent_rows, _all_continuous_rows,
                               phi_counterexample, psi_counterexample)
 from digitop.hyperspace import family_of
 from digitop.lattice import _bfs
-from digitop.verify import (oracle_homotopic, random_continuous_function,
+from digitop.verify import (oracle_homotopic, random_continuous_function, random_multifunction,
                             random_function, random_image, rotations)
 
 
@@ -31,12 +31,13 @@ def fn(X, Y, *values):
 
 
 def pair_scan_psi_counterexample(f, g):
-    """The scan over all domain pairs that ``psi_counterexample`` replaced."""
+    """The scan over all domain pairs that ``psi_counterexample`` replaced,
+    returning the indices of the first failing pair."""
     dom, cod = f.domain, f.codomain
-    for x0 in dom.vertices:
-        for x1 in dom.vertices:
+    for i, x0 in enumerate(dom.vertices):
+        for j, x1 in enumerate(dom.vertices):
             if dom.adjacent_or_equal(x0, x1) and not cod.adjacent_or_equal(f.table[x0], g.table[x1]):
-                return (x0, x1)
+                return (i, j)
     return None
 
 
@@ -158,7 +159,8 @@ class TestCounterexamples:
                             for h in (f, g))
                 except ValueError:  # a disconnected image in a connected family
                     pass
-            first = [x for x, y in f.pairs if not f.codomain.adjacent_or_equal(y, g.table[x])]
+            first = [i for i, (x, y) in enumerate(f.pairs)
+                     if not f.codomain.adjacent_or_equal(y, g.table[x])]
             assert phi_counterexample(f, g) == (first[0] if first else None)
             assert psi_counterexample(f, g) == pair_scan_psi_counterexample(f, g)
             found.add((isinstance(f.domain, DigitalImage), psi_counterexample(f, g) is None))
@@ -169,16 +171,37 @@ class TestCounterexamples:
             maps = other_codomain_maps(rng)
             dom, cod = maps[0].domain, maps[0].codomain
             close = lambda a, b: close_on_points(cod, a, b)
+            verts = dom.vertices
             for f in maps:
                 for g in maps:
-                    first = [x for x in dom.vertices if not close(f(x), g(x))]
+                    first = [i for i, x in enumerate(verts) if not close(f(x), g(x))]
                     assert phi_counterexample(f, g) == (first[0] if first else None)
-                    first = [(x0, x1) for x0 in dom.vertices for x1 in dom.vertices
+                    first = [(i, j) for i, x0 in enumerate(verts) for j, x1 in enumerate(verts)
                              if close_on_points(dom, x0, x1) and not close(f(x0), g(x1))]
                     assert psi_counterexample(f, g) == (first[0] if first else None)
                     found.add((type(cod).__name__, not first))
         assert found == {(name, ok) for name in ("SubsetFamily", "FunctionGraph")
                          for ok in (False, True)}
+
+    def test_predicates_build_no_labels(self, other_codomain_maps, refuse_labels):
+        """The row predicates read no family member and no function-graph vertex."""
+        rng = random.Random(43)
+        cases = [other_codomain_maps(rng) for _ in range(40)]
+        multis = [random_multifunction(rng, interval(0, 1), interval(0, 2)) for _ in range(20)]
+        refuse_labels()
+        seen = set()
+        for maps in cases:
+            for f in maps:
+                seen.add(("continuous", is_continuous(f)))
+                for g in maps:
+                    seen.add(("phi", phi_adjacent(f, g)))
+                    seen.add(("psi", psi_adjacent(f, g)))
+                    H = HomotopyTable(f.domain, f.codomain, (f, g))
+                    for mode in ("plain", "strong"):
+                        seen.add((mode, verify_homotopy(H, f, g, mode=mode)))
+        seen.update(("strong continuity", has_strong_continuity(F)) for F in multis)
+        names = ("continuous", "phi", "psi", "plain", "strong", "strong continuity")
+        assert seen == {(name, ok) for name in names for ok in (False, True)}
 
 
 class TestEnumeration:
@@ -343,10 +366,11 @@ class TestFunctionGraphRows:
             found = G.find_path(f, g)
             assert (None if found is None else [G.index_of(h) for h in found]) == path
             assert G.component_of(f) == reference_bfs(nbrs, s)[1]
+            # the pointed search stays among the maps that agree with f at x0
             fixed = f.table[x0]
             keep = lambda i: G.vertices[i].table[x0] == fixed
             path = reference_bfs(nbrs, s, t, keep)[0] if keep(t) else None
-            found = G.find_path(f, g, allowed=lambda h: h.table[x0] == fixed)
+            found = pointed_homotopic(f, g, x0, strong=flavor == PSI).path
             assert (None if found is None else [G.index_of(h) for h in found]) == path
 
 
@@ -635,13 +659,14 @@ class TestLazySearch:
         assert _paths(strong) == _graph_paths(psi.find_path(f, g))
         if strong:
             assert verify_homotopy(strong.table(), f, g, mode="strong")
-        for x0 in X.points:
-            # find_path gives None when g moves the basepoint
-            fixed = f.table[x0]
+        for i, x0 in enumerate(X.points):
+            # a search kept to the maps that agree with f at x0 finds no g that moves it
             for flag, graph in ((False, phi), (True, psi)):
+                keep = lambda k: graph.rows[k][i] == f.row[i]
+                nbrs, s, t = sorted_neighbor_lists(graph), graph.index_of(f), graph.index_of(g)
+                path = reference_bfs(nbrs, s, t, keep)[0] if keep(t) else None
                 pointed = pointed_homotopic(f, g, x0, strong=flag)
-                assert _paths(pointed) == _graph_paths(
-                    graph.find_path(f, g, allowed=lambda h: h.table[x0] == fixed))
+                assert _rows(pointed) == (None if path is None else [graph.rows[k] for k in path])
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((PHI, PSI)))
     @settings(max_examples=60, deadline=None)

@@ -38,16 +38,17 @@ def pair_scan_adjacent_inputs(F):
 
 def pair_scan_strong_counterexample(F):
     """``strong_continuity_counterexample`` over ``pair_scan_adjacent_inputs``,
-    each value set scanned in codomain (sorted) order."""
+    each value set scanned in codomain (sorted) order, as point indices."""
     u = F.codomain.adjacency
+    xi, yi = F.domain.point_index, F.codomain.point_index
     for x, y in pair_scan_adjacent_inputs(F):
         fx, fy = F.table[x], F.table[y]
         for p in sorted(fx):
             if not any(adjacent_or_equal(p, q, u) for q in fy):
-                return (x, y, p)
+                return (xi[x], xi[y], yi[p])
         for q in sorted(fy):
             if not any(adjacent_or_equal(q, p, u) for p in fx):
-                return (y, x, q)
+                return (xi[y], xi[x], yi[q])
     return None
 
 
@@ -198,7 +199,7 @@ class TestStrongContinuity:
     def test_ladder_not_strong(self, ladder):
         assert not has_strong_continuity(ladder)
         x, y, p = strong_continuity_counterexample(ladder)
-        assert p == (2,)  # the far value has no partner
+        assert ladder.codomain.points[p] == (2,)  # the far value has no partner
 
     def test_single_valued_continuous(self):
         rng = random.Random(2)
