@@ -16,7 +16,6 @@ fix it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -24,10 +23,10 @@ from .hyperspace import (DEFAULT_POINT_BUDGET, SubsetFamily, _cover, family_from
                          family_of, family_to_json)
 from .lattice import (DigitalImage, Point, _as_point, _fields, _row_pairs, image_from_json,
                       image_to_json)
+from .value import Value
 
 
-@dataclass(frozen=True, init=False)
-class FiniteFunction:
+class FiniteFunction(Value):
     """A total map between two vertex spaces, held as its value ``row``.
 
     Identity is (domain, codomain, row).  The constructor takes a table of
@@ -49,14 +48,16 @@ class FiniteFunction:
         for x, y in table.items():
             if y not in index:
                 raise ValueError(f"value {y!r} at {x!r} is outside the codomain")
-        self.__dict__.update(domain=domain, codomain=codomain,
-                             row=tuple(index[table[x]] for x in verts))
+        row = tuple(index[table[x]] for x in verts)
+        self.__dict__.update(domain=domain, codomain=codomain, row=row,
+                             _key=(domain, codomain, row))
 
     @classmethod
     def _trusted(cls, domain, codomain, row: tuple[int, ...]) -> FiniteFunction:
         """The map with a value row that is valid by construction, unchecked."""
         f = object.__new__(cls)
-        f.__dict__.update(domain=domain, codomain=codomain, row=row)
+        f.__dict__.update(domain=domain, codomain=codomain, row=row,
+                          _key=(domain, codomain, row))
         return f
 
     @classmethod

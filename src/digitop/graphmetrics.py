@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import io
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import BudgetError
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_all_subsets
 from .lattice import DigitalImage, Point, _bfs, _bits, _flood, _row_pairs, is_connected
+from .value import Value
 
 #: Vertex cap for the exponential longest-cycle search.
 DEFAULT_CYCLE_BUDGET = 20
@@ -43,31 +43,30 @@ DEFAULT_CYCLE_BUDGET = 20
 DEFAULT_DOMINATING_BUDGET = 40
 
 
-@dataclass(frozen=True)
-class FiniteGraph:
+class FiniteGraph(Value):
     """An undirected simple graph over vertices 0..n-1 with bitmask rows."""
 
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        if n < 0 or len(adj) != n:
             raise ValueError("adjacency row count must equal the vertex count")
-        for i, row in enumerate(self.adj):
-            if row >> self.n:
+        for i, row in enumerate(adj):
+            if row >> n:
                 raise ValueError(f"adjacency row {i} references unknown vertices")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {i}")
             for j in _bits(row):
-                if not self.adj[j] >> i & 1:
+                if not adj[j] >> i & 1:
                     raise ValueError(f"edge {i}-{j} is not symmetric")
+        self.__dict__.update(n=n, adj=adj, _key=(n, adj))
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple[int, ...]) -> "FiniteGraph":
         """A graph from rows that are symmetric and loop-free by construction, unchecked."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "adj", adj)
+        graph.__dict__.update(n=n, adj=adj, _key=(n, adj))
         return graph
 
     @classmethod
@@ -185,11 +184,13 @@ def is_connected_graph(G: FiniteGraph) -> bool:
 # -- cycles ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(Value):
     """A cyclic sequence of at least 3 distinct, consecutively adjacent vertices."""
 
     vertices: tuple[int, ...]
+
+    def __init__(self, vertices: tuple[int, ...]):
+        self.__dict__.update(vertices=vertices, _key=(vertices,))
 
     @property
     def length(self) -> int:

@@ -34,7 +34,6 @@ returns domain indices: ``phi_counterexample`` scans the domain,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -44,6 +43,7 @@ from .functions import (FiniteFunction, function_from_json, function_to_json, in
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of
 from .lattice import (DigitalImage, _bfs, _bidirectional_bfs, _bits, _connectivity_order,
                       _fields, _flood, _row_pairs)
+from .value import Value
 
 #: Cap on the raw search space #Y ** #X of a function enumeration, and on
 #: the continuous rows one lazy search generates over all its expansions.
@@ -267,8 +267,7 @@ def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
 # -- function graphs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionGraph:
+class FunctionGraph(Value):
     """The graph of continuous maps X -> Y under the phi or psi adjacency.
 
     ``rows`` holds the maps as value rows in lexicographic order; the
@@ -279,6 +278,11 @@ class FunctionGraph:
     codomain: DigitalImage
     flavor: str
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, domain: DigitalImage, codomain: DigitalImage, flavor: str,
+                 rows: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(domain=domain, codomain=codomain, flavor=flavor, rows=rows,
+                             _key=(domain, codomain, flavor, rows))
 
     @cached_property
     def vertices(self) -> tuple[FiniteFunction, ...]:
@@ -351,20 +355,21 @@ def build_function_graph(X: DigitalImage, Y: DigitalImage, flavor: str = PHI,
 # -- homotopy tables ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomotopyTable:
+class HomotopyTable(Value):
     """A step table H(x, t) given by its time slices H_0 ... H_m."""
 
     domain: object
     codomain: object
     slices: tuple[FiniteFunction, ...]
 
-    def __post_init__(self):
-        if not self.slices:
+    def __init__(self, domain, codomain, slices: tuple[FiniteFunction, ...]):
+        if not slices:
             raise ValueError("a homotopy table needs at least one slice")
-        for h in self.slices:
-            if h.domain != self.domain or h.codomain != self.codomain:
+        for h in slices:
+            if h.domain != domain or h.codomain != codomain:
                 raise ValueError("slice signature does not match the table")
+        self.__dict__.update(domain=domain, codomain=codomain, slices=slices,
+                             _key=(domain, codomain, slices))
 
     @property
     def m(self) -> int:
@@ -374,12 +379,14 @@ class HomotopyTable:
         return self.slices[t].table[x]
 
 
-@dataclass(frozen=True)
-class HomotopyDecision:
+class HomotopyDecision(Value):
     """Outcome of a homotopy search: related or not, plus the witness path."""
 
     related: bool
     path: tuple[FiniteFunction, ...] | None
+
+    def __init__(self, related: bool, path: tuple[FiniteFunction, ...] | None):
+        self.__dict__.update(related=related, path=path, _key=(related, path))
 
     def __bool__(self) -> bool:
         return self.related
@@ -449,14 +456,14 @@ def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
 
 
 def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
-                    mode: str = "plain", fixed_point=None) -> bool:
+                    mode: str = "plain", fixed_point: int | None = None) -> bool:
     """Check a step table against the deformation conditions.
 
     The endpoint slices must equal f and g and every slice must be
     continuous.  Consecutive slices must be pointwise close (plain mode)
     or cross close (strong mode): ``phi_counterexample`` or
     ``psi_counterexample`` finds nothing, equal slices allowed.  A fixed
-    point must never move.
+    point, given by its domain vertex index, must never move.
     """
     if mode not in ("plain", "strong"):
         raise ValueError(f"unknown homotopy mode {mode!r}")
@@ -470,9 +477,8 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
     if any(step(h0, h1) is not None for h0, h1 in zip(H.slices, H.slices[1:])):
         return False
     if fixed_point is not None:
-        i = H.domain.vertex_index[fixed_point]
-        base = H.slices[0].row[i]
-        if any(h.row[i] != base for h in H.slices):
+        base = H.slices[0].row[fixed_point]
+        if any(h.row[fixed_point] != base for h in H.slices):
             return False
     return True
 

@@ -31,13 +31,13 @@ enumerator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .errors import BudgetError
 from .lattice import (DigitalImage, Point, _bits, _fields, _flood, _row_pairs, image_from_json,
                       image_to_json, interval)
+from .value import Value
 
 #: Images with more points than this may not be expanded into hyperspaces.
 DEFAULT_POINT_BUDGET = 24
@@ -50,8 +50,7 @@ def _check_budget(X: DigitalImage, budget: int) -> None:
         raise BudgetError("hyperspace enumeration", f"{len(X)} points", budget)
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
+class SubsetFamily(Value):
     """A family of nonempty subsets of a base image, with the lifted adjacency.
 
     ``masks`` holds the members as bit-vectors in ascending order; the
@@ -65,11 +64,11 @@ class SubsetFamily:
     masks: tuple[int, ...]
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        masks = tuple(sorted(self.masks))
-        full = (1 << len(self.base)) - 1
+    def __init__(self, base: DigitalImage, masks: Iterable[int], kind: str):
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        masks = tuple(sorted(masks))
+        full = (1 << len(base)) - 1
         for m in masks:
             if m == 0:
                 raise ValueError("the empty set is not a hyperspace member")
@@ -78,22 +77,21 @@ class SubsetFamily:
         for a, b in zip(masks, masks[1:]):
             if a == b:
                 raise ValueError("duplicate family member")
-        if self.kind == "full" and len(masks) != (1 << len(self.base)) - 1:
+        if kind == "full" and len(masks) != full:
             raise ValueError("full family must contain every nonempty subset")
-        if self.kind == "connected":
-            nbr = self.base.neighbor_masks
+        if kind == "connected":
+            nbr = base.neighbor_masks
             for m in masks:
                 if _flood(nbr, m & -m, m) != m:
                     raise ValueError("connected family contains a disconnected member")
-        object.__setattr__(self, "masks", masks)
+        self.__dict__.update(base=base, masks=masks, kind=kind, _key=(base, masks, kind))
 
     @classmethod
     def _trusted(cls, base: DigitalImage, masks: tuple[int, ...], kind: str) -> SubsetFamily:
         """A family from ascending, distinct, valid member masks, unchecked."""
         family = object.__new__(cls)
-        object.__setattr__(family, "base", base)
-        object.__setattr__(family, "masks", masks)
-        object.__setattr__(family, "kind", kind)
+        family.__dict__.update(base=base, masks=masks, kind=kind,
+                               _key=(base, masks, kind))
         return family
 
     def __len__(self) -> int:

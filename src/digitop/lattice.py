@@ -27,9 +27,10 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
+
+from .value import Value
 
 Point = tuple[int, ...]
 
@@ -83,8 +84,7 @@ def _as_point(p, dim: int | None = None) -> Point:
     return pt
 
 
-@dataclass(frozen=True)
-class DigitalImage:
+class DigitalImage(Value):
     """A finite digital image (X, c_u): lattice points plus a c_u selector.
 
     Points are stored sorted lexicographically and must be distinct, so two
@@ -96,19 +96,18 @@ class DigitalImage:
     points: tuple[Point, ...]
     adjacency: AdjacencyKind
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, points: Iterable, adjacency: AdjacencyKind):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if not 1 <= self.adjacency <= self.dim:
-            raise ValueError(
-                f"adjacency c_{self.adjacency} is invalid for dimension {self.dim}")
-        pts = tuple(sorted(_as_point(p, self.dim) for p in self.points))
+        if not 1 <= adjacency <= dim:
+            raise ValueError(f"adjacency c_{adjacency} is invalid for dimension {dim}")
+        pts = tuple(sorted(_as_point(p, dim) for p in points))
         if not pts:
             raise ValueError("a digital image needs at least one point")
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise ValueError(f"duplicate point {a}")
-        object.__setattr__(self, "points", pts)
+        self.__dict__.update(dim=dim, points=pts, adjacency=adjacency, _key=(dim, pts, adjacency))
 
     @classmethod
     def of(cls, points: Iterable, adjacency: AdjacencyKind = 1) -> DigitalImage:
@@ -383,24 +382,23 @@ def is_connected(A: Iterable[Point], X: DigitalImage) -> bool:
 # -- paths ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Value):
     """A c_u path y_0 ... y_m in an image: consecutive steps adjacent or equal."""
 
     image: DigitalImage
     steps: tuple[Point, ...]
 
-    def __post_init__(self):
-        steps = tuple(_as_point(p, self.image.dim) for p in self.steps)
+    def __init__(self, image: DigitalImage, steps: Iterable):
+        steps = tuple(_as_point(p, image.dim) for p in steps)
         if not steps:
             raise ValueError("a path needs at least one point")
         for p in steps:
-            if p not in self.image.point_set:
+            if p not in image.point_set:
                 raise ValueError(f"path point {p} is not in the image")
         for a, b in zip(steps, steps[1:]):
-            if not self.image.adjacent_or_equal(a, b):
+            if not image.adjacent_or_equal(a, b):
                 raise ValueError(f"consecutive path points {a}, {b} are not adjacent")
-        object.__setattr__(self, "steps", steps)
+        self.__dict__.update(image=image, steps=steps, _key=(image, steps))
 
     @property
     def start(self) -> Point:

@@ -22,7 +22,6 @@ document lists a value set.  Witnesses are indices: the caller names them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -31,13 +30,13 @@ from .functions import FiniteFunction, induced_map, is_continuous
 from .hyperspace import DEFAULT_POINT_BUDGET, _cover, enumerate_connected_subsets, family_of
 from .lattice import (DigitalImage, Point, _as_point, _connectivity_order, _fields, _flood,
                       _row_pairs, image_from_json, image_to_json)
+from .value import Value
 
 #: Cap on the number of subdivision points a generator search will handle.
 DEFAULT_SUBDIVISION_BUDGET = 64
 
 
-@dataclass(frozen=True, init=False)
-class MultiFunction:
+class MultiFunction(Value):
     """A total map from points to nonempty point sets, held as its ``masks`` row.
 
     Identity is (domain, codomain, masks).  The constructor checks a table
@@ -61,13 +60,15 @@ class MultiFunction:
                 raise ValueError(f"value set at {x} leaves the codomain")
         index = codomain.point_index
         masks = tuple(sum(1 << index[p] for p in table[x]) for x in domain.points)
-        self.__dict__.update(domain=domain, codomain=codomain, masks=masks)
+        self.__dict__.update(domain=domain, codomain=codomain, masks=masks,
+                             _key=(domain, codomain, masks))
 
     @classmethod
     def _trusted(cls, domain, codomain, masks: tuple[int, ...]) -> MultiFunction:
         """The multifunction with value masks that are valid by construction, unchecked."""
         F = object.__new__(cls)
-        F.__dict__.update(domain=domain, codomain=codomain, masks=masks)
+        F.__dict__.update(domain=domain, codomain=codomain, masks=masks,
+                          _key=(domain, codomain, masks))
         return F
 
     @classmethod
@@ -139,8 +140,7 @@ def is_connectivity_preserving(F: MultiFunction,
 # -- subdivisions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(Value):
     """S(X, r): each point of the base replaced by an r^n block.
 
     Coordinates are scaled by r so everything stays integral; after scaling
@@ -150,9 +150,10 @@ class Subdivision:
     base: DigitalImage
     r: int
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, base: DigitalImage, r: int):
+        if r < 1:
             raise ValueError("subdivision factor must be a positive integer")
+        self.__dict__.update(base=base, r=r, _key=(base, r))
 
     @cached_property
     def image(self) -> DigitalImage:
@@ -178,14 +179,17 @@ def subdivide(X: DigitalImage, r: int) -> Subdivision:
     return Subdivision(X, r)
 
 
-@dataclass(frozen=True)
-class EgsResult:
+class EgsResult(Value):
     """Outcome of a generator search: the witness (r, generator) if found."""
 
     found: bool
     r: int | None
     generator: FiniteFunction | None
     r_max: int
+
+    def __init__(self, found: bool, r: int | None, generator: FiniteFunction | None, r_max: int):
+        self.__dict__.update(found=found, r=r, generator=generator, r_max=r_max,
+                             _key=(found, r, generator, r_max))
 
     def __bool__(self) -> bool:
         return self.found

@@ -9,7 +9,6 @@ for a fixed seed: no clocks, no set-iteration order leaks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import graphmetrics as gm
 from .functions import (FiniteFunction, compose, constant_map, identity_map,
@@ -27,13 +26,26 @@ from .multivalued import (MultiFunction, Subdivision, as_multifunction, generate
                           has_strong_continuity, has_weak_continuity,
                           induced_multifunction_map, is_connectivity_preserving,
                           is_egs_continuous)
+from .value import Value
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Value):
+    """One claim's outcome; ``run_suites`` prefixes the name with its suite."""
+
     name: str
     passed: bool
-    details: str = ""
+    details: str
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, passed: bool, details: str = ""):
+        self.name, self.passed, self.details = name, passed, details
+
+    @property
+    def _key(self) -> tuple[str, bool, str]:
+        return self.name, self.passed, self.details
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -404,7 +416,7 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
             if not verify_homotopy(lifted,
                                    induced_map(f, lifted.domain, codomain_family=lifted.codomain),
                                    induced_map(g, lifted.domain, codomain_family=lifted.codomain),
-                                   fixed_point=frozenset(X.points[:1])):
+                                   fixed_point=lifted.domain._mask_index[1]):
                 lift_viol.append(("pointed", f, g))
     out.append(CheckResult("deformation-lifts-to-hyperspace", not lift_viol,
                            f"first {lift_viol[:1]}" if lift_viol else ""))

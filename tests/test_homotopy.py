@@ -72,8 +72,9 @@ def pair_scan_verify_homotopy(H, f, g, mode="plain", fixed_point=None):
                             if not cod.adjacent_or_equal(h0.table[x], h1.table[y]):
                                 return False
     if fixed_point is not None:
-        base = H.slices[0].table[fixed_point]
-        if any(h.table[fixed_point] != base for h in H.slices):
+        x = H.domain.vertices[fixed_point]
+        base = H.slices[0].table[x]
+        if any(h.table[x] != base for h in H.slices):
             return False
     return True
 
@@ -483,8 +484,8 @@ class TestVerifyHomotopy:
         f = identity_map(X)
         g = fn(X, X, (0,), (1,), (1,))
         H = HomotopyTable(X, X, (f, g))
-        assert verify_homotopy(H, f, g, fixed_point=(0,))
-        assert not verify_homotopy(H, f, g, fixed_point=(2,))
+        assert verify_homotopy(H, f, g, fixed_point=0)
+        assert not verify_homotopy(H, f, g, fixed_point=2)
 
     def test_strong_mode_rejects_plain_only_step(self, remark_pair):
         f, g = remark_pair
@@ -506,7 +507,7 @@ class TestVerifyHomotopy:
                 f, g = T.slices[0], T.slices[-1]
                 if rng.random() < 0.1:
                     f, g = g, f
-                x = rng.choice(T.domain.vertices)
+                x = rng.randrange(len(T.domain.vertices))
                 for mode in ("plain", "strong"):
                     for fixed in (None, x):
                         ok = verify_homotopy(T, f, g, mode=mode, fixed_point=fixed)
@@ -541,7 +542,22 @@ class TestLifting:
         lifted = lift_homotopy_to_hyperspace(H, "connected")
         fs = induced_map(f, lifted.domain, codomain_family=lifted.codomain)
         gs = induced_map(g, lifted.domain, codomain_family=lifted.codomain)
-        assert verify_homotopy(lifted, fs, gs, fixed_point=frozenset({(0,)}))
+        fixed = lifted.domain.vertex_index[frozenset({(0,)})]
+        assert verify_homotopy(lifted, fs, gs, fixed_point=fixed)
+
+    def test_pointed_lift_check_builds_no_labels(self, refuse_labels):
+        """The suite's pointed lift check names the fixed singleton {x_0} by
+        its index, the index of mask 1, so it reads no family member."""
+        X = interval(0, 2)
+        f = identity_map(X)
+        verdicts = []
+        for g in (fn(X, X, (0,), (1,), (1,)), fn(X, X, (1,), (1,), (1,))):
+            lifted = lift_homotopy_to_hyperspace(HomotopyTable(X, X, (f, g)), "connected")
+            fs = induced_map(f, lifted.domain, codomain_family=lifted.codomain)
+            gs = induced_map(g, lifted.domain, codomain_family=lifted.codomain)
+            refuse_labels()
+            verdicts.append(verify_homotopy(lifted, fs, gs, fixed_point=lifted.domain._mask_index[1]))
+        assert verdicts == [True, False]
 
 
 class TestPointedHomotopic:
@@ -551,7 +567,7 @@ class TestPointedHomotopic:
         g = constant_map(X, X, (0,))
         d = pointed_homotopic(f, g, (0,))
         assert d
-        assert verify_homotopy(d.table(), f, g, fixed_point=(0,))
+        assert verify_homotopy(d.table(), f, g, fixed_point=0)
 
     def test_differing_basepoint_values(self):
         X = interval(0, 2)
@@ -564,7 +580,7 @@ class TestPointedHomotopic:
         g = constant_map(X, X, (0,))
         d = pointed_homotopic(f, g, (0,), strong=True)
         if d:
-            assert verify_homotopy(d.table(), f, g, mode="strong", fixed_point=(0,))
+            assert verify_homotopy(d.table(), f, g, mode="strong", fixed_point=0)
 
     def test_bad_basepoint(self):
         X = interval(0, 1)
