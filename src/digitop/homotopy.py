@@ -467,6 +467,8 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
     """
     if mode not in ("plain", "strong"):
         raise ValueError(f"unknown homotopy mode {mode!r}")
+    if fixed_point is not None and not 0 <= fixed_point < len(f.row):
+        raise ValueError(f"fixed point {fixed_point!r} is not a domain vertex index")
     if not (H.domain == f.domain == g.domain and H.codomain == f.codomain == g.codomain):
         return False
     if H.slices[0] != f or H.slices[-1] != g:

@@ -486,6 +486,9 @@ class TestVerifyHomotopy:
         H = HomotopyTable(X, X, (f, g))
         assert verify_homotopy(H, f, g, fixed_point=0)
         assert not verify_homotopy(H, f, g, fixed_point=2)
+        for bad in (-1, 3):
+            with pytest.raises(ValueError):
+                verify_homotopy(H, f, g, fixed_point=bad)
 
     def test_strong_mode_rejects_plain_only_step(self, remark_pair):
         f, g = remark_pair
@@ -555,8 +558,9 @@ class TestLifting:
             lifted = lift_homotopy_to_hyperspace(HomotopyTable(X, X, (f, g)), "connected")
             fs = induced_map(f, lifted.domain, codomain_family=lifted.codomain)
             gs = induced_map(g, lifted.domain, codomain_family=lifted.codomain)
+            singleton = lifted.domain._mask_index[1]
             refuse_labels()
-            verdicts.append(verify_homotopy(lifted, fs, gs, fixed_point=lifted.domain._mask_index[1]))
+            verdicts.append(verify_homotopy(lifted, fs, gs, fixed_point=singleton))
         assert verdicts == [True, False]
 
 

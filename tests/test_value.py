@@ -63,9 +63,8 @@ class TestValueSemantics:
         x, y = cls(*args), cls(*args)
         assert x == y and not x != y
         assert cls(**kwargs) == x
-        other = next(c for c, a, _, _ in CASES if c is not cls)
-        other_case = next(case for case in CASES if case[0] is other)
-        z = other(*other_case[1])
+        other, other_args = next((c, a) for c, a, _, _ in CASES if c is not cls)
+        z = other(*other_args)
         assert x != z and not x == z
 
     def test_hash_is_the_field_tuple(self, cls, args, kwargs, text):
