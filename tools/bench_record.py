@@ -1,6 +1,6 @@
 """Record a parent-versus-change benchmark comparison in BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr 21 --seed 4242 --seconds 20 --pairs 10
+    python3 tools/bench_record.py --pr 21 --seed 5309 --seconds 20 --pairs 10
 
 Each side is the committed tree of its revision (``--parent``, default
 HEAD~1, and ``--change``, default HEAD), exported with ``git archive`` into
@@ -116,7 +116,6 @@ def main(argv=None) -> None:
     p.add_argument("--pr", required=True, help="the number in the output name BENCH_<pr>.json")
     p.add_argument("--parent", default="HEAD~1")
     p.add_argument("--change", default="HEAD")
-    p.add_argument("--workloads", nargs="+", default=None, help="default: every workload")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=20)
     p.add_argument("--pairs", type=int, default=10)
@@ -128,12 +127,11 @@ def main(argv=None) -> None:
             export(commits[s], trees[s])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         bounds = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
-        workloads = args.workloads or [w["name"] for w in spec["workloads"]]
         report = {"parent": commits["parent"], "change": commits["change"],
                   "python": platform.python_version(),
                   "cpus": os.cpu_count(), "seed": args.seed, "seconds": args.seconds,
                   "pairs": args.pairs, "workloads": {}}
-        for w in workloads:
+        for w in [workload["name"] for workload in spec["workloads"]]:
             runs = {s: [] for s in SIDES}
             for i in range(args.pairs):
                 for s in (SIDES if i % 2 == 0 else SIDES[::-1]):
