@@ -1,6 +1,6 @@
 """Record a parent-versus-change benchmark comparison in BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr 21 --seed 5309 --seconds 20 --pairs 10
+    python3 tools/bench_record.py --pr N --seed S --seconds 20 --pairs 10
 
 Each side is the committed tree of its revision (``--parent``, default
 HEAD~1, and ``--change``, default HEAD), exported with ``git archive`` into
