@@ -12,8 +12,9 @@ from .lattice import (AdjacencyKind, DigitalImage, LatticePath, Point,
                       is_connected, neighbors)
 from .hyperspace import (SubsetFamily, enumerate_all_subsets,
                          enumerate_connected_subsets, family_from_json, family_of,
-                         family_to_json, hyper_adjacent, hyperspace_graph,
-                         interval_triangle_iso, triangle_image, union_of_family)
+                         family_to_json, hausdorff_distance, hyper_adjacent,
+                         hyperspace_graph, interval_triangle_iso, triangle_image,
+                         union_of_family)
 from .functions import (FiniteFunction, compose, constant_map, find_inducing_map,
                         function_from_json, function_to_json, identity_map,
                         induced_map, is_continuous, is_isomorphism, is_retraction)
@@ -50,8 +51,8 @@ __all__ = [
     "enumerate_all_subsets", "enumerate_connected_subsets",
     "enumerate_continuous_maps", "family_from_json", "family_of", "family_to_json",
     "find_inducing_map", "function_from_json", "function_to_json", "generates",
-    "girth", "has_strong_continuity", "has_weak_continuity", "homotopic",
-    "homotopy_from_json", "homotopy_to_json", "hyper_adjacent",
+    "girth", "has_strong_continuity", "has_weak_continuity", "hausdorff_distance",
+    "homotopic", "homotopy_from_json", "homotopy_to_json", "hyper_adjacent",
     "hyperspace_graph", "identity_map", "image_from_json", "image_to_json",
     "induced_map", "induced_multifunction_map", "induced_subgraph", "interval",
     "interval_triangle_iso", "is_connected", "is_connected_graph",

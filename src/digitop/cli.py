@@ -28,7 +28,7 @@ from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
                        homotopic, homotopy_to_json, is_contractible, phi_adjacent,
                        phi_counterexample, psi_adjacent, psi_counterexample,
                        strongly_homotopic, verify_homotopy)
-from .hyperspace import DEFAULT_POINT_BUDGET, family_of, hyperspace_graph
+from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, family_of, hyperspace_graph
 from .lattice import DigitalImage, _bits, _fields, image_from_json
 from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
                           is_connectivity_preserving, is_egs_continuous,
@@ -136,22 +136,29 @@ def _member_names(family, points: list[str]):
     return lambda i: "{" + ",".join(points[p] for p in _bits(masks[i])) + "}"
 
 
-def _view_graph(args):
-    """The view's graph, and ``name(i)``, the printed name of its vertex i:
-    an image point, a member's points, or ``[x>y ...]`` over a map's domain."""
+def _view_space(args):
+    """The view's vertex space (the image, a family or a function graph), and
+    ``name(i)``, the printed name of its vertex i: an image point, a
+    member's points, or ``[x>y ...]`` over a map's domain."""
     image = image_from_json(_load(args.input))
     points, view = _point_names(image), args.view
     if view == "image":
-        return gm.as_finite_graph(image), points.__getitem__
+        return image, points.__getitem__
     if view == "functions":
         codomain = image_from_json(_load(args.codomain)) if args.codomain else image
         space = build_function_graph(image, codomain, args.flavor, args.budget_functions)
         values, rows = _point_names(codomain), space.rows
         name = lambda i: "[" + " ".join(f"{points[x]}>{values[y]}"
                                         for x, y in enumerate(rows[i])) + "]"
-    else:  # family_of refuses any view but full and connected
-        space = hyperspace_graph(family_of(image, view, args.budget_hyperspace))
-        name = _member_names(space, points)
+        return space, name
+    # family_of refuses any view but full and connected
+    space = hyperspace_graph(family_of(image, view, args.budget_hyperspace))
+    return space, _member_names(space, points)
+
+
+def _view_graph(args):
+    """The view's graph, and ``name(i)`` as ``_view_space`` gives it."""
+    space, name = _view_space(args)
     return gm.as_finite_graph(space), name
 
 
@@ -299,7 +306,12 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    graph, name = _view_graph(args)
+    space, name = _view_space(args)
+    graph = gm.as_finite_graph(space)
+    # a hyperspace's eccentricities start from the bounds the base gives them
+    bounds = space.eccentricity_bounds() if isinstance(space, SubsetFamily) else None
+    if bounds is not None:
+        gm.seed_eccentricities(graph, *bounds)
     if args.format == "csv":
         _emit(args, gm.metrics_csv(graph, labels=name))
         return 0

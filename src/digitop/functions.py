@@ -16,8 +16,8 @@ fix it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .hyperspace import (DEFAULT_POINT_BUDGET, SubsetFamily, _cover, family_from_json,
                          family_of, family_to_json)

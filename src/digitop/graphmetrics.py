@@ -19,18 +19,22 @@ the step's vertex and the anchor, and it stops the anchor loop once the
 vertices left cannot beat the incumbent; both cuts keep the witness of
 the unpruned search.  Every vertex space
 has such rows (``adjacency_rows``) and hands them over as they are.  A
-graph's eccentricities are computed once, by one frontier-mask
-breadth-first search per vertex that stops as soon as every vertex is
-seen, or with no result at the first level that adds none, and radius,
-diameter, center, eccentricity and the CSV table all read them.
+graph's eccentricities are computed once, and radius, diameter, center,
+eccentricity and the CSV table all read them.  ``bounded_eccentricities``
+computes them exactly from per-vertex bounds: it runs frontier-mask
+breadth-first searches, each stopping as soon as every vertex is seen or
+with no result at the first level that adds none, only until every
+vertex's bounds meet.  A graph alone starts from the trivial bounds;
+``seed_eccentricities`` starts it from bounds its space knows, such as a
+hyperspace's bounds from the Hausdorff distance.
 """
 
 from __future__ import annotations
 
 import io
 from collections import deque
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import BudgetError
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_all_subsets
@@ -93,30 +97,12 @@ class FiniteGraph(Value):
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     @cached_property
     def _eccentricities(self) -> tuple[int, ...] | None:
         """Every vertex's eccentricity, or None when the graph is disconnected."""
-        adj, n = self.adj, self.n
-        full = (1 << n) - 1
-        out = []
-        for s in range(n):
-            seen = frontier = 1 << s
-            ecc = 0
-            while seen != full:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= adj[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & ~seen
-                if not frontier:
-                    return None
-                seen |= frontier
-                ecc += 1
-            out.append(ecc)
-        return tuple(out)
+        return bounded_eccentricities(self.adj)
 
     @property
     def eccentricities(self) -> tuple[int, ...]:
@@ -127,6 +113,75 @@ class FiniteGraph(Value):
         if not eccs:
             raise ValueError("metric is undefined on a graph with no vertices")
         return eccs
+
+
+def bounded_eccentricities(adj: tuple[int, ...], lower=None,
+                           upper=None) -> tuple[int, ...] | None:
+    """Every vertex's eccentricity over the rows ``adj``, or None when they are disconnected.
+
+    The bounding method of Takes and Kosters ("Computing the eccentricity
+    distribution of large graphs", Algorithms 6(1), 2013).  ``lower[v] <=
+    ecc(v) <= upper[v]`` must hold for every vertex; the defaults are 0 and
+    n.  A vertex is open while its bounds differ.  A breadth-first search
+    runs from an open vertex, alternately the one with the lowest lower
+    bound and the one with the highest upper bound, ties to the lowest
+    index.  A search from s of eccentricity e fixes ecc(s) = e and tightens
+    every vertex v at distance d to max(e - d, d) <= ecc(v) <= e + d, and
+    a vertex whose bounds meet is closed.  Exact whatever the order.
+    """
+    n = len(adj)
+    lo = [0] * n if lower is None else list(lower)
+    hi = [n] * n if upper is None else list(upper)
+    full = (1 << n) - 1
+    left = [v for v in range(n) if lo[v] != hi[v]]
+    by_lower = True
+    while left:
+        s = min(left, key=lo.__getitem__) if by_lower else max(left, key=hi.__getitem__)
+        by_lower = not by_lower
+        # one frontier-mask search from s that stops once every vertex is
+        # seen, so the last level, at distance e, keeps no distance
+        dist = [None] * n
+        seen = frontier = 1 << s
+        e = 0
+        while seen != full:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                i = low.bit_length() - 1
+                dist[i] = e
+                reach |= adj[i]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return None
+            seen |= frontier
+            e += 1
+        # s itself, at distance 0, closes at e
+        still = []
+        for v in left:
+            d = dist[v]
+            if d is None:
+                d = e
+            a, b = lo[v], hi[v]
+            if e - d > a:
+                a = e - d
+            if d > a:
+                a = d
+            if e + d < b:
+                b = e + d
+            lo[v], hi[v] = a, b
+            if a != b:
+                still.append(v)
+        left = still
+    return tuple(lo)
+
+
+def seed_eccentricities(G: FiniteGraph, lower, upper=None) -> None:
+    """Compute G's eccentricities from bounds ``lower <= ecc <= upper`` per
+    vertex (``upper`` None for none) and keep them as G's own, the tuple
+    that radius, diameter, center, eccentricity and the CSV table read.
+    The bounds must hold; the eccentricities are then exact."""
+    G.__dict__["_eccentricities"] = bounded_eccentricities(G.adj, lower, upper)
 
 
 def as_finite_graph(space) -> FiniteGraph:

@@ -22,6 +22,12 @@ and some members of custom families AND over their points.  That is a
 few big-integer operations per member and |X| per distinct cover,
 instead of O(|X|) per member or a scan over all N^2 / 2 pairs.
 
+The lifted adjacency says exactly that the Hausdorff distance d_H(A, B)
+(:func:`hausdorff_distance`) under X's path metric is at most 1.  On a
+connected X the distance in 2^X is d_H, and in K(X) it is at least d_H,
+so a family reads bounds on its members' eccentricities off X's own
+(``SubsetFamily.eccentricity_bounds``).
+
 A family is itself a vertex space (``vertices``, ``vertex_index``,
 ``adjacency_rows``), so maps between families are value rows like maps
 between images, and :func:`hyperspace_graph` hands back the family with
@@ -31,8 +37,8 @@ enumerator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from .errors import BudgetError
 from .lattice import (DigitalImage, Point, _bits, _fields, _flood, _row_pairs, image_from_json,
@@ -114,7 +120,7 @@ class SubsetFamily(Value):
         closed, index = self.base.closed_neighbor_masks, self._mask_index
         # per point p: S_p (members holding p) and C_p (members whose cover
         # holds p, that is, members meeting N[p]: the OR of S_q over q in N[p])
-        held = _point_bitsets(masks, n)
+        held = self._point_members
         covered = [_cover(held, c) for c in closed]
         # rows[i] is first within(A), the AND of C_p over p in A: the members
         # whose cover holds A.  A member one point p larger than an earlier
@@ -149,13 +155,54 @@ class SubsetFamily(Value):
         return tuple(rows)
 
     @cached_property
+    def _point_members(self) -> list[int]:
+        """Per point p, S_p: the bitmask of the indices of the members holding p."""
+        return _point_bitsets(self.masks, len(self.base))
+
+    def eccentricity_bounds(self) -> tuple[tuple[int, ...], tuple[int, ...] | None] | None:
+        """Bounds ``(lower, upper)`` on each member's eccentricity in the
+        family's graph, from the base's eccentricities; None where there are none.
+
+        On a connected base X the distance in 2^X is the Hausdorff distance
+        d_H, so member A's eccentricity there is the largest ecc_X(a) over
+        a in A, realised by the singleton of a point farthest from such an
+        a: for the ``full`` family lower equals upper.  K(X) holds every
+        singleton and its distance is at least d_H, so for the
+        ``connected`` family the same value is a lower bound and ``upper``
+        is None.  A ``custom`` family, or one over a disconnected base, has
+        no bounds.  Member A takes the largest eccentricity among its
+        points, read level by level from the per-point member bitsets.
+        """
+        if self.kind == "custom":
+            return None
+        rows = self.base.distance_rows
+        if None in rows[0]:
+            return None
+        ecc = [max(row) for row in rows]
+        levels = sorted(set(ecc), reverse=True)
+        # every member not placed at a higher level holds only points of the lowest
+        lower = [levels[-1]] * len(self.masks)
+        held, placed = self._point_members, 0
+        for e in levels[:-1]:
+            hit = 0
+            for p, ep in enumerate(ecc):
+                if ep == e:
+                    hit |= held[p]
+            hit &= ~placed
+            placed |= hit
+            for i in _bits(hit):
+                lower[i] = e
+        lower = tuple(lower)
+        return lower, lower if self.kind == "full" else None
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edge list (i, j), i < j, in ascending order, built on first use."""
         return tuple(_row_pairs(self.adjacency_rows))
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency_rows) // 2
+        return sum(map(int.bit_count, self.adjacency_rows)) // 2
 
     def index_of(self, member: Iterable[Point]) -> int:
         mem = frozenset(member)
@@ -218,6 +265,29 @@ def hyper_adjacent(A: Iterable[Point], B: Iterable[Point], X: DigitalImage) -> b
         raise ValueError("hyperspace adjacency is between distinct members")
     closed = X.closed_neighbor_masks
     return not (b & ~_cover(closed, a) or a & ~_cover(closed, b))
+
+
+def hausdorff_distance(X: DigitalImage, a: int, b: int) -> int | None:
+    """d_H(A, B) for nonempty point masks a, b of X under its path metric.
+
+    The largest distance from a point of either set to the other set, read
+    from X's breadth-first distance rows; None when it is infinite, that
+    is, when a component of X meets one set and not the other.
+    """
+    if a == 0 or b == 0:
+        raise ValueError("hyperspace members must be nonempty")
+    rows = X.distance_rows
+    worst = 0
+    for s, t in ((a, b), (b, a)):
+        targets = tuple(_bits(t))
+        for p in _bits(s):
+            row = rows[p]
+            near = min((row[q] for q in targets if row[q] is not None), default=None)
+            if near is None:
+                return None
+            if near > worst:
+                worst = near
+    return worst
 
 
 def _cover(rows: tuple[int, ...] | list[int], mask: int) -> int:

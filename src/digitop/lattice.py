@@ -27,8 +27,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
+from collections.abc import Iterable, Iterator
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from operator import add
 
 from .value import Value
 
@@ -175,7 +176,7 @@ class DigitalImage(Value):
             steps = _step_offsets(self.dim, self.adjacency)
             for i, p in enumerate(pts):
                 for delta in steps:
-                    j = idx.get(tuple([a + d for a, d in zip(p, delta)]))
+                    j = idx.get(tuple(map(add, p, delta)))
                     if j is not None:
                         masks[i] |= 1 << j
         else:
@@ -189,6 +190,26 @@ class DigitalImage(Value):
     @cached_property
     def closed_neighbor_masks(self) -> tuple[int, ...]:
         return tuple(m | (1 << i) for i, m in enumerate(self.neighbor_masks))
+
+    @cached_property
+    def distance_rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """Per point, its path distance to every point, None where there is no path."""
+        nbr, n = self.neighbor_masks, len(self.points)
+        rows = []
+        for s in range(n):
+            row = [None] * n
+            seen = frontier = 1 << s
+            d = 0
+            while frontier:
+                reach = 0
+                for i in _bits(frontier):
+                    row[i] = d
+                    reach |= nbr[i]
+                frontier = reach & ~seen
+                seen |= frontier
+                d += 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def mask_of(self, pts: Iterable[Point]) -> int:
         idx = self.point_index

@@ -22,8 +22,8 @@ document lists a value set.  Witnesses are indices: the caller names them.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous

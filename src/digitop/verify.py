@@ -19,8 +19,8 @@ from .homotopy import (PHI, PSI, build_function_graph, enumerate_continuous_maps
                        phi_adjacent, postcompose_map, strongly_homotopic,
                        verify_homotopy, HomotopyTable)
 from .hyperspace import (enumerate_all_subsets, enumerate_connected_subsets,
-                         hyper_adjacent, hyperspace_graph, interval_triangle_iso,
-                         union_of_family)
+                         hausdorff_distance, hyper_adjacent, hyperspace_graph,
+                         interval_triangle_iso, union_of_family)
 from .lattice import DigitalImage, cycle_image, cycle_points, interval
 from .multivalued import (MultiFunction, Subdivision, as_multifunction, generates,
                           has_strong_continuity, has_weak_continuity,
@@ -781,6 +781,43 @@ def suite_diameter(rng, max_points=None, samples=None) -> list[CheckResult]:
     return out
 
 
+def suite_hausdorff(rng, max_points=None, samples=None) -> list[CheckResult]:
+    """On connected images: distance in 2^X is the Hausdorff distance d_H,
+    distance in K(X) is at least d_H, and each family's eccentricity bounds
+    are the BFS eccentricities on 2^X and never exceed them on K(X)."""
+    n_samples = 40 if samples is None else samples
+    max_pts = 6 if max_points is None else max_points
+    viol = {kind: ([], []) for kind in ("full", "connected")}
+    for _ in range(n_samples):
+        X = random_connected_image(rng, max_pts)
+        for family in (enumerate_all_subsets(X), enumerate_connected_subsets(X)):
+            G = gm.as_finite_graph(hyperspace_graph(family))
+            dists = [gm.bfs_distances(G, v) for v in range(G.n)]
+            eccs = tuple(map(max, dists))
+            full = family.kind == "full"
+            dist_viol, bound_viol = viol[family.kind]
+            for _ in range(20):
+                i, j = rng.randrange(G.n), rng.randrange(G.n)
+                d, dh = dists[i][j], hausdorff_distance(X, family.masks[i], family.masks[j])
+                if (d != dh) if full else (d < dh):
+                    dist_viol.append((X, i, j, d, dh))
+            lower, upper = family.eccentricity_bounds()
+            if full:
+                held = lower == upper == eccs
+            else:
+                held = upper is None and all(lo <= e for lo, e in zip(lower, eccs))
+            if not held:
+                bound_viol.append((X, family.kind))
+    out = []
+    for name, found in (("full-distance-is-hausdorff", viol["full"][0]),
+                        ("connected-distance-at-least-hausdorff", viol["connected"][0]),
+                        ("full-eccentricity-closed-form", viol["full"][1]),
+                        ("connected-eccentricity-lower-bound", viol["connected"][1])):
+        out.append(CheckResult(name, not found,
+                               f"first {found[:1]}" if found else f"{n_samples} samples"))
+    return out
+
+
 SUITES = {
     "cardinality": suite_cardinality,
     "induced": suite_induced,
@@ -790,6 +827,7 @@ SUITES = {
     "cycles": suite_cycles,
     "dominating": suite_dominating,
     "diameter": suite_diameter,
+    "hausdorff": suite_hausdorff,
 }
 
 

@@ -278,6 +278,25 @@ class TestMetricVerbs:
                 assert captured.out == ""
                 assert captured.err == "error: metric is undefined on a disconnected graph\n"
 
+    @pytest.mark.parametrize("image", [
+        interval(0, 4), cycle_image(6), cycle_image(8),
+        DigitalImage.of([(0, 0), (0, 1), (1, 1), (2, 1), (2, 0), (2, 2)], 1),
+    ], ids=["interval5", "cycle6", "cycle8", "c1-tree"])
+    @pytest.mark.parametrize("view", ["full", "connected"])
+    def test_metrics_eccentricities_equal_per_source_bfs(self, tmp_path, capsys, image, view):
+        # the family path seeds the eccentricities: closed form on 2^X, lower bounds on K(X)
+        gm = digitop.graphmetrics
+        G = gm.as_finite_graph(family_of(image, view))
+        expect = [max(gm.bfs_distances(G, v)) for v in range(G.n)]
+        doc = write(tmp_path, "img.json", image_to_json(image))
+        assert main(["metrics", "--input", doc, "--view", view, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [out["eccentricity"][str(v)] for v in range(G.n)] == expect
+        assert (out["radius"], out["diameter"]) == (min(expect), max(expect))
+        assert main(["metrics", "--input", doc, "--view", view, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.rsplit(",", 1)[1]) for row in rows] == expect
+
     def test_dominate(self, img4, capsys):
         assert main(["dominate", "--input", img4]) == 0
         assert "size: 2" in capsys.readouterr().out

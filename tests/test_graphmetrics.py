@@ -15,7 +15,8 @@ from digitop import (BudgetError, DigitalImage, FiniteGraph, SubsetFamily,
                      is_dominating, is_valid_cycle, lift_dominating,
                      longest_cycle, metrics_csv, minimum_dominating_set,
                      radius, to_dot, cycle_image)
-from digitop.graphmetrics import bfs_distances
+from digitop.graphmetrics import bfs_distances, bounded_eccentricities, seed_eccentricities
+from digitop.hyperspace import family_of
 from digitop.lattice import _bits
 from digitop.verify import (oracle_longest_cycle, random_connected_image,
                             random_graph, random_image)
@@ -589,6 +590,78 @@ class TestMetrics:
             K = enumerate_connected_subsets(X)
             G = as_finite_graph(hyperspace_graph(K))
             assert diameter(G) < 2 * (len(X) + radius(as_finite_graph(X)) - 1)
+
+
+def seeded_graph(family):
+    """The family's graph with its eccentricities seeded as ``metrics`` seeds
+    them: from the family's bounds when it has them."""
+    G = as_finite_graph(hyperspace_graph(family))
+    bounds = family.eccentricity_bounds()
+    if bounds is not None:
+        seed_eccentricities(G, *bounds)
+    return G
+
+
+class TestBoundedEccentricities:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_valid_bounds_give_the_reference(self, seed):
+        rng = random.Random(seed)
+        G = random_graph(rng, 12)
+        eccs = frontier_eccentricities(G)
+        if eccs is None:
+            assert bounded_eccentricities(G.adj) is None
+            return
+        lower = [rng.randint(0, e) for e in eccs]
+        upper = [rng.randint(e, G.n) for e in eccs]
+        assert bounded_eccentricities(G.adj, lower, upper) == eccs
+        assert bounded_eccentricities(G.adj, lower) == eccs
+        assert bounded_eccentricities(G.adj, upper=upper) == eccs
+
+    def test_met_bounds_are_the_answer(self):
+        # no search runs when every vertex's bounds meet, so they are returned as given
+        G = path_graph(3)
+        assert bounded_eccentricities(G.adj, (2, 1, 2), (2, 1, 2)) == (2, 1, 2)
+        assert bounded_eccentricities((), (), ()) == ()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from(("full", "connected")))
+    @settings(max_examples=80, deadline=None)
+    def test_family_path_matches_frontier_reference(self, seed, connected, kind):
+        rng = random.Random(seed)
+        X = random_connected_image(rng, 8) if connected else random_image(rng, 8)
+        family = family_of(X, kind)
+        assert (family.eccentricity_bounds() is None) == (not X.is_connected())
+        G = seeded_graph(family)
+        eccs = frontier_eccentricities(G)
+        if eccs is None:
+            with pytest.raises(ValueError, match="^metric is undefined on a disconnected graph$"):
+                G.eccentricities
+        else:
+            assert G.eccentricities == eccs
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 10, 12])
+    def test_cycle_images(self, n):
+        X = cycle_image(n)
+        connected = enumerate_connected_subsets(X)
+        lower, upper = connected.eccentricity_bounds()
+        G = seeded_graph(connected)
+        eccs = frontier_eccentricities(G)
+        assert upper is None and G.eccentricities == eccs
+        assert all(lo <= e for lo, e in zip(lower, eccs))
+        # past C_4 the seed is below the truth on some members, which close
+        # through upper bounds
+        assert any(lo < e for lo, e in zip(lower, eccs)) == (n > 4)
+        if n <= 8:
+            full = enumerate_all_subsets(X)
+            lower, upper = full.eccentricity_bounds()
+            assert lower == upper == frontier_eccentricities(as_finite_graph(full))
+
+    def test_custom_family_has_no_bounds(self):
+        family = enumerate_connected_subsets(interval(0, 3))
+        custom = family.subfamily(m for m in family.members if len(m) != 2)
+        assert custom.eccentricity_bounds() is None
+        assert seeded_graph(custom).eccentricities == frontier_eccentricities(
+            as_finite_graph(custom))
 
 
 class TestDisconnects:

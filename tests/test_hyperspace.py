@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from digitop import (BudgetError, DigitalImage, SubsetFamily, as_finite_graph,
                      connected_components, disconnects, enumerate_all_subsets,
                      enumerate_connected_subsets, family_from_json,
-                     family_to_json, hyper_adjacent, hyperspace_graph, interval,
+                     family_to_json, hausdorff_distance, hyper_adjacent,
+                     hyperspace_graph, interval,
                      interval_triangle_iso, is_connected_graph, is_isomorphism,
                      union_of_family)
 from digitop.graphmetrics import bfs_distances, induced_subgraph
@@ -201,6 +202,57 @@ class TestAdjacencyRows:
         for A, B in itertools.product(view.members, repeat=2):
             expect = A != B and hyper_adjacent(A, B, X)
             assert view.adjacent(A, B) == expect
+
+
+def definition_hausdorff(X, a, b):
+    """d_H by its definition over point-to-point BFS distances in X's graph,
+    None when some point of one set reaches no point of the other."""
+    G = as_finite_graph(X)
+    A = [i for i in range(len(X)) if a >> i & 1]
+    B = [i for i in range(len(X)) if b >> i & 1]
+    worst = 0
+    for S, T in ((A, B), (B, A)):
+        for p in S:
+            dist = bfs_distances(G, p)
+            reach = [dist[q] for q in T if dist[q] is not None]
+            if not reach:
+                return None
+            worst = max(worst, min(reach))
+    return worst
+
+
+class TestHausdorff:
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_definition(self, seed):
+        rng = random.Random(seed)
+        X = random_image(rng, 7)
+        top = 1 << len(X)
+        for _ in range(20):
+            a, b = rng.randrange(1, top), rng.randrange(1, top)
+            d = hausdorff_distance(X, a, b)
+            assert d == definition_hausdorff(X, a, b) == hausdorff_distance(X, b, a)
+            assert (d == 0) == (a == b)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(("full", "connected")))
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_the_hyperspace_distance(self, seed, kind):
+        # claim 1: distance in 2^X is d_H; claim 2: distance in K(X) is at least d_H
+        X = random_connected_image(random.Random(seed), 6)
+        family = enumerate_all_subsets(X) if kind == "full" else enumerate_connected_subsets(X)
+        G = as_finite_graph(hyperspace_graph(family))
+        for i in range(0, G.n, 3):
+            dist = bfs_distances(G, i)
+            for j, d in enumerate(dist):
+                dh = hausdorff_distance(X, family.masks[i], family.masks[j])
+                assert d == dh if kind == "full" else d >= dh
+
+    def test_infinite_across_components(self):
+        X = DigitalImage.of([(0,), (1,), (3,)], 1)
+        assert hausdorff_distance(X, 0b001, 0b100) is None
+        assert hausdorff_distance(X, 0b101, 0b110) == 1
+        with pytest.raises(ValueError, match="nonempty"):
+            hausdorff_distance(X, 0, 0b1)
 
 
 class TestUnion:

@@ -16,6 +16,7 @@ from digitop import (DigitalImage, HomotopyTable, LatticePath, as_multifunction,
 from digitop.cli import _run_check
 from digitop.functions import family_function_from_json, family_function_to_json
 from digitop.lattice import _bits, _connectivity_order
+from digitop.verify import random_image
 
 points_1d = st.integers(-5, 5).map(lambda v: (v,))
 dims = st.integers(1, 4)
@@ -84,6 +85,20 @@ class TestNeighbors:
         for i, p in enumerate(X.points):
             expect = {q for q in X.points if cu_adjacent(p, q, u)}
             assert X.points_of(X.neighbor_masks[i]) == expect == X.neighbors(p)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_distance_rows_match_point_bfs(self, seed):
+        X = random_image(random.Random(seed), 10)
+        for p, row in zip(X.points, X.distance_rows):
+            dist, queue = {p: 0}, deque([p])
+            while queue:
+                q = queue.popleft()
+                for r in sorted(X.neighbors(q)):
+                    if r not in dist:
+                        dist[r] = dist[q] + 1
+                        queue.append(r)
+            assert row == tuple(dist.get(q) for q in X.points)
 
     def test_neighbor_count_bounds(self):
         line = interval(-3, 3)

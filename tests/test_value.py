@@ -139,3 +139,15 @@ def test_cli_start_up_imports_no_dataclasses():
     loaded = set(done.stdout.split())
     assert "digitop.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_cli_start_up_imports_no_typing():
+    """The package names ``Iterable`` and its kin only in annotations, which
+    are never evaluated, so a fresh interpreter without ``site`` that imports
+    the CLI does not load ``typing``."""
+    src = Path(digitop.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import digitop.cli; "
+            "print('typing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"

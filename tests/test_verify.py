@@ -43,3 +43,13 @@ def test_explicit_counts_are_used():
 
     [bound, _] = suite_diameter(random.Random(0), max_points=2, samples=1)
     assert bound.passed and bound.details == "1 samples"
+
+
+def test_hausdorff_suite_lines():
+    results = run_suites(["hausdorff"], seed=0, samples=10)
+    assert [r.line() for r in results] == [
+        "PASS hausdorff/full-distance-is-hausdorff",
+        "PASS hausdorff/connected-distance-at-least-hausdorff",
+        "PASS hausdorff/full-eccentricity-closed-form",
+        "PASS hausdorff/connected-eccentricity-lower-bound",
+    ]
