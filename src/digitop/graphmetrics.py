@@ -156,7 +156,9 @@ def bounded_eccentricities(adj: tuple[int, ...], lower=None,
                 return None
             seen |= frontier
             e += 1
-        # s itself, at distance 0, closes at e
+        # s closes at e, so each search closes a vertex whatever the bounds
+        left.remove(s)
+        lo[s] = hi[s] = e
         still = []
         for v in left:
             d = dist[v]

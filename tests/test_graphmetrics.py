@@ -624,6 +624,11 @@ class TestBoundedEccentricities:
         assert bounded_eccentricities(G.adj, (2, 1, 2), (2, 1, 2)) == (2, 1, 2)
         assert bounded_eccentricities((), (), ()) == ()
 
+    def test_every_search_closes_its_source(self):
+        # lower bound 3 does not hold at the centre of P_5 (ecc 2); the
+        # search from it must still close it rather than pick it again
+        assert len(bounded_eccentricities(path_graph(5).adj, [3] * 5, [5] * 5)) == 5
+
     @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from(("full", "connected")))
     @settings(max_examples=80, deadline=None)
     def test_family_path_matches_frontier_reference(self, seed, connected, kind):
