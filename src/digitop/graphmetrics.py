@@ -195,6 +195,8 @@ def as_finite_graph(space) -> FiniteGraph:
 def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:
     """The subgraph on the kept vertices, renumbered in ascending order."""
     kept = sorted(set(keep))
+    if kept and not 0 <= kept[0] <= kept[-1] < G.n:
+        raise ValueError(f"vertex indices must lie in 0..{G.n - 1}")
     pos = {v: i for i, v in enumerate(kept)}
     rows = []
     for v in kept:
@@ -419,6 +421,8 @@ def lift_dominating(D: Iterable[Point], X: DigitalImage,
     """Indices (into the family's member order) of members meeting D."""
     if family is None:
         family = enumerate_all_subsets(X, budget)
+    elif family.base != X:
+        raise ValueError("the family is not a hyperspace of X")
     dmask = X.mask_of(D)
     return frozenset(i for i, m in enumerate(family.masks) if m & dmask)
 

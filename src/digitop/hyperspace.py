@@ -274,8 +274,8 @@ def hausdorff_distance(X: DigitalImage, a: int, b: int) -> int | None:
     from X's breadth-first distance rows; None when it is infinite, that
     is, when a component of X meets one set and not the other.
     """
-    if a == 0 or b == 0:
-        raise ValueError("hyperspace members must be nonempty")
+    if not (0 < a < 1 << len(X) and 0 < b < 1 << len(X)):
+        raise ValueError("hyperspace members must be nonempty masks of X's points")
     rows = X.distance_rows
     worst = 0
     for s, t in ((a, b), (b, a)):

@@ -217,75 +217,55 @@ def is_egs_continuous(F: MultiFunction, r_max: int,
 
 
 def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None:
-    """Backtracking search for a continuous map on the subdivision generating F."""
-    S = sub.image
-    Y = F.codomain
+    """Backtracking search for a continuous map on the subdivision generating F.
+
+    Positions follow ``_connectivity_order``; ``left[k]`` counts the
+    positions of k's cell at or after k and ``before[k]`` is the cell's
+    previous position (n for none), whose ``covered`` entry is what the cell
+    holds before k.  Values are tried in ascending order on an explicit stack.
+    """
+    S, Y = sub.image, F.codomain
     n = len(S)
-    # cell (base point index) and allowed-value mask per subdivision point
-    required = F.masks
-    n_cells = len(required)
-    remaining = [n // n_cells] * n_cells
     closed_y = Y.closed_neighbor_masks
     order, earlier = _connectivity_order(S)
-    base_index = F.domain.point_index
-    cells = [base_index[sub.base_point_of(S.points[i])] for i in order]
-    allowed0 = [required[c] for c in cells]
-    assignment = [0] * n
-    covered = [0] * n_cells
-    # pending[k]: values not yet tried at level k; olds[k]: its cell's
-    # coverage before level k was entered
-    pending = [0] * n
-    olds = [0] * n
+    cells = [F.domain.point_index[sub.base_point_of(S.points[i])] for i in order]
+    required = [F.masks[c] for c in cells]
+    before, left, last = [n] * n, [n // len(F.masks)] * n, {}
+    for k, c in enumerate(cells):
+        if c in last:
+            before[k] = last[c]
+            left[k] = left[before[k]] - 1
+        last[c] = k
+    assignment, todo = [0] * n, [0] * n  # todo: per position, the values not tried yet
+    covered = [0] * (n + 1)  # per position, its cell's coverage up to it; 0 at n
 
     def options(k: int) -> int:
-        """The values level k may take given the earlier assignments."""
-        c = cells[k]
-        allowed = allowed0[k]
+        """The values position k may take given the earlier positions."""
+        allowed = required[k]
         for t in earlier[k]:
             allowed &= closed_y[assignment[t]]
-            if not allowed:
-                return 0
-        uncovered = required[c] & ~covered[c]
-        # each still-unassigned cell point must cover a new value when tight
+        uncovered = required[k] & ~covered[before[k]]
         need = uncovered.bit_count()
-        if need == remaining[c]:
+        if need == left[k]:
             return allowed & uncovered
-        return allowed if need < remaining[c] else 0
+        return allowed if need < left[k] else 0
 
-    # Backtracking on an explicit stack, values tried in ascending order,
-    # so the depth is not bounded by the recursion limit.
-    found = False
-    k = 0
-    while True:
-        if k == n:
-            if all(covered[c] == required[c] for c in range(n_cells)):
-                found = True
-                break
+    k, todo[0] = 0, options(0)
+    while k >= 0:
+        m = todo[k]
+        if not m:
             k -= 1
-        else:
-            c = cells[k]
-            pending[k] = options(k)
-            olds[k] = covered[c]
-            remaining[c] -= 1
-        while k >= 0 and not pending[k]:
-            c = cells[k]
-            covered[c] = olds[k]
-            remaining[c] += 1
-            k -= 1
-        if k < 0:
-            break
-        low = pending[k] & -pending[k]
-        pending[k] ^= low
+            continue
+        low = m & -m
+        todo[k] = m ^ low
         assignment[k] = low.bit_length() - 1
-        covered[cells[k]] = olds[k] | low
+        covered[k] = covered[before[k]] | low
+        if k + 1 == n:
+            row = tuple(a for _, a in sorted(zip(order, assignment)))  # in point order
+            return FiniteFunction._trusted(S, Y, row)
         k += 1
-
-    if not found:
-        return None
-    row = [0] * n
-    for k, i in enumerate(order):
-        row[i] = assignment[k]
-    return FiniteFunction._trusted(S, Y, tuple(row))
+        todo[k] = options(k)
+    return None
 
 
 def generates(f: FiniteFunction, F: MultiFunction, sub: Subdivision) -> bool:

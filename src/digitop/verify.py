@@ -30,27 +30,25 @@ from .value import Value
 
 
 class CheckResult(Value):
-    """One claim's outcome; ``run_suites`` prefixes the name with its suite."""
+    """One claim's outcome, named ``suite/claim`` by ``run_suites``."""
 
     name: str
     passed: bool
     details: str
 
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
     def __init__(self, name: str, passed: bool, details: str = ""):
-        self.name, self.passed, self.details = name, passed, details
-
-    @property
-    def _key(self) -> tuple[str, bool, str]:
-        return self.name, self.passed, self.details
+        self.__dict__.update(name=name, passed=passed, details=details,
+                             _key=(name, passed, details))
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         extra = f": {self.details}" if self.details and not self.passed else ""
         return f"{tag} {self.name}{extra}"
+
+
+def _claim(name: str, found: list, note: str = "") -> CheckResult:
+    """The claim that nothing was found; a failure reports the first finding."""
+    return CheckResult(name, not found, f"first {found[:1]}" if found else note)
 
 
 # -- random instance generators ------------------------------------------------
@@ -189,12 +187,12 @@ def oracle_pairwise_connected(pts, X: DigitalImage) -> bool:
 # -- suites -----------------------------------------------------------------------
 
 
-def suite_cardinality(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_cardinality(rng, max_points=6, samples=20) -> list[CheckResult]:
     out = []
     bad = [n for n in range(1, 13)
            if len(enumerate_all_subsets(interval(1, n))) != 2 ** n - 1]
-    for _ in range(20 if samples is None else samples):
-        X = random_image(rng, 6 if max_points is None else max_points)
+    for _ in range(samples):
+        X = random_image(rng, max_points)
         if len(enumerate_all_subsets(X)) != 2 ** len(X) - 1:
             bad.append(X)
     out.append(CheckResult("full-hyperspace-cardinality", not bad,
@@ -208,14 +206,12 @@ def suite_cardinality(rng, max_points=None, samples=None) -> list[CheckResult]:
     return out
 
 
-def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_induced(rng, max_points=4, samples=200) -> list[CheckResult]:
     out = []
-    n_samples = 200 if samples is None else samples
-    max_pts = 4 if max_points is None else max_points
     violations = []
-    for _ in range(n_samples):
-        X = random_image(rng, max_pts)
-        Y = random_image(rng, max_pts)
+    for _ in range(samples):
+        X = random_image(rng, max_points)
+        Y = random_image(rng, max_points)
         f = random_function(rng, X, Y)
         cont = is_continuous(f)
         full_ok = is_continuous(induced_map(f, enumerate_all_subsets(X)))
@@ -227,11 +223,11 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
             violations.append((f, cont, full_ok, conn_ok))
     out.append(CheckResult("induced-continuity-iff", not violations,
                            f"{len(violations)} violations, first {violations[:1]}"
-                           if violations else f"{n_samples} samples"))
+                           if violations else f"{samples} samples"))
 
     iso_viol = []
-    for _ in range(n_samples // 4):
-        X = random_image(rng, max_pts)
+    for _ in range(samples // 4):
+        X = random_image(rng, max_points)
         shift = rng.choice(((1,) * X.dim, (0,) * X.dim, (2,) + (0,) * (X.dim - 1)))
         Y = DigitalImage(X.dim, tuple(tuple(c + d for c, d in zip(p, shift))
                                       for p in X.points), X.adjacency)
@@ -247,12 +243,11 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
                 c = False
             if not (a == b == c):
                 iso_viol.append((cand, a, b, c))
-    out.append(CheckResult("induced-isomorphism-iff", not iso_viol,
-                           f"first {iso_viol[:1]}" if iso_viol else ""))
+    out.append(_claim("induced-isomorphism-iff", iso_viol))
 
     functor_viol = []
-    for _ in range(n_samples // 4):
-        X, Y, Z = (random_image(rng, max_pts) for _ in range(3))
+    for _ in range(samples // 4):
+        X, Y, Z = (random_image(rng, max_points) for _ in range(3))
         f = random_continuous_function(rng, X, Y)
         g = random_continuous_function(rng, Y, Z)
         for kind, build in (("full", enumerate_all_subsets),
@@ -264,11 +259,10 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
         if induced_map(identity_map(X), enumerate_all_subsets(X)) != \
                 identity_map(enumerate_all_subsets(X)):
             functor_viol.append(("identity", X))
-    out.append(CheckResult("induced-functor-laws", not functor_viol,
-                           f"first {functor_viol[:1]}" if functor_viol else ""))
+    out.append(_claim("induced-functor-laws", functor_viol))
 
     retr_viol = []
-    for _ in range(n_samples // 4):
+    for _ in range(samples // 4):
         a, c, b = sorted(rng.sample(range(0, 7), 3))
         X, Y = interval(a, b), interval(a, c)
         r = FiniteFunction(X, Y, tuple((p, (min(p[0], c),)) for p in X.points))
@@ -282,13 +276,12 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
             fixed = [m for m in rs.domain.members if m <= Y.point_set]
             if any(rs.table[m] != m for m in fixed):
                 retr_viol.append(("lift-moves-fixed-member", r))
-    out.append(CheckResult("retraction-lifts-to-hyperspace", not retr_viol,
-                           f"first {retr_viol[:1]}" if retr_viol else ""))
+    out.append(_claim("retraction-lifts-to-hyperspace", retr_viol))
 
     img_viol = []
-    for _ in range(n_samples // 4):
-        X = random_connected_image(rng, max_pts)
-        Y = random_image(rng, max_pts)
+    for _ in range(samples // 4):
+        X = random_connected_image(rng, max_points)
+        Y = random_image(rng, max_points)
         maps = enumerate_continuous_maps(X, Y)
         f = rng.choice(maps)
         partners = [h for h in maps if h != f and phi_adjacent(f, h)]
@@ -299,15 +292,14 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
             fa, ga = f.image_of(member), g.image_of(member)
             if fa != ga and not hyper_adjacent(fa, ga, Y):
                 img_viol.append((f, g, member))
-    out.append(CheckResult("pointwise-close-maps-have-close-set-images", not img_viol,
-                           f"first {img_viol[:1]}" if img_viol else ""))
+    out.append(_claim("pointwise-close-maps-have-close-set-images", img_viol))
 
     K = enumerate_connected_subsets(interval(0, 1))
     F = FiniteFunction.from_table(K, K, {m: frozenset(interval(0, 1).points) for m in K.members})
     absent = find_inducing_map(F) is None
     out.append(CheckResult("constant-family-map-not-induced", absent))
     witnessed = []
-    for _ in range(n_samples // 10):
+    for _ in range(samples // 10):
         X = random_image(rng, 3)
         Y = random_image(rng, 3)
         g = random_continuous_function(rng, X, Y)
@@ -315,20 +307,17 @@ def suite_induced(rng, max_points=None, samples=None) -> list[CheckResult]:
         f2 = find_inducing_map(F2)
         if f2 is None or induced_map(f2, enumerate_connected_subsets(X)) != F2:
             witnessed.append(g)
-    out.append(CheckResult("induced-map-search-roundtrip", not witnessed,
-                           f"first {witnessed[:1]}" if witnessed else ""))
+    out.append(_claim("induced-map-search-roundtrip", witnessed))
     return out
 
 
-def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_homotopy(rng, max_points=3, samples=200) -> list[CheckResult]:
     out = []
-    n_samples = 200 if samples is None else samples
-    max_pts = 3 if max_points is None else max_points
 
     onestep_viol = []
-    for _ in range(n_samples):
-        X = random_image(rng, max_pts)
-        Y = random_image(rng, max_pts)
+    for _ in range(samples):
+        X = random_image(rng, max_points)
+        Y = random_image(rng, max_points)
         maps = enumerate_continuous_maps(X, Y)
         f, g = rng.choice(maps), rng.choice(maps)
         H = HomotopyTable(X, Y, (f, g))
@@ -336,11 +325,11 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
         expected = f == g or phi_adjacent(f, g)
         if accepted != expected:
             onestep_viol.append((f, g))
-    out.append(CheckResult("one-step-deformation-iff-pointwise-close", not onestep_viol,
-                           f"first {onestep_viol[:1]}" if onestep_viol else f"{n_samples} samples"))
+    out.append(_claim("one-step-deformation-iff-pointwise-close", onestep_viol,
+                      f"{samples} samples"))
 
     oracle_viol = []
-    for _ in range(min(n_samples, 60)):
+    for _ in range(min(samples, 60)):
         X = random_image(rng, 3)
         Y = random_image(rng, 3)
         maps = enumerate_continuous_maps(X, Y)
@@ -350,19 +339,17 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
             oracle_viol.append((f, g))
         if decision and not verify_homotopy(decision.table(), f, g):
             oracle_viol.append(("bad-witness", f, g))
-    out.append(CheckResult("component-search-matches-table-oracle", not oracle_viol,
-                           f"first {oracle_viol[:1]}" if oracle_viol else ""))
+    out.append(_claim("component-search-matches-table-oracle", oracle_viol))
 
     edge_viol = []
-    for _ in range(n_samples // 10):
+    for _ in range(samples // 10):
         X = random_image(rng, 3)
         Y = random_image(rng, 3)
         phi = build_function_graph(X, Y, PHI)
         psi = build_function_graph(X, Y, PSI)
         if not set(psi.edges) <= set(phi.edges):
             edge_viol.append((X, Y))
-    out.append(CheckResult("cross-edges-within-pointwise-edges", not edge_viol,
-                           f"first {edge_viol[:1]}" if edge_viol else ""))
+    out.append(_claim("cross-edges-within-pointwise-edges", edge_viol))
 
     rots = rotations(5)
     S5 = rots[0].domain
@@ -385,17 +372,16 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
     out.append(CheckResult("cycle-rotation-homotopy", ok, details))
 
     contract_viol = []
-    for _ in range(n_samples // 10):
+    for _ in range(samples // 10):
         X = random_connected_image(rng, 4)
         if is_contractible(X):
             graph = gm.as_finite_graph(build_function_graph(X, X, PHI))
             if not gm.is_connected_graph(graph):
                 contract_viol.append(X)
-    out.append(CheckResult("contractible-gives-connected-selfmap-graph", not contract_viol,
-                           f"first {contract_viol[:1]}" if contract_viol else ""))
+    out.append(_claim("contractible-gives-connected-selfmap-graph", contract_viol))
 
     lift_viol = []
-    for _ in range(n_samples // 20):
+    for _ in range(samples // 20):
         X = random_connected_image(rng, 3)
         Y = random_connected_image(rng, 3)
         maps = enumerate_continuous_maps(X, Y)
@@ -418,11 +404,10 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
                                    induced_map(g, lifted.domain, codomain_family=lifted.codomain),
                                    fixed_point=lifted.domain._mask_index[1]):
                 lift_viol.append(("pointed", f, g))
-    out.append(CheckResult("deformation-lifts-to-hyperspace", not lift_viol,
-                           f"first {lift_viol[:1]}" if lift_viol else ""))
+    out.append(_claim("deformation-lifts-to-hyperspace", lift_viol))
 
     post_viol = []
-    for _ in range(n_samples // 20):
+    for _ in range(samples // 20):
         W = random_connected_image(rng, 3)
         X = random_image(rng, 3)
         Y = random_image(rng, 3)
@@ -436,11 +421,10 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
         star_gf = compose(postcompose_map(g, W), fstar)
         if gf_star != star_gf:
             post_viol.append(("composition", f, g))
-    out.append(CheckResult("postcomposition-continuity-and-functor", not post_viol,
-                           f"first {post_viol[:1]}" if post_viol else ""))
+    out.append(_claim("postcomposition-continuity-and-functor", post_viol))
 
     retract_viol = []
-    for _ in range(n_samples // 20):
+    for _ in range(samples // 20):
         a, c, b = sorted(rng.sample(range(0, 6), 3))
         Y, W = interval(a, b), interval(a, c)
         X = random_connected_image(rng, 3)
@@ -457,8 +441,7 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
             retract_viol.append(("moves-fixed-function", r, X))
         if not w_valued.issuperset(T.row):
             retract_viol.append(("image-escapes", r, X))
-    out.append(CheckResult("retract-lifts-to-function-graph", not retract_viol,
-                           f"first {retract_viol[:1]}" if retract_viol else ""))
+    out.append(_claim("retract-lifts-to-function-graph", retract_viol))
 
     equiv_ok = True
     X, Ypt = interval(0, 2), interval(0, 0)
@@ -488,15 +471,13 @@ def suite_homotopy(rng, max_points=None, samples=None) -> list[CheckResult]:
     return out
 
 
-def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_connectivity(rng, max_points=7, samples=200) -> list[CheckResult]:
     out = []
-    n_samples = 200 if samples is None else samples
-    max_pts = 7 if max_points is None else max_points
 
     iff_viol = []
     corr_viol = []
-    for _ in range(n_samples):
-        X = random_image(rng, max_pts)
+    for _ in range(samples):
+        X = random_image(rng, max_points)
         K = enumerate_connected_subsets(X)
         G = gm.as_finite_graph(hyperspace_graph(K))
         if X.is_connected() != gm.is_connected_graph(G):
@@ -506,15 +487,13 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
                                  for c in map(X.mask_of, X.components()))
         if partition_graph != partition_image:
             corr_viol.append(X)
-    out.append(CheckResult("connectivity-lifting-iff", not iff_viol,
-                           f"first {iff_viol[:1]}" if iff_viol else f"{n_samples} samples"))
-    out.append(CheckResult("component-correspondence", not corr_viol,
-                           f"first {corr_viol[:1]}" if corr_viol else ""))
+    out.append(_claim("connectivity-lifting-iff", iff_viol, f"{samples} samples"))
+    out.append(_claim("component-correspondence", corr_viol))
 
     union_viol = []
     path_viol = []
-    for _ in range(n_samples // 4):
-        X = random_connected_image(rng, min(max_pts, 5))
+    for _ in range(samples // 4):
+        X = random_connected_image(rng, min(max_points, 5))
         K = enumerate_connected_subsets(X)
         G = gm.as_finite_graph(hyperspace_graph(K))
         start = rng.randrange(len(K))
@@ -538,15 +517,13 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
         dist = gm.bfs_distances(GA, KA.index_of(frozenset((min(A),))))
         if dist[KA.index_of(A)] is None:
             path_viol.append((X, A))
-    out.append(CheckResult("union-of-close-connected-subfamily", not union_viol,
-                           f"first {union_viol[:1]}" if union_viol else ""))
-    out.append(CheckResult("singleton-reaches-every-member", not path_viol,
-                           f"first {path_viol[:1]}" if path_viol else ""))
+    out.append(_claim("union-of-close-connected-subfamily", union_viol))
+    out.append(_claim("singleton-reaches-every-member", path_viol))
 
     cut_viol = []
     checked = 0
-    for _ in range(n_samples // 4):
-        X = random_connected_image(rng, max_pts)
+    for _ in range(samples // 4):
+        X = random_connected_image(rng, max_points)
         if len(X) < 3:
             continue
         K = enumerate_connected_subsets(X)
@@ -560,15 +537,12 @@ def suite_connectivity(rng, max_points=None, samples=None) -> list[CheckResult]:
             sub = gm.induced_subgraph(G, keep)
             if gm.is_connected_graph(sub):
                 cut_viol.append((X, Y))
-    out.append(CheckResult("disconnection-lifting", not cut_viol,
-                           f"first {cut_viol[:1]}" if cut_viol else f"{checked} cuts checked"))
+    out.append(_claim("disconnection-lifting", cut_viol, f"{checked} cuts checked"))
     return out
 
 
-def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_multivalued(rng, max_points=5, samples=200) -> list[CheckResult]:
     out = []
-    n_samples = 200 if samples is None else samples
-    max_pts = 5 if max_points is None else max_points
 
     X, Y = interval(0, 1), interval(0, 2)
     F = MultiFunction.from_table(X, Y, {(0,): {(0,)}, (1,): {(1,), (2,)}})
@@ -582,9 +556,9 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
     impl_viol = []
     seen_nonstrong_weak = False
     sample = [F]  # the named example keeps the non-implication witnessed
-    sample.extend(random_multifunction(rng, random_image(rng, max_pts),
-                                       random_image(rng, max_pts))
-                  for _ in range(n_samples))
+    sample.extend(random_multifunction(rng, random_image(rng, max_points),
+                                       random_image(rng, max_points))
+                  for _ in range(samples))
     for M in sample:
         weak = has_weak_continuity(M)
         strong = has_strong_continuity(M)
@@ -597,13 +571,12 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
             seen_nonstrong_weak = True
     if not seen_nonstrong_weak:
         impl_viol.append(("no weak+cp+non-strong sample found", None))
-    out.append(CheckResult("continuity-implication-lattice", not impl_viol,
-                           f"first {impl_viol[:1]}" if impl_viol else f"{n_samples} samples"))
+    out.append(_claim("continuity-implication-lattice", impl_viol, f"{samples} samples"))
 
     strong_viol = []
     produced = 0
     attempts = 0
-    while produced < n_samples and attempts < 20 * n_samples:
+    while produced < samples and attempts < 20 * samples:
         attempts += 1
         A = random_image(rng, 4)
         B = random_image(rng, 4)
@@ -622,11 +595,10 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
             lifted = None  # some connected member has a disconnected image
         if lifted is not None and not is_continuous(lifted):
             strong_viol.append(("connected", M))
-    out.append(CheckResult("strong-continuity-lifts", not strong_viol,
-                           f"first {strong_viol[:1]}" if strong_viol else f"{produced} samples"))
+    out.append(_claim("strong-continuity-lifts", strong_viol, f"{produced} samples"))
 
     sub_viol = []
-    for _ in range(n_samples // 10):
+    for _ in range(samples // 10):
         A = random_image(rng, 4)
         r = rng.randint(1, 3)
         if len(A) * r ** A.dim > 64:
@@ -636,19 +608,16 @@ def suite_multivalued(rng, max_points=None, samples=None) -> list[CheckResult]:
             sub_viol.append((A, r))
         if r == 1 and S.image.points != tuple(A.points):
             sub_viol.append((A, "identity"))
-    out.append(CheckResult("subdivision-cardinality", not sub_viol,
-                           f"first {sub_viol[:1]}" if sub_viol else ""))
+    out.append(_claim("subdivision-cardinality", sub_viol))
     return out
 
 
-def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_cycles(rng, max_points=6, samples=100) -> list[CheckResult]:
     out = []
-    n_samples = 100 if samples is None else samples
-    max_pts = 6 if max_points is None else max_points
 
     iff_viol = []
-    for _ in range(n_samples):
-        X = random_image(rng, max_pts)
+    for _ in range(samples):
+        X = random_image(rng, max_points)
         K = enumerate_connected_subsets(X)
         G = gm.as_finite_graph(hyperspace_graph(K))
         w = gm.girth(G)
@@ -657,12 +626,11 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
             iff_viol.append(X)
         if not has_nonisolated and w is not None:
             iff_viol.append(("isolated-but-cyclic", X))
-    out.append(CheckResult("three-cycle-iff-nonisolated", not iff_viol,
-                           f"first {iff_viol[:1]}" if iff_viol else f"{n_samples} samples"))
+    out.append(_claim("three-cycle-iff-nonisolated", iff_viol, f"{samples} samples"))
 
     six_viol = []
-    for _ in range(n_samples // 2):
-        X = random_image(rng, max_pts)
+    for _ in range(samples // 2):
+        X = random_image(rng, max_points)
         found = None
         for x in X.points:
             nb = sorted(X.neighbors(x))
@@ -689,8 +657,7 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
             w = gm.longest_cycle(G, budget=16)
             if w is None or w.length < 6:
                 six_viol.append(("long-cycle-shorter-than-six", X))
-    out.append(CheckResult("six-cycle-from-nonadjacent-neighbors", not six_viol,
-                           f"first {six_viol[:1]}" if six_viol else ""))
+    out.append(_claim("six-cycle-from-nonadjacent-neighbors", six_viol))
 
     fam = enumerate_all_subsets(interval(1, 4))
     G = gm.as_finite_graph(hyperspace_graph(fam))
@@ -703,7 +670,7 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
     out.append(CheckResult("full-hyperspace-spanning-cycle", ok))
 
     oracle_viol = []
-    for _ in range(min(n_samples // 4, 30)):
+    for _ in range(min(samples // 4, 30)):
         G = random_graph(rng, 8)
         w = gm.longest_cycle(G)
         expect = oracle_longest_cycle(G)
@@ -712,18 +679,15 @@ def suite_cycles(rng, max_points=None, samples=None) -> list[CheckResult]:
             oracle_viol.append((G, got, expect))
         if w is not None and not gm.is_valid_cycle(G, w.vertices):
             oracle_viol.append(("invalid-witness", G))
-    out.append(CheckResult("long-cycle-matches-permutation-oracle", not oracle_viol,
-                           f"first {oracle_viol[:1]}" if oracle_viol else ""))
+    out.append(_claim("long-cycle-matches-permutation-oracle", oracle_viol))
     return out
 
 
-def suite_dominating(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_dominating(rng, max_points=5, samples=100) -> list[CheckResult]:
     out = []
-    n_samples = 100 if samples is None else samples
-    max_pts = 5 if max_points is None else max_points
     viol = []
-    for _ in range(n_samples):
-        X = random_image(rng, max_pts)
+    for _ in range(samples):
+        X = random_image(rng, max_points)
         fam = enumerate_all_subsets(X)
         G = gm.as_finite_graph(hyperspace_graph(fam))
         GX = gm.as_finite_graph(X)
@@ -735,11 +699,10 @@ def suite_dominating(rng, max_points=None, samples=None) -> list[CheckResult]:
             hi = gm.is_dominating(lifted, G)
             if lo != hi:
                 viol.append((X, D))
-    out.append(CheckResult("domination-lifting-iff", not viol,
-                           f"first {viol[:1]}" if viol else f"{n_samples} images, all subsets"))
+    out.append(_claim("domination-lifting-iff", viol, f"{samples} images, all subsets"))
 
     mds_viol = []
-    for _ in range(n_samples // 5):
+    for _ in range(samples // 5):
         G = random_graph(rng, 7)
         best = gm.minimum_dominating_set(G)
         if not gm.is_dominating(best, G):
@@ -748,21 +711,16 @@ def suite_dominating(rng, max_points=None, samples=None) -> list[CheckResult]:
                    if gm.is_dominating([i for i in range(G.n) if m >> i & 1], G))
         if len(best) != size:
             mds_viol.append(("not-minimum", G, len(best), size))
-    out.append(CheckResult("minimum-domination-exactness", not mds_viol,
-                           f"first {mds_viol[:1]}" if mds_viol else ""))
+    out.append(_claim("minimum-domination-exactness", mds_viol))
     return out
 
 
-def suite_diameter(rng, max_points=None, samples=None) -> list[CheckResult]:
-    out = []
-    n_samples = 200 if samples is None else samples
-    max_pts = 7 if max_points is None else max_points
-    bound_viol = []
-    ineq_viol = []
-    for _ in range(n_samples):
+def suite_diameter(rng, max_points=7, samples=200) -> list[CheckResult]:
+    bound_viol, ineq_viol = [], []
+    for _ in range(samples):
         # the strict bound degenerates to 0 < 0 on one-point images, so the
         # claim is sampled over images with at least one adjacency step
-        X = random_connected_image(rng, max_pts, min_points=2)
+        X = random_connected_image(rng, max_points, min_points=2)
         GX = gm.as_finite_graph(X)
         K = enumerate_connected_subsets(X)
         G = gm.as_finite_graph(hyperspace_graph(K))
@@ -774,22 +732,17 @@ def suite_diameter(rng, max_points=None, samples=None) -> list[CheckResult]:
             rr, dd = gm.radius(H), gm.diameter(H)
             if not rr <= dd <= 2 * rr:
                 ineq_viol.append((X, rr, dd))
-    out.append(CheckResult("hyperspace-diameter-bound", not bound_viol,
-                           f"first {bound_viol[:1]}" if bound_viol else f"{n_samples} samples"))
-    out.append(CheckResult("radius-diameter-inequalities", not ineq_viol,
-                           f"first {ineq_viol[:1]}" if ineq_viol else ""))
-    return out
+    return [_claim("hyperspace-diameter-bound", bound_viol, f"{samples} samples"),
+            _claim("radius-diameter-inequalities", ineq_viol)]
 
 
-def suite_hausdorff(rng, max_points=None, samples=None) -> list[CheckResult]:
+def suite_hausdorff(rng, max_points=6, samples=40) -> list[CheckResult]:
     """On connected images: distance in 2^X is the Hausdorff distance d_H,
     distance in K(X) is at least d_H, and each family's eccentricity bounds
     are the BFS eccentricities on 2^X and never exceed them on K(X)."""
-    n_samples = 40 if samples is None else samples
-    max_pts = 6 if max_points is None else max_points
     viol = {kind: ([], []) for kind in ("full", "connected")}
-    for _ in range(n_samples):
-        X = random_connected_image(rng, max_pts)
+    for _ in range(samples):
+        X = random_connected_image(rng, max_points)
         for family in (enumerate_all_subsets(X), enumerate_connected_subsets(X)):
             G = gm.as_finite_graph(hyperspace_graph(family))
             dists = [gm.bfs_distances(G, v) for v in range(G.n)]
@@ -808,14 +761,11 @@ def suite_hausdorff(rng, max_points=None, samples=None) -> list[CheckResult]:
                 held = upper is None and all(lo <= e for lo, e in zip(lower, eccs))
             if not held:
                 bound_viol.append((X, family.kind))
-    out = []
-    for name, found in (("full-distance-is-hausdorff", viol["full"][0]),
-                        ("connected-distance-at-least-hausdorff", viol["connected"][0]),
-                        ("full-eccentricity-closed-form", viol["full"][1]),
-                        ("connected-eccentricity-lower-bound", viol["connected"][1])):
-        out.append(CheckResult(name, not found,
-                               f"first {found[:1]}" if found else f"{n_samples} samples"))
-    return out
+    return [_claim(name, found, f"{samples} samples")
+            for name, found in (("full-distance-is-hausdorff", viol["full"][0]),
+                                ("connected-distance-at-least-hausdorff", viol["connected"][0]),
+                                ("full-eccentricity-closed-form", viol["full"][1]),
+                                ("connected-eccentricity-lower-bound", viol["connected"][1]))]
 
 
 SUITES = {
@@ -832,7 +782,11 @@ SUITES = {
 
 
 def run_suites(names, seed: int = 0, max_points=None, samples=None) -> list[CheckResult]:
-    if any(v is not None and v < 1 for v in (max_points, samples)):
+    """Each named suite's claims as ``suite/claim`` results.  A suite draws
+    from its own seeded generator; ``max_points`` and ``samples`` override
+    the defaults in every suite's signature."""
+    sizes = {k: v for k, v in (("max_points", max_points), ("samples", samples)) if v is not None}
+    if any(v < 1 for v in sizes.values()):
         raise ValueError("max_points and samples must be positive integers")
     if "all" in names:
         names = list(SUITES)
@@ -841,7 +795,6 @@ def run_suites(names, seed: int = 0, max_points=None, samples=None) -> list[Chec
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)})")
         rng = random.Random(f"{seed}:{name}")
-        for res in SUITES[name](rng, max_points=max_points, samples=samples):
-            res.name = f"{name}/{res.name}"
-            results.append(res)
+        results.extend(CheckResult(f"{name}/{r.name}", r.passed, r.details)
+                       for r in SUITES[name](rng, **sizes))
     return results

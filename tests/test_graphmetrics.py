@@ -209,6 +209,14 @@ class TestFiniteGraph:
         sub = induced_subgraph(G, [0, 1, 3])
         assert sub.n == 3 and sorted(sub.edges()) == [(0, 1)]
 
+    def test_induced_subgraph_refuses_indices_outside_the_graph(self):
+        G = path_graph(4)
+        for keep in ([-1], [0, 5], [4], [-2, 1, 3]):
+            with pytest.raises(ValueError, match=r"0\.\.3"):
+                induced_subgraph(G, keep)
+        assert induced_subgraph(G, []) == FiniteGraph(0, ())
+        assert induced_subgraph(G, [3, 0]) == FiniteGraph(2, (0, 0))
+
     def test_components_match_bfs_distances(self):
         rng = random.Random(12)
         seen = set()
@@ -450,6 +458,14 @@ class TestDominating:
         X = interval(0, 2)
         fam = enumerate_all_subsets(X)
         assert lift_dominating(X.points, X, family=fam) == frozenset(range(len(fam)))
+
+    def test_lift_refuses_a_family_of_another_image(self):
+        X, other = interval(0, 5), enumerate_connected_subsets(interval(0, 2))
+        with pytest.raises(ValueError, match="not a hyperspace of X"):
+            lift_dominating([(0,), (2,), (5,)], X, family=other)
+        same = enumerate_connected_subsets(interval(0, 5))
+        assert lift_dominating([(0,)], X, family=same) == frozenset(
+            i for i, m in enumerate(same.masks) if m & 1)
 
     def test_lift_iff(self):
         rng = random.Random(5)

@@ -254,6 +254,14 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="nonempty"):
             hausdorff_distance(X, 0, 0b1)
 
+    def test_refuses_masks_outside_the_image(self):
+        # a negative mask has infinitely many bits; 0b1000 names a fourth point
+        X = DigitalImage.of([(0,), (1,), (3,)], 1)
+        for a, b in ((0b1, -1), (-1, 0b1), (0b1000, 0b1), (0b1, 0b1111)):
+            with pytest.raises(ValueError, match="masks of X's points"):
+                hausdorff_distance(X, a, b)
+        assert hausdorff_distance(X, 0b111, 0b111) == 0
+
 
 class TestUnion:
     def test_simple_union(self):

@@ -70,11 +70,7 @@ class TestValueSemantics:
     def test_hash_is_the_field_tuple(self, cls, args, kwargs, text):
         x = cls(*args)
         values = tuple(getattr(x, name) for name in cls._fields)
-        if cls is CheckResult:
-            with pytest.raises(TypeError):
-                hash(x)
-        else:
-            assert hash(x) == hash(values) == hash(cls(**kwargs))
+        assert hash(x) == hash(values) == hash(cls(**kwargs))
 
     def test_repr(self, cls, args, kwargs, text):
         assert repr(cls(*args)) == repr(cls(**kwargs)) == text
@@ -82,10 +78,6 @@ class TestValueSemantics:
     def test_assignment_and_deletion(self, cls, args, kwargs, text):
         x = cls(*args)
         name = cls._fields[0]
-        if cls is CheckResult:
-            x.name = "suite/claim"
-            assert x != cls(*args) and x.name == "suite/claim"
-            return
         with pytest.raises(AttributeError):
             setattr(x, name, None)
         with pytest.raises(AttributeError):

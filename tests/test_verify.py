@@ -53,3 +53,29 @@ def test_hausdorff_suite_lines():
         "PASS hausdorff/full-eccentricity-closed-form",
         "PASS hausdorff/connected-eccentricity-lower-bound",
     ]
+
+
+def test_forced_failures_print_their_findings(monkeypatch):
+    """Each form of FAIL line, with a library call broken on purpose: a claim
+    that reports its first finding, the cardinality claim's own text and a
+    claim that names what it saw."""
+    from digitop import verify
+    from digitop.homotopy import HomotopyDecision
+
+    monkeypatch.setattr(verify, "homotopic", lambda f, g: HomotopyDecision(False, ()))
+    lines = [r.line() for r in run_suites(["homotopy"], seed=0, samples=20)]
+    failed = [line for line in lines if not line.startswith("PASS")]
+    assert failed == [
+        "FAIL homotopy/component-search-matches-table-oracle: first "
+        "[(<map (1, 2)->(0, 3), (3, 2)->(0, 3)>, <map (1, 2)->(0, 3), (3, 2)->(0, 3)>)]",
+        "FAIL homotopy/cycle-rotation-homotopy: rotation pair (4,4)",
+    ]
+    assert len(lines) == 9
+
+    everything = verify.enumerate_all_subsets
+    monkeypatch.setattr(verify, "enumerate_all_subsets", lambda X: everything(X).masks[1:])
+    assert [r.line() for r in run_suites(["cardinality"], seed=0, samples=3)] == [
+        "FAIL cardinality/full-hyperspace-cardinality: failed for [1, 2, 3]",
+        "PASS cardinality/interval-connected-count",
+        "PASS cardinality/interval-triangle-isomorphism",
+    ]
