@@ -76,7 +76,9 @@ def _dumps(value) -> str:
     and its text reused.  Lists rarely recur, and a memo entry each costs
     more than it saves.  The memo is keyed by identity, so an equal tuple
     of other types, such as (True,) for (1,), never shares text, and the
-    document keeps every key alive.
+    document keeps every key alive.  A ``_Members`` value is written as its
+    list of point lists: each point's text once, at its depth, and each
+    member's text joined from its points' texts in ascending bit order.
     """
     memo: dict[tuple[int, int], str] = {}
 
@@ -98,6 +100,8 @@ def _dumps(value) -> str:
             return "null"
         if kind is bool:
             return "true" if v else "false"
+        if kind is _Members:
+            return write_members(v, depth)
         raise InternalError(f"cannot write a {kind.__name__} as JSON")
 
     def write_fields(v, depth: int) -> str:
@@ -121,7 +125,27 @@ def _dumps(value) -> str:
             items = [write(x, depth + 1) for x in v]
         return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
 
+    def write_members(v: _Members, depth: int) -> str:
+        if not v.masks:
+            return "[]"
+        points = [write(p, depth + 2) for p in v.points]
+        inner, point = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+        open_, sep, close = "[" + point, "," + point, inner + "]"
+        # SubsetFamily members are nonempty, so each mask has a point to open with
+        members = [open_ + sep.join([points[i] for i in _bits(m)]) + close for m in v.masks]
+        return "[" + inner + ("," + inner).join(members) + "\n" + "  " * depth + "]"
+
     return write(value, 0)
+
+
+class _Members:
+    """Members of a family as bit masks over ``points``, the image's sorted
+    points: ``_dumps`` writes it as ``[[points[i] for i in _bits(m)] for m in masks]``."""
+
+    __slots__ = ("points", "masks")
+
+    def __init__(self, points: tuple, masks: tuple[int, ...]):
+        self.points, self.masks = points, masks
 
 
 def _point_names(image: DigitalImage) -> list[str]:
@@ -169,12 +193,11 @@ def cmd_hyperspace(args) -> int:
         _emit(args, gm.to_dot(gm.as_finite_graph(family),
                               labels=_member_names(family, _point_names(image))))
     elif args.format == "json":
-        points = image.points  # sorted, so a mask's ascending bits list its points in order
         _emit(args, _dumps({
             "kind": args.kind,
             "vertices": len(family),
             "edges": family.edge_count,
-            "members": [[points[i] for i in _bits(m)] for m in family.masks],
+            "members": _Members(image.points, family.masks),
         }) + "\n")
     else:
         _emit(args, f"kind: {args.kind}\nvertices: {len(family)}\nedges: {family.edge_count}\n")

@@ -189,14 +189,17 @@ def oracle_pairwise_connected(pts, X: DigitalImage) -> bool:
 
 def suite_cardinality(rng, max_points=6, samples=20) -> list[CheckResult]:
     out = []
-    bad = [n for n in range(1, 13)
-           if len(enumerate_all_subsets(interval(1, n))) != 2 ** n - 1]
+    bad_n = [n for n in range(1, 13)
+             if len(enumerate_all_subsets(interval(1, n))) != 2 ** n - 1]
+    bad_images = []
     for _ in range(samples):
         X = random_image(rng, max_points)
         if len(enumerate_all_subsets(X)) != 2 ** len(X) - 1:
-            bad.append(X)
-    out.append(CheckResult("full-hyperspace-cardinality", not bad,
-                           f"failed for {bad[:3]}" if bad else "2^n - 1 on intervals n<=12 and random images"))
+            bad_images.append(X)
+    ok = not (bad_n or bad_images)
+    out.append(CheckResult("full-hyperspace-cardinality", ok,
+                           "2^n - 1 on intervals n<=12 and random images" if ok
+                           else f"failed for intervals n={bad_n}; images {bad_images[:3]}"))
     bad2 = [n for n in range(1, 9)
             if len(enumerate_connected_subsets(interval(1, n))) != n * (n + 1) // 2]
     out.append(CheckResult("interval-connected-count", not bad2,
@@ -208,6 +211,7 @@ def suite_cardinality(rng, max_points=6, samples=20) -> list[CheckResult]:
 
 def suite_induced(rng, max_points=4, samples=200) -> list[CheckResult]:
     out = []
+    smaller = max(1, max_points - 1)  # the cap of the claims that draw smaller images
     violations = []
     for _ in range(samples):
         X = random_image(rng, max_points)
@@ -300,8 +304,8 @@ def suite_induced(rng, max_points=4, samples=200) -> list[CheckResult]:
     out.append(CheckResult("constant-family-map-not-induced", absent))
     witnessed = []
     for _ in range(samples // 10):
-        X = random_image(rng, 3)
-        Y = random_image(rng, 3)
+        X = random_image(rng, smaller)
+        Y = random_image(rng, smaller)
         g = random_continuous_function(rng, X, Y)
         F2 = induced_map(g, enumerate_connected_subsets(X))
         f2 = find_inducing_map(F2)
@@ -330,8 +334,8 @@ def suite_homotopy(rng, max_points=3, samples=200) -> list[CheckResult]:
 
     oracle_viol = []
     for _ in range(min(samples, 60)):
-        X = random_image(rng, 3)
-        Y = random_image(rng, 3)
+        X = random_image(rng, max_points)
+        Y = random_image(rng, max_points)
         maps = enumerate_continuous_maps(X, Y)
         f, g = rng.choice(maps), rng.choice(maps)
         decision = homotopic(f, g)
@@ -343,8 +347,8 @@ def suite_homotopy(rng, max_points=3, samples=200) -> list[CheckResult]:
 
     edge_viol = []
     for _ in range(samples // 10):
-        X = random_image(rng, 3)
-        Y = random_image(rng, 3)
+        X = random_image(rng, max_points)
+        Y = random_image(rng, max_points)
         phi = build_function_graph(X, Y, PHI)
         psi = build_function_graph(X, Y, PSI)
         if not set(psi.edges) <= set(phi.edges):
@@ -373,7 +377,7 @@ def suite_homotopy(rng, max_points=3, samples=200) -> list[CheckResult]:
 
     contract_viol = []
     for _ in range(samples // 10):
-        X = random_connected_image(rng, 4)
+        X = random_connected_image(rng, max_points + 1)
         if is_contractible(X):
             graph = gm.as_finite_graph(build_function_graph(X, X, PHI))
             if not gm.is_connected_graph(graph):
@@ -382,8 +386,8 @@ def suite_homotopy(rng, max_points=3, samples=200) -> list[CheckResult]:
 
     lift_viol = []
     for _ in range(samples // 20):
-        X = random_connected_image(rng, 3)
-        Y = random_connected_image(rng, 3)
+        X = random_connected_image(rng, max_points)
+        Y = random_connected_image(rng, max_points)
         maps = enumerate_continuous_maps(X, Y)
         f = rng.choice(maps)
         d = homotopic(f, rng.choice(maps))
@@ -408,14 +412,14 @@ def suite_homotopy(rng, max_points=3, samples=200) -> list[CheckResult]:
 
     post_viol = []
     for _ in range(samples // 20):
-        W = random_connected_image(rng, 3)
-        X = random_image(rng, 3)
-        Y = random_image(rng, 3)
+        W = random_connected_image(rng, max_points)
+        X = random_image(rng, max_points)
+        Y = random_image(rng, max_points)
         f = random_continuous_function(rng, X, Y)
         fstar = postcompose_map(f, W)
         if not is_continuous(fstar):
             post_viol.append(("discontinuous", f))
-        Z = random_image(rng, 3)
+        Z = random_image(rng, max_points)
         g = random_continuous_function(rng, Y, Z)
         gf_star = postcompose_map(compose(g, f), W)
         star_gf = compose(postcompose_map(g, W), fstar)
@@ -427,7 +431,7 @@ def suite_homotopy(rng, max_points=3, samples=200) -> list[CheckResult]:
     for _ in range(samples // 20):
         a, c, b = sorted(rng.sample(range(0, 6), 3))
         Y, W = interval(a, b), interval(a, c)
-        X = random_connected_image(rng, 3)
+        X = random_connected_image(rng, max_points)
         r = FiniteFunction(Y, W, tuple((p, (min(p[0], c),)) for p in Y.points))
         incl = FiniteFunction(W, Y, tuple((p, p) for p in W.points))
         YX = build_function_graph(X, Y, PHI)
@@ -543,6 +547,7 @@ def suite_connectivity(rng, max_points=7, samples=200) -> list[CheckResult]:
 
 def suite_multivalued(rng, max_points=5, samples=200) -> list[CheckResult]:
     out = []
+    smaller = max(1, max_points - 1)  # the cap of the claims that draw smaller images
 
     X, Y = interval(0, 1), interval(0, 2)
     F = MultiFunction.from_table(X, Y, {(0,): {(0,)}, (1,): {(1,), (2,)}})
@@ -578,8 +583,8 @@ def suite_multivalued(rng, max_points=5, samples=200) -> list[CheckResult]:
     attempts = 0
     while produced < samples and attempts < 20 * samples:
         attempts += 1
-        A = random_image(rng, 4)
-        B = random_image(rng, 4)
+        A = random_image(rng, smaller)
+        B = random_image(rng, smaller)
         if attempts % 2:
             M = as_multifunction(random_continuous_function(rng, A, B))
         else:
@@ -599,7 +604,7 @@ def suite_multivalued(rng, max_points=5, samples=200) -> list[CheckResult]:
 
     sub_viol = []
     for _ in range(samples // 10):
-        A = random_image(rng, 4)
+        A = random_image(rng, smaller)
         r = rng.randint(1, 3)
         if len(A) * r ** A.dim > 64:
             continue

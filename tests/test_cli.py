@@ -18,7 +18,7 @@ from digitop import (DigitalImage, FiniteFunction, cycle_image, enumerate_connec
 from digitop.errors import InternalError
 from digitop.functions import family_function_to_json
 from digitop.hyperspace import family_of
-from digitop.cli import _dumps, main
+from digitop.cli import _Members, _dumps, main
 
 
 def write(tmp_path, name, doc):
@@ -1094,6 +1094,59 @@ class TestJsonLayout:
         members = json.loads(capsys.readouterr().out)["members"]
         assert members == [[list(p) for p in sorted(m)] for m in family_of(image, kind).members]
 
+    @pytest.mark.parametrize("kind", ["connected", "full"])
+    @pytest.mark.parametrize("image, golden", [
+        ({"dim": 1, "adjacency": "c1", "points": [[-10]]},
+         {"connected": '{"kind": "connected", "vertices": 1, "edges": 0, "members": [[[-10]]]}',
+          "full": '{"kind": "full", "vertices": 1, "edges": 0, "members": [[[-10]]]}'}),
+        ({"dim": 1, "adjacency": "c1", "points": [[12], [-9], [-10]]},
+         {"connected": '{"kind": "connected", "vertices": 4, "edges": 3, "members": '
+                       '[[[-10]], [[-9]], [[-10], [-9]], [[12]]]}',
+          "full": '{"kind": "full", "vertices": 7, "edges": 6, "members": [[[-10]], [[-9]], '
+                  '[[-10], [-9]], [[12]], [[-10], [12]], [[-9], [12]], [[-10], [-9], [12]]]}'}),
+        ({"dim": 2, "adjacency": "c1", "points": [[-1, 10], [0, 11], [-1, 11]]},
+         {"connected": '{"kind": "connected", "vertices": 6, "edges": 10, "members": '
+                       '[[[-1, 10]], [[-1, 11]], [[-1, 10], [-1, 11]], [[0, 11]], '
+                       '[[-1, 11], [0, 11]], [[-1, 10], [-1, 11], [0, 11]]]}',
+          "full": '{"kind": "full", "vertices": 7, "edges": 14, "members": '
+                  '[[[-1, 10]], [[-1, 11]], [[-1, 10], [-1, 11]], [[0, 11]], [[-1, 10], [0, 11]], '
+                  '[[-1, 11], [0, 11]], [[-1, 10], [-1, 11], [0, 11]]]}'}),
+        ({"dim": 3, "adjacency": "c3", "points": [[-12, 0, 7], [-11, -1, 7]]},
+         {"connected": '{"kind": "connected", "vertices": 3, "edges": 3, "members": '
+                       '[[[-12, 0, 7]], [[-11, -1, 7]], [[-12, 0, 7], [-11, -1, 7]]]}',
+          "full": '{"kind": "full", "vertices": 3, "edges": 3, "members": '
+                  '[[[-12, 0, 7]], [[-11, -1, 7]], [[-12, 0, 7], [-11, -1, 7]]]}'}),
+    ], ids=["one-point", "1d", "2d", "3d"])
+    def test_hyperspace_golden(self, tmp_path, capsys, image, golden, kind):
+        # each golden document is the one the nested-list writer printed, in json.dumps' layout
+        path = write(tmp_path, "img.json", image)
+        assert main(["hyperspace", "--input", path, "--kind", kind, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(json.loads(golden[kind]), indent=2) + "\n"
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hyperspace_matches_the_nested_list_document(self, tmp_path_factory, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        points = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * dim),
+                                    min_size=1, max_size=6, unique=True), label="points")
+        image = DigitalImage.of(points, data.draw(st.integers(1, dim), label="u"))
+        kind = data.draw(st.sampled_from(["connected", "full"]), label="kind")
+        path = tmp_path_factory.getbasetemp() / "hyperspace.json"
+        path.write_text(json.dumps(image_to_json(image)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["hyperspace", "--input", str(path), "--kind", kind,
+                         "--format", "json"]) == 0
+        out = out.getvalue()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        family = family_of(image, kind)
+        assert out == json.dumps({
+            "kind": kind,
+            "vertices": len(family),
+            "edges": family.edge_count,
+            "members": [[list(p) for p in sorted(m)] for m in family.members],
+        }, indent=2) + "\n"
+
 
 json_strings = st.text(max_size=6) | st.sampled_from(
     ["", '"', "\\", "\n\t\x00\x1f", "caf\u00e9", "\u2028", "\U0001f600", "a\"b\\c"])
@@ -1119,11 +1172,24 @@ class TestDumps:
             max_leaves=24), label="value")
         assert _dumps(value) == json.dumps(value, indent=2)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_members_match_their_nested_lists(self, data):
+        points = data.draw(st.lists(st.tuples(json_ints) | st.tuples(json_ints, json_ints),
+                                    min_size=1, max_size=5), label="points")
+        masks = data.draw(st.lists(st.integers(1, 2 ** len(points) - 1), unique=True),
+                          label="masks")
+        value = _Members(tuple(points), tuple(sorted(masks)))
+        nested = [[p for i, p in enumerate(points) if m >> i & 1] for m in sorted(masks)]
+        for _ in range(data.draw(st.integers(0, 3), label="depth")):
+            value, nested = {"members": [value]}, {"members": [nested]}
+        assert _dumps(value) == json.dumps(nested, indent=2)
+
     @pytest.mark.parametrize("value", [
         1.5, {1, 2}, b"x", {1: "a"}, {"a": [None, {True: 0}]}, [0, 1, 2.0],
-        [(1,), (1.0,)], ((0, 1), frozenset()),
+        [(1,), (1.0,)], ((0, 1), frozenset()), {"members": _Members(((0,), (1.5,)), (1, 3))},
     ], ids=["float", "set", "bytes", "int-key", "nested-bool-key", "float-among-ints",
-            "float-tuple-equal-to-an-int-tuple", "frozenset-in-tuple"])
+            "float-tuple-equal-to-an-int-tuple", "frozenset-in-tuple", "float-point-of-a-member"])
     def test_other_types_raise_internal_error(self, value):
         with pytest.raises(InternalError):
             _dumps(value)

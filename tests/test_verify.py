@@ -75,7 +75,45 @@ def test_forced_failures_print_their_findings(monkeypatch):
     everything = verify.enumerate_all_subsets
     monkeypatch.setattr(verify, "enumerate_all_subsets", lambda X: everything(X).masks[1:])
     assert [r.line() for r in run_suites(["cardinality"], seed=0, samples=3)] == [
-        "FAIL cardinality/full-hyperspace-cardinality: failed for [1, 2, 3]",
+        "FAIL cardinality/full-hyperspace-cardinality: failed for intervals "
+        "n=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]; images "
+        "[DigitalImage(dim=1, points=((0,), (1,), (2,), (3,), (4,)), adjacency=1), "
+        "DigitalImage(dim=2, points=((0, 0), (1, 0), (2, 0), (2, 3), (3, 1)), adjacency=2), "
+        "DigitalImage(dim=2, points=((1, 2), (2, 1), (2, 2)), adjacency=1)]",
         "PASS cardinality/interval-connected-count",
         "PASS cardinality/interval-triangle-isomorphism",
     ]
+    # a member dropped only from images of more than one dimension: every interval passes
+    monkeypatch.setattr(verify, "enumerate_all_subsets",
+                        lambda X: everything(X).masks[X.dim > 1:])
+    assert run_suites(["cardinality"], seed=0, samples=3)[0].line() == (
+        "FAIL cardinality/full-hyperspace-cardinality: failed for intervals n=[]; images "
+        "[DigitalImage(dim=2, points=((0, 0), (1, 0), (2, 0), (2, 3), (3, 1)), adjacency=2), "
+        "DigitalImage(dim=2, points=((1, 2), (2, 1), (2, 2)), adjacency=1)]")
+
+
+def test_max_points_reaches_every_draw(monkeypatch, capsys):
+    """``--max-points`` caps every random image a suite draws; the claims that
+    draw smaller images keep their offset below it, floored at 1."""
+    from digitop import verify
+    from digitop.cli import main
+
+    caps, sizes = [], []
+
+    def recording(draw):
+        def wrapped(rng, max_points, **kwargs):
+            X = draw(rng, max_points, **kwargs)
+            caps.append(max_points)
+            sizes.append(len(X))
+            return X
+        return wrapped
+
+    for name in ("random_image", "random_connected_image"):
+        monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+    assert main(["verify", "--suite", "homotopy", "--max-points", "6", "--samples", "20"]) == 0
+    assert capsys.readouterr().out.endswith("9/9 checks passed (seed 0)\n")
+    assert min(caps) == 6 and max(sizes) > 3
+    caps.clear()
+    results = run_suites(["induced", "multivalued"], seed=0, max_points=1, samples=20)
+    assert all(r.passed for r in results)
+    assert set(caps) == {1}
