@@ -112,8 +112,9 @@ def test_max_points_reaches_every_draw(monkeypatch, capsys):
         monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
     assert main(["verify", "--suite", "homotopy", "--max-points", "6", "--samples", "20"]) == 0
     assert capsys.readouterr().out.endswith("9/9 checks passed (seed 0)\n")
-    assert min(caps) == 6 and max(sizes) > 3
-    caps.clear()
-    results = run_suites(["induced", "multivalued"], seed=0, max_points=1, samples=20)
-    assert all(r.passed for r in results)
-    assert set(caps) == {1}
+    assert set(caps) == {6, 7} and max(sizes) > 3
+    for max_points, want in ((6, {5, 6}), (1, {1})):
+        caps.clear()
+        results = run_suites(["induced", "multivalued"], seed=0, max_points=max_points, samples=20)
+        assert all(r.passed for r in results)
+        assert set(caps) == want
