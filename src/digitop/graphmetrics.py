@@ -26,13 +26,15 @@ breadth-first searches, each stopping as soon as every vertex is seen or
 with no result at the first level that adds none, only until every
 vertex's bounds meet.  A graph alone starts from the trivial bounds;
 ``seed_eccentricities`` starts it from bounds its space knows, such as a
-hyperspace's bounds from the Hausdorff distance.
+hyperspace's bounds from the Hausdorff distance, which are themselves
+read off the base image's eccentricities from the same kernel.
+``bfs_distances`` runs the same frontier-mask search from one source to
+the end and keeps each vertex's level.
 """
 
 from __future__ import annotations
 
 import io
-from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 
@@ -212,15 +214,18 @@ def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:
 
 
 def bfs_distances(G: FiniteGraph, source: int) -> list[int | None]:
-    dist: list[int | None] = [None] * G.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        i = queue.popleft()
-        for j in _bits(G.adj[i]):
-            if dist[j] is None:
-                dist[j] = dist[i] + 1
-                queue.append(j)
+    """Each vertex's path distance from ``source``, None where there is no path."""
+    adj, dist = G.adj, [None] * G.n
+    seen = frontier = 1 << source
+    d = 0
+    while frontier:
+        reach = 0
+        for i in _bits(frontier):
+            dist[i] = d
+            reach |= adj[i]
+        frontier = reach & ~seen
+        seen |= frontier
+        d += 1
     return dist
 
 

@@ -22,11 +22,14 @@ and some members of custom families AND over their points.  That is a
 few big-integer operations per member and |X| per distinct cover,
 instead of O(|X|) per member or a scan over all N^2 / 2 pairs.
 
-The lifted adjacency says exactly that the Hausdorff distance d_H(A, B)
-(:func:`hausdorff_distance`) under X's path metric is at most 1.  On a
-connected X the distance in 2^X is d_H, and in K(X) it is at least d_H,
-so a family reads bounds on its members' eccentricities off X's own
-(``SubsetFamily.eccentricity_bounds``).
+The Hausdorff distance d_H(A, B) under X's path metric
+(:func:`hausdorff_distance`) is the least d with A inside N_d(B) and B
+inside N_d(A), N_d the d-fold closed cover, and is read by growing those
+nested covers; d_H <= 1 is exactly the lifted adjacency.  On a connected
+X the distance in 2^X is d_H, and in K(X) it is at least d_H, so a
+family reads bounds on its members' eccentricities off X's own, which
+come from the one eccentricity kernel,
+``graphmetrics.bounded_eccentricities`` (``SubsetFamily.eccentricity_bounds``).
 
 A family is itself a vertex space (``vertices``, ``vertex_index``,
 ``adjacency_rows``), so maps between families are value rows like maps
@@ -164,21 +167,26 @@ class SubsetFamily(Value):
         family's graph, from the base's eccentricities; None where there are none.
 
         On a connected base X the distance in 2^X is the Hausdorff distance
-        d_H, so member A's eccentricity there is the largest ecc_X(a) over
-        a in A, realised by the singleton of a point farthest from such an
-        a: for the ``full`` family lower equals upper.  K(X) holds every
-        singleton and its distance is at least d_H, so for the
-        ``connected`` family the same value is a lower bound and ``upper``
-        is None.  A ``custom`` family, or one over a disconnected base, has
-        no bounds.  Member A takes the largest eccentricity among its
-        points, read level by level from the per-point member bitsets.
+        d_H, the least d at which each member lies in the other's d-fold
+        closed cover (d = 1 is the lifted adjacency), so member A's
+        eccentricity there is the largest ecc_X(a) over a in A, realised by
+        the singleton of a point farthest from such an a: for the ``full``
+        family lower equals upper.  K(X) holds every singleton and its
+        distance is at least d_H, so for the ``connected`` family the same
+        value is a lower bound and ``upper`` is None.  A ``custom`` family,
+        or one over a disconnected base, has no bounds.  X's eccentricities
+        come from the eccentricity kernel, ``graphmetrics.bounded_eccentricities``
+        over X's neighbour rows, which returns None on a disconnected X.
+        Member A takes the largest eccentricity among its points, read level
+        by level from the per-point member bitsets.
         """
+        from .graphmetrics import bounded_eccentricities
+
         if self.kind == "custom":
             return None
-        rows = self.base.distance_rows
-        if None in rows[0]:
+        ecc = bounded_eccentricities(self.base.neighbor_masks)
+        if ecc is None:
             return None
-        ecc = [max(row) for row in rows]
         levels = sorted(set(ecc), reverse=True)
         # every member not placed at a higher level holds only points of the lowest
         lower = [levels[-1]] * len(self.masks)
@@ -270,24 +278,22 @@ def hyper_adjacent(A: Iterable[Point], B: Iterable[Point], X: DigitalImage) -> b
 def hausdorff_distance(X: DigitalImage, a: int, b: int) -> int | None:
     """d_H(A, B) for nonempty point masks a, b of X under its path metric.
 
-    The largest distance from a point of either set to the other set, read
-    from X's breadth-first distance rows; None when it is infinite, that
-    is, when a component of X meets one set and not the other.
+    The least d with A inside N_d(B) and B inside N_d(A), where N_d is the
+    d-fold closed cover: N_1 is the cover that :func:`hyper_adjacent`
+    tests, so d = 1 is the lifted adjacency.  Both covers grow one step at
+    a time; None when d_H is infinite, that is, when a cover that still
+    misses the other set stops growing.
     """
     if not (0 < a < 1 << len(X) and 0 < b < 1 << len(X)):
         raise ValueError("hyperspace members must be nonempty masks of X's points")
-    rows = X.distance_rows
-    worst = 0
-    for s, t in ((a, b), (b, a)):
-        targets = tuple(_bits(t))
-        for p in _bits(s):
-            row = rows[p]
-            near = min((row[q] for q in targets if row[q] is not None), default=None)
-            if near is None:
-                return None
-            if near > worst:
-                worst = near
-    return worst
+    closed = X.closed_neighbor_masks
+    near_a, near_b, d = a, b, 0
+    while b & ~near_a or a & ~near_b:
+        grown_a, grown_b = _cover(closed, near_a), _cover(closed, near_b)
+        if grown_a == near_a and b & ~near_a or grown_b == near_b and a & ~near_b:
+            return None
+        near_a, near_b, d = grown_a, grown_b, d + 1
+    return d
 
 
 def _cover(rows: tuple[int, ...] | list[int], mask: int) -> int:

@@ -191,26 +191,6 @@ class DigitalImage(Value):
     def closed_neighbor_masks(self) -> tuple[int, ...]:
         return tuple(m | (1 << i) for i, m in enumerate(self.neighbor_masks))
 
-    @cached_property
-    def distance_rows(self) -> tuple[tuple[int | None, ...], ...]:
-        """Per point, its path distance to every point, None where there is no path."""
-        nbr, n = self.neighbor_masks, len(self.points)
-        rows = []
-        for s in range(n):
-            row = [None] * n
-            seen = frontier = 1 << s
-            d = 0
-            while frontier:
-                reach = 0
-                for i in _bits(frontier):
-                    row[i] = d
-                    reach |= nbr[i]
-                frontier = reach & ~seen
-                seen |= frontier
-                d += 1
-            rows.append(tuple(row))
-        return tuple(rows)
-
     def mask_of(self, pts: Iterable[Point]) -> int:
         idx = self.point_index
         mask = 0

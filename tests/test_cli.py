@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 import digitop.cli
 import digitop.graphmetrics
 from digitop import (DigitalImage, FiniteFunction, cycle_image, enumerate_connected_subsets,
-                     family_from_json, function_to_json, identity_map, image_from_json,
-                     image_to_json, induced_map, interval)
+                     family_from_json, function_from_json, function_to_json,
+                     has_weak_continuity, identity_map, image_from_json, image_to_json,
+                     induced_map, interval, is_connectivity_preserving, is_retraction,
+                     multifunction_from_json)
 from digitop.errors import InternalError
 from digitop.functions import family_function_to_json
 from digitop.hyperspace import family_of
@@ -1019,6 +1021,11 @@ def _check_layout_cases():
     whole = [[0], [1]]
     not_induced = {"domain": fam, "codomain": fam,
                    "pairs": [[[[0]], whole], [[[1]], whole], [whole, whole]]}
+    # retractions of X onto its first two points: one fixes them, one moves 0
+    onto = {"domain": X, "codomain": X2, "pairs": [[[0], [0]], [[1], [1]], [[2], [1]]]}
+    moves = {"domain": X, "codomain": X2, "pairs": [[[0], [1]], [[1], [1]], [[2], [1]]]}
+    # F(1) = {2} is two steps from F(0) = {0}, and {0, 2} is disconnected
+    far = {"domain": X2, "codomain": Y3, "pairs": [[[0], [[0]]], [[1], [[2]]]]}
     return [
         ("continuity-false", "continuity", jump, (), 1),
         ("continuity-true", "continuity", ident, (), 0),
@@ -1038,10 +1045,54 @@ def _check_layout_cases():
         ("egs-false", "egs-continuous", split, ("--r-max", "1"), 1),
         ("induced-by-true", "induced-by", induced, (), 0),
         ("induced-by-false", "induced-by", not_induced, (), 1),
+        ("retraction-true", "retraction", onto, (), 0),
+        ("retraction-false", "retraction", moves, (), 1),
+        ("weak-continuity-true", "weak-continuity", split, (), 0),
+        ("weak-continuity-false", "weak-continuity", far, (), 1),
+        ("connectivity-preserving-true", "connectivity-preserving", split, (), 0),
+        ("connectivity-preserving-false", "connectivity-preserving", far, (), 1),
     ]
 
 
 CHECK_LAYOUT_CASES = _check_layout_cases()
+
+
+def _retraction(doc):
+    f = function_from_json(doc)
+    return is_retraction(f, f.codomain.points)
+
+
+#: The library call behind each check whose verdict carries no witness.
+LIBRARY_VERDICTS = {
+    "retraction": _retraction,
+    "weak-continuity": lambda doc: has_weak_continuity(multifunction_from_json(doc)),
+    "connectivity-preserving":
+        lambda doc: is_connectivity_preserving(multifunction_from_json(doc)),
+}
+
+
+class TestCheckVerdicts:
+    @pytest.mark.parametrize("name, doc", [
+        case[1:3] for case in CHECK_LAYOUT_CASES if case[1] in LIBRARY_VERDICTS],
+        ids=[case[0] for case in CHECK_LAYOUT_CASES if case[1] in LIBRARY_VERDICTS])
+    def test_verdict_is_the_library_call(self, tmp_path, capsys, name, doc):
+        verdict = LIBRARY_VERDICTS[name](doc)
+        path = write(tmp_path, "doc.json", doc)
+        assert main(["check", name, "--input", path]) == (0 if verdict else 1)
+        assert capsys.readouterr().out == f"{name}: {'true' if verdict else 'false'}\n"
+        assert main(["check", name, "--input", path, "--format", "json"]) == (0 if verdict else 1)
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"check": name, "verdict": verdict, "witness": None}
+
+    def test_retraction_target_outside_the_domain(self, tmp_path, capsys):
+        X = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
+        Y = {"dim": 1, "adjacency": "c1", "points": [[0], [5]]}
+        doc = write(tmp_path, "r.json", {"domain": X, "codomain": Y,
+                                         "pairs": [[[0], [0]], [[1], [5]]]})
+        assert main(["check", "retraction", "--input", doc]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: retraction target is not a subset of the domain\n"
 
 
 class TestJsonLayout:

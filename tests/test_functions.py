@@ -174,6 +174,12 @@ class TestInducedMap:
         for fam in (enumerate_all_subsets(X), enumerate_connected_subsets(X)):
             assert induced_map(identity_map(X), fam).pairs == identity_map(fam).pairs
 
+    def test_compose_refuses_mismatched_spaces(self):
+        f, g = identity_map(interval(0, 2)), identity_map(interval(0, 1))
+        with pytest.raises(ValueError,
+                           match="^composition mismatch: codomain of f is not domain of g$"):
+            compose(g, f)
+
     def test_composition_law(self):
         rng = random.Random(2)
         for _ in range(40):
@@ -301,6 +307,15 @@ class TestFindInducingMap:
         K = enumerate_connected_subsets(X)
         F = FiniteFunction.from_table(K, K, {m: frozenset(X.points) for m in K.members})
         assert find_inducing_map(F) is None
+
+    def test_custom_families_refused(self):
+        K = enumerate_connected_subsets(interval(0, 1))
+        custom = K.subfamily(K.members)
+        for dom, cod in ((custom, K), (K, custom)):
+            F = FiniteFunction._trusted(dom, cod, tuple(range(len(K))))
+            with pytest.raises(ValueError,
+                               match="^inducing-map search needs full or connected families$"):
+                find_inducing_map(F)
 
     def test_roundtrip_of_random_induced(self):
         rng = random.Random(8)

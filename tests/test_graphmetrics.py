@@ -412,6 +412,17 @@ class TestDominating:
     def test_empty_fails(self):
         assert not is_dominating([], path_graph(3))
 
+    def test_vertex_outside_the_graph_refused(self):
+        for d in (3, -1):
+            with pytest.raises(ValueError, match=f"^vertex {d} is not in the graph$"):
+                is_dominating([0, d], path_graph(3))
+
+    def test_minimum_budget(self):
+        with pytest.raises(BudgetError,
+                           match="^dominating-set search needs 5 vertices but the budget is 4$"):
+            minimum_dominating_set(path_graph(5), budget=4)
+        assert minimum_dominating_set(path_graph(5), budget=5) == {1, 3}
+
     def test_minimum_on_singleton(self):
         assert minimum_dominating_set(FiniteGraph(1, (0,))) == {0}
 
@@ -677,6 +688,14 @@ class TestBoundedEccentricities:
             lower, upper = full.eccentricity_bounds()
             assert lower == upper == frontier_eccentricities(as_finite_graph(full))
 
+    def test_one_point_and_disconnected_bases(self):
+        point = DigitalImage.of([(0,)])
+        assert family_of(point, "full").eccentricity_bounds() == ((0,), (0,))
+        assert family_of(point, "connected").eccentricity_bounds() == ((0,), None)
+        apart = DigitalImage.of([(0,), (2,), (3,)])
+        for kind in ("full", "connected"):
+            assert family_of(apart, kind).eccentricity_bounds() is None
+
     def test_custom_family_has_no_bounds(self):
         family = enumerate_connected_subsets(interval(0, 3))
         custom = family.subfamily(m for m in family.members if len(m) != 2)
@@ -695,6 +714,10 @@ class TestDisconnects:
     def test_removing_everything_rejected(self):
         with pytest.raises(ValueError):
             disconnects(interval(0, 1).points, interval(0, 1))
+
+    def test_point_outside_the_image_refused(self):
+        with pytest.raises(ValueError, match=r"^point \(5,\) is not in the image$"):
+            disconnects([(1,), (5,)], interval(0, 2))
 
     def test_lifts_to_hyperspace(self):
         X = interval(0, 4)
@@ -735,4 +758,7 @@ class TestExport:
         G = path_graph(4)
         assert not is_valid_cycle(G, (0, 1, 2))
         assert not is_valid_cycle(G, (0, 1, 1))
+        # vertices out of range are refused before any row is read
+        assert not is_valid_cycle(complete_graph(4), (0, 1, 4))
+        assert not is_valid_cycle(complete_graph(4), (-1, 0, 1))
         assert is_valid_cycle(complete_graph(4), (0, 1, 2, 3))

@@ -245,6 +245,10 @@ class TestFunctionGraph:
         G = build_function_graph(interval(0, 0), interval(0, 1), PHI)
         assert len(G.vertices) == 2 and len(G.edges) == 1
 
+    def test_unknown_flavor_refused(self):
+        with pytest.raises(ValueError, match="^unknown function-graph flavor 'chi'$"):
+            build_function_graph(interval(0, 1), interval(0, 1), "chi")
+
     def test_psi_edges_within_phi(self):
         rng = random.Random(12)
         for _ in range(15):
@@ -457,6 +461,25 @@ class TestVerifyHomotopy:
         f, _ = remark_pair
         H = HomotopyTable(f.domain, f.codomain, (f,))
         assert verify_homotopy(H, f, f)
+
+    def test_table_refuses_empty_or_mismatched_slices(self, remark_pair):
+        f, _ = remark_pair
+        with pytest.raises(ValueError, match="^a homotopy table needs at least one slice$"):
+            HomotopyTable(f.domain, f.codomain, ())
+        with pytest.raises(ValueError, match="^slice signature does not match the table$"):
+            HomotopyTable(f.domain, f.codomain, (f, identity_map(interval(0, 1))))
+
+    def test_unknown_mode_refused(self, remark_pair):
+        f, _ = remark_pair
+        H = HomotopyTable(f.domain, f.codomain, (f,))
+        with pytest.raises(ValueError, match="^unknown homotopy mode 'loose'$"):
+            verify_homotopy(H, f, f, mode="loose")
+
+    def test_maps_of_other_spaces_fail(self, remark_pair):
+        f, _ = remark_pair
+        H = HomotopyTable(f.domain, f.codomain, (f,))
+        other = identity_map(interval(5, 7))
+        assert not verify_homotopy(H, other, other)
 
     def test_one_step_needs_pointwise_closeness(self):
         X = interval(0, 3)
@@ -863,6 +886,11 @@ class TestPostcompose:
         X, W = interval(0, 2), interval(0, 1)
         T = postcompose_map(identity_map(X), W)
         assert all(a == b for a, b in T.pairs)
+
+    def test_discontinuous_map_refused(self):
+        X = interval(0, 2)
+        with pytest.raises(ValueError, match="^post-composition needs a continuous map$"):
+            postcompose_map(fn(X, X, (0,), (2,), (2,)), interval(0, 1))
 
     def test_continuous_as_graph_map(self):
         rng = random.Random(33)

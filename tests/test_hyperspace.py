@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from digitop import (BudgetError, DigitalImage, SubsetFamily, as_finite_graph,
                      interval_triangle_iso, is_connected_graph, is_isomorphism,
                      union_of_family)
 from digitop.graphmetrics import bfs_distances, induced_subgraph
+from digitop.hyperspace import family_of
 from digitop.lattice import adjacent_or_equal
 from digitop.verify import random_connected_image, random_image
 
@@ -408,6 +410,18 @@ class TestFamilySerialization:
         sub = fam.subfamily([{(0,)}, {(0,), (1,)}])
         assert sub.kind == "custom"
         assert family_from_json(family_to_json(sub)) == sub
+
+    def test_non_members_refused(self):
+        fam = enumerate_connected_subsets(interval(0, 2))
+        gap = {(0,), (2,)}
+        with pytest.raises(ValueError,
+                           match=re.escape("not a member of the family: [(0,), (2,)]")):
+            fam.index_of(gap)
+        with pytest.raises(ValueError, match="^subfamily member is not a member of this family$"):
+            fam.subfamily([{(0,)}, gap])
+        with pytest.raises(ValueError,
+                           match="^cannot enumerate a 'custom' family; pass one explicitly$"):
+            family_of(interval(0, 2), "custom")
 
     def test_full_kind_validated(self):
         X = interval(0, 1)

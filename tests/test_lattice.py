@@ -15,6 +15,7 @@ from digitop import (DigitalImage, HomotopyTable, LatticePath, as_multifunction,
                      multifunction_from_json, multifunction_to_json, neighbors)
 from digitop.cli import _run_check
 from digitop.functions import family_function_from_json, family_function_to_json
+from digitop.graphmetrics import as_finite_graph, bfs_distances
 from digitop.lattice import _bits, _connectivity_order
 from digitop.verify import random_image
 
@@ -88,9 +89,12 @@ class TestNeighbors:
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_distance_rows_match_point_bfs(self, seed):
+    def test_bfs_distances_match_point_bfs(self, seed):
+        # random images of up to 10 points, disconnected ones included; the
+        # reference is a queue over points and X.neighbors, not over rows
         X = random_image(random.Random(seed), 10)
-        for p, row in zip(X.points, X.distance_rows):
+        G = as_finite_graph(X)
+        for i, p in enumerate(X.points):
             dist, queue = {p: 0}, deque([p])
             while queue:
                 q = queue.popleft()
@@ -98,7 +102,7 @@ class TestNeighbors:
                     if r not in dist:
                         dist[r] = dist[q] + 1
                         queue.append(r)
-            assert row == tuple(dist.get(q) for q in X.points)
+            assert bfs_distances(G, i) == [dist.get(q) for q in X.points]
 
     def test_neighbor_count_bounds(self):
         line = interval(-3, 3)

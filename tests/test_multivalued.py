@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitop import (BudgetError, DigitalImage, MultiFunction, Subdivision,
+from digitop import (BudgetError, DigitalImage, FiniteFunction, MultiFunction, Subdivision,
                      as_multifunction, enumerate_connected_subsets, family_of,
                      generates, has_strong_continuity, has_weak_continuity, induced_map,
                      induced_multifunction_map, interval,
@@ -299,6 +299,15 @@ class TestGeneratorContinuity:
         other = MultiFunction.from_table(
             ladder.domain, ladder.codomain, {(0,): {(0,)}, (1,): {(1,)}})
         assert not generates(result.generator, other, sub)
+        # the generator on another subdivision, or toward another codomain
+        assert not generates(result.generator, ladder, Subdivision(ladder.domain, 3))
+        wider = MultiFunction.from_table(
+            ladder.domain, interval(0, 3), {(0,): {(0,)}, (1,): {(1,), (2,)}})
+        assert not generates(result.generator, wider, sub)
+        # 0, 0, 2, 1 on the subdivision gives exactly the ladder's value sets,
+        # but jumps from 0 to 2 between its second and third points
+        jump = FiniteFunction._trusted(sub.image, ladder.codomain, (0, 0, 2, 1))
+        assert not generates(jump, ladder, sub)
 
     def test_budget(self):
         # never generable, so the search climbs r until the budget trips
