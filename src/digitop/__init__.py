@@ -13,11 +13,12 @@ from .lattice import (AdjacencyKind, DigitalImage, LatticePath, Point,
 from .hyperspace import (SubsetFamily, enumerate_all_subsets,
                          enumerate_connected_subsets, family_from_json, family_of,
                          family_to_json, hausdorff_distance, hyper_adjacent,
-                         hyperspace_graph, interval_triangle_iso, triangle_image,
+                         hyperspace_graph, lift_dominating, triangle_image,
                          union_of_family)
 from .functions import (FiniteFunction, compose, constant_map, find_inducing_map,
                         function_from_json, function_to_json, identity_map,
-                        induced_map, is_continuous, is_isomorphism, is_retraction)
+                        induced_map, interval_triangle_iso, is_continuous, is_isomorphism,
+                        is_retraction)
 from .homotopy import (FunctionGraph, HomotopyDecision, HomotopyTable,
                        build_function_graph, enumerate_continuous_maps,
                        homotopic, homotopy_from_json, homotopy_to_json,
@@ -33,9 +34,8 @@ from .multivalued import (EgsResult, MultiFunction, Subdivision,
 from .graphmetrics import (CycleWitness, FiniteGraph, as_finite_graph, center,
                            connected_components, diameter, disconnects,
                            eccentricity, girth, induced_subgraph, is_connected_graph,
-                           is_dominating, is_valid_cycle, lift_dominating,
-                           longest_cycle, metrics_csv, minimum_dominating_set,
-                           radius, to_dot)
+                           is_dominating, is_valid_cycle, longest_cycle, metrics_csv,
+                           minimum_dominating_set, radius, to_dot)
 
 __version__ = "0.1.0"
 

@@ -25,9 +25,8 @@ from .functions import (FiniteFunction, continuity_counterexample,
                         family_function_from_json, function_from_json, function_to_json,
                         is_isomorphism, is_retraction, find_inducing_map)
 from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
-                       homotopic, homotopy_to_json, is_contractible, phi_adjacent,
-                       phi_counterexample, psi_adjacent, psi_counterexample,
-                       strongly_homotopic, verify_homotopy)
+                       homotopic, homotopy_to_json, is_contractible, phi_counterexample,
+                       psi_counterexample, strongly_homotopic, verify_homotopy)
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, family_of, hyperspace_graph
 from .lattice import DigitalImage, _bits, _fields, image_from_json
 from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
@@ -222,16 +221,17 @@ def _run_check(name: str, doc: dict, args):
             # one set of images, so their adjacency rows are built once
             g = FiniteFunction._trusted(f.domain, f.codomain, g.row)
         xs = f.domain.points
+        # adjacency is "distinct and no counterexample", so each is read once
         if name == "phi-adjacent":
-            if phi_adjacent(f, g):
-                return True, None
             x = phi_counterexample(f, g)
-            return False, {"equal": True} if x is None else {"x": xs[x]}
+            if x is not None:
+                return False, {"x": xs[x]}
+            return (True, None) if f != g else (False, {"equal": True})
         if name == "psi-adjacent":
-            if psi_adjacent(f, g):
-                return True, None
             bad = psi_counterexample(f, g)
-            return False, {"equal": True} if bad is None else {"x0": xs[bad[0]], "x1": xs[bad[1]]}
+            if bad is not None:
+                return False, {"x0": xs[bad[0]], "x1": xs[bad[1]]}
+            return (True, None) if f != g else (False, {"equal": True})
         decide = homotopic if name == "homotopic" else strongly_homotopic
         decision = decide(f, g, budget=args.budget_functions)
         if not decision:
@@ -363,6 +363,8 @@ def cmd_export_dot(args) -> int:
         highlight = gm.girth(graph)
     elif args.highlight == "long-cycle":
         highlight = gm.longest_cycle(graph, args.budget_cycle)
+    if highlight is not None and not gm.is_valid_cycle(graph, highlight.vertices):
+        raise InternalError("cycle witness failed re-validation")
     _emit(args, gm.to_dot(graph, highlight=highlight, labels=name))
     return 0
 

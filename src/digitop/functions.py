@@ -11,7 +11,8 @@ and the labelled ``pairs`` and ``table`` are views built on first use.
 The checkers below read rows: values a, b are adjacent or equal iff
 ``a == b or cod_rows[a] >> b & 1``, whatever the codomain.  The
 inducing-map search needs no enumeration: a map's values on singletons
-fix it.
+fix it.  ``interval_triangle_iso`` is the paper's map from K([a, b]_Z)
+onto the c_2 triangle.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from functools import cached_property
 
-from .hyperspace import (DEFAULT_POINT_BUDGET, SubsetFamily, _cover, family_from_json,
-                         family_of, family_to_json)
-from .lattice import (DigitalImage, Point, _as_point, _fields, _row_pairs, image_from_json,
-                      image_to_json)
+from .hyperspace import (DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_connected_subsets,
+                         family_from_json, family_of, family_to_json, triangle_image)
+from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _row_pairs,
+                      image_from_json, image_to_json, interval)
 from .value import Value
 
 
@@ -202,6 +203,22 @@ def find_inducing_map(F: FiniteFunction) -> FiniteFunction | None:
     except ValueError:
         return None
     return f if candidate.row == F.row else None
+
+
+def interval_triangle_iso(a: int, b: int) -> FiniteFunction:
+    """The map [m, n] |-> (m, n) from K([a, b]_Z) onto the c_2 triangle.
+
+    Its domain is the connected-subset family, so :func:`is_isomorphism`
+    can certify it directly.
+    """
+    if a > b:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    family = enumerate_connected_subsets(interval(a, b))
+    table = {}
+    for member in family.members:
+        xs = sorted(p[0] for p in member)
+        table[member] = (xs[0], xs[-1])
+    return FiniteFunction.from_table(family, triangle_image(a, b), table)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -300,15 +300,12 @@ class FunctionGraph(Value):
     def adjacency_rows(self) -> tuple[int, ...]:
         """Per map, the bitmask of its neighbours' indices.
 
-        One ``_continuous_rows`` call over the ``_allow_masks`` boxes of all
-        rows, in index order, maps each row to the boxes that hold it: the
-        indices of the maps adjacent or equal to it.  Row i is that mask
-        less bit i.
+        One unbounded level expansion of all rows, in index order, maps
+        each row to the boxes that hold it: the indices of the maps
+        adjacent or equal to it.  Row i is that mask less bit i.
         """
-        X, Y = self.domain, self.codomain
-        order, earlier = _connectivity_order(X)
-        boxes = list(map(_allow_masks(X, Y, self.flavor, order), self.rows))
-        held, _ = _continuous_rows(Y, order, earlier, boxes)
+        expand = _level_expansion(self.domain, self.codomain, self.flavor, budget=float("inf"))
+        held = expand(list(self.rows))
         return tuple(held[row] ^ 1 << i for i, row in enumerate(self.rows))
 
     @cached_property
@@ -332,7 +329,7 @@ class FunctionGraph(Value):
     def find_path(self, f: FiniteFunction, g: FiniteFunction) -> tuple[FiniteFunction, ...] | None:
         """A shortest path of vertices from f to g, or None if separated."""
         rows = self.adjacency_rows
-        path, _ = _bfs(self.index_of(f), lambda i: _bits(rows[i]), self.index_of(g).__eq__)
+        path = _bfs(self.index_of(f), lambda i: _bits(rows[i]), self.index_of(g).__eq__)
         X, Y, maps = self.domain, self.codomain, self.rows
         return None if path is None else tuple(FiniteFunction._trusted(X, Y, maps[k]) for k in path)
 
@@ -469,8 +466,7 @@ def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,
         raise ValueError(f"unknown homotopy mode {mode!r}")
     if fixed_point is not None and not 0 <= fixed_point < len(f.row):
         raise ValueError(f"fixed point {fixed_point!r} is not a domain vertex index")
-    if not (H.domain == f.domain == g.domain and H.codomain == f.codomain == g.codomain):
-        return False
+    # the slices carry H's spaces, so this also refuses f, g of other spaces
     if H.slices[0] != f or H.slices[-1] != g:
         return False
     if not all(is_continuous(h) for h in H.slices):
@@ -524,7 +520,7 @@ def is_contractible(X: DigitalImage, budget: int = DEFAULT_FUNCTION_BUDGET) -> b
                 return False
         return True
 
-    path, _ = _bfs(tuple(range(len(X))), _adjacent_rows(X, X, PHI, budget=budget), near_constant)
+    path = _bfs(tuple(range(len(X))), _adjacent_rows(X, X, PHI, budget=budget), near_constant)
     return path is not None
 
 

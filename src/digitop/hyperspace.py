@@ -28,8 +28,10 @@ inside N_d(A), N_d the d-fold closed cover, and is read by growing those
 nested covers; d_H <= 1 is exactly the lifted adjacency.  On a connected
 X the distance in 2^X is d_H, and in K(X) it is at least d_H, so a
 family reads bounds on its members' eccentricities off X's own, which
-come from the one eccentricity kernel,
-``graphmetrics.bounded_eccentricities`` (``SubsetFamily.eccentricity_bounds``).
+come from the one eccentricity kernel, ``graphmetrics.bounded_eccentricities``
+(``SubsetFamily.eccentricity_bounds``); :func:`lift_dominating` gives the
+members meeting a set of points.  Every cover grows by ``lattice._cover``,
+and maps such as ``functions.interval_triangle_iso`` live above this module.
 
 A family is itself a vertex space (``vertices``, ``vertex_index``,
 ``adjacency_rows``), so maps between families are value rows like maps
@@ -44,8 +46,9 @@ from collections.abc import Iterable
 from functools import cached_property
 
 from .errors import BudgetError
-from .lattice import (DigitalImage, Point, _bits, _fields, _flood, _row_pairs, image_from_json,
-                      image_to_json, interval)
+from .graphmetrics import bounded_eccentricities
+from .lattice import (DigitalImage, Point, _bits, _cover, _fields, _flood, _row_pairs,
+                      image_from_json, image_to_json)
 from .value import Value
 
 #: Images with more points than this may not be expanded into hyperspaces.
@@ -180,8 +183,6 @@ class SubsetFamily(Value):
         Member A takes the largest eccentricity among its points, read level
         by level from the per-point member bitsets.
         """
-        from .graphmetrics import bounded_eccentricities
-
         if self.kind == "custom":
             return None
         ecc = bounded_eccentricities(self.base.neighbor_masks)
@@ -192,11 +193,7 @@ class SubsetFamily(Value):
         lower = [levels[-1]] * len(self.masks)
         held, placed = self._point_members, 0
         for e in levels[:-1]:
-            hit = 0
-            for p, ep in enumerate(ecc):
-                if ep == e:
-                    hit |= held[p]
-            hit &= ~placed
+            hit = _cover(held, sum(1 << p for p, ep in enumerate(ecc) if ep == e)) & ~placed
             placed |= hit
             for i in _bits(hit):
                 lower[i] = e
@@ -296,15 +293,6 @@ def hausdorff_distance(X: DigitalImage, a: int, b: int) -> int | None:
     return d
 
 
-def _cover(rows: tuple[int, ...] | list[int], mask: int) -> int:
-    """The OR of ``rows[i]`` over the bits i of ``mask``: over closed
-    neighbourhood rows, the union of the closed neighbourhoods of its points."""
-    c = 0
-    for i in _bits(mask):
-        c |= rows[i]
-    return c
-
-
 def enumerate_all_subsets(X: DigitalImage, budget: int = DEFAULT_POINT_BUDGET) -> SubsetFamily:
     """The full hyperspace 2^X: every nonempty subset, 2^n - 1 members."""
     _check_budget(X, budget)
@@ -354,6 +342,18 @@ def family_of(image: DigitalImage, kind: str,
     raise ValueError(f"cannot enumerate a {kind!r} family; pass one explicitly")
 
 
+def lift_dominating(D: Iterable[Point], X: DigitalImage,
+                    family: SubsetFamily | None = None,
+                    budget: int = DEFAULT_POINT_BUDGET) -> frozenset[int]:
+    """Indices (into the family's member order) of members meeting D."""
+    if family is None:
+        family = enumerate_all_subsets(X, budget)
+    elif family.base != X:
+        raise ValueError("the family is not a hyperspace of X")
+    dmask = X.mask_of(D)
+    return frozenset(i for i, m in enumerate(family.masks) if m & dmask)
+
+
 def hyperspace_graph(family: SubsetFamily) -> SubsetFamily:
     """The family with its graph under the lifted adjacency built as rows."""
     family.adjacency_rows  # built once and cached on the family
@@ -377,26 +377,6 @@ def triangle_image(a: int, b: int) -> DigitalImage:
         raise ValueError(f"empty triangle for a={a} > b={b}")
     pts = tuple((x, y) for x in range(a, b + 1) for y in range(x, b + 1))
     return DigitalImage(2, pts, 2)
-
-
-def interval_triangle_iso(a: int, b: int):
-    """The map [m, n] |-> (m, n) from K([a, b]_Z) onto the c_2 triangle.
-
-    Returned as a function object whose domain is the connected-subset
-    family, so the isomorphism checker in :mod:`digitop.functions` can
-    certify it directly.
-    """
-    from .functions import FiniteFunction
-
-    if a > b:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    family = enumerate_connected_subsets(interval(a, b))
-    tri = triangle_image(a, b)
-    table = {}
-    for member in family.members:
-        xs = sorted(p[0] for p in member)
-        table[member] = (xs[0], xs[-1])
-    return FiniteFunction.from_table(family, tri, table)
 
 
 # -- JSON ------------------------------------------------------------------

@@ -5,16 +5,17 @@ whose edges are given by the c_u relation: two distinct points are adjacent
 when at most u coordinates differ by exactly 1 and all other coordinates
 agree.  Everything here is immutable and safe to share between threads.
 
-Connectivity is one mask flood: ``_flood`` grows a seed along bitmask
-adjacency rows inside a mask, and subset connectivity, components, family
-validation, function-graph components, connectivity preservation and the
-graph components all call it.  Paths come from two searches.  ``_bfs``
-returns the first path it finds to a goal, expanding neighbours in the
-order given; girth, ``FunctionGraph.find_path`` and contractibility call
-it.  ``_bidirectional_bfs`` returns the same path to one given goal,
-the lexicographically least shortest one, from balls grown at both ends
-one whole level at a time: it takes a level expansion, which maps a list
-of vertices to their closed neighbours, each with the mask of the list
+Every search that only grows a set steps with ``_cover``, the OR of
+bitmask rows over a mask's bits (over closed rows, a set's closed cover).
+``_flood`` grows a seed with it inside a mask, and ``_components``, the
+one component walk of images and graphs, floods from the lowest vertex
+left.  Paths come from two searches.  ``_bfs`` returns the first
+path it finds to a goal, expanding neighbours in the order given; girth,
+``FunctionGraph.find_path`` and contractibility call it.
+``_bidirectional_bfs`` returns the same path to one given goal, the
+lexicographically least shortest one, from balls grown at both ends one
+whole level at a time: it takes a level expansion, which maps a list of
+vertices to their closed neighbours, each with the mask of the list
 positions it is adjacent or equal to.  The homotopy searches call it.
 
 Every JSON document loader (images here, families, maps, multifunctions,
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from operator import add
 
@@ -215,13 +216,7 @@ class DigitalImage(Value):
 
     def components(self) -> tuple[frozenset[Point], ...]:
         """The c_u components of the image, in order of their smallest point."""
-        comps = []
-        left = (1 << len(self.points)) - 1
-        while left:
-            comp = _flood(self.neighbor_masks, left & -left, left)
-            comps.append(self.points_of(comp))
-            left ^= comp
-        return tuple(comps)
+        return tuple(map(self.points_of, _components(self.neighbor_masks)))
 
     def restrict(self, pts: Iterable[Point]) -> DigitalImage:
         """The image on a nonempty subset of the points, same adjacency."""
@@ -239,28 +234,43 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _flood(rows: tuple[int, ...], seed: int, within: int) -> int:
+def _cover(rows: Sequence[int], mask: int) -> int:
+    """The OR of ``rows[i]`` over the bits i of ``mask``: one breadth-first step."""
+    c = 0
+    while mask:
+        low = mask & -mask
+        c |= rows[low.bit_length() - 1]
+        mask ^= low
+    return c
+
+
+def _flood(rows: Sequence[int], seed: int, within: int) -> int:
     """The part of ``within`` reachable from ``seed`` along the bitmask ``rows``."""
     seen = frontier = seed & within
     while frontier:
-        reach = 0
-        for i in _bits(frontier):
-            reach |= rows[i]
-        frontier = reach & within & ~seen
+        frontier = _cover(rows, frontier) & within & ~seen
         seen |= frontier
     return seen
+
+
+def _components(rows: Sequence[int]) -> Iterator[int]:
+    """The components of the bitmask ``rows`` as masks, in order of their lowest bit."""
+    left = (1 << len(rows)) - 1
+    while left:
+        comp = _flood(rows, left & -left, left)
+        yield comp
+        left ^= comp
 
 
 def _bfs(start, neighbors, is_goal):
     """Breadth-first search from ``start``, expanding ``neighbors(v)`` in order.
 
-    Returns the path to the first vertex found with ``is_goal`` (None if
-    there is none) and the dict of reached vertices, each mapped to its
-    predecessor.
+    Returns the path to the first vertex found with ``is_goal``, or None if
+    there is none.
     """
     prev = {start: None}
     if is_goal(start):
-        return [start], prev
+        return [start]
     queue = deque([start])
     while queue:
         v = queue.popleft()
@@ -271,9 +281,9 @@ def _bfs(start, neighbors, is_goal):
                     path = [w]
                     while prev[path[-1]] is not None:
                         path.append(prev[path[-1]])
-                    return path[::-1], prev
+                    return path[::-1]
                 queue.append(w)
-    return None, prev
+    return None
 
 
 def _bidirectional_bfs(start, goal, expand):

@@ -27,9 +27,9 @@ from functools import cached_property
 
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
-from .hyperspace import DEFAULT_POINT_BUDGET, _cover, enumerate_connected_subsets, family_of
-from .lattice import (DigitalImage, Point, _as_point, _connectivity_order, _fields, _flood,
-                      _row_pairs, image_from_json, image_to_json)
+from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
+from .lattice import (DigitalImage, Point, _as_point, _connectivity_order, _cover, _fields,
+                      _flood, _row_pairs, image_from_json, image_to_json)
 from .value import Value
 
 #: Cap on the number of subdivision points a generator search will handle.

@@ -12,15 +12,15 @@ import random
 
 from . import graphmetrics as gm
 from .functions import (FiniteFunction, compose, constant_map, identity_map,
-                        induced_map, is_continuous, is_isomorphism, is_retraction,
-                        find_inducing_map)
+                        induced_map, interval_triangle_iso, is_continuous, is_isomorphism,
+                        is_retraction, find_inducing_map)
 from .homotopy import (PHI, PSI, build_function_graph, enumerate_continuous_maps,
                        homotopic, is_contractible, lift_homotopy_to_hyperspace,
                        phi_adjacent, postcompose_map, strongly_homotopic,
                        verify_homotopy, HomotopyTable)
 from .hyperspace import (enumerate_all_subsets, enumerate_connected_subsets,
                          hausdorff_distance, hyper_adjacent, hyperspace_graph,
-                         interval_triangle_iso, union_of_family)
+                         lift_dominating, union_of_family)
 from .lattice import DigitalImage, cycle_image, cycle_points, interval
 from .multivalued import (MultiFunction, Subdivision, as_multifunction, generates,
                           has_strong_continuity, has_weak_continuity,
@@ -153,8 +153,9 @@ def oracle_homotopic(f: FiniteFunction, g: FiniteFunction) -> bool:
     for _ in range(len(maps)):
         if g in seen:
             return True
-        frontier = [h1 for h0 in frontier for h1 in maps
-                    if h1 not in seen and step_ok(h0, h1)]
+        # each map once, however many frontier maps reach it
+        frontier = list(dict.fromkeys(h1 for h0 in frontier for h1 in maps
+                                      if h1 not in seen and step_ok(h0, h1)))
         if not frontier:
             break
         seen.update(frontier)
@@ -699,7 +700,7 @@ def suite_dominating(rng, max_points=5, samples=100) -> list[CheckResult]:
         n = len(X)
         for dmask in range(1 << n):
             D = [X.points[i] for i in range(n) if dmask >> i & 1]
-            lifted = gm.lift_dominating(D, X, family=fam)
+            lifted = lift_dominating(D, X, family=fam)
             lo = gm.is_dominating([X.point_index[p] for p in D], GX)
             hi = gm.is_dominating(lifted, G)
             if lo != hi:

@@ -990,6 +990,18 @@ class TestInternalError:
         assert captured.out == ""
         assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("highlight", ["girth", "long-cycle"])
+    def test_export_dot_revalidates_its_highlight(self, monkeypatch, capsys, img4, highlight):
+        # the interval's image graph is a path, so 0, 1, 2 is no cycle of it
+        not_a_cycle = digitop.graphmetrics.CycleWitness((0, 1, 2))
+        for name in ("girth", "longest_cycle"):
+            monkeypatch.setattr(digitop.graphmetrics, name, lambda *args: not_a_cycle)
+        assert main(["export-dot", "--input", img4, "--view", "image",
+                     "--highlight", highlight]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: cycle witness failed re-validation\n"
+
     def test_unwritable_json_value_exit_code(self, monkeypatch, capsys, remark_docs):
         monkeypatch.setattr(digitop.cli, "homotopy_to_json",
                             lambda table: {"m": 1.0, "slices": []})

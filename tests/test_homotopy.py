@@ -758,14 +758,14 @@ class TestLazySearch:
         f, g = rng.choice(rows), rng.choice(rows)
         F, G = (FiniteFunction._trusted(X, Y, row) for row in (f, g))
         for flavor, strong in ((PHI, False), (PSI, True)):
-            path, _ = _bfs(f, _adjacent_rows(X, Y, flavor, budget=10 ** 9), g.__eq__)
+            path = _bfs(f, _adjacent_rows(X, Y, flavor, budget=10 ** 9), g.__eq__)
             decide = strongly_homotopic if strong else homotopic
             assert _rows(decide(F, G, budget=10 ** 9)) == path
             for i, x in enumerate(X.points):
                 path = None
                 if f[i] == g[i]:
                     neighbors = _adjacent_rows(X, Y, flavor, (i, f[i]), 10 ** 9)
-                    path, _ = _bfs(f, neighbors, g.__eq__)
+                    path = _bfs(f, neighbors, g.__eq__)
                 assert _rows(pointed_homotopic(F, G, x, 10 ** 9, strong)) == path
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((PHI, PSI)), st.booleans())
@@ -809,8 +809,8 @@ class TestLazySearch:
         # random images in Z and Z^2 under c1 and c2, disconnected ones included
         X = random_image(random.Random(seed), 5)
         n = len(X)
-        path, _ = _bfs(tuple(range(n)), _adjacent_rows(X, X, PHI, budget=10 ** 9),
-                       lambda row: row.count(row[0]) == n)
+        path = _bfs(tuple(range(n)), _adjacent_rows(X, X, PHI, budget=10 ** 9),
+                    lambda row: row.count(row[0]) == n)
         assert is_contractible(X, 10 ** 9) == (path is not None)
 
     @given(st.integers(0, 2 ** 32 - 1))

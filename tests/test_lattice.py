@@ -15,8 +15,8 @@ from digitop import (DigitalImage, HomotopyTable, LatticePath, as_multifunction,
                      multifunction_from_json, multifunction_to_json, neighbors)
 from digitop.cli import _run_check
 from digitop.functions import family_function_from_json, family_function_to_json
-from digitop.graphmetrics import as_finite_graph, bfs_distances
-from digitop.lattice import _bits, _connectivity_order
+from digitop.graphmetrics import as_finite_graph, bfs_distances, connected_components
+from digitop.lattice import _bits, _components, _connectivity_order, _cover, _flood
 from digitop.verify import random_image
 
 points_1d = st.integers(-5, 5).map(lambda v: (v,))
@@ -220,7 +220,65 @@ def random_sparse_image(rng):
     return DigitalImage(dim, tuple(pts), rng.randint(1, dim))
 
 
+@st.composite
+def bitmask_rows(draw):
+    """Symmetric adjacency rows on up to 10 vertices with at most as many
+    edges as vertices, so often disconnected."""
+    n = draw(st.integers(0, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = [0] * n
+    for i, j in draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else ():
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def point_reach(rows, start, inside):
+    """The vertices of ``inside`` reachable from the set ``start`` through
+    ``inside``, by a point breadth-first search over the rows' bit lists."""
+    seen = start & inside
+    queue = deque(seen)
+    while queue:
+        i = queue.popleft()
+        for j in _bits(rows[i]):
+            if j in inside and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return seen
+
+
 class TestConnectivityReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(bitmask_rows(), st.integers(0, 2 ** 10 - 1), st.integers(0, 2 ** 10 - 1))
+    def test_mask_steps_match_point_references(self, rows, seed, within):
+        n = len(rows)
+        seed &= (1 << n) - 1
+        within &= (1 << n) - 1
+
+        def vertices(mask):
+            return {i for i in range(n) if mask >> i & 1}
+
+        assert _cover(rows, 0) == 0
+        assert vertices(_cover(rows, seed)) == {j for i in vertices(seed) for j in _bits(rows[i])}
+        # the last within excludes the seed, so the flood reaches nothing
+        for inside in (within, within | seed, within & ~seed):
+            assert vertices(_flood(rows, seed, inside)) == point_reach(
+                rows, vertices(seed), vertices(inside))
+        comps, left = [], set(range(n))
+        for v in range(n):
+            if v in left:
+                comps.append(point_reach(rows, {v}, left))
+                left -= comps[-1]
+        assert list(map(vertices, _components(rows))) == comps
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_image_and_graph_components_agree(self, seed):
+        X = random_sparse_image(random.Random(seed))
+        index = X.point_index
+        assert connected_components(as_finite_graph(X)) == tuple(
+            tuple(sorted(index[p] for p in comp)) for comp in X.components())
+
     def test_components_and_order_match_point_search(self):
         rng = random.Random(31)
         counts = set()
