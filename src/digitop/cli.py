@@ -8,7 +8,13 @@ Every ``--format json`` document comes from one writer, ``_dumps``, whose
 bytes are those of ``json.dumps(value, indent=2)``.
 Each verb takes only the ``--budget-*`` flags it reads (``BUDGETS``).  The
 library returns vertex indices, witnesses included; only the CLI names them,
-from the points, member masks and map rows of the space.
+from the points, member masks and map rows of the space.  A member's text,
+in a hyperspace document or a printed name, is its prefix's text (the member
+less its highest point) and that point's text, memoised per mask.
+A command line that starts with a known verb is parsed by that verb's
+subparser alone; the top parser reports what it leaves over and parses
+every other command line, so exits and messages are those of
+``build_parser().parse_args``.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ from json.encoder import encode_basestring_ascii
 
 from . import graphmetrics as gm
 from .errors import BudgetError, InternalError
-from .functions import (FiniteFunction, continuity_counterexample,
-                        family_function_from_json, function_from_json, function_to_json,
-                        is_isomorphism, is_retraction, find_inducing_map)
+from .functions import (continuity_counterexample, family_function_from_json,
+                        function_from_json, function_to_json, is_isomorphism, is_retraction,
+                        find_inducing_map, pair_from_json)
 from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
                        homotopic, homotopy_to_json, is_contractible, phi_counterexample,
                        psi_counterexample, strongly_homotopic, verify_homotopy)
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, family_of, hyperspace_graph
-from .lattice import DigitalImage, _bits, _fields, image_from_json
+from .lattice import DigitalImage, image_from_json
 from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
                           is_connectivity_preserving, is_egs_continuous,
                           multifunction_from_json, strong_continuity_counterexample,
@@ -127,11 +133,10 @@ def _dumps(value) -> str:
     def write_members(v: _Members, depth: int) -> str:
         if not v.masks:
             return "[]"
-        points = [write(p, depth + 2) for p in v.points]
         inner, point = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-        open_, sep, close = "[" + point, "," + point, inner + "]"
-        # SubsetFamily members are nonempty, so each mask has a point to open with
-        members = [open_ + sep.join([points[i] for i in _bits(m)]) + close for m in v.masks]
+        text = _member_texts([write(p, depth + 2) for p in v.points], "," + point)
+        open_, close = "[" + point, inner + "]"
+        members = [open_ + text(m) + close for m in v.masks]
         return "[" + inner + ("," + inner).join(members) + "\n" + "  " * depth + "]"
 
     return write(value, 0)
@@ -139,7 +144,7 @@ def _dumps(value) -> str:
 
 class _Members:
     """Members of a family as bit masks over ``points``, the image's sorted
-    points: ``_dumps`` writes it as ``[[points[i] for i in _bits(m)] for m in masks]``."""
+    points: ``_dumps`` writes each mask as the list of its points in ascending bit order."""
 
     __slots__ = ("points", "masks")
 
@@ -153,10 +158,37 @@ def _point_names(image: DigitalImage) -> list[str]:
             for p in image.points]
 
 
+def _member_texts(points: list[str], sep: str):
+    """``text(mask)``: the texts of a nonempty mask's points in ascending bit
+    order, joined by ``sep``.
+
+    A mask's text is the text of the mask less its highest point, then
+    ``sep``, then that point's text.  Texts are memoised per mask, so along
+    ascending masks a member whose prefix was written costs one join.  The
+    prefixes are walked in a loop, not by recursion: a mask may have more
+    points than the recursion limit has frames.
+    """
+    memo = {1 << i: p for i, p in enumerate(points)}
+
+    def text(mask: int) -> str:
+        t = memo.get(mask)
+        if t is None:
+            chain = []
+            while t is None:
+                chain.append(mask)
+                mask ^= 1 << (mask.bit_length() - 1)
+                t = memo.get(mask)
+            for m in reversed(chain):
+                t = memo[m] = t + sep + points[m.bit_length() - 1]
+        return t
+
+    return text
+
+
 def _member_names(family, points: list[str]):
     """``name(i)``: member i's point names in ascending bit order, in braces."""
-    masks = family.masks
-    return lambda i: "{" + ",".join(points[p] for p in _bits(masks[i])) + "}"
+    masks, text = family.masks, _member_texts(points, ",")
+    return lambda i: "{" + text(masks[i]) + "}"
 
 
 def _view_space(args):
@@ -216,10 +248,7 @@ def _run_check(name: str, doc: dict, args):
         f = function_from_json(doc)
         return is_retraction(f, f.codomain.points), None
     if name in ("phi-adjacent", "psi-adjacent", "homotopic", "strongly-homotopic"):
-        f, g = map(function_from_json, _fields(doc, "pair", "f", "g"))
-        if g.domain == f.domain and g.codomain == f.codomain:
-            # one set of images, so their adjacency rows are built once
-            g = FiniteFunction._trusted(f.domain, f.codomain, g.row)
+        f, g = pair_from_json(doc)
         xs = f.domain.points
         # adjacency is "distinct and no counterexample", so each is read once
         if name == "phi-adjacent":
@@ -451,9 +480,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call in this process, built on first use."""
-    return build_parser()
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser of every ``main`` call in this process, built on first use,
+    and its verbs map: each verb's name to its subparser."""
+    parser = build_parser()
+    return parser, next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same namespace, exit and messages.
+
+    The top parser would hand everything after the verb to the verb's
+    subparser anyway, so a command line that starts with a known verb is
+    parsed by that subparser alone, and anything it leaves over is reported
+    by the top parser, as ``parse_args`` reports it.  Any other command line
+    (empty, help, an unknown verb, an option before the verb) goes to the
+    top parser.
+    """
+    parser, verbs = _shared_parser()
+    sub = verbs.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if rest:
+        parser.error("unrecognized arguments: " + " ".join(rest))
+    return args
 
 
 def main(argv=None) -> int:
@@ -463,7 +515,7 @@ def main(argv=None) -> int:
     parser, built by the first of them, and each parse returns a fresh
     namespace, so no value carries over from one call to the next.
     """
-    args = _shared_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except BudgetError as exc:

@@ -236,10 +236,32 @@ def function_to_json(f: FiniteFunction, images: dict | None = None) -> dict:
     return {**images, "pairs": [[xs[i], ys[v]] for i, v in enumerate(f.row)]}
 
 
+def _function_over(domain: DigitalImage, codomain: DigitalImage, pairs) -> FiniteFunction:
+    return FiniteFunction(domain, codomain, tuple((_as_point(x), _as_point(y)) for x, y in pairs))
+
+
 def function_from_json(doc: dict) -> FiniteFunction:
     domain, codomain, pairs = _fields(doc, "function", "domain", "codomain", "pairs")
-    return FiniteFunction(image_from_json(domain), image_from_json(codomain),
-                          tuple((_as_point(x), _as_point(y)) for x, y in pairs))
+    return _function_over(image_from_json(domain), image_from_json(codomain), pairs)
+
+
+def pair_from_json(doc: dict) -> tuple[FiniteFunction, FiniteFunction]:
+    """The maps f and g of a pair document ``{"f": ..., "g": ...}``.
+
+    When g's domain and codomain documents are f's, g's table is checked
+    against f's images instead of images read again, so the two maps share
+    one set of images and its adjacency rows are built once.  The documents
+    must be equal JSON values of equal types: ``==`` alone takes ``true``
+    and ``1.0`` for ``1``, which an image document refuses, and ``repr``
+    tells them apart (once ``==`` holds, at no more depth than f's).
+    """
+    f_doc, g_doc = _fields(doc, "pair", "f", "g")
+    f = function_from_json(f_doc)
+    domain, codomain, pairs = _fields(g_doc, "function", "domain", "codomain", "pairs")
+    if all(a == b and repr(a) == repr(b) for a, b in ((domain, f_doc["domain"]),
+                                                      (codomain, f_doc["codomain"]))):
+        return f, _function_over(f.domain, f.codomain, pairs)
+    return f, _function_over(image_from_json(domain), image_from_json(codomain), pairs)
 
 
 def family_function_to_json(F: FiniteFunction) -> dict:

@@ -5,7 +5,9 @@ import contextlib
 import copy
 import io
 import json
+import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from digitop import (DigitalImage, FiniteFunction, cycle_image, enumerate_connec
                      induced_map, interval, is_connectivity_preserving, is_retraction,
                      multifunction_from_json)
 from digitop.errors import InternalError
-from digitop.functions import family_function_to_json
+from digitop.functions import family_function_to_json, pair_from_json
 from digitop.hyperspace import family_of
 from digitop.cli import _Members, _dumps, main
 
@@ -1329,3 +1331,214 @@ class TestDocumentFuzz:
         assert message == "" or (message.count("\n") == 1 and message.endswith("\n"))
         if rc == 2:
             assert message.startswith(("error:", "parse error:"))
+
+
+# Command lines on which ``main`` must parse as the top parser does: every
+# help, usage and error path of the top parser and of the verbs, and a
+# success of each verb.  No document is read, so the paths need not exist.
+PARSE_ARGV = [
+    [], ["-h"], ["--help"],
+    ["nosuch"], ["hyp", "--input", "x.json"],
+    ["hyperspace", "-h"], ["check", "homotopic", "--input", "x.json", "--help"],
+    ["metrics", "--view", "connected", "-h", "--input", "x.json"],
+    ["verify", "--seed", "1", "--he"],
+    ["hyperspace"], ["check", "homotopic"], ["check"], ["verify", "--suite"],
+    ["hyperspace", "--input", "x.json", "--bogus", "1"],
+    ["girth", "--bogus", "--input", "x.json"],
+    ["hyperspace", "--input", "x.json", "extra"],
+    ["check", "homotopic", "contractible", "--input", "x.json"],
+    ["hyperspace", "hyperspace", "--input", "x.json"],
+    ["hyperspace", "--inp", "x.json", "--k", "full"],
+    ["girth", "--input", "x.json", "--budget", "5"], ["metrics", "--input", "x.json", "--f", "csv"],
+    ["hyperspace", "--input", "x.json", "--kind", "bogus"],
+    ["check", "nosuch", "--input", "x.json"],
+    ["metrics", "--input", "x.json", "--format", "dot"],
+    ["hyperspace", "--input", "x.json", "--budget-hyperspace", "0"],
+    ["girth", "--input", "x.json", "--budget-cycle", "-1"],
+    ["dominate", "--input", "x.json", "--budget-dominating", "two"],
+    ["verify", "--samples", "0"], ["verify", "--seed", "x"],
+    ["check", "egs-continuous", "--input", "x.json", "--r-max", "1.5"],
+    ["hyperspace", "--", "--input", "x.json"],
+    ["check", "--input", "x.json", "--", "homotopic"],
+    ["verify", "--suite", "cardinality", "--", "induced"],
+    ["--input", "x.json", "hyperspace"], ["-h", "hyperspace"], ["--bogus", "hyperspace"],
+    ["--", "hyperspace", "--input", "x.json"],
+    ["hyperspace", "--input", "x.json"],
+    ["hyperspace", "--input=x.json", "--kind", "full", "--format", "dot", "--output", "o.dot",
+     "--budget-hyperspace", "6"],
+    ["check", "egs-continuous", "--input", "x.json", "--r-max", "2", "--budget-subdivision", "9",
+     "--format", "json"],
+    ["check", "--input", "x.json", "homotopic", "--budget-functions", "300"],
+    ["verify"],
+    ["verify", "--suite", "hausdorff", "homotopy", "--seed", "-3", "--max-points", "5",
+     "--samples", "7", "--output", "v.txt"],
+    ["girth", "--input", "x.json", "--view", "connected", "--budget-cycle", "12"],
+    ["dominate", "--input", "x.json", "--view", "full", "--budget-dominating", "9"],
+    ["metrics", "--input", "x.json", "--view", "functions", "--codomain", "y.json",
+     "--flavor", "psi", "--format", "csv"],
+    ["export-dot", "--input", "x.json", "--highlight", "girth", "--input", "z.json"],
+]
+PARSE_ARGV += [[verb] + (["contractible"] if verb == "check" else []) + ["--input", "x.json",
+                                                                         flag, "5"]
+               for verb, flags in VERB_BUDGETS.items() for flag in sorted(ALL_BUDGETS - flags)]
+PARSE_ARGV += [["verify", flag, "5"] for flag in sorted(ALL_BUDGETS)]
+
+
+def parse_outcome(parse, argv):
+    """The exit code, stdout, stderr and namespace fields of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code = fields = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), fields
+
+
+ARGV_TOKENS = (sorted(VERB_BUDGETS) + ["verify", "hyp", "homotopic", "contractible", "-h",
+                                       "--help", "--", "--input", "--inp", "--input=x.json",
+                                       "--kind", "--format", "--view", "--suite", "--seed",
+                                       "--bogus", "x.json", "full", "json", "all", "0", "5",
+                                       "-1"] + sorted(ALL_BUDGETS))
+
+
+class TestParse:
+    """``main`` parses with the verb's own subparser, and every outcome is
+    that of the running interpreter's ``build_parser().parse_args``."""
+
+    @pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+    def test_matches_the_top_parser(self, argv):
+        want = parse_outcome(digitop.cli.build_parser().parse_args, argv)
+        assert parse_outcome(digitop.cli._parse, argv) == want
+
+    @given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_token_sequences_match_the_top_parser(self, argv):
+        want = parse_outcome(digitop.cli.build_parser().parse_args, argv)
+        assert parse_outcome(digitop.cli._parse, argv) == want
+
+    def test_outcomes_cover_every_path(self):
+        codes = [parse_outcome(digitop.cli._parse, argv)[0] for argv in PARSE_ARGV]
+        assert {0, 2, None} <= set(codes)
+
+    @pytest.mark.parametrize("argv, rc, usage", [
+        (["nosuch"], 2, "usage: digitop [-h]"),
+        (["hyperspace", "--input", "line4.json", "--bogus", "1"], 2, "usage: digitop [-h]"),
+        (["hyperspace"], 2, "usage: digitop hyperspace"),
+    ])
+    def test_main_reads_sys_argv(self, monkeypatch, capsys, argv, rc, usage):
+        monkeypatch.setattr(sys, "argv", ["digitop"] + argv)
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == rc
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(usage)
+
+
+@st.composite
+def c1_trees(draw, max_points=8):
+    """A c1 image whose graph is a tree, grown from the origin one leaf at a time."""
+    points = [(0, 0)]
+    for _ in range(draw(st.integers(0, max_points - 1))):
+        x, y = draw(st.sampled_from(points))
+        dx, dy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        q = (x + dx, y + dy)
+        if q not in points and sum(abs(q[0] - a) + abs(q[1] - b) == 1 for a, b in points) == 1:
+            points.append(q)
+    return DigitalImage.of(points, 1)
+
+
+@st.composite
+def member_families(draw):
+    """(points, point names, family with ``masks``): K(X) of a path or a tree,
+    where a member less its highest point need not be a member, or ascending
+    masks of up to 24 bits over made-up points."""
+    source = draw(st.sampled_from(["path", "tree", "masks"]))
+    if source != "masks":
+        lo = draw(st.integers(-5, 5))
+        image = interval(lo, lo + draw(st.integers(0, 7))) if source == "path" else draw(c1_trees())
+        return image.points, digitop.cli._point_names(image), family_of(image, "connected")
+    n = draw(st.integers(1, 24))
+    points = tuple((i, -i) if i % 2 else (i,) for i in range(n))
+    masks = draw(st.lists(st.integers(1, 2 ** n - 1), unique=True, max_size=40))
+    return points, [f"p{i}" for i in range(n)], SimpleNamespace(masks=tuple(sorted(masks)))
+
+
+class TestMemberTexts:
+    """Member texts come from their prefixes and match the texts joined point by point."""
+
+    @given(member_families(), st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_texts_match_the_nested_lists(self, family, depth):
+        points, _, family = family
+        value = _Members(points, family.masks)
+        nested = [[p for i, p in enumerate(points) if m >> i & 1] for m in family.masks]
+        for _ in range(depth):
+            value, nested = {"members": [value]}, {"members": [nested]}
+        assert _dumps(value) == json.dumps(nested, indent=2)
+
+    @given(member_families(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_member_names_match_their_joined_names(self, family, data):
+        _, names, family = family
+        name = digitop.cli._member_names(family, names)
+        # names are asked in any order, and again, as DOT labels and centers ask them
+        order = data.draw(st.permutations(range(len(family.masks))), label="order")
+        for i in order + order[:3]:
+            m = family.masks[i]
+            assert name(i) == "{" + ",".join(s for p, s in enumerate(names) if m >> p & 1) + "}"
+
+    def test_members_wider_than_the_recursion_limit(self):
+        points = tuple((i,) for i in range(1100))
+        full = (1 << 1100) - 1
+        masks = (full ^ 1 << 500, full)
+        nested = [[p for p in points if p != (500,)], list(points)]
+        assert _dumps(_Members(points, masks)) == json.dumps(nested, indent=2)
+        names = [str(i) for i in range(1100)]
+        name = digitop.cli._member_names(SimpleNamespace(masks=masks[::-1]), names)
+        assert name(0) == "{" + ",".join(names) + "}"
+
+
+class TestPairDocuments:
+    """A pair whose g reads f's image documents is built over f's images."""
+
+    X = {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]}
+    X_REORDERED = {"dim": 1, "adjacency": "c1", "points": [[2], [0], [1]]}
+    F = {"domain": X, "codomain": X, "pairs": [[[0], [0]], [[1], [1]], [[2], [2]]]}
+
+    def test_shared_image_documents_give_one_set_of_images(self):
+        g = {"domain": copy.deepcopy(self.X), "codomain": copy.deepcopy(self.X),
+             "pairs": [[[0], [1]], [[1], [2]], [[2], [2]]]}
+        f, g = pair_from_json({"f": self.F, "g": g})
+        assert g.domain is f.domain and g.codomain is f.codomain
+        assert g.row == (1, 2, 2)
+
+    def test_other_image_documents_are_read(self):
+        g = {"domain": self.X, "codomain": self.X_REORDERED,
+             "pairs": [[[0], [1]], [[1], [2]], [[2], [2]]]}
+        f, g = pair_from_json({"f": self.F, "g": g})
+        assert g.codomain is not f.codomain and g.codomain == f.codomain
+        assert g.row == (1, 2, 2)
+
+    @pytest.mark.parametrize("images", ["shared", "distinct"])
+    @pytest.mark.parametrize("change, message", [
+        ({"pairs": None}, "function document is missing 'pairs'"),
+        ({"pairs": [[[0], [5]], [[1], [1]], [[2], [2]]]}, "value (5,) at (0,) is outside the codomain"),
+        ({"pairs": [[[0], [0]], [[1], [1]]]}, "function table must be total on the domain"),
+        ({"pairs": [[[0], [0.0]], [[1], [1]], [[2], [2]]]}, "not a lattice point: [0.0]"),
+        # equal to f's documents under ==, but not as JSON values
+        ({"domain": dict(X, dim=True)}, "dim must be an integer, got True"),
+        ({"domain": dict(X, points=[[0], [True], [2]])}, "not a lattice point: (True,)"),
+        ({"codomain": dict(X, points=[[0.0], [1], [2]])}, "not a lattice point: (0.0,)"),
+    ], ids=["missing-key", "outside-the-codomain", "not-total", "float-value", "bool-dim",
+            "bool-coordinate", "float-coordinate"])
+    def test_malformed_g_is_refused(self, tmp_path, capsys, images, change, message):
+        # exit 2 with the message of each document read on its own
+        g = {"domain": self.X, "codomain": self.X if images == "shared" else self.X_REORDERED,
+             "pairs": self.F["pairs"]}
+        g = {k: v for k, v in {**g, **change}.items() if v is not None}
+        path = write(tmp_path, "pair.json", {"f": self.F, "g": g})
+        for name in ("phi-adjacent", "homotopic"):
+            assert main(["check", name, "--input", path]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
