@@ -135,9 +135,10 @@ def _dumps(value) -> str:
             return "[]"
         inner, point = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
         text = _member_texts([write(p, depth + 2) for p in v.points], "," + point)
+        # each member is "[" + point + its text + inner + "]", between "," + inner
         open_, close = "[" + point, inner + "]"
-        members = [open_ + text(m) + close for m in v.masks]
-        return "[" + inner + ("," + inner).join(members) + "\n" + "  " * depth + "]"
+        return ("[" + inner + open_ + (close + "," + inner + open_).join(map(text, v.masks))
+                + close + "\n" + "  " * depth + "]")
 
     return write(value, 0)
 
@@ -162,24 +163,30 @@ def _member_texts(points: list[str], sep: str):
     """``text(mask)``: the texts of a nonempty mask's points in ascending bit
     order, joined by ``sep``.
 
-    A mask's text is the text of the mask less its highest point, then
-    ``sep``, then that point's text.  Texts are memoised per mask, so along
-    ascending masks a member whose prefix was written costs one join.  The
-    prefixes are walked in a loop, not by recursion: a mask may have more
-    points than the recursion limit has frames.
+    A mask's text is the text of its prefix (the mask less its highest
+    point), then ``sep``, then that point's text.  Texts are memoised per
+    mask, so along ascending masks a member whose prefix is a member costs
+    one lookup and one join.  A new prefix is walked down in a loop, not by
+    recursion: a mask may have more points than the recursion limit has
+    frames.
     """
     memo = {1 << i: p for i, p in enumerate(points)}
 
     def text(mask: int) -> str:
         t = memo.get(mask)
         if t is None:
-            chain = []
-            while t is None:
-                chain.append(mask)
-                mask ^= 1 << (mask.bit_length() - 1)
-                t = memo.get(mask)
-            for m in reversed(chain):
-                t = memo[m] = t + sep + points[m.bit_length() - 1]
+            top = mask.bit_length() - 1
+            head = memo.get(mask ^ 1 << top)
+            if head is None:
+                # down to the longest prefix with a text, then back up
+                chain, prefix = [], mask ^ 1 << top
+                while head is None:
+                    chain.append(prefix)
+                    prefix ^= 1 << (prefix.bit_length() - 1)
+                    head = memo.get(prefix)
+                for m in reversed(chain):
+                    head = memo[m] = head + sep + points[m.bit_length() - 1]
+            t = memo[mask] = head + sep + points[top]
         return t
 
     return text
