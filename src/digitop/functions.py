@@ -253,7 +253,8 @@ def pair_from_json(doc: dict) -> tuple[FiniteFunction, FiniteFunction]:
     one set of images and its adjacency rows are built once.  The documents
     must be equal JSON values of equal types: ``==`` alone takes ``true``
     and ``1.0`` for ``1``, which an image document refuses, and ``repr``
-    tells them apart (once ``==`` holds, at no more depth than f's).
+    tells them apart.  ``repr`` runs only once ``==`` holds, so it recurses
+    no deeper than ``==`` did.
     """
     f_doc, g_doc = _fields(doc, "pair", "f", "g")
     f = function_from_json(f_doc)
