@@ -79,7 +79,9 @@ def _dumps(value) -> str:
     Point tuples and the image documents all slices of a homotopy witness
     share recur, so each tuple and dict is written once per nesting depth
     and its text reused.  Lists rarely recur, and a memo entry each costs
-    more than it saves.  The memo is keyed by identity, so an equal tuple
+    more than it saves.  A list, tuple or str-keyed dict whose values are
+    all ints (bools are not) writes them with ``int.__repr__``, not one
+    ``write`` call each.  The memo is keyed by identity, so an equal tuple
     of other types, such as (True,) for (1,), never shares text, and the
     document keeps every key alive.  A ``_Members`` value is written as its
     list of point lists: each point's text once, at its depth, and each
@@ -113,11 +115,15 @@ def _dumps(value) -> str:
         if not v:
             return "{}"
         inner = "\n" + "  " * (depth + 1)
-        fields = []
-        for k, x in v.items():
-            if type(k) is not str:
-                raise InternalError(f"cannot write a {type(k).__name__} key as JSON")
-            fields.append(encode_basestring_ascii(k) + ": " + write(x, depth + 1))
+        if all(type(x) is int for x in v.values()) and all(type(k) is str for k in v):
+            fields = map(": ".join, zip(map(encode_basestring_ascii, v),
+                                        map(int.__repr__, v.values())))
+        else:
+            fields = []
+            for k, x in v.items():
+                if type(k) is not str:
+                    raise InternalError(f"cannot write a {type(k).__name__} key as JSON")
+                fields.append(encode_basestring_ascii(k) + ": " + write(x, depth + 1))
         return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
 
     def write_items(v, depth: int) -> str:

@@ -26,8 +26,9 @@ breadth-first searches, each stopping as soon as every vertex is seen or
 with no result at the first level that adds none, only until every
 vertex's bounds meet.  A graph alone starts from the trivial bounds;
 ``seed_eccentricities`` starts it from bounds its space knows, such as a
-hyperspace's bounds from the Hausdorff distance.  ``bfs_distances`` steps
-with ``lattice._cover``, and ``connected_components`` is ``lattice._components``.
+hyperspace's bounds from the Hausdorff distance.  ``bfs_distances`` walks
+each level once, recording its distances and ORing its rows in the same
+lowest-bit loop, and ``connected_components`` is ``lattice._components``.
 Of the package this module imports only ``value``, ``errors`` and
 ``lattice``, so ``hyperspace`` imports the eccentricity kernel at the top.
 """
@@ -39,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 
 from .errors import BudgetError
-from .lattice import (DigitalImage, Point, _bfs, _bits, _components, _cover, _flood, _row_pairs,
+from .lattice import (DigitalImage, Point, _bfs, _bits, _components, _flood, _row_pairs,
                       is_connected)
 from .value import Value
 
@@ -218,13 +219,20 @@ def induced_subgraph(G: FiniteGraph, keep: Iterable[int]) -> FiniteGraph:
 
 def bfs_distances(G: FiniteGraph, source: int) -> list[int | None]:
     """Each vertex's path distance from ``source``, None where there is no path."""
-    dist = [None] * G.n
+    adj, dist = G.adj, [None] * G.n
     seen = frontier = 1 << source
     d = 0
     while frontier:
-        for i in _bits(frontier):
+        # one lowest-bit walk records the level and ORs its rows, as in
+        # bounded_eccentricities
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            i = low.bit_length() - 1
             dist[i] = d
-        frontier = _cover(G.adj, frontier) & ~seen
+            reach |= adj[i]
+            frontier ^= low
+        frontier = reach & ~seen
         seen |= frontier
         d += 1
     return dist

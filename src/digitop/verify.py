@@ -4,6 +4,20 @@ Each suite draws small random images (boxes in Z^1/Z^2 under c_1/c_2) from
 a seeded generator, runs one family of universally quantified claims on
 them, and reports one pass/fail line per claim.  Output is deterministic
 for a fixed seed: no clocks, no set-iteration order leaks.
+
+The oracles re-decide what the exponential kernels decide, by other
+methods and without the code they check, and neither multiplies.
+``oracle_longest_cycle`` runs Held and Karp's subset recurrence ("A dynamic
+programming approach to sequencing problems", J. SIAM 10(1), 1962) in
+O(2^n n) bit steps over masks it builds from ``G.adjacent``; no cycle code
+of ``graphmetrics`` runs.  ``oracle_homotopic`` searches the maps of
+``enumerate_continuous_maps`` breadth first over their value rows, bucketed
+by their value at one point: each map enters the frontier once and tests
+only the maps whose value there is close to its own, against one table of
+close value pairs from ``Y.adjacent_or_equal``.  The homotopy module's
+masks, row kernel and searches are not used.  ``oracle_pairwise_connected``
+looks for a path inside the set between every pair of its points with
+``X.adjacent``.
 """
 
 from __future__ import annotations
@@ -118,48 +132,72 @@ def rotations(n: int) -> list[FiniteFunction]:
 
 
 def oracle_longest_cycle(G: gm.FiniteGraph) -> int | None:
-    """Longest cycle length by checking vertex permutations of every subset."""
-    from itertools import combinations, permutations
+    """Longest cycle length by Held and Karp's recurrence over vertex subsets.
 
-    best = None
-    for k in range(G.n, 2, -1):
-        if best is not None:
-            break
-        for sub in combinations(range(G.n), k):
-            anchor, rest = sub[0], sub[1:]
-            for perm in permutations(rest):
-                if k > 3 and perm[0] > perm[-1]:
-                    continue  # each cycle once per direction
-                seq = (anchor,) + perm
-                if all(G.adjacent(seq[i], seq[(i + 1) % k]) for i in range(k)):
-                    best = k
-                    break
-            if best is not None:
-                break
-    return best
+    ``ends[S]`` is the mask of the vertices where a path from min(S) that
+    covers exactly S can end: v in S ends one when some end of S - {v}
+    is adjacent to v.  A cycle on S exists iff |S| >= 3 and ``ends[S]``
+    meets min(S)'s neighbours.  O(2^n n) bit steps over masks built from
+    ``G.adjacent`` alone; no cycle code of ``graphmetrics`` runs.
+    """
+    n = G.n
+    adj = [sum(1 << j for j in range(n) if j != i and G.adjacent(i, j)) for i in range(n)]
+    ends = [0] * (1 << n)
+    best = 2
+    for S in range(1, 1 << n):
+        low = S & -S
+        rest = S ^ low
+        if not rest:
+            ends[S] = low  # the one-vertex path
+            continue
+        here = 0
+        while rest:
+            b = rest & -rest
+            if ends[S ^ b] & adj[b.bit_length() - 1]:
+                here |= b
+            rest ^= b
+        ends[S] = here
+        if here & adj[low.bit_length() - 1] and S.bit_count() > best:
+            best = S.bit_count()
+    return best if best > 2 else None
 
 
 def oracle_homotopic(f: FiniteFunction, g: FiniteFunction) -> bool:
     """Step-table search: grow the set of slices reachable from f by tables
-    whose two-slice steps satisfy the deformation conditions directly."""
+    whose two-slice steps satisfy the deformation conditions directly.
+
+    A breadth-first search over the value rows of
+    ``enumerate_continuous_maps(X, Y)``: a step from h0 to h1 needs
+    h0(x), h1(x) adjacent or equal at every point x, read from one table
+    of the close value pairs built with ``Y.adjacent_or_equal``.  The maps
+    are bucketed by their value at X's first point.  Each map enters the
+    frontier once and tests only the maps in the buckets of the values
+    close to its own there, with |X| pair lookups each, so no level tests
+    every frontier map against every map.  The step relation reads none of
+    the homotopy module's closed-neighbour or allow masks, row kernel or
+    searches.
+    """
     X, Y = f.domain, f.codomain
-    maps = enumerate_continuous_maps(X, Y)
-
-    def step_ok(h0, h1):
-        return all(Y.adjacent_or_equal(h0.table[x], h1.table[x]) for x in X.points)
-
-    seen = {f}
-    frontier = [f]
-    for _ in range(len(maps)):
-        if g in seen:
-            return True
-        # each map once, however many frontier maps reach it
-        frontier = list(dict.fromkeys(h1 for h0 in frontier for h1 in maps
-                                      if h1 not in seen and step_ok(h0, h1)))
-        if not frontier:
-            break
-        seen.update(frontier)
-    return g in seen
+    if g.domain != X or g.codomain != Y:
+        return False
+    points = Y.points
+    near = [[b for b, q in enumerate(points) if Y.adjacent_or_equal(p, q)] for p in points]
+    close = {(a, b) for a, bs in enumerate(near) for b in bs}
+    buckets = [[] for _ in points]
+    for h in enumerate_continuous_maps(X, Y):
+        buckets[h.row[0]].append(h.row)
+    seen = {f.row}
+    frontier = [f.row]
+    while frontier and g.row not in seen:
+        nxt = []
+        for h0 in frontier:
+            for v in near[h0[0]]:
+                for h1 in buckets[v]:
+                    if h1 not in seen and close.issuperset(zip(h0, h1)):
+                        seen.add(h1)
+                        nxt.append(h1)
+        frontier = nxt
+    return g.row in seen
 
 
 def oracle_pairwise_connected(pts, X: DigitalImage) -> bool:

@@ -1260,6 +1260,21 @@ class TestDumps:
             _dumps(value)
 
 
+class TestIntFields:
+    """Objects whose values are all ints take the writer's int path."""
+
+    @pytest.mark.parametrize("value", [
+        {"0": -3, "1": 2 ** 70, "é": 0}, {"a": 1, "b": True},
+        {"ecc": {str(i): i % 5 for i in range(300)}},
+    ], ids=["big-and-escaped", "bool-among-ints", "per-vertex"])
+    def test_matches_json_dumps_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    def test_int_key_raises_internal_error(self):
+        with pytest.raises(InternalError, match="cannot write a int key as JSON"):
+            _dumps({"a": 1, 2: 3})
+
+
 def _field_paths(doc, prefix=()):
     """The path of every object field in a JSON document, at any depth."""
     if isinstance(doc, dict):

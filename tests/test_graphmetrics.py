@@ -117,6 +117,28 @@ def recursive_longest_cycle(G):
     return best_path
 
 
+def permutation_longest_cycle_length(G):
+    """Longest cycle length by checking vertex permutations of every subset,
+    largest subsets first: the permutation search ``verify.oracle_longest_cycle``
+    replaced; the reference both it and ``longest_cycle`` must equal."""
+    best = None
+    for k in range(G.n, 2, -1):
+        if best is not None:
+            break
+        for sub in itertools.combinations(range(G.n), k):
+            anchor, rest = sub[0], sub[1:]
+            for perm in itertools.permutations(rest):
+                if k > 3 and perm[0] > perm[-1]:
+                    continue  # each cycle once per direction
+                seq = (anchor,) + perm
+                if all(G.adjacent(seq[i], seq[(i + 1) % k]) for i in range(k)):
+                    best = k
+                    break
+            if best is not None:
+                break
+    return best
+
+
 def subset_dp_longest_cycle_length(G):
     """Longest cycle length by dynamic programming over vertex subsets.
 
@@ -349,9 +371,30 @@ class TestLongestCycle:
             G = random_graph(rng, 8)
             w = longest_cycle(G)
             got = w.length if w else None
-            assert got == oracle_longest_cycle(G)
+            assert got == permutation_longest_cycle_length(G)
             if w is not None:
                 assert is_valid_cycle(G, w.vertices)
+
+    def test_subset_oracle_matches_permutations_on_every_small_graph(self):
+        # every labelled graph of 1 to 5 vertices: 1 + 2 + 8 + 64 + 1024
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                G = FiniteGraph.from_edges(n, [p for k, p in enumerate(pairs) if chosen >> k & 1])
+                assert oracle_longest_cycle(G) == permutation_longest_cycle_length(G)
+                checked += 1
+        assert checked == 1099
+
+    def test_subset_oracle_matches_permutations_on_random_graphs(self):
+        rng = random.Random(12)
+        lengths = set()
+        for _ in range(200):
+            G = random_graph(rng, 8)
+            expect = permutation_longest_cycle_length(G)
+            assert oracle_longest_cycle(G) == expect
+            lengths.add(expect)
+        assert None in lengths and 8 in lengths
 
     def test_girth_at_most_longest(self):
         rng = random.Random(3)

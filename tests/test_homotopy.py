@@ -93,6 +93,30 @@ def random_step_table(rng, X, Y):
     return HomotopyTable(X, Y, tuple(slices))
 
 
+def reference_oracle_homotopic(f, g):
+    """The table oracle ``verify.oracle_homotopic`` replaced: a breadth-first
+    search that tests each frontier map against every continuous map,
+    point by point through the labelled ``table``s; the reference its
+    verdicts must equal."""
+    X, Y = f.domain, f.codomain
+    maps = enumerate_continuous_maps(X, Y)
+
+    def step_ok(h0, h1):
+        return all(Y.adjacent_or_equal(h0.table[x], h1.table[x]) for x in X.points)
+
+    seen = {f}
+    frontier = [f]
+    for _ in range(len(maps)):
+        if g in seen:
+            return True
+        frontier = list(dict.fromkeys(h1 for h0 in frontier for h1 in maps
+                                      if h1 not in seen and step_ok(h0, h1)))
+        if not frontier:
+            break
+        seen.update(frontier)
+    return g in seen
+
+
 @pytest.fixture(scope="module")
 def remark_pair():
     X = interval(0, 2)
@@ -404,6 +428,28 @@ class TestHomotopic:
             maps = enumerate_continuous_maps(X, Y)
             f, g = rng.choice(maps), rng.choice(maps)
             assert bool(homotopic(f, g)) == oracle_homotopic(f, g)
+
+    def test_table_oracle_matches_reference(self):
+        rng = random.Random(23)
+        verdicts = []
+        for _ in range(300):
+            X, Y = random_image(rng, 4), random_image(rng, 4)
+            maps = enumerate_continuous_maps(X, Y)
+            f, g = rng.choice(maps), rng.choice(maps)
+            verdicts.append(oracle_homotopic(f, g))
+            assert verdicts[-1] == reference_oracle_homotopic(f, g)
+        assert True in verdicts and False in verdicts
+
+    def test_table_oracle_starts_from_any_map(self, remark_pair):
+        # the start need not be continuous: the search steps from it to the
+        # continuous maps within one step, here the identity f, and on
+        f, _ = remark_pair
+        X = f.domain
+        jump = fn(X, X, (0,), (2,), (2,))
+        ends = (jump, f, constant_map(X, X, (2,)))
+        verdicts = [oracle_homotopic(jump, g) for g in ends]
+        assert verdicts == [reference_oracle_homotopic(jump, g) for g in ends] == [True] * 3
+        assert not oracle_homotopic(f, jump)
 
 
 class TestStronglyHomotopic:
