@@ -424,7 +424,9 @@ BUDGETS = {
     "functions": (DEFAULT_FUNCTION_BUDGET,
                   "max raw table count #Y^#X for function enumeration, and max continuous "
                   "rows one homotopy or contractibility search generates, a row counted "
-                  "once per expanded map it is adjacent or equal to"),
+                  "once per expanded map it is adjacent or equal to; a homotopy search "
+                  "never generates the level where its two ends meet, and for ends two "
+                  "steps apart generates only the rows adjacent to both, each counted once"),
     "cycle": (gm.DEFAULT_CYCLE_BUDGET, "max vertices for the long-cycle search"),
     "dominating": (gm.DEFAULT_DOMINATING_BUDGET, "max vertices for the dominating-set search"),
     "subdivision": (DEFAULT_SUBDIVISION_BUDGET, "max subdivision points for the generator search"),

@@ -17,10 +17,16 @@ decisions search lazily and stop once decided.  The homotopy searches
 grow balls from f and from g, one level (one kernel call) at a time, and
 meet in the middle; their witness is the lexicographically least
 shortest path from f, the one a search from f alone finds over sorted
-neighbours.  Contractibility searches from the identity, one row at a
-time, for a map one phi step from a constant.  A search charges its
-function budget, per row met, the number of expanded maps whose box
-holds it: the rows that expanding each map alone would generate.
+neighbours.  They never generate the level where the balls meet: a row
+of one frontier lies in a box of the other exactly when the two meet
+there, and the holder table that tests it is the one the next expansion
+uses.  Maps one step apart are found by that test alone, and maps two
+steps apart by one kernel call over the intersected box of the two.
+Contractibility searches from the identity, one row at a time, for a map
+one phi step from a constant.  A search charges its function budget, per
+row generated, the number of expanded maps whose box holds it: the rows
+that expanding each map alone would generate; a row of an intersected
+box counts once.
 ``build_function_graph`` enumerates the maps with one full box and their
 adjacency with one kernel call over all their boxes; its ``vertices``
 are built only when asked for, and its ``find_path`` is the reference
@@ -34,15 +40,15 @@ returns domain indices: ``phi_counterexample`` scans the domain,
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from operator import itemgetter
+from functools import cached_property, lru_cache, partial, reduce
+from operator import and_, getitem, itemgetter, or_
 
 from .errors import BudgetError
 from .functions import (FiniteFunction, function_from_json, function_to_json, induced_map,
                         is_continuous)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of
-from .lattice import (DigitalImage, _bfs, _bidirectional_bfs, _bits, _connectivity_order,
-                      _fields, _flood, _row_pairs)
+from .lattice import (DigitalImage, _as_point, _bfs, _bidirectional_bfs, _bits,
+                      _connectivity_order, _fields, _flood, _row_pairs)
 from .value import Value
 
 #: Cap on the raw search space #Y ** #X of a function enumeration, and on
@@ -104,9 +110,27 @@ def _check_budget(X: DigitalImage, Y: DigitalImage, budget: int) -> None:
         raise BudgetError("continuous-map enumeration", f"{len(Y)}^{len(X)} tables", budget)
 
 
+def _holder_table(Y: DigitalImage, boxes: list[list[int]]) -> list[list[int]]:
+    """Per position k of the boxes and value y, ``holders[k][y]``: the mask
+    of the boxes whose mask at k holds y.  Boxes with the same mask at k
+    are gathered first, so each distinct mask's bits are walked once."""
+    holders = []
+    for masks in zip(*boxes):
+        boxes_of = {}
+        for b, m in enumerate(masks):
+            boxes_of[m] = boxes_of.get(m, 0) | 1 << b
+        held = [0] * len(Y)
+        for m, group in boxes_of.items():
+            for y in _bits(m):
+                held[y] |= group
+        holders.append(held)
+    return holders
+
+
 def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]],
                      boxes: list[list[int]], budget: float = float("inf"),
-                     spent: int = 0) -> tuple[dict[tuple[int, ...], int], int]:
+                     spent: int = 0, holders: list[list[int]] | None = None
+                     ) -> tuple[dict[tuple[int, ...], int], int]:
     """Every continuous row inside at least one box, mapped to the mask of
     the boxes that hold it, and the charge: the sum of their popcounts.
 
@@ -114,7 +138,8 @@ def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]]
     ``_connectivity_order``); a row lists value indices in point order.
     The search backtracks over the positions with an explicit stack and
     carries the mask of boxes that hold the prefix (``holders[k][y]``: the
-    boxes whose mask at position k holds y).  It drops a prefix once no
+    boxes whose mask at position k holds y, ``_holder_table(Y, boxes)``,
+    built here unless the caller passes it).  It drops a prefix once no
     box holds it or a value is not adjacent or equal to the value at an
     earlier adjacent point, so each row is built once, in no particular
     order.  With ``spent`` charged before, a BudgetError stops the search
@@ -129,14 +154,9 @@ def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]]
     if len(boxes) == 1:  # the one box holds every candidate
         union, holders = boxes[0], [[1] * len(Y)] * n
     else:
-        holders = [[0] * len(Y) for _ in range(n)]
-        union = [0] * n
-        for b, box in enumerate(boxes):
-            for k, m in enumerate(box):
-                union[k] |= m
-                held = holders[k]
-                for y in _bits(m):
-                    held[y] |= 1 << b
+        union = [reduce(or_, masks) for masks in zip(*boxes)]
+        if holders is None:
+            holders = _holder_table(Y, boxes)
     assignment = [0] * n
     live = [0] * n  # per position, the boxes holding the prefix before it
     todo = [0] * n  # per position, the candidate values not tried yet
@@ -216,48 +236,81 @@ def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
     return allow
 
 
-def _level_expansion(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
-                     budget: int = DEFAULT_FUNCTION_BUDGET):
-    """The level expansion of the phi or psi graph of rows X -> Y.
+class _LevelExpansion:
+    """The phi or psi graph of rows X -> Y, expanded a level at a time and
+    charged to one function budget.
 
-    ``expand(level)``, one ``_continuous_rows`` call over the boxes of the
-    rows in the list ``level``, maps each continuous row adjacent or equal
-    to one of them to the mask of their positions.  ``pin`` = (point index,
-    value index) fixes the value at one point in every box.  A BudgetError
-    stops the call in which the summed charges pass ``budget``.
+    ``box(row)`` is the box of a row: its allow masks over the points of
+    ``order``, with ``pin`` = (point index, value index) fixing the value
+    at one point.  ``expand(boxes)``, one ``_continuous_rows`` call, maps
+    each continuous row inside one of ``boxes`` to the mask of those that
+    hold it.  ``reach`` and ``middle`` are the two functions
+    ``lattice._bidirectional_bfs`` takes.  ``reach(level)`` gives
+    ``(held, expand)`` for a list of rows: ``held(rows)`` maps each of the
+    given rows that lies in a box of ``level`` to the mask of those boxes,
+    a test that generates no rows and is not charged, and ``expand()``
+    expands ``level``, sharing held's holder table.  ``middle(a, b)`` is b
+    when b lies in a's box, else the least continuous row in the
+    intersected box of a and b, or None: one single-box kernel call, so
+    each row there is charged once.  A BudgetError stops the call in which
+    the summed charges pass ``budget``.
     """
-    order, earlier = _connectivity_order(X)
-    allow_masks = _allow_masks(X, Y, flavor, order)
-    if pin is not None:
-        pin = (order.index(pin[0]), 1 << pin[1])
-    spent = 0
 
-    def expand(level: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-        nonlocal spent
-        boxes = [allow_masks(row) for row in level]
-        if pin is not None:
-            for box in boxes:
-                box[pin[0]] &= pin[1]
-        rows, charge = _continuous_rows(Y, order, earlier, boxes, budget, spent)
-        spent += charge
+    def __init__(self, X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
+                 budget: float = DEFAULT_FUNCTION_BUDGET):
+        self.Y, self.budget, self.spent = Y, budget, 0
+        order, self.earlier = _connectivity_order(X)
+        self.order = order
+        self.allow = _allow_masks(X, Y, flavor, order)
+        self.pick = itemgetter(*order) if len(order) > 1 else tuple
+        self.pin = None if pin is None else (order.index(pin[0]), 1 << pin[1])
+
+    def box(self, row: tuple[int, ...]) -> list[int]:
+        masks = self.allow(row)
+        if self.pin is not None:
+            k, m = self.pin
+            masks[k] &= m
+        return masks
+
+    def expand(self, boxes: list[list[int]], holders=None) -> dict[tuple[int, ...], int]:
+        rows, charge = _continuous_rows(self.Y, self.order, self.earlier, boxes, self.budget,
+                                        self.spent, holders)
+        self.spent += charge
         return rows
 
-    return expand
+    def reach(self, level: list[tuple[int, ...]]):
+        boxes = [self.box(row) for row in level]
+        holders = _holder_table(self.Y, boxes) if len(boxes) > 1 else None
+        pick = self.pick
+
+        def held(rows: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+            table = holders or _holder_table(self.Y, boxes)
+            return {row: m for row in rows if (m := reduce(and_, map(getitem, table, pick(row))))}
+
+        return held, partial(self.expand, boxes, holders)
+
+    def middle(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+        masks = self.box(a)
+        if all(m >> y & 1 for m, y in zip(masks, self.pick(b))):
+            return b
+        masks = list(map(and_, masks, self.box(b)))
+        rows = self.expand([masks]) if all(masks) else ()
+        return min(rows) if rows else None
 
 
 def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
                    budget: int = DEFAULT_FUNCTION_BUDGET):
     """The neighbour function of the phi or psi graph of rows X -> Y.
 
-    ``neighbors(row)`` expands the level ``[row]`` and lists the rows
+    ``neighbors(row)`` expands the box of ``row`` and lists the rows
     adjacent to ``row`` in lexicographic order, the vertex order of
     ``build_function_graph``; so a search over these lists expands exactly
     as it would over the whole graph, and is charged as ``expand`` is.
     """
-    expand = _level_expansion(X, Y, flavor, pin, budget)
+    levels = _LevelExpansion(X, Y, flavor, pin, budget)
 
     def neighbors(row: tuple[int, ...]) -> list[tuple[int, ...]]:
-        rows = expand([row])
+        rows = levels.expand([levels.box(row)])
         del rows[row]
         return sorted(rows)
 
@@ -304,8 +357,8 @@ class FunctionGraph(Value):
         each row to the boxes that hold it: the indices of the maps
         adjacent or equal to it.  Row i is that mask less bit i.
         """
-        expand = _level_expansion(self.domain, self.codomain, self.flavor, budget=float("inf"))
-        held = expand(list(self.rows))
+        levels = _LevelExpansion(self.domain, self.codomain, self.flavor, budget=float("inf"))
+        held = levels.expand(list(map(levels.box, self.rows)))
         return tuple(held[row] ^ 1 << i for i, row in enumerate(self.rows))
 
     @cached_property
@@ -396,25 +449,27 @@ class HomotopyDecision(Value):
 
 
 def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
-            basepoint=None) -> tuple[FiniteFunction, ...] | None:
+            point: int | None = None) -> tuple[FiniteFunction, ...] | None:
     """The witness path from f to g in the lazily generated function graph.
 
     The witness is the lexicographically least shortest path, comparing
     value rows from f on: the path a breadth-first search from f finds
     when it expands neighbours in row order, as ``find_path`` does on the
     whole graph.  ``_bidirectional_bfs`` finds it from balls grown at f and
-    at g, so neither ball reaches as far as a search from f alone.  Both
-    balls' level expansions are charged to ``budget``.  With a
-    basepoint, only maps agreeing with f there are visited, on both sides.
+    at g, so neither ball reaches as far as a search from f alone, and it
+    never generates the level where they meet: d = 1 is a test of g's row
+    against f's box, d = 2 one kernel call over the intersected box of f
+    and g, and a deeper meeting a test of one frontier's rows against the
+    other's boxes.  The kernel calls are charged to ``budget``.  With the
+    domain index ``point``, only maps agreeing with f there are visited,
+    on both sides.
     """
     X, Y = f.domain, f.codomain
     if not (is_continuous(f) and is_continuous(g)):
         raise ValueError("function is not a vertex of this graph")
-    pin = None
-    if basepoint is not None:
-        i = X.point_index[basepoint]
-        pin = (i, f.row[i])
-    path = _bidirectional_bfs(f.row, g.row, _level_expansion(X, Y, flavor, pin, budget))
+    pin = None if point is None else (point, f.row[point])
+    levels = _LevelExpansion(X, Y, flavor, pin, budget)
+    path = _bidirectional_bfs(f.row, g.row, levels.reach, levels.middle)
     return None if path is None else tuple(FiniteFunction._trusted(X, Y, row) for row in path)
 
 
@@ -440,15 +495,18 @@ def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
     """Decide (strong) homotopy holding the basepoint fixed.
 
     The search runs in the subgraph of maps agreeing with f at the
-    basepoint, so every step of a witness keeps the basepoint still.
+    basepoint, so every step of a witness keeps the basepoint still.  The
+    basepoint is a domain point given as a sequence of ints, a tuple or a
+    list; a malformed point or one outside the domain raises ValueError.
     """
     _check_same_signature(f, g)
-    i = f.domain.vertex_index.get(basepoint)
+    X = f.domain
+    i = X.point_index.get(_as_point(basepoint, X.dim))
     if i is None:
         raise ValueError(f"basepoint {basepoint!r} is not a domain vertex")
     if g.row[i] != f.row[i]:
         return HomotopyDecision(False, None)
-    path = _search(f, g, PSI if strong else PHI, budget, basepoint)
+    path = _search(f, g, PSI if strong else PHI, budget, i)
     return HomotopyDecision(path is not None, path)
 
 

@@ -16,7 +16,9 @@ path it finds to a goal, expanding neighbours in the order given; girth,
 lexicographically least shortest one, from balls grown at both ends one
 whole level at a time: it takes a level expansion, which maps a list of
 vertices to their closed neighbours, each with the mask of the list
-positions it is adjacent or equal to.  The homotopy searches call it.
+positions it is adjacent or equal to, and tests given vertices against a
+level the same way, so the level where the balls meet is never
+generated.  The homotopy searches call it.
 
 Every JSON document loader (images here, families, maps, multifunctions,
 homotopy tables and the CLI's map pairs) reads its top-level fields through
@@ -286,17 +288,24 @@ def _bfs(start, neighbors, is_goal):
     return None
 
 
-def _bidirectional_bfs(start, goal, expand):
+def _bidirectional_bfs(start, goal, reach, middle):
     """The path ``_bfs`` finds from ``start`` to ``goal`` over sorted
     neighbour lists, found from both ends; None if there is none.
 
     That path is the lexicographically least shortest path, comparing
-    vertices with ``<`` from ``start`` on.  ``expand(level)`` maps each
-    vertex adjacent or equal to one of the list ``level`` to the mask of
-    the positions of those in ``level``; adjacency must be symmetric.
-    Balls grow from both ends, the smaller frontier by one whole level (one
-    ``expand`` call) at a time, until they meet at distance d, or until one
-    frontier empties: then there is no path.  Each new vertex keeps its
+    vertices with ``<`` from ``start`` on.  ``middle(start, goal)`` is
+    ``goal`` when the two are adjacent, else the least vertex adjacent to
+    both, or None.  ``reach(front)`` for a list of vertices returns
+    ``(held, expand)``: ``held(vertices)`` maps each of the given vertices
+    adjacent or equal to one of ``front`` to the mask of the positions of
+    those in ``front``, and ``expand()`` maps every such vertex to that
+    mask; adjacency must be symmetric.  Once ``middle`` has settled
+    d <= 2, balls grow from both ends, the smaller frontier by one whole
+    level (one ``expand`` call) at a time, until they meet at distance d,
+    or until one frontier empties: then there is no path.  The balls stay
+    disjoint, so the next level of one ball meets the other only in its
+    frontier, and ``held`` finds those vertices before the level is
+    expanded: the meeting level is never generated.  Each vertex keeps its
     mask over the level before it.  A forward vertex lies on a shortest
     path when it is kept by one a level further on that does, and the last
     forward level does so exactly inside the backward ball; ``on_path``
@@ -306,18 +315,26 @@ def _bidirectional_bfs(start, goal, expand):
     """
     if start == goal:
         return [start]
+    w = middle(start, goal)
+    if w is not None:
+        return [start, goal] if w == goal else [start, w, goal]
     balls = ({start: 0}, {goal: 0})  # vertex -> its neighbours in the level before
     levels = ([[start]], [[goal]])  # the levels of each ball, as lists
     while True:
         side = 0 if len(levels[0][-1]) <= len(levels[1][-1]) else 1
         ball = balls[side]
-        new = {w: m for w, m in expand(levels[side][-1]).items() if w not in ball}
+        held, expand = reach(levels[side][-1])
+        if len(levels[0]) + len(levels[1]) > 3:  # d <= 2 was settled by middle
+            meet = held(levels[1 - side][-1])
+            if meet:
+                ball.update(meet)
+                levels[side].append(list(meet))
+                break
+        new = {w: m for w, m in expand().items() if w not in ball}
         if not new:
             return None
         ball.update(new)
         levels[side].append(list(new))
-        if not balls[1 - side].keys().isdisjoint(new):
-            break
     (forward, backward), (ahead, behind) = balls, levels
     on_path = [sum(1 << q for q, w in enumerate(ahead[-1]) if w in backward)]
     for level in reversed(ahead[2:]):

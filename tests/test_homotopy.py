@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +21,7 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
 import digitop.homotopy
 from digitop.homotopy import (PHI, PSI, _adjacent_rows, _all_continuous_rows,
                               phi_counterexample, psi_counterexample)
+import digitop.graphmetrics as gm
 from digitop.hyperspace import family_of
 from digitop.lattice import _bfs
 from digitop.verify import (oracle_homotopic, random_continuous_function, random_multifunction,
@@ -660,6 +662,18 @@ class TestPointedHomotopic:
         with pytest.raises(ValueError):
             pointed_homotopic(identity_map(X), identity_map(X), (9,))
 
+    def test_basepoint_as_list(self):
+        X = interval(0, 2)
+        f, g = identity_map(X), constant_map(X, X, (0,))
+        d = pointed_homotopic(f, g, [0])
+        assert d and d == pointed_homotopic(f, g, (0,))
+
+    @pytest.mark.parametrize("basepoint", ([0, 0], (), ("0",), [True], [0.0]))
+    def test_malformed_basepoint(self, basepoint):
+        X = interval(0, 2)
+        with pytest.raises(ValueError):
+            pointed_homotopic(identity_map(X), identity_map(X), basepoint)
+
 
 class TestContractible:
     def test_singleton(self):
@@ -693,10 +707,80 @@ def _rows(decision):
 
 
 def reference_bidirectional_bfs(start, goal, neighbors):
+    """The two-ball search that expands a level one vertex at a time and
+    stops before the level where the balls meet, with its charge.
+
+    ``neighbors(v)`` lists v's neighbours and is not charged itself.  Expanding
+    v is charged one row for v and one per neighbour.  Before a ball grows,
+    the vertices of the other frontier adjacent or equal to one of its own
+    frontier are found without a charge; if there are any, they are the
+    meeting.  d <= 2 is settled first, by intersecting the closed
+    neighbourhoods of ``start`` and ``goal``: d = 1 costs nothing, and each
+    vertex of the intersection is charged once.  It is the reference for
+    the level expansion of ``lattice._bidirectional_bfs``."""
+    closed = {}
+
+    def near(v):
+        if v not in closed:
+            closed[v] = {v, *neighbors(v)}
+        return closed[v]
+
+    if start == goal:
+        return [start], 0
+    if goal in near(start):
+        return [start, goal], 0
+    common = near(start) & near(goal)
+    if common:
+        return [start, min(common), goal], len(common)
+    charge = 0
+    balls = ({start: []}, {goal: []})
+    fronts = [[start], [goal]]
+    levels = [fronts[0]]
+    while True:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        ball = balls[side]
+        new = {}
+        for w in fronts[1 - side]:
+            held = [v for v in fronts[side] if w in near(v)]
+            if held:
+                new[w] = held
+        met = bool(new)
+        if not met:
+            for v in fronts[side]:
+                charge += len(near(v))
+                for w in near(v):
+                    if w in new:
+                        new[w].append(v)
+                    elif w not in ball:
+                        new[w] = [v]
+            if not new:
+                return None, charge
+        ball.update(new)
+        fronts[side] = list(new)
+        if side == 0:
+            levels.append(fronts[0])
+        if met:
+            break
+    forward, backward = balls
+    on_path = [{w for w in levels[-1] if w in backward}]
+    while len(on_path) < len(levels):
+        on_path.append({v for w in on_path[-1] for v in forward[w]})
+    path = [start]
+    for level in reversed(on_path[:-1]):
+        u = path[-1]
+        path.append(min(w for w in level if u in forward[w]))
+    while path[-1] != goal:
+        path.append(min(backward[path[-1]]))
+    return path, charge
+
+
+def reference_generating_bfs(start, goal, neighbors):
     """The two-ball search that expands a level one vertex at a time, calling
-    ``neighbors(v)`` once per vertex v of the frontier; each vertex keeps the
-    list of its neighbours one level nearer its own end.  It is the reference
-    for the level expansion of ``lattice._bidirectional_bfs``."""
+    ``neighbors(v)`` once per vertex v of the frontier, and that generates
+    the level where the balls meet; each vertex keeps the list of its
+    neighbours one level nearer its own end.  Charged one row per vertex
+    expanded and one per neighbour listed, it is the reference for the
+    charge of a search that does not stop before the meeting level."""
     if start == goal:
         return [start]
     balls = ({start: []}, {goal: []})
@@ -832,22 +916,100 @@ class TestLazySearch:
         else:
             pin = None
             search = lambda budget: (strongly_homotopic if strong else homotopic)(F, G, budget)
-        neighbors = _adjacent_rows(X, Y, flavor, pin, 10 ** 9)
-        charged = []
-
-        def counted(row):
-            rows = neighbors(row)
-            charged.append(len(rows) + 1)  # the row itself is generated too
-            return rows
-
-        path = None
+        path, c = None, 0
         if pin is None or f[pin[0]] == g[pin[0]]:
-            path = reference_bidirectional_bfs(f, g, counted)
-        c = sum(charged)
+            neighbors = _adjacent_rows(X, Y, flavor, pin, 10 ** 9)
+            path, c = reference_bidirectional_bfs(f, g, neighbors)
         assert _rows(search(c)) == path
         if c:
             with pytest.raises(BudgetError):
                 search(c - 1)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from((PHI, PSI)), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_meeting_test_charges_no_more(self, seed, flavor, pinned):
+        # stopping before the meeting level never charges more than
+        # generating it, and charges the same when the balls never meet;
+        # each example draws g twice each at distance 0, 1, 2 and >= 3 from
+        # f, and unrelated to f
+        charged = []
+        rows_of = digitop.homotopy._continuous_rows
+
+        def counted(*args):
+            rows, charge = rows_of(*args)
+            charged.append(charge)
+            return rows, charge
+
+        rng = random.Random(seed)
+
+        def draw(wanted):
+            # images, f and a pin until some g lies at the wanted distance
+            for _ in range(500):
+                X, Y = random_image(rng, 4), random_image(rng, 6)
+                graph = build_function_graph(X, Y, flavor)
+                f = rng.choice(graph.rows)
+                i = rng.randrange(len(X)) if pinned else None
+                keep = [k for k, row in enumerate(graph.rows) if i is None or row[i] == f[i]]
+                sub = gm.induced_subgraph(gm.as_finite_graph(graph), keep)
+                dist = gm.bfs_distances(sub, keep.index(graph._row_index[f]))
+                near = [k for k, d in zip(keep, dist)
+                        if (None if d is None else min(d, 3)) == wanted]
+                if near:
+                    return X, Y, f, graph.rows[rng.choice(near)], i
+            raise AssertionError(f"no pair at distance {wanted}")
+
+        for wanted in (0, 1, 2, 3, None) * 2:
+            X, Y, f, g, i = draw(wanted)
+            pin = None if i is None else (i, f[i])
+            neighbors = _adjacent_rows(X, Y, flavor, pin, 10 ** 9)
+            old_charge = [0]
+
+            def listed(row):
+                rows = neighbors(row)
+                old_charge[0] += len(rows) + 1
+                return rows
+
+            path = reference_generating_bfs(f, g, listed)
+            F, G = (FiniteFunction._trusted(X, Y, row) for row in (f, g))
+            charged.clear()
+            with mock.patch.object(digitop.homotopy, "_continuous_rows", counted):
+                if pinned:
+                    decision = pointed_homotopic(F, G, X.points[i], 10 ** 9, flavor == PSI)
+                else:
+                    decide = strongly_homotopic if flavor == PSI else homotopic
+                    decision = decide(F, G, 10 ** 9)
+            assert _rows(decision) == path
+            assert (path is None) == (wanted is None)
+            if path is not None:
+                assert min(len(path) - 1, 3) == wanted
+            assert sum(charged) <= old_charge[0]
+            if path is None:
+                assert sum(charged) == old_charge[0]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_at_least_sup_distance(self, seed, pinned):
+        # one phi step moves each value by at most one, and psi steps are
+        # phi steps, so m >= d_inf(f, g) = max_x d_Y(f(x), g(x))
+        rng = random.Random(seed)
+        X, Y = random_image(rng, 5), random_image(rng, 6)
+        rows = _all_continuous_rows(X, Y, 10 ** 6)
+        f, g = rng.choice(rows), rng.choice(rows)
+        if pinned:
+            i = rng.randrange(len(X))
+            g = rng.choice([row for row in rows if row[i] == f[i]])
+        F, G = (FiniteFunction._trusted(X, Y, row) for row in (f, g))
+        codomain = gm.as_finite_graph(Y)
+        gaps = [gm.bfs_distances(codomain, a)[b] for a, b in zip(f, g)]
+        for strong in (False, True):
+            if pinned:
+                decision = pointed_homotopic(F, G, X.points[i], 10 ** 9, strong)
+            else:
+                decision = (strongly_homotopic if strong else homotopic)(F, G, 10 ** 9)
+            if None in gaps:
+                assert decision.path is None
+            elif decision:
+                assert decision.table().m >= max(gaps)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
