@@ -13,20 +13,16 @@ The adjacency rule is written once, as the allow masks of
 box around the map.  One kernel, ``_continuous_rows``, builds each
 continuous row inside a list of boxes once, with the mask of the boxes
 that hold it.  A map is its value row (``FiniteFunction.row``).  The
-decisions search lazily and stop once decided.  The homotopy searches
-grow balls from f and from g, one level (one kernel call) at a time, and
-meet in the middle; their witness is the lexicographically least
+graph of rows is ``_RowGraph``, generated lazily: the decisions stop once
+decided.  The homotopy searches grow balls from f and from g, one level
+(one kernel call) at a time, in ``_RowGraph.path``, whose docstring
+states when they meet; their witness is the lexicographically least
 shortest path from f, the one a search from f alone finds over sorted
-neighbours.  They never generate the level where the balls meet: a row
-of one frontier lies in a box of the other exactly when the two meet
-there, and the holder table that tests it is the one the next expansion
-uses.  Maps one step apart are found by that test alone, and maps two
-steps apart by one kernel call over the intersected box of the two.
-Contractibility searches from the identity, one row at a time, for a map
-one phi step from a constant.  A search charges its function budget, per
-row generated, the number of expanded maps whose box holds it: the rows
-that expanding each map alone would generate; a row of an intersected
-box counts once.
+neighbours.  Contractibility searches from the identity, one row at a
+time, for a map one phi step from a constant.  A search charges its
+function budget, per row generated, the number of expanded maps whose
+box holds it: the rows that expanding each map alone would generate; a
+row of an intersected box counts once.
 ``build_function_graph`` enumerates the maps with one full box and their
 adjacency with one kernel call over all their boxes; its ``vertices``
 are built only when asked for, and its ``find_path`` is the reference
@@ -40,15 +36,14 @@ returns domain indices: ``phi_counterexample`` scans the domain,
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, getitem, itemgetter, or_
 
 from .errors import BudgetError
 from .functions import (FiniteFunction, function_from_json, function_to_json, induced_map,
                         is_continuous)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of
-from .lattice import (DigitalImage, _as_point, _bfs, _bidirectional_bfs, _bits,
-                      _connectivity_order, _fields, _flood, _row_pairs)
+from .lattice import DigitalImage, _as_point, _bfs, _bits, _fields, _flood, _row_pairs
 from .value import Value
 
 #: Cap on the raw search space #Y ** #X of a function enumeration, and on
@@ -135,7 +130,7 @@ def _continuous_rows(Y: DigitalImage, order: list[int], earlier: list[list[int]]
     the boxes that hold it, and the charge: the sum of their popcounts.
 
     A box is an allow mask per position of ``order`` (see
-    ``_connectivity_order``); a row lists value indices in point order.
+    ``DigitalImage.connectivity_order``); a row lists value indices in point order.
     The search backtracks over the positions with an explicit stack and
     carries the mask of boxes that hold the prefix (``holders[k][y]``: the
     boxes whose mask at position k holds y, ``_holder_table(Y, boxes)``,
@@ -203,7 +198,7 @@ def enumerate_continuous_maps(X: DigitalImage, Y: DigitalImage,
 
 def _all_continuous_rows(X: DigitalImage, Y: DigitalImage, budget: int) -> list[tuple[int, ...]]:
     _check_budget(X, Y, budget)
-    order, earlier = _connectivity_order(X)
+    order, earlier = X.connectivity_order
     rows, _ = _continuous_rows(Y, order, earlier, [[(1 << len(Y)) - 1] * len(X)], budget)
     return sorted(rows)
 
@@ -236,34 +231,25 @@ def _allow_masks(X: DigitalImage, Y: DigitalImage, flavor: str, order):
     return allow
 
 
-class _LevelExpansion:
-    """The phi or psi graph of rows X -> Y, expanded a level at a time and
-    charged to one function budget.
+class _RowGraph:
+    """The phi or psi graph of rows X -> Y, generated lazily and charged to
+    one function budget.
 
     ``box(row)`` is the box of a row: its allow masks over the points of
-    ``order``, with ``pin`` = (point index, value index) fixing the value
-    at one point.  ``expand(boxes)``, one ``_continuous_rows`` call, maps
-    each continuous row inside one of ``boxes`` to the mask of those that
-    hold it.  ``reach`` and ``middle`` are the two functions
-    ``lattice._bidirectional_bfs`` takes.  ``reach(level)`` gives
-    ``(held, expand)`` for a list of rows: ``held(rows)`` maps each of the
-    given rows that lies in a box of ``level`` to the mask of those boxes,
-    a test that generates no rows and is not charged, and ``expand()``
-    expands ``level``, sharing held's holder table.  ``middle(a, b)`` is b
-    when b lies in a's box, else the least continuous row in the
-    intersected box of a and b, or None: one single-box kernel call, so
-    each row there is charged once.  A BudgetError stops the call in which
-    the summed charges pass ``budget``.
+    the domain's ``connectivity_order``, with ``pin`` = (point index, value
+    index) fixing the value at one point.  ``expand(boxes)``, one
+    ``_continuous_rows`` call, maps each continuous row inside one of
+    ``boxes`` to the mask of those that hold it.  ``neighbors(row)`` lists
+    a row's neighbours and ``path(start, goal)`` finds a witness.  A
+    BudgetError stops the call in which the summed charges pass ``budget``.
     """
 
     def __init__(self, X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
                  budget: float = DEFAULT_FUNCTION_BUDGET):
         self.Y, self.budget, self.spent = Y, budget, 0
-        order, self.earlier = _connectivity_order(X)
-        self.order = order
-        self.allow = _allow_masks(X, Y, flavor, order)
-        self.pick = itemgetter(*order) if len(order) > 1 else tuple
-        self.pin = None if pin is None else (order.index(pin[0]), 1 << pin[1])
+        self.order, self.earlier = X.connectivity_order
+        self.allow = _allow_masks(X, Y, flavor, self.order)
+        self.pin = None if pin is None else (self.order.index(pin[0]), 1 << pin[1])
 
     def box(self, row: tuple[int, ...]) -> list[int]:
         masks = self.allow(row)
@@ -278,43 +264,83 @@ class _LevelExpansion:
         self.spent += charge
         return rows
 
-    def reach(self, level: list[tuple[int, ...]]):
-        boxes = [self.box(row) for row in level]
-        holders = _holder_table(self.Y, boxes) if len(boxes) > 1 else None
-        pick = self.pick
-
-        def held(rows: list[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-            table = holders or _holder_table(self.Y, boxes)
-            return {row: m for row in rows if (m := reduce(and_, map(getitem, table, pick(row))))}
-
-        return held, partial(self.expand, boxes, holders)
-
-    def middle(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-        masks = self.box(a)
-        if all(m >> y & 1 for m, y in zip(masks, self.pick(b))):
-            return b
-        masks = list(map(and_, masks, self.box(b)))
-        rows = self.expand([masks]) if all(masks) else ()
-        return min(rows) if rows else None
-
-
-def _adjacent_rows(X: DigitalImage, Y: DigitalImage, flavor: str, pin=None,
-                   budget: int = DEFAULT_FUNCTION_BUDGET):
-    """The neighbour function of the phi or psi graph of rows X -> Y.
-
-    ``neighbors(row)`` expands the box of ``row`` and lists the rows
-    adjacent to ``row`` in lexicographic order, the vertex order of
-    ``build_function_graph``; so a search over these lists expands exactly
-    as it would over the whole graph, and is charged as ``expand`` is.
-    """
-    levels = _LevelExpansion(X, Y, flavor, pin, budget)
-
-    def neighbors(row: tuple[int, ...]) -> list[tuple[int, ...]]:
-        rows = levels.expand([levels.box(row)])
+    def neighbors(self, row: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The rows adjacent to ``row`` in lexicographic order, the vertex
+        order of ``build_function_graph``: a search over these lists
+        expands exactly as it would over the whole graph.  Expanding
+        ``row``'s box is charged as ``expand`` is."""
+        rows = self.expand([self.box(row)])
         del rows[row]
         return sorted(rows)
 
-    return neighbors
+    def path(self, start: tuple[int, ...], goal: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+        """The path a breadth-first search from ``start`` over ``neighbors``
+        finds to ``goal``, the lexicographically least shortest one, or None.
+
+        The meeting rule: balls grow from both ends, and the level where they
+        meet is never generated.  A row lies in a box of a level exactly when
+        it is adjacent or equal to a row there.  d = 1 is a test of ``goal``
+        against ``start``'s box, and d = 2 one single-box kernel call over the
+        intersected box of the two, whose least row is the middle and whose
+        rows are each charged once.  From d = 3 on, the smaller frontier's
+        boxes and their holder table are built once per level: the other
+        frontier's rows are tested against them, uncharged, and the rows held
+        are the meeting level; if there are none, the level is expanded with
+        that table.  A single-box level that is not tested gets no table,
+        which the kernel does not need.  The balls stay disjoint, so the next
+        level of one ball meets the other only in its frontier, and a frontier
+        that empties means there is no path.  Each row keeps its mask over the
+        level before it.  A forward row lies on a shortest path when it is
+        kept by one a level further on that does, and the last forward level
+        does so exactly inside the backward ball; ``on_path`` holds these sets
+        as masks.  The walk from ``start`` then takes, at each step, the least
+        neighbour one step nearer ``goal``: from ``on_path`` while in the
+        forward ball, then from the level its mask points into.
+        """
+        if start == goal:
+            return [start]
+        pick = itemgetter(*self.order) if len(self.order) > 1 else tuple
+        masks = self.box(start)
+        if all(m >> y & 1 for m, y in zip(masks, pick(goal))):
+            return [start, goal]
+        masks = list(map(and_, masks, self.box(goal)))
+        rows = self.expand([masks]) if all(masks) else ()
+        if rows:
+            return [start, min(rows), goal]
+        balls = ({start: 0}, {goal: 0})  # row -> its neighbours in the level before
+        levels = ([[start]], [[goal]])  # the levels of each ball, as lists
+        while True:
+            side = 0 if len(levels[0][-1]) <= len(levels[1][-1]) else 1
+            ball = balls[side]
+            boxes = [self.box(row) for row in levels[side][-1]]
+            tested = len(levels[0]) + len(levels[1]) > 3  # d <= 2 is settled above
+            holders = _holder_table(self.Y, boxes) if tested or len(boxes) > 1 else None
+            if tested:
+                meet = {row: m for row in levels[1 - side][-1]
+                        if (m := reduce(and_, map(getitem, holders, pick(row))))}
+                if meet:
+                    ball.update(meet)
+                    levels[side].append(list(meet))
+                    break
+            new = {w: m for w, m in self.expand(boxes, holders).items() if w not in ball}
+            if not new:
+                return None
+            ball.update(new)
+            levels[side].append(list(new))
+        (forward, backward), (ahead, behind) = balls, levels
+        on_path = [sum(1 << q for q, w in enumerate(ahead[-1]) if w in backward)]
+        for level in reversed(ahead[2:]):
+            kept = 0
+            for q in _bits(on_path[-1]):
+                kept |= forward[level[q]]
+            on_path.append(kept)
+        path, p = [start], 0
+        for level, mask in zip(ahead[1:], reversed(on_path)):
+            w, p = min((level[q], q) for q in _bits(mask) if forward[level[q]] >> p & 1)
+            path.append(w)
+        for level in reversed(behind[:-1]):
+            path.append(min(level[i] for i in _bits(backward[path[-1]])))
+        return path
 
 
 # -- function graphs ---------------------------------------------------------
@@ -357,8 +383,8 @@ class FunctionGraph(Value):
         each row to the boxes that hold it: the indices of the maps
         adjacent or equal to it.  Row i is that mask less bit i.
         """
-        levels = _LevelExpansion(self.domain, self.codomain, self.flavor, budget=float("inf"))
-        held = levels.expand(list(map(levels.box, self.rows)))
+        graph = _RowGraph(self.domain, self.codomain, self.flavor, budget=float("inf"))
+        held = graph.expand(list(map(graph.box, self.rows)))
         return tuple(held[row] ^ 1 << i for i, row in enumerate(self.rows))
 
     @cached_property
@@ -455,21 +481,17 @@ def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
     The witness is the lexicographically least shortest path, comparing
     value rows from f on: the path a breadth-first search from f finds
     when it expands neighbours in row order, as ``find_path`` does on the
-    whole graph.  ``_bidirectional_bfs`` finds it from balls grown at f and
-    at g, so neither ball reaches as far as a search from f alone, and it
-    never generates the level where they meet: d = 1 is a test of g's row
-    against f's box, d = 2 one kernel call over the intersected box of f
-    and g, and a deeper meeting a test of one frontier's rows against the
-    other's boxes.  The kernel calls are charged to ``budget``.  With the
-    domain index ``point``, only maps agreeing with f there are visited,
-    on both sides.
+    whole graph.  ``_RowGraph.path`` finds it from balls grown at f and
+    at g, so neither ball reaches as far as a search from f alone, and
+    never generates the level where they meet (its meeting rule).  The
+    kernel calls are charged to ``budget``.  With the domain index
+    ``point``, only maps agreeing with f there are visited, on both sides.
     """
     X, Y = f.domain, f.codomain
     if not (is_continuous(f) and is_continuous(g)):
         raise ValueError("function is not a vertex of this graph")
     pin = None if point is None else (point, f.row[point])
-    levels = _LevelExpansion(X, Y, flavor, pin, budget)
-    path = _bidirectional_bfs(f.row, g.row, levels.reach, levels.middle)
+    path = _RowGraph(X, Y, flavor, pin, budget).path(f.row, g.row)
     return None if path is None else tuple(FiniteFunction._trusted(X, Y, row) for row in path)
 
 
@@ -578,7 +600,7 @@ def is_contractible(X: DigitalImage, budget: int = DEFAULT_FUNCTION_BUDGET) -> b
                 return False
         return True
 
-    path = _bfs(tuple(range(len(X))), _adjacent_rows(X, X, PHI, budget=budget), near_constant)
+    path = _bfs(tuple(range(len(X))), _RowGraph(X, X, PHI, budget=budget).neighbors, near_constant)
     return path is not None
 
 

@@ -9,16 +9,10 @@ Every search that only grows a set steps with ``_cover``, the OR of
 bitmask rows over a mask's bits (over closed rows, a set's closed cover).
 ``_flood`` grows a seed with it inside a mask, and ``_components``, the
 one component walk of images and graphs, floods from the lowest vertex
-left.  Paths come from two searches.  ``_bfs`` returns the first
-path it finds to a goal, expanding neighbours in the order given; girth,
-``FunctionGraph.find_path`` and contractibility call it.
-``_bidirectional_bfs`` returns the same path to one given goal, the
-lexicographically least shortest one, from balls grown at both ends one
-whole level at a time: it takes a level expansion, which maps a list of
-vertices to their closed neighbours, each with the mask of the list
-positions it is adjacent or equal to, and tests given vertices against a
-level the same way, so the level where the balls meet is never
-generated.  The homotopy searches call it.
+left.  ``_bfs`` returns the first path it finds to a goal, expanding
+neighbours in the order given; girth, ``FunctionGraph.find_path`` and
+contractibility call it.  The homotopy searches grow their balls from
+both ends in ``homotopy._RowGraph.path``, which states when they meet.
 
 Every JSON document loader (images here, families, maps, multifunctions,
 homotopy tables and the CLI's map pairs) reads its top-level fields through
@@ -79,7 +73,10 @@ def _step_offsets(dim: int, u: int) -> tuple[Point, ...]:
 
 
 def _as_point(p, dim: int | None = None) -> Point:
-    pt = tuple(p)
+    try:
+        pt = tuple(p)
+    except TypeError:
+        raise ValueError(f"not a lattice point: {p!r}") from None
     # bool is an int subclass, but true/false are not coordinates
     if not pt or not all(type(c) is int for c in pt):
         raise ValueError(f"not a lattice point: {p!r}")
@@ -194,6 +191,37 @@ class DigitalImage(Value):
     def closed_neighbor_masks(self) -> tuple[int, ...]:
         return tuple(m | (1 << i) for i, m in enumerate(self.neighbor_masks))
 
+    @cached_property
+    def connectivity_order(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Point indices in breadth-first order, one component after another.
+
+        Each component is searched from its lowest point, the lowest index
+        not placed yet.  The second tuple holds, per position, the earlier
+        positions whose points are adjacent to the point there, so a
+        backtracking search in this order tests each adjacent pair as soon
+        as both ends are placed.
+        """
+        nbr = self.neighbor_masks
+        order: list[int] = []
+        placed = 0
+        for root in range(len(nbr)):
+            if placed >> root & 1:
+                continue
+            placed |= 1 << root
+            queue = deque([root])
+            while queue:
+                i = queue.popleft()
+                order.append(i)
+                for j in _bits(nbr[i] & ~placed):
+                    placed |= 1 << j
+                    queue.append(j)
+        pos = [0] * len(order)
+        for k, i in enumerate(order):
+            pos[i] = k
+        earlier = tuple(tuple(sorted(pos[j] for j in _bits(nbr[i]) if pos[j] < k))
+                        for k, i in enumerate(order))
+        return tuple(order), earlier
+
     def mask_of(self, pts: Iterable[Point]) -> int:
         idx = self.point_index
         mask = 0
@@ -288,104 +316,11 @@ def _bfs(start, neighbors, is_goal):
     return None
 
 
-def _bidirectional_bfs(start, goal, reach, middle):
-    """The path ``_bfs`` finds from ``start`` to ``goal`` over sorted
-    neighbour lists, found from both ends; None if there is none.
-
-    That path is the lexicographically least shortest path, comparing
-    vertices with ``<`` from ``start`` on.  ``middle(start, goal)`` is
-    ``goal`` when the two are adjacent, else the least vertex adjacent to
-    both, or None.  ``reach(front)`` for a list of vertices returns
-    ``(held, expand)``: ``held(vertices)`` maps each of the given vertices
-    adjacent or equal to one of ``front`` to the mask of the positions of
-    those in ``front``, and ``expand()`` maps every such vertex to that
-    mask; adjacency must be symmetric.  Once ``middle`` has settled
-    d <= 2, balls grow from both ends, the smaller frontier by one whole
-    level (one ``expand`` call) at a time, until they meet at distance d,
-    or until one frontier empties: then there is no path.  The balls stay
-    disjoint, so the next level of one ball meets the other only in its
-    frontier, and ``held`` finds those vertices before the level is
-    expanded: the meeting level is never generated.  Each vertex keeps its
-    mask over the level before it.  A forward vertex lies on a shortest
-    path when it is kept by one a level further on that does, and the last
-    forward level does so exactly inside the backward ball; ``on_path``
-    holds these sets as masks.  The walk from ``start`` then takes, at each
-    step, the least neighbour one step nearer ``goal``: from ``on_path``
-    while in the forward ball, then from the level its mask points into.
-    """
-    if start == goal:
-        return [start]
-    w = middle(start, goal)
-    if w is not None:
-        return [start, goal] if w == goal else [start, w, goal]
-    balls = ({start: 0}, {goal: 0})  # vertex -> its neighbours in the level before
-    levels = ([[start]], [[goal]])  # the levels of each ball, as lists
-    while True:
-        side = 0 if len(levels[0][-1]) <= len(levels[1][-1]) else 1
-        ball = balls[side]
-        held, expand = reach(levels[side][-1])
-        if len(levels[0]) + len(levels[1]) > 3:  # d <= 2 was settled by middle
-            meet = held(levels[1 - side][-1])
-            if meet:
-                ball.update(meet)
-                levels[side].append(list(meet))
-                break
-        new = {w: m for w, m in expand().items() if w not in ball}
-        if not new:
-            return None
-        ball.update(new)
-        levels[side].append(list(new))
-    (forward, backward), (ahead, behind) = balls, levels
-    on_path = [sum(1 << q for q, w in enumerate(ahead[-1]) if w in backward)]
-    for level in reversed(ahead[2:]):
-        kept = 0
-        for q in _bits(on_path[-1]):
-            kept |= forward[level[q]]
-        on_path.append(kept)
-    path, p = [start], 0
-    for level, mask in zip(ahead[1:], reversed(on_path)):
-        w, p = min((level[q], q) for q in _bits(mask) if forward[level[q]] >> p & 1)
-        path.append(w)
-    for level in reversed(behind[:-1]):
-        path.append(min(level[i] for i in _bits(backward[path[-1]])))
-    return path
-
-
 def _row_pairs(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """The pairs (i, j), i < j, with bit j set in ``rows[i]``, in ascending order."""
     for i, row in enumerate(rows):
         for j in _bits(row >> (i + 1)):
             yield (i, i + 1 + j)
-
-
-def _connectivity_order(image: DigitalImage) -> tuple[list[int], list[list[int]]]:
-    """Point indices in breadth-first order, one component after another.
-
-    Each component is searched from its lowest point, the lowest index not
-    placed yet.  The second list holds, per position, the earlier positions
-    whose points are adjacent to the point there, so a backtracking search
-    in this order tests each adjacent pair as soon as both ends are placed.
-    """
-    nbr = image.neighbor_masks
-    order: list[int] = []
-    placed = 0
-    for root in range(len(nbr)):
-        if placed >> root & 1:
-            continue
-        placed |= 1 << root
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
-            order.append(i)
-            for j in _bits(nbr[i] & ~placed):
-                placed |= 1 << j
-                queue.append(j)
-    pos = [0] * len(order)
-    for k, i in enumerate(order):
-        pos[i] = k
-    earlier = [sorted(pos[j] for j in _bits(nbr[i]) if pos[j] < k)
-               for k, i in enumerate(order)]
-    return order, earlier
 
 
 def interval(a: int, b: int) -> DigitalImage:
@@ -515,4 +450,6 @@ def image_from_json(doc: dict) -> DigitalImage:
     # only the canonical spelling: no sign, blank or leading zero
     if not isinstance(adjacency, str) or not re.fullmatch(r"c(0|[1-9][0-9]*)", adjacency):
         raise ValueError(f"bad adjacency selector {adjacency!r} (expected e.g. 'c1')")
-    return DigitalImage(dim, tuple(tuple(p) for p in points), int(adjacency[1:]))
+    # arrays become tuples, as a refused point's message prints them
+    points = tuple(tuple(p) if isinstance(p, list) else p for p in points)
+    return DigitalImage(dim, points, int(adjacency[1:]))

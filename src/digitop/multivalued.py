@@ -28,8 +28,8 @@ from functools import cached_property
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
 from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
-from .lattice import (DigitalImage, Point, _as_point, _connectivity_order, _cover, _fields,
-                      _flood, _row_pairs, image_from_json, image_to_json)
+from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _flood, _row_pairs,
+                      image_from_json, image_to_json)
 from .value import Value
 
 #: Cap on the number of subdivision points a generator search will handle.
@@ -219,7 +219,7 @@ def is_egs_continuous(F: MultiFunction, r_max: int,
 def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None:
     """Backtracking search for a continuous map on the subdivision generating F.
 
-    Positions follow ``_connectivity_order``; ``left[k]`` counts the
+    Positions follow ``S.connectivity_order``; ``left[k]`` counts the
     positions of k's cell at or after k and ``before[k]`` is the cell's
     previous position (n for none), whose ``covered`` entry is what the cell
     holds before k.  Values are tried in ascending order on an explicit stack.
@@ -227,7 +227,7 @@ def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None
     S, Y = sub.image, F.codomain
     n = len(S)
     closed_y = Y.closed_neighbor_masks
-    order, earlier = _connectivity_order(S)
+    order, earlier = S.connectivity_order
     cells = [F.domain.point_index[sub.base_point_of(S.points[i])] for i in order]
     required = [F.masks[c] for c in cells]
     before, left, last = [n] * n, [n // len(F.masks)] * n, {}

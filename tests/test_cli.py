@@ -122,6 +122,11 @@ class TestHyperspace:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_point_that_is_not_an_array_exit_code(self, tmp_path, capsys):
+        bad = write(tmp_path, "scalar.json", {"dim": 1, "adjacency": "c1", "points": [[0], 5]})
+        assert main(["hyperspace", "--input", bad]) == 2
+        assert capsys.readouterr() == ("", "error: not a lattice point: 5\n")
+
 
 class TestCheck:
     @pytest.mark.parametrize("name, doc", [

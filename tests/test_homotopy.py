@@ -19,7 +19,7 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, HomotopyTable,
                      lift_homotopy_to_hyperspace, phi_adjacent, postcompose_map,
                      psi_adjacent, strongly_homotopic, verify_homotopy)
 import digitop.homotopy
-from digitop.homotopy import (PHI, PSI, _adjacent_rows, _all_continuous_rows,
+from digitop.homotopy import (PHI, PSI, _all_continuous_rows, _RowGraph,
                               phi_counterexample, psi_counterexample)
 import digitop.graphmetrics as gm
 from digitop.hyperspace import family_of
@@ -674,6 +674,12 @@ class TestPointedHomotopic:
         with pytest.raises(ValueError):
             pointed_homotopic(identity_map(X), identity_map(X), basepoint)
 
+    def test_basepoint_that_is_not_a_sequence(self):
+        X = interval(0, 2)
+        with pytest.raises(ValueError) as exc:
+            pointed_homotopic(identity_map(X), identity_map(X), 0)
+        assert str(exc.value) == "not a lattice point: 0"
+
 
 class TestContractible:
     def test_singleton(self):
@@ -717,7 +723,7 @@ def reference_bidirectional_bfs(start, goal, neighbors):
     meeting.  d <= 2 is settled first, by intersecting the closed
     neighbourhoods of ``start`` and ``goal``: d = 1 costs nothing, and each
     vertex of the intersection is charged once.  It is the reference for
-    the level expansion of ``lattice._bidirectional_bfs``."""
+    the level expansion of ``homotopy._RowGraph.path``."""
     closed = {}
 
     def near(v):
@@ -850,12 +856,12 @@ class TestLazySearch:
         G = build_function_graph(X, Y, flavor)
         yindex = Y.point_index
         rows = [tuple(yindex[y] for _, y in f.pairs) for f in G.vertices]
-        neighbors = _adjacent_rows(X, Y, flavor)
+        neighbors = _RowGraph(X, Y, flavor).neighbors
         for i, row in enumerate(rows):
             expect = [rows[j] for j in range(len(rows)) if G.adjacency_rows[i] >> j & 1]
             assert neighbors(row) == expect
             for x in range(len(X)):
-                pinned = _adjacent_rows(X, Y, flavor, pin=(x, row[x]))
+                pinned = _RowGraph(X, Y, flavor, pin=(x, row[x])).neighbors
                 assert pinned(row) == [r for r in expect if r[x] == row[x]]
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -888,13 +894,13 @@ class TestLazySearch:
         f, g = rng.choice(rows), rng.choice(rows)
         F, G = (FiniteFunction._trusted(X, Y, row) for row in (f, g))
         for flavor, strong in ((PHI, False), (PSI, True)):
-            path = _bfs(f, _adjacent_rows(X, Y, flavor, budget=10 ** 9), g.__eq__)
+            path = _bfs(f, _RowGraph(X, Y, flavor, budget=10 ** 9).neighbors, g.__eq__)
             decide = strongly_homotopic if strong else homotopic
             assert _rows(decide(F, G, budget=10 ** 9)) == path
             for i, x in enumerate(X.points):
                 path = None
                 if f[i] == g[i]:
-                    neighbors = _adjacent_rows(X, Y, flavor, (i, f[i]), 10 ** 9)
+                    neighbors = _RowGraph(X, Y, flavor, (i, f[i]), 10 ** 9).neighbors
                     path = _bfs(f, neighbors, g.__eq__)
                 assert _rows(pointed_homotopic(F, G, x, 10 ** 9, strong)) == path
 
@@ -918,7 +924,7 @@ class TestLazySearch:
             search = lambda budget: (strongly_homotopic if strong else homotopic)(F, G, budget)
         path, c = None, 0
         if pin is None or f[pin[0]] == g[pin[0]]:
-            neighbors = _adjacent_rows(X, Y, flavor, pin, 10 ** 9)
+            neighbors = _RowGraph(X, Y, flavor, pin, 10 ** 9).neighbors
             path, c = reference_bidirectional_bfs(f, g, neighbors)
         assert _rows(search(c)) == path
         if c:
@@ -961,7 +967,7 @@ class TestLazySearch:
         for wanted in (0, 1, 2, 3, None) * 2:
             X, Y, f, g, i = draw(wanted)
             pin = None if i is None else (i, f[i])
-            neighbors = _adjacent_rows(X, Y, flavor, pin, 10 ** 9)
+            neighbors = _RowGraph(X, Y, flavor, pin, 10 ** 9).neighbors
             old_charge = [0]
 
             def listed(row):
@@ -1017,7 +1023,7 @@ class TestLazySearch:
         # random images in Z and Z^2 under c1 and c2, disconnected ones included
         X = random_image(random.Random(seed), 5)
         n = len(X)
-        path = _bfs(tuple(range(n)), _adjacent_rows(X, X, PHI, budget=10 ** 9),
+        path = _bfs(tuple(range(n)), _RowGraph(X, X, PHI, budget=10 ** 9).neighbors,
                     lambda row: row.count(row[0]) == n)
         assert is_contractible(X, 10 ** 9) == (path is not None)
 

@@ -16,7 +16,7 @@ from digitop import (DigitalImage, HomotopyTable, LatticePath, as_multifunction,
 from digitop.cli import _run_check
 from digitop.functions import family_function_from_json, family_function_to_json
 from digitop.graphmetrics import as_finite_graph, bfs_distances, connected_components
-from digitop.lattice import _bits, _components, _connectivity_order, _cover, _flood
+from digitop.lattice import _bits, _components, _cover, _flood
 from digitop.verify import random_image
 
 points_1d = st.integers(-5, 5).map(lambda v: (v,))
@@ -188,7 +188,7 @@ def point_bfs_components(X):
 
 
 def components_connectivity_order(X):
-    """The ``_connectivity_order`` that rooted each of ``point_bfs_components``
+    """The ``connectivity_order`` that rooted each of ``point_bfs_components``
     at its smallest point, which it replaced."""
     nbr = X.neighbor_masks
     order = []
@@ -209,7 +209,7 @@ def components_connectivity_order(X):
         pos[i] = k
     earlier = [sorted(pos[j] for j in _bits(nbr[i]) if pos[j] < k)
                for k, i in enumerate(order)]
-    return order, earlier
+    return tuple(order), tuple(map(tuple, earlier))
 
 
 def random_sparse_image(rng):
@@ -286,7 +286,7 @@ class TestConnectivityReferences:
             X = random_sparse_image(rng)
             comps = X.components()
             assert comps == point_bfs_components(X)
-            assert _connectivity_order(X) == components_connectivity_order(X)
+            assert X.connectivity_order == components_connectivity_order(X)
             assert X.is_connected() == (len(comps) == 1)
             counts.add(min(len(comps), 3))
         assert counts == {1, 2, 3}
@@ -360,6 +360,14 @@ class TestImageConstruction:
     def test_bad_adjacency(self):
         with pytest.raises(ValueError):
             DigitalImage(1, ((0,),), 2)
+
+    def test_point_that_is_not_a_sequence(self):
+        # a ValueError naming the point, not Python's TypeError from tuple(0)
+        X = interval(0, 2)
+        for call in (lambda: X.neighbors(0), lambda: DigitalImage.of([0])):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "not a lattice point: 0"
 
     def test_json_round_trip(self):
         X = DigitalImage.of([(0, 1), (1, 1), (2, 0)], 2)

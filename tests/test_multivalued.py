@@ -12,7 +12,7 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, MultiFunction, S
                      is_connectivity_preserving, is_continuous, is_egs_continuous,
                      multifunction_from_json,
                      multifunction_to_json, subdivide)
-from digitop.lattice import _bits, _connectivity_order, adjacent_or_equal
+from digitop.lattice import _bits, adjacent_or_equal
 from digitop.multivalued import _find_generator, strong_continuity_counterexample
 from digitop.verify import (random_connected_image, random_continuous_function,
                             random_function, random_image, random_multifunction)
@@ -84,7 +84,7 @@ def recursive_find_generator(F, sub):
     required = [sum(1 << Y.point_index[v] for v in F.table[x]) for x in base_points]
     remaining = [len(sub.cell(x)) for x in base_points]
     closed_y = Y.closed_neighbor_masks
-    order, earlier = _connectivity_order(S)
+    order, earlier = S.connectivity_order
     cells = [cell_id[S.points[i]] for i in order]
     assignment = [0] * len(S)
     covered = [0] * len(base_points)
