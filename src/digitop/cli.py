@@ -5,7 +5,11 @@ Exit codes: 0 success, 1 verification/check failure, 2 usage or parse
 error, 3 resource limit exceeded, 4 internal error (a witness failed its
 re-validation, or an output held a value the JSON writer does not take).
 Every ``--format json`` document comes from one writer, ``_dumps``, whose
-bytes are those of ``json.dumps(value, indent=2)``.
+bytes are those of ``json.dumps(value, indent=2)``.  ``check`` hands it each
+map witness (a homotopy's slices, the egs generator, the inducing map) as a
+``_Map``, which it writes from the map's value row with the bytes of
+``function_to_json``'s document; the text form's ``witness:`` line is
+``json.dumps`` of the same value, each ``_Map`` turned into that document.
 Each verb takes only the ``--budget-*`` flags it reads (``BUDGETS``).  The
 library returns vertex indices, witnesses included; only the CLI names them,
 from the points, member masks and map rows of the space.  A member's text,
@@ -30,9 +34,9 @@ from .errors import BudgetError, InternalError
 from .functions import (continuity_counterexample, family_function_from_json,
                         function_from_json, function_to_json, is_isomorphism, is_retraction,
                         find_inducing_map, pair_from_json)
-from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph,
-                       homotopic, homotopy_to_json, is_contractible, phi_counterexample,
-                       psi_counterexample, strongly_homotopic, verify_homotopy)
+from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph, homotopic,
+                       is_contractible, phi_counterexample, psi_counterexample,
+                       strongly_homotopic, verify_homotopy)
 from .hyperspace import DEFAULT_POINT_BUDGET, SubsetFamily, family_of, hyperspace_graph
 from .lattice import DigitalImage, image_from_json
 from .multivalued import (DEFAULT_SUBDIVISION_BUDGET, generates, has_weak_continuity,
@@ -76,29 +80,30 @@ def _dumps(value) -> str:
     the same layout in fewer steps.  It takes dicts with str keys, lists,
     tuples, str, int, bool and None, and raises InternalError on anything
     else: the CLI builds no other value, so one would be a bug, not input.
-    Point tuples and the image documents all slices of a homotopy witness
-    share recur, so each tuple and dict is written once per nesting depth
-    and its text reused.  Lists rarely recur, and a memo entry each costs
-    more than it saves.  A list, tuple or str-keyed dict whose values are
-    all ints (bools are not) writes them with ``int.__repr__``, not one
-    ``write`` call each.  The memo is keyed by identity, so an equal tuple
-    of other types, such as (True,) for (1,), never shares text, and the
-    document keeps every key alive.  A ``_Members`` value is written as its
-    list of point lists: each point's text once, at its depth, and each
-    member's text joined from its points' texts in ascending bit order.
+    A list, tuple or str-keyed dict whose values are all ints (bools are
+    not) writes them with ``int.__repr__``, not one ``write`` call each.
+
+    Two values stand for the documents the library would build:
+
+    - ``_Members`` is written as its list of point lists: each point's text
+      once, at its depth, and each member's text joined from its points'
+      texts in ascending bit order.
+    - ``_Map`` is written as ``function_to_json(f)``'s document.  Per
+      (domain, codomain, depth) the writer builds each image's document
+      text once, each point's text once (shared by the image's ``points``
+      and the pairs), and each (x, f(x)) pair's text on first use, so a
+      map is one join over its value row.  The tables are keyed by the
+      identity of the map's images, which the document keeps alive.
     """
-    memo: dict[tuple[int, int], str] = {}
+    images: dict[tuple[int, int], tuple[str, list[str]]] = {}
+    maps: dict[tuple[int, int, int], tuple[str, str, _Texts, str]] = {}
 
     def write(v, depth: int) -> str:
         kind = type(v)
-        if kind is tuple or kind is dict:
-            key = (id(v), depth)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = (write_items if kind is tuple else write_fields)(v, depth)
-            return text
-        if kind is list:
+        if kind is list or kind is tuple:
             return write_items(v, depth)
+        if kind is dict:
+            return write_fields(v, depth)
         if kind is str:
             return encode_basestring_ascii(v)
         if kind is int:
@@ -107,34 +112,66 @@ def _dumps(value) -> str:
             return "null"
         if kind is bool:
             return "true" if v else "false"
+        if kind is _Map:
+            return write_map(v.f, depth)
         if kind is _Members:
             return write_members(v, depth)
         raise InternalError(f"cannot write a {kind.__name__} as JSON")
 
+    def join(open_: str, texts, close: str, depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        return open_ + inner + ("," + inner).join(texts) + "\n" + "  " * depth + close
+
     def write_fields(v, depth: int) -> str:
         if not v:
             return "{}"
-        inner = "\n" + "  " * (depth + 1)
         if all(type(x) is int for x in v.values()) and all(type(k) is str for k in v):
-            fields = map(": ".join, zip(map(encode_basestring_ascii, v),
-                                        map(int.__repr__, v.values())))
-        else:
-            fields = []
-            for k, x in v.items():
-                if type(k) is not str:
-                    raise InternalError(f"cannot write a {type(k).__name__} key as JSON")
-                fields.append(encode_basestring_ascii(k) + ": " + write(x, depth + 1))
-        return "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
+            return join("{", map(": ".join, zip(map(encode_basestring_ascii, v),
+                                                map(int.__repr__, v.values()))), "}", depth)
+        fields = []
+        for k, x in v.items():
+            if type(k) is not str:
+                raise InternalError(f"cannot write a {type(k).__name__} key as JSON")
+            fields.append(encode_basestring_ascii(k) + ": " + write(x, depth + 1))
+        return join("{", fields, "}", depth)
 
     def write_items(v, depth: int) -> str:
         if not v:
             return "[]"
-        inner = "\n" + "  " * (depth + 1)
         if all(type(x) is int for x in v):
-            items = map(int.__repr__, v)
-        else:
-            items = [write(x, depth + 1) for x in v]
-        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+            return join("[", map(int.__repr__, v), "]", depth)
+        return join("[", [write(x, depth + 1) for x in v], "]", depth)
+
+    def write_image(X: DigitalImage, depth: int) -> tuple[str, list[str]]:
+        """``image_to_json(X)``'s text at ``depth``, and its points' texts."""
+        key = (id(X), depth)
+        got = images.get(key)
+        if got is None:
+            # a point is a nonempty tuple of ints
+            inner = "\n" + "  " * (depth + 3)
+            open_, sep, close = "[" + inner, "," + inner, "\n" + "  " * (depth + 2) + "]"
+            points = [open_ + sep.join(map(int.__repr__, p)) + close for p in X.points]
+            got = images[key] = (join("{", (
+                '"dim": ' + write(X.dim, depth + 1),
+                '"adjacency": ' + encode_basestring_ascii(f"c{X.adjacency}"),
+                '"points": ' + join("[", points, "]", depth + 1)), "}", depth), points)
+        return got
+
+    def write_map(f, depth: int) -> str:
+        key = (id(f.domain), id(f.codomain), depth)
+        table = maps.get(key)
+        if table is None:
+            (domain, xs), (codomain, ys) = (write_image(f.domain, depth + 1),
+                                            write_image(f.codomain, depth + 1))
+            inner, pair, point = ("\n" + "  " * (depth + k) for k in (1, 2, 3))
+            table = maps[key] = (
+                "{" + inner + '"domain": ' + domain + "," + inner + '"codomain": ' + codomain
+                + "," + inner + '"pairs": [' + pair,
+                "," + pair,
+                _Texts(lambda xy: "[" + point + xs[xy[0]] + "," + point + ys[xy[1]] + pair + "]"),
+                inner + "]\n" + "  " * depth + "}")
+        head, sep, pairs, tail = table
+        return head + sep.join(map(pairs.__getitem__, enumerate(f.row))) + tail
 
     def write_members(v: _Members, depth: int) -> str:
         if not v.masks:
@@ -149,6 +186,21 @@ def _dumps(value) -> str:
     return write(value, 0)
 
 
+class _Texts(dict):
+    """Texts keyed by what they are built from: a missing key's text is
+    ``build(key)``, built on first use and kept."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        text = self[key] = self.build(key)
+        return text
+
+
 class _Members:
     """Members of a family as bit masks over ``points``, the image's sorted
     points: ``_dumps`` writes each mask as the list of its points in ascending bit order."""
@@ -157,6 +209,19 @@ class _Members:
 
     def __init__(self, points: tuple, masks: tuple[int, ...]):
         self.points, self.masks = points, masks
+
+
+class _Map:
+    """A map between digital images, ``f``: ``_dumps`` writes it as the bytes of
+    ``document()``, ``function_to_json(f)``, without building that document."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def document(self) -> dict:
+        return function_to_json(self.f)
 
 
 def _point_names(image: DigitalImage) -> list[str]:
@@ -282,7 +347,7 @@ def _run_check(name: str, doc: dict, args):
         mode = "plain" if name == "homotopic" else "strong"
         if not verify_homotopy(table, f, g, mode=mode):
             raise InternalError("witness failed re-validation")
-        return True, homotopy_to_json(table)
+        return True, {"m": table.m, "slices": [_Map(h) for h in table.slices]}
     if name == "contractible":
         return is_contractible(image_from_json(doc), args.budget_functions), None
     if name in ("weak-continuity", "strong-continuity", "connectivity-preserving",
@@ -302,11 +367,11 @@ def _run_check(name: str, doc: dict, args):
             return False, {"r_max": result.r_max}
         if not generates(result.generator, F, Subdivision(F.domain, result.r)):
             raise InternalError("generator failed re-validation")
-        return True, {"r": result.r, "generator": function_to_json(result.generator)}
+        return True, {"r": result.r, "generator": _Map(result.generator)}
     if name == "induced-by":
         F = family_function_from_json(doc)
         f = find_inducing_map(F)
-        return f is not None, None if f is None else function_to_json(f)
+        return f is not None, None if f is None else _Map(f)
     raise ValueError(f"unknown check {name!r}")
 
 
@@ -317,7 +382,7 @@ def cmd_check(args) -> int:
     else:
         lines = [f"{args.name}: {'true' if verdict else 'false'}"]
         if witness is not None:
-            lines.append(f"witness: {json.dumps(witness)}")
+            lines.append(f"witness: {json.dumps(witness, default=_Map.document)}")
         _emit(args, "\n".join(lines) + "\n")
     return 0 if verdict else 1
 

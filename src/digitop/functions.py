@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .hyperspace import (DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_connected_subsets,
                          family_from_json, family_of, family_to_json, triangle_image)
-from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _row_pairs,
+from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _pairs, _row_pairs,
                       image_from_json, image_to_json, interval)
 from .value import Value
 
@@ -237,7 +237,8 @@ def function_to_json(f: FiniteFunction, images: dict | None = None) -> dict:
 
 
 def _function_over(domain: DigitalImage, codomain: DigitalImage, pairs) -> FiniteFunction:
-    return FiniteFunction(domain, codomain, tuple((_as_point(x), _as_point(y)) for x, y in pairs))
+    return FiniteFunction(domain, codomain, tuple((_as_point(x), _as_point(y))
+                                                  for x, y in _pairs(pairs, "function")))
 
 
 def function_from_json(doc: dict) -> FiniteFunction:
@@ -277,5 +278,5 @@ def family_function_to_json(F: FiniteFunction) -> dict:
 def family_function_from_json(doc: dict) -> FiniteFunction:
     domain, codomain, pairs = _fields(doc, "family function", "domain", "codomain", "pairs")
     table = tuple((frozenset(map(_as_point, a)), frozenset(map(_as_point, b)))
-                  for a, b in pairs)
+                  for a, b in _pairs(pairs, "family function"))
     return FiniteFunction(family_from_json(domain), family_from_json(codomain), table)

@@ -16,7 +16,8 @@ both ends in ``homotopy._RowGraph.path``, which states when they meet.
 
 Every JSON document loader (images here, families, maps, multifunctions,
 homotopy tables and the CLI's map pairs) reads its top-level fields through
-``_fields``, the one place a non-object or a missing key is refused.
+``_fields``, the one place a non-object or a missing key is refused, and
+every map-like document's ``pairs`` through ``_pairs``.
 """
 
 from __future__ import annotations
@@ -145,7 +146,10 @@ class DigitalImage(Value):
         return len(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in self.point_set
+        try:
+            return tuple(p) in self.point_set
+        except TypeError:  # not a sequence, or one holding unhashable items
+            return False
 
     @cached_property
     def point_set(self) -> frozenset[Point]:
@@ -439,6 +443,20 @@ def _fields(doc, what: str, *keys: str) -> list:
         if key not in doc:
             raise ValueError(f"{what} document is missing {key!r}")
     return [doc[key] for key in keys]
+
+
+def _pairs(pairs, what: str) -> list:
+    """A document's ``pairs``, checked to be an array of two-item arrays.
+
+    The map, family-map and multifunction loaders unpack their pairs
+    through here.  A ValueError names the document kind and the entry.
+    """
+    if not isinstance(pairs, list):
+        raise ValueError(f"{what} document's pairs must be an array, got {pairs!r}")
+    for entry in pairs:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"{what} document's pair {entry!r} is not a two-item array")
+    return pairs
 
 
 def image_from_json(doc: dict) -> DigitalImage:

@@ -28,8 +28,8 @@ from functools import cached_property
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
 from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
-from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _flood, _row_pairs,
-                      image_from_json, image_to_json)
+from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _flood, _pairs,
+                      _row_pairs, image_from_json, image_to_json)
 from .value import Value
 
 #: Cap on the number of subdivision points a generator search will handle.
@@ -304,4 +304,4 @@ def multifunction_from_json(doc: dict) -> MultiFunction:
     domain, codomain, pairs = _fields(doc, "multifunction", "domain", "codomain", "pairs")
     return MultiFunction(image_from_json(domain), image_from_json(codomain),
                          tuple((_as_point(x), frozenset(map(_as_point, v)))
-                               for x, v in pairs))
+                               for x, v in _pairs(pairs, "multifunction")))

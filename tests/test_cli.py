@@ -15,14 +15,18 @@ from hypothesis import given, settings, strategies as st
 import digitop.cli
 import digitop.graphmetrics
 from digitop import (DigitalImage, FiniteFunction, cycle_image, enumerate_connected_subsets,
-                     family_from_json, function_from_json, function_to_json,
-                     has_weak_continuity, identity_map, image_from_json, image_to_json,
-                     induced_map, interval, is_connectivity_preserving, is_retraction,
-                     multifunction_from_json)
+                     family_from_json, find_inducing_map, function_from_json, function_to_json,
+                     has_weak_continuity, homotopic, homotopy_to_json, identity_map,
+                     image_from_json, image_to_json, induced_map, interval,
+                     is_connectivity_preserving, is_egs_continuous, is_retraction,
+                     multifunction_from_json, strongly_homotopic)
 from digitop.errors import InternalError
-from digitop.functions import family_function_to_json, pair_from_json
+from digitop.functions import (continuity_counterexample, family_function_from_json,
+                               family_function_to_json, pair_from_json)
+from digitop.homotopy import phi_counterexample, psi_counterexample
 from digitop.hyperspace import family_of
-from digitop.cli import _Members, _dumps, main
+from digitop.multivalued import strong_continuity_counterexample
+from digitop.cli import _Map, _Members, _dumps, main
 
 
 def write(tmp_path, name, doc):
@@ -143,6 +147,27 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, kind, pairs, message", [
+        ("continuity", "function", 5, "pairs must be an array, got 5"),
+        ("continuity", "function", [[[0], [0]], 5], "pair 5 is not a two-item array"),
+        ("continuity", "function", [[[0], [0]], [[1], [1], [0]]],
+         "pair [[1], [1], [0]] is not a two-item array"),
+        ("induced-by", "family function", {"a": 1}, "pairs must be an array, got {'a': 1}"),
+        ("induced-by", "family function", [[[[0]]]], "pair [[[0]]] is not a two-item array"),
+        ("weak-continuity", "multifunction", "ab", "pairs must be an array, got 'ab'"),
+        ("weak-continuity", "multifunction", [[[0], [[0]]], [1]],
+         "pair [1] is not a two-item array"),
+    ], ids=["function-scalar", "function-scalar-pair", "function-long-pair",
+            "family-object", "family-short-pair", "multifunction-string",
+            "multifunction-short-pair"])
+    def test_malformed_pairs_exit_code(self, tmp_path, capsys, name, kind, pairs, message):
+        X = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
+        space = ({"base": X, "kind": "connected", "members": [[[0]], [[1]], [[0], [1]]]}
+                 if kind == "family function" else X)
+        bad = write(tmp_path, "map.json", {"domain": space, "codomain": space, "pairs": pairs})
+        assert main(["check", name, "--input", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {kind} document's {message}\n")
 
     def test_continuity_true(self, remark_docs, capsys):
         _, g, _ = remark_docs
@@ -1010,8 +1035,8 @@ class TestInternalError:
         assert captured.err == "internal error: cycle witness failed re-validation\n"
 
     def test_unwritable_json_value_exit_code(self, monkeypatch, capsys, remark_docs):
-        monkeypatch.setattr(digitop.cli, "homotopy_to_json",
-                            lambda table: {"m": 1.0, "slices": []})
+        # each slice of the homotopy witness becomes a float the writer refuses
+        monkeypatch.setattr(digitop.cli, "_Map", lambda f: 1.0)
         assert main(["check", "homotopic", "--input", remark_docs[2], "--format", "json"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1088,6 +1113,74 @@ LIBRARY_VERDICTS = {
     "connectivity-preserving":
         lambda doc: is_connectivity_preserving(multifunction_from_json(doc)),
 }
+
+
+def _library_witness(name, doc, extra):
+    """Check ``name``'s witness on ``doc``, built from the library's own calls:
+    maps as ``function_to_json`` and homotopies as ``homotopy_to_json`` give
+    them, and every other witness from the counterexample's points."""
+    if name == "continuity":
+        f = function_from_json(doc)
+        pair, xs = continuity_counterexample(f), f.domain.points
+        return None if pair is None else {"x": xs[pair[0]], "x_prime": xs[pair[1]]}
+    if name in ("phi-adjacent", "psi-adjacent"):
+        f, g = pair_from_json(doc)
+        xs = f.domain.points
+        if name == "phi-adjacent":
+            x = phi_counterexample(f, g)
+            bad = None if x is None else {"x": xs[x]}
+        else:
+            pair = psi_counterexample(f, g)
+            bad = None if pair is None else {"x0": xs[pair[0]], "x1": xs[pair[1]]}
+        return bad if bad is not None or f != g else {"equal": True}
+    if name in ("homotopic", "strongly-homotopic"):
+        decision = (homotopic if name == "homotopic" else strongly_homotopic)(*pair_from_json(doc))
+        return homotopy_to_json(decision.table()) if decision else None
+    if name == "strong-continuity":
+        F = multifunction_from_json(doc)
+        bad, xs = strong_continuity_counterexample(F), F.domain.points
+        return None if bad is None else {
+            "x": xs[bad[0]], "y": xs[bad[1]], "unmatched": F.codomain.points[bad[2]]}
+    if name == "egs-continuous":
+        result = is_egs_continuous(multifunction_from_json(doc), int(extra[1]) if extra else 4)
+        if not result:
+            return {"r_max": result.r_max}
+        return {"r": result.r, "generator": function_to_json(result.generator)}
+    if name == "induced-by":
+        f = find_inducing_map(family_function_from_json(doc))
+        return None if f is None else function_to_json(f)
+    return None
+
+
+class TestWitnessDocuments:
+    """Each witness has the bytes of the library's document for it."""
+
+    @pytest.mark.parametrize("name, doc, extra, rc", [case[1:] for case in CHECK_LAYOUT_CASES],
+                             ids=[case[0] for case in CHECK_LAYOUT_CASES])
+    def test_check(self, tmp_path, capsys, name, doc, extra, rc):
+        witness = _library_witness(name, doc, extra)
+        path = write(tmp_path, "doc.json", doc)
+        assert main(["check", name, "--input", path, "--format", "json", *extra]) == rc
+        assert capsys.readouterr().out == json.dumps(
+            {"check": name, "verdict": rc == 0, "witness": witness}, indent=2) + "\n"
+        assert main(["check", name, "--input", path, *extra]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ([] if witness is None else [f"witness: {json.dumps(witness)}"])
+
+    @pytest.mark.parametrize("name", ["homotopic", "strongly-homotopic"])
+    def test_homotopy_over_signed_2d_images(self, tmp_path, capsys, name):
+        # m = 3 over a c2 domain and a c1 codomain, both with negative coordinates
+        X = DigitalImage.of([(-1, -2), (0, -1), (0, -2)], 2)
+        Y = DigitalImage.of([(-3, 5), (-2, 5), (-1, 5), (-1, 4)], 1)
+        f = FiniteFunction._trusted(X, Y, (0, 0, 0))
+        g = FiniteFunction._trusted(X, Y, (2, 2, 2))  # (-1, 4), three steps away
+        doc = {"f": function_to_json(f), "g": function_to_json(g)}
+        witness = _library_witness(name, doc, ())
+        assert witness["m"] == 3
+        path = write(tmp_path, "pair.json", doc)
+        assert main(["check", name, "--input", path, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {"check": name, "verdict": True, "witness": witness}, indent=2) + "\n"
 
 
 class TestCheckVerdicts:
@@ -1254,6 +1347,34 @@ class TestDumps:
         for _ in range(data.draw(st.integers(0, 3), label="depth")):
             value, nested = {"members": [value]}, {"members": [nested]}
         assert _dumps(value) == json.dumps(nested, indent=2)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_maps_match_their_documents(self, data):
+        def image():
+            dim = data.draw(st.integers(1, 3), label="dim")
+            points = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * dim),
+                                        min_size=1, max_size=5, unique=True), label="points")
+            return DigitalImage.of(points, data.draw(st.integers(1, dim), label="u"))
+
+        # images shared between maps, and an equal image that is another object
+        images = [image() for _ in range(data.draw(st.integers(1, 3), label="images"))]
+        images.append(DigitalImage.of(images[0].points, images[0].adjacency))
+        maps = []
+        for _ in range(data.draw(st.integers(1, 4), label="maps")):
+            X, Y = (data.draw(st.sampled_from(images), label=side) for side in ("X", "Y"))
+            row = data.draw(st.lists(st.integers(0, len(Y) - 1),
+                                     min_size=len(X), max_size=len(X)), label="row")
+            maps.append(FiniteFunction._trusted(X, Y, tuple(row)))
+        # the first map again, one level shallower than the list
+        value = {"first": _Map(maps[0]), "maps": [_Map(f) for f in maps]}
+        document = {"first": function_to_json(maps[0]),
+                    "maps": [function_to_json(f) for f in maps]}
+        if data.draw(st.booleans(), label="bare"):
+            value, document = value["first"], document["first"]
+        for _ in range(data.draw(st.integers(0, 3), label="depth")):
+            value, document = {"slices": [value]}, {"slices": [document]}
+        assert _dumps(value) == json.dumps(document, indent=2)
 
     @pytest.mark.parametrize("value", [
         1.5, {1, 2}, b"x", {1: "a"}, {"a": [None, {True: 0}]}, [0, 1, 2.0],

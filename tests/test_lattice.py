@@ -369,6 +369,13 @@ class TestImageConstruction:
                 call()
             assert str(exc.value) == "not a lattice point: 0"
 
+    def test_membership_of_a_value_that_is_no_point(self):
+        # False, not Python's TypeError from tuple(0) or from hashing a list
+        X = interval(0, 2)
+        assert (1,) in X and [1] in X
+        for value in (0, None, 1.5, [[0]], "0", ()):
+            assert value not in X
+
     def test_json_round_trip(self):
         X = DigitalImage.of([(0, 1), (1, 1), (2, 0)], 2)
         assert image_from_json(image_to_json(X)) == X
