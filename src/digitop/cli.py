@@ -58,11 +58,19 @@ class _ParseError(ValueError):
 
 
 def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError as exc:  # the decoder recurses once per nesting level
-            raise _ParseError(str(exc)) from None
+    """The JSON document in the file at ``path``, read as strict UTF-8.
+
+    The bytes are decoded once, and CR and CRLF line ends become LF as in
+    text mode, so a parse error reports the line and column it always did.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise _ParseError(str(exc)) from None
 
 
 def _emit(args, text: str) -> None:
@@ -454,7 +462,7 @@ def cmd_metrics(args) -> int:
             "radius": rad,
             "diameter": diam,
             "center": [name(v) for v in ctr],
-            "eccentricity": {str(v): gm.eccentricity(graph, v) for v in range(graph.n)},
+            "eccentricity": dict(zip(map(str, range(graph.n)), graph.eccentricities)),
         }) + "\n")
     else:
         _emit(args, f"vertices: {graph.n}\nedges: {graph.edge_count}\n"

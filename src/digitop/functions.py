@@ -18,13 +18,13 @@ onto the c_2 triangle.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import cached_property
+from itertools import chain
 
 from .hyperspace import (DEFAULT_POINT_BUDGET, SubsetFamily, enumerate_connected_subsets,
                          family_from_json, family_of, family_to_json, triangle_image)
-from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _pairs, _row_pairs,
-                      image_from_json, image_to_json, interval)
-from .value import Value
+from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _pairs, _point_list,
+                      _row_pairs, image_from_json, image_to_json, interval)
+from .value import Value, cached_property
 
 
 class FiniteFunction(Value):
@@ -89,7 +89,7 @@ class FiniteFunction(Value):
 
 
 def identity_map(space) -> FiniteFunction:
-    return FiniteFunction._trusted(space, space, tuple(range(len(space.adjacency_rows))))
+    return FiniteFunction._trusted(space, space, tuple(range(len(space))))
 
 
 def constant_map(domain, codomain, value) -> FiniteFunction:
@@ -237,8 +237,30 @@ def function_to_json(f: FiniteFunction, images: dict | None = None) -> dict:
 
 
 def _function_over(domain: DigitalImage, codomain: DigitalImage, pairs) -> FiniteFunction:
-    return FiniteFunction(domain, codomain, tuple((_as_point(x), _as_point(y))
-                                                  for x, y in _pairs(pairs, "function")))
+    """The map over the two images whose document holds ``pairs``.
+
+    The row is read straight from the images' point indices when every
+    coordinate is an int and each domain point takes one value in the
+    codomain.  On anything else the pairs are checked one by one, x before
+    y within each pair, so a refusal names what it always named.
+    """
+    pairs = _pairs(pairs, "function")
+    dom, cod = domain.point_index, codomain.point_index
+    row = [-1] * len(dom)
+    try:
+        exact = (len(pairs) == len(row) and set(map(type, chain.from_iterable(
+            chain.from_iterable(pairs)))) == {int})
+    except TypeError:  # a point that is not an array
+        exact = False
+    if exact:
+        for x, y in pairs:
+            i, v = dom.get(tuple(x)), cod.get(tuple(y))
+            if i is None or v is None or row[i] >= 0:
+                break
+            row[i] = v
+        else:
+            return FiniteFunction._trusted(domain, codomain, tuple(row))
+    return FiniteFunction(domain, codomain, tuple((_as_point(x), _as_point(y)) for x, y in pairs))
 
 
 def function_from_json(doc: dict) -> FiniteFunction:
@@ -252,18 +274,24 @@ def pair_from_json(doc: dict) -> tuple[FiniteFunction, FiniteFunction]:
     When g's domain and codomain documents are f's, g's table is checked
     against f's images instead of images read again, so the two maps share
     one set of images and its adjacency rows are built once.  The documents
-    must be equal JSON values of equal types: ``==`` alone takes ``true``
-    and ``1.0`` for ``1``, which an image document refuses, and ``repr``
-    tells them apart.  ``repr`` runs only once ``==`` holds, so it recurses
-    no deeper than ``==`` did.
+    must be equal, and equal in the types of the fields ``image_from_json``
+    reads: ``==`` alone takes ``true`` and ``1.0`` for ``1``, which an image
+    document refuses.  f's documents were read, so their ``dim`` and
+    coordinates are ints; g's must be too.
     """
     f_doc, g_doc = _fields(doc, "pair", "f", "g")
     f = function_from_json(f_doc)
     domain, codomain, pairs = _fields(g_doc, "function", "domain", "codomain", "pairs")
-    if all(a == b and repr(a) == repr(b) for a, b in ((domain, f_doc["domain"]),
-                                                      (codomain, f_doc["codomain"]))):
+    if _read_alike(domain, f_doc["domain"]) and _read_alike(codomain, f_doc["codomain"]):
         return f, _function_over(f.domain, f.codomain, pairs)
     return f, _function_over(image_from_json(domain), image_from_json(codomain), pairs)
+
+
+def _read_alike(doc, read) -> bool:
+    """True when ``doc`` equals the image document ``read``, which was read
+    without error, and its ``dim`` and coordinates are ints as ``read``'s are."""
+    return (doc == read and type(doc["dim"]) is int
+            and set(map(type, chain.from_iterable(doc["points"]))) == {int})
 
 
 def family_function_to_json(F: FiniteFunction) -> dict:
@@ -277,6 +305,8 @@ def family_function_to_json(F: FiniteFunction) -> dict:
 
 def family_function_from_json(doc: dict) -> FiniteFunction:
     domain, codomain, pairs = _fields(doc, "family function", "domain", "codomain", "pairs")
-    table = tuple((frozenset(map(_as_point, a)), frozenset(map(_as_point, b)))
-                  for a, b in _pairs(pairs, "family function"))
+    what = "family function"
+    table = tuple((frozenset(map(_as_point, _point_list(a, what, "member"))),
+                   frozenset(map(_as_point, _point_list(b, what, "member"))))
+                  for a, b in _pairs(pairs, what))
     return FiniteFunction(family_from_json(domain), family_from_json(codomain), table)

@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 
 from .errors import BudgetError
 from .lattice import (DigitalImage, Point, _bfs, _bits, _components, _flood, _row_pairs,
                       is_connected)
-from .value import Value
+from .value import Value, cached_property
 
 #: Vertex cap for the exponential longest-cycle search.
 DEFAULT_CYCLE_BUDGET = 20

@@ -36,7 +36,7 @@ returns domain indices: ``phi_counterexample`` scans the domain,
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_, getitem, itemgetter, or_
 
 from .errors import BudgetError
@@ -44,7 +44,7 @@ from .functions import (FiniteFunction, function_from_json, function_to_json, in
                         is_continuous)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of
 from .lattice import DigitalImage, _as_point, _bfs, _bits, _fields, _flood, _row_pairs
-from .value import Value
+from .value import Value, cached_property
 
 #: Cap on the raw search space #Y ** #X of a function enumeration, and on
 #: the continuous rows one lazy search generates over all its expansions.
@@ -362,6 +362,9 @@ class FunctionGraph(Value):
                  rows: tuple[tuple[int, ...], ...]):
         self.__dict__.update(domain=domain, codomain=codomain, flavor=flavor, rows=rows,
                              _key=(domain, codomain, flavor, rows))
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     @cached_property
     def vertices(self) -> tuple[FiniteFunction, ...]:

@@ -43,13 +43,12 @@ enumerator.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
 
 from .errors import BudgetError
 from .graphmetrics import bounded_eccentricities
-from .lattice import (DigitalImage, Point, _bits, _cover, _fields, _flood, _row_pairs,
-                      image_from_json, image_to_json)
-from .value import Value
+from .lattice import (DigitalImage, Point, _bits, _cover, _fields, _flood, _point_list,
+                      _row_pairs, image_from_json, image_to_json)
+from .value import Value, cached_property
 
 #: Images with more points than this may not be expanded into hyperspaces.
 DEFAULT_POINT_BUDGET = 24
@@ -393,5 +392,10 @@ def family_to_json(family: SubsetFamily) -> dict:
 def family_from_json(doc: dict) -> SubsetFamily:
     base, kind, members = _fields(doc, "family", "base", "kind", "members")
     base = image_from_json(base)
-    masks = tuple(base.mask_of(tuple(tuple(p) for p in m)) for m in members)
+    if not isinstance(members, list):
+        raise ValueError(f"family document's members must be an array, got {members!r}")
+    # arrays become tuples, as a refused point's message prints them
+    masks = tuple(base.mask_of(tuple(p) if isinstance(p, list) else p
+                               for p in _point_list(m, "family", "member"))
+                  for m in members)
     return SubsetFamily(base, masks, kind)

@@ -14,10 +14,16 @@ neighbours in the order given; girth, ``FunctionGraph.find_path`` and
 contractibility call it.  The homotopy searches grow their balls from
 both ends in ``homotopy._RowGraph.path``, which states when they meet.
 
+An image's neighbour masks come from one of two kernels, picked by a size
+rule measured at their crossover: with s c_u steps, an image of at most
+5 + s/4 points scans its point pairs, and a larger one looks each point's
+positive steps up as integer keys (see ``neighbor_masks``).
+
 Every JSON document loader (images here, families, maps, multifunctions,
 homotopy tables and the CLI's map pairs) reads its top-level fields through
 ``_fields``, the one place a non-object or a missing key is refused, and
-every map-like document's ``pairs`` through ``_pairs``.
+every map-like document's ``pairs`` through ``_pairs``, and every member or
+value set of points through ``_point_list``.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ import itertools
 import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 
-from .value import Value
+from .value import Value, cached_property
 
 Point = tuple[int, ...]
 
@@ -63,14 +69,15 @@ def adjacent_or_equal(x: Point, y: Point, u: AdjacencyKind) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _step_offsets(dim: int, u: int) -> tuple[Point, ...]:
-    """All nonzero offsets in {-1,0,1}^dim with at most u nonzero entries."""
-    out = []
-    for delta in itertools.product((-1, 0, 1), repeat=dim):
-        k = sum(1 for d in delta if d != 0)
-        if 1 <= k <= u:
-            out.append(delta)
-    return tuple(out)
+def _positive_steps(dim: int, u: int) -> tuple[tuple[int, ...], ...]:
+    """The c_u steps whose first nonzero entry is +1, as one column per coordinate.
+
+    These are the nonzero offsets in {-1,0,1}^dim with at most u nonzero
+    entries, one of each pair delta, -delta.
+    """
+    steps = [delta for delta in itertools.product((-1, 0, 1), repeat=dim)
+             if sum(map(bool, delta)) <= u and delta > (0,) * dim]
+    return tuple(zip(*steps))
 
 
 def _as_point(p, dim: int | None = None) -> Point:
@@ -84,6 +91,21 @@ def _as_point(p, dim: int | None = None) -> Point:
     if dim is not None and len(pt) != dim:
         raise ValueError(f"point {pt} has dimension {len(pt)}, expected {dim}")
     return pt
+
+
+def _checked_points(points, dim: int) -> tuple[Point, ...] | None:
+    """The points sorted, each a tuple, or None if one is not a lattice point of ``dim``.
+
+    One pass over all coordinates, for points given as lists or tuples
+    of ints; on any other input it returns None, and the caller checks
+    point by point.
+    """
+    if type(points) not in (list, tuple) or not {list, tuple}.issuperset(map(type, points)):
+        return None
+    pts = list(map(tuple, points))
+    if set(map(len, pts)) != {dim} or set(map(type, itertools.chain.from_iterable(pts))) != {int}:
+        return None
+    return tuple(sorted(pts))
 
 
 class DigitalImage(Value):
@@ -103,13 +125,19 @@ class DigitalImage(Value):
             raise ValueError("dimension must be positive")
         if not 1 <= adjacency <= dim:
             raise ValueError(f"adjacency c_{adjacency} is invalid for dimension {dim}")
-        pts = tuple(sorted(_as_point(p, dim) for p in points))
+        pts = _checked_points(points, dim)
+        if pts is None:  # point by point, so a refusal names the first bad point
+            pts = tuple(sorted(_as_point(p, dim) for p in points))
         if not pts:
             raise ValueError("a digital image needs at least one point")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError(f"duplicate point {a}")
-        self.__dict__.update(dim=dim, points=pts, adjacency=adjacency, _key=(dim, pts, adjacency))
+        # the point index, built here, finds any duplicate at once
+        index = dict(zip(pts, range(len(pts))))
+        if len(index) < len(pts):
+            for a, b in zip(pts, pts[1:]):
+                if a == b:
+                    raise ValueError(f"duplicate point {a}")
+        self.__dict__.update(dim=dim, points=pts, adjacency=adjacency, _key=(dim, pts, adjacency),
+                             point_index=index)
 
     @classmethod
     def of(cls, points: Iterable, adjacency: AdjacencyKind = 1) -> DigitalImage:
@@ -155,10 +183,6 @@ class DigitalImage(Value):
     def point_set(self) -> frozenset[Point]:
         return frozenset(self.points)
 
-    @cached_property
-    def point_index(self) -> dict[Point, int]:
-        return {p: i for i, p in enumerate(self.points)}
-
     def neighbors(self, x: Point) -> frozenset[Point]:
         """N(X, x, c_u): the points of the image adjacent to x."""
         x = _as_point(x, self.dim)
@@ -171,24 +195,59 @@ class DigitalImage(Value):
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per point, the bitmask (over the point order) of its open neighborhood.
 
-        Each point's c_u steps are looked up in the point index, unless
-        there are more steps than a scan of all point pairs would test.
+        Two kernels give the same masks, and a size rule picks the faster:
+        with s the number of c_u steps, an image of n <= 5 + s/4 points
+        scans its point pairs, and a larger one looks up integer keys.  The
+        rule is the crossover measured on connected images of dims 1-4 and
+        every u, about 6 points for c_1 in Z^2 and 24 for c_4 in Z^4.
+
+        The scan compares coordinates inline, and stops a point's scan at
+        the first later point whose first coordinate is more than one
+        above.  The keys read each point's coordinates as the digits of a
+        mixed radix, each coordinate after the first in a radix two more
+        than its extent (max - min).  A point's coordinate and a stepped
+        point's differ by at most extent + 1, less than the radix, so no
+        step wraps: the neighbour across a step is the point whose key is
+        the point's key plus the step's.  Each step with a positive key
+        is one addition and one dictionary lookup, and sets both ends.
         """
-        pts, idx = self.points, self.point_index
-        masks = [0] * len(pts)
-        if 3 ** self.dim <= 4 * len(pts):
-            steps = _step_offsets(self.dim, self.adjacency)
-            for i, p in enumerate(pts):
-                for delta in steps:
-                    j = idx.get(tuple(map(add, p, delta)))
-                    if j is not None:
-                        masks[i] |= 1 << j
-        else:
-            for i, p in enumerate(pts):
-                for j in range(i + 1, len(pts)):
-                    if cu_adjacent(p, pts[j], self.adjacency):
-                        masks[i] |= 1 << j
-                        masks[j] |= 1 << i
+        pts, u = self.points, self.adjacency
+        n = len(pts)
+        masks = [0] * n
+        cols = _positive_steps(self.dim, u)
+        if 4 * n <= 20 + 2 * len(cols[0]):
+            for i in range(n - 1):
+                p = pts[i]
+                top = p[0] + 1
+                for j in range(i + 1, n):
+                    q = pts[j]
+                    if q[0] > top:
+                        break
+                    ones = 0
+                    for a, b in zip(p, q):
+                        if a != b:
+                            if a - b > 1 or b - a > 1:
+                                break
+                            ones += 1
+                    else:
+                        if ones <= u:
+                            masks[i] |= 1 << j
+                            masks[j] |= 1 << i
+            return tuple(masks)
+        coords = tuple(zip(*pts))
+        keys, steps = coords[0], cols[0]
+        for coord, col in zip(coords[1:], cols[1:]):
+            width = max(coord) - min(coord) + 2
+            keys = map(add, map(width.__mul__, keys), coord)
+            steps = map(add, map(width.__mul__, steps), col)
+        index = dict(zip(keys, range(n)))
+        steps = tuple(steps)
+        for key, i in index.items():
+            for step in steps:
+                j = index.get(key + step)
+                if j is not None:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
         return tuple(masks)
 
     @cached_property
@@ -212,19 +271,30 @@ class DigitalImage(Value):
             if placed >> root & 1:
                 continue
             placed |= 1 << root
-            queue = deque([root])
-            while queue:
-                i = queue.popleft()
-                order.append(i)
-                for j in _bits(nbr[i] & ~placed):
-                    placed |= 1 << j
-                    queue.append(j)
-        pos = [0] * len(order)
+            k = len(order)
+            order.append(root)
+            while k < len(order):  # the order is its own queue
+                fresh = nbr[order[k]] & ~placed
+                placed |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    order.append(low.bit_length() - 1)
+                    fresh ^= low
+                k += 1
+        # position k's earlier neighbours: its neighbours among order[:k]
+        earlier = []
+        before, position = 0, {}  # the points placed so far; a point's bit -> its position
         for k, i in enumerate(order):
-            pos[i] = k
-        earlier = tuple(tuple(sorted(pos[j] for j in _bits(nbr[i]) if pos[j] < k))
-                        for k, i in enumerate(order))
-        return tuple(order), earlier
+            row, found = nbr[i] & before, []
+            while row:
+                low = row & -row
+                found.append(position[low])
+                row ^= low
+            found.sort()
+            earlier.append(tuple(found))
+            before |= 1 << i
+            position[1 << i] = k
+        return tuple(order), tuple(earlier)
 
     def mask_of(self, pts: Iterable[Point]) -> int:
         idx = self.point_index
@@ -457,6 +527,18 @@ def _pairs(pairs, what: str) -> list:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"{what} document's pair {entry!r} is not a two-item array")
     return pairs
+
+
+def _point_list(value, what: str, entry: str) -> list:
+    """An entry that holds points (a member, a value set), checked to be an array.
+
+    The family, family-map and multifunction loaders read such entries
+    through here, one level below ``_pairs``.  A ValueError names the
+    document kind and the entry.
+    """
+    if not isinstance(value, list):
+        raise ValueError(f"{what} document's {entry} {value!r} is not an array of points")
+    return value
 
 
 def image_from_json(doc: dict) -> DigitalImage:

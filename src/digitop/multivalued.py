@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from functools import cached_property
 
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
 from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
 from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _flood, _pairs,
-                      _row_pairs, image_from_json, image_to_json)
-from .value import Value
+                      _point_list, _row_pairs, image_from_json, image_to_json)
+from .value import Value, cached_property
 
 #: Cap on the number of subdivision points a generator search will handle.
 DEFAULT_SUBDIVISION_BUDGET = 64
@@ -302,6 +301,8 @@ def multifunction_to_json(F: MultiFunction) -> dict:
 
 def multifunction_from_json(doc: dict) -> MultiFunction:
     domain, codomain, pairs = _fields(doc, "multifunction", "domain", "codomain", "pairs")
-    return MultiFunction(image_from_json(domain), image_from_json(codomain),
-                         tuple((_as_point(x), frozenset(map(_as_point, v)))
-                               for x, v in _pairs(pairs, "multifunction")))
+    domain, codomain, what = image_from_json(domain), image_from_json(codomain), "multifunction"
+    return MultiFunction(domain, codomain,
+                         tuple((_as_point(x), frozenset(map(_as_point,
+                                                            _point_list(v, what, "value set"))))
+                               for x, v in _pairs(pairs, what)))

@@ -4,9 +4,34 @@ A subclass lists its fields as class annotations, in order.  Its own
 ``__init__`` sets them through ``self.__dict__``, together with ``_key``,
 the tuple of their values in that order.  Instances of one class are equal
 when their keys are, hash as the key and print as ``Name(field=value, ...)``.
-Assignment and deletion raise ``AttributeError``; ``cached_property`` views
-still work, since they write the instance dictionary directly.
+Assignment and deletion raise ``AttributeError``; views made with this
+module's ``cached_property`` still work, since it writes the instance
+dictionary directly.
 """
+
+
+class cached_property:
+    """A view computed on first read and stored in the instance dictionary.
+
+    ``functools.cached_property`` without its per-property lock (CPython
+    3.12 dropped it too).  The values it serves are pure functions of
+    immutable fields, so two threads that race compute equal values, and
+    either store is right.  Later reads find the stored value first, as it
+    is a non-data descriptor; read on the class, it returns itself.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class Value:

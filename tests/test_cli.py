@@ -169,6 +169,40 @@ class TestCheck:
         assert main(["check", name, "--input", bad]) == 2
         assert capsys.readouterr() == ("", f"error: {kind} document's {message}\n")
 
+    X2 = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
+    K2 = {"base": X2, "kind": "connected", "members": [[[0]], [[1]], [[0], [1]]]}
+    K2_PAIRS = [[[[0]], [[0]]], [[[1]], [[1]]], [[[0], [1]], [[0], [1]]]]
+
+    @pytest.mark.parametrize("name, doc, message", [
+        ("induced-by", {"domain": K2, "codomain": K2,
+                        "pairs": [[5, [[0]]]] + K2_PAIRS[1:]},
+         "family function document's member 5 is not an array of points"),
+        ("induced-by", {"domain": K2, "codomain": K2,
+                        "pairs": K2_PAIRS[:2] + [[[[0], [1]], "ab"]]},
+         "family function document's member 'ab' is not an array of points"),
+        ("induced-by", {"domain": dict(K2, members=5), "codomain": K2, "pairs": K2_PAIRS},
+         "family document's members must be an array, got 5"),
+        ("induced-by", {"domain": K2, "codomain": dict(K2, members=[[[0]], 5]),
+                        "pairs": K2_PAIRS},
+         "family document's member 5 is not an array of points"),
+        ("induced-by", {"domain": dict(K2, members=[[[0]], [5]]), "codomain": K2,
+                        "pairs": K2_PAIRS},
+         "not a lattice point: 5"),
+        ("weak-continuity", {"domain": X2, "codomain": X2, "pairs": [[[0], 5], [[1], [[1]]]]},
+         "multifunction document's value set 5 is not an array of points"),
+        ("weak-continuity", {"domain": X2, "codomain": X2,
+                             "pairs": [[[0], [[0]]], [[1], None]]},
+         "multifunction document's value set None is not an array of points"),
+    ], ids=["family-map-member", "family-map-string-member", "family-members-scalar",
+            "family-member-scalar", "family-point-scalar", "multifunction-value-set",
+            "multifunction-null-value-set"])
+    def test_malformed_nested_arrays_exit_code(self, tmp_path, capsys, name, doc, message):
+        # one level below pairs, an entry that is no array of points is named,
+        # not Python's "'int' object is not iterable"
+        bad = write(tmp_path, "map.json", doc)
+        assert main(["check", name, "--input", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_continuity_true(self, remark_docs, capsys):
         _, g, _ = remark_docs
         assert main(["check", "continuity", "--input", g]) == 0
@@ -245,6 +279,42 @@ class TestCheck:
                      "--budget-functions", "100"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("resource limit: ")
+
+    @pytest.mark.parametrize("data", [
+        b'{"dim": 1, "adjacency": "c1", "points": [[0], [1]]}',
+        b'{"dim": 1,\r\n "adjacency": "c1",\r\n "points": [[0], [1]]}\r\n',
+        b'{"dim": 1,\r "adjacency": "c1",\r\r "points": [[0], [1]]}\r',
+        b'{"dim": 1,\r\n "adjacency": "c1",\r "points": [[0], [1]],\n}',
+        b'{"dim": 1,\r\n\r\n "adjacency": "c1"\r "points": [[0]]}',
+        b'{"dim": 1,\r\n "adjacency": "c\xc3\xa9",\r\n "points": [[0], [1]]',
+        b'\xef\xbb\xbf{"dim": 1, "adjacency": "c1", "points": [[0]]}',
+        b'{"dim": 1, "adjacency": "c1", "points": [[0]]}\xff',
+        b'{"dim": 1,\r\n "adjacency": "\xe2\x82", "points": [[0]]}',
+        b'{"dim": 1, "adjacency": "c1", "points": [[0]], "x": "\xed\xa0\x80"}',
+        b'{"dim": 1, "adjacency": "c1", "points": [[0]]}\xc3',
+        b'"\r"', b'', b'\r\n', b'\x00', b'[1, 2\r\n', b'{"a": "\r\n\r"}',
+    ], ids=["plain", "crlf", "cr", "mixed-trailing-comma", "cr-missing-comma",
+            "crlf-truncated", "bom", "invalid-start-byte", "truncated-in-string",
+            "surrogate", "truncated-at-end", "cr-string", "empty", "crlf-only", "nul",
+            "crlf-unclosed", "control-characters"])
+    def test_documents_read_as_text_mode_reads_them(self, tmp_path, data):
+        # bytes decoded once as strict UTF-8 with CR and CRLF made LF: the
+        # same value, or the same error at the same line and column, as
+        # json.load on the file opened in text mode
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+
+        def outcome(load):
+            try:
+                return "ok", load()
+            except ValueError as exc:
+                return type(exc).__name__, str(exc)
+
+        def text_mode():
+            with open(path, "r", encoding="utf-8") as fh:
+                return json.load(fh)
+
+        assert outcome(lambda: digitop.cli._load(str(path))) == outcome(text_mode)
 
     def test_deeply_nested_document_is_a_parse_error(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
@@ -1658,8 +1728,9 @@ class TestPairDocuments:
         assert g.codomain is not f.codomain and g.codomain == f.codomain
         assert g.row == (1, 2, 2)
 
-    @pytest.mark.parametrize("images", ["shared", "distinct"])
-    @pytest.mark.parametrize("change, message", [
+    # (change to a map document, message): each message is the one the
+    # per-point readers gave before rows were read from the point indices
+    MALFORMED = [
         ({"pairs": None}, "function document is missing 'pairs'"),
         ({"pairs": [[[0], [5]], [[1], [1]], [[2], [2]]]}, "value (5,) at (0,) is outside the codomain"),
         ({"pairs": [[[0], [0]], [[1], [1]]]}, "function table must be total on the domain"),
@@ -1668,8 +1739,44 @@ class TestPairDocuments:
         ({"domain": dict(X, dim=True)}, "dim must be an integer, got True"),
         ({"domain": dict(X, points=[[0], [True], [2]])}, "not a lattice point: (True,)"),
         ({"codomain": dict(X, points=[[0.0], [1], [2]])}, "not a lattice point: (0.0,)"),
-    ], ids=["missing-key", "outside-the-codomain", "not-total", "float-value", "bool-dim",
-            "bool-coordinate", "float-coordinate"])
+        # points in the pairs: bool, float and non-array, x before y within a
+        # pair, and an earlier pair's y before a later pair's x
+        ({"pairs": [[[0], [0]], [[True], [1]], [[2], [2]]]}, "not a lattice point: [True]"),
+        ({"pairs": [[[0], [0]], [[1], [False]], [[2], [2]]]}, "not a lattice point: [False]"),
+        ({"pairs": [[[0], [0]], [[1.0], [1]], [[2], [2]]]}, "not a lattice point: [1.0]"),
+        ({"pairs": [[5, [0]], [[1], [1]], [[2], [2]]]}, "not a lattice point: 5"),
+        ({"pairs": [[[0], None], [[1], [1]], [[2], [2]]]}, "not a lattice point: None"),
+        ({"pairs": [[[0], "0"], [[1], [1]], [[2], [2]]]}, "not a lattice point: '0'"),
+        ({"pairs": [[[], [0]], [[1], [1]], [[2], [2]]]}, "not a lattice point: []"),
+        ({"pairs": [[[0.5], [True]], [[1], [1]], [[2], [2]]]}, "not a lattice point: [0.5]"),
+        ({"pairs": [[[0], [1.5]], [[True], [1]], [[2], [2]]]}, "not a lattice point: [1.5]"),
+        # missing, duplicate and foreign points in the pairs
+        ({"pairs": [[[0], [0]], [[2], [2]], [[0], [0]]]}, "function table must be total on the domain"),
+        ({"pairs": [[[0], [0]], [[0], [1]], [[1], [1]], [[2], [2]]]},
+         "function table must be total on the domain"),
+        ({"pairs": [[[0], [0]], [[7], [1]], [[2], [2]]]}, "function table must be total on the domain"),
+        ({"pairs": [[[0, 0], [0]], [[1], [1]], [[2], [2]]]},
+         "function table must be total on the domain"),
+        ({"pairs": [[[0], [0, 0]], [[1], [1]], [[2], [2]]]},
+         "value (0, 0) at (0,) is outside the codomain"),
+        ({"pairs": [[[0], [0]], [[1], [-1]], [[2], [9]]]}, "value (-1,) at (1,) is outside the codomain"),
+        # image documents: duplicate, non-array, mis-sized and bool points
+        ({"domain": dict(X, points=[[0], [0], [2]])}, "duplicate point (0,)"),
+        ({"codomain": dict(X, points=[[0], 5, [2]])}, "not a lattice point: 5"),
+        ({"domain": dict(X, points=[[0], [1, 1], [2]])}, "point (1, 1) has dimension 2, expected 1"),
+        ({"codomain": dict(X, points=[[0], [1], [False]])}, "not a lattice point: (False,)"),
+        ({"domain": dict(X, points=[[0.5], [1], [True]])}, "not a lattice point: (0.5,)"),
+        ({"domain": dict(X, points={"0": [0]})}, "points must be an array of point arrays"),
+    ]
+    MALFORMED_IDS = [
+        "missing-key", "outside-the-codomain", "not-total", "float-value", "bool-dim",
+        "bool-coordinate", "float-coordinate", "bool-x", "bool-y", "float-x", "scalar-x",
+        "null-y", "string-y", "empty-x", "x-before-y", "pair-order", "duplicate-pair",
+        "duplicate-x", "foreign-x", "long-x", "long-y", "foreign-ys", "duplicate-point",
+        "scalar-point", "long-point", "bool-point", "float-and-bool-points", "points-object"]
+
+    @pytest.mark.parametrize("images", ["shared", "distinct"])
+    @pytest.mark.parametrize("change, message", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_g_is_refused(self, tmp_path, capsys, images, change, message):
         # exit 2 with the message of each document read on its own
         g = {"domain": self.X, "codomain": self.X if images == "shared" else self.X_REORDERED,
@@ -1679,3 +1786,14 @@ class TestPairDocuments:
         for name in ("phi-adjacent", "homotopic"):
             assert main(["check", name, "--input", path]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("change, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_f_is_refused(self, tmp_path, capsys, change, message):
+        # the same messages from f, and from the map document alone
+        f = {k: v for k, v in {**self.F, **change}.items() if v is not None}
+        path = write(tmp_path, "pair.json", {"f": f, "g": self.F})
+        assert main(["check", "homotopic", "--input", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        path = write(tmp_path, "map.json", f)
+        assert main(["check", "continuity", "--input", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitop import (BudgetError, DigitalImage, FiniteFunction, compose,
                      constant_map, enumerate_all_subsets,
@@ -13,9 +14,11 @@ from digitop import (BudgetError, DigitalImage, FiniteFunction, compose,
                      is_isomorphism, is_retraction)
 from digitop.functions import (continuity_counterexample,
                                family_function_from_json,
-                               family_function_to_json)
-from digitop.homotopy import enumerate_continuous_maps, homotopic
+                               family_function_to_json, pair_from_json)
+from digitop.homotopy import (PHI, FunctionGraph, build_function_graph,
+                              enumerate_continuous_maps, homotopic)
 from digitop.hyperspace import family_of
+from digitop.lattice import _as_point, _pairs, image_to_json
 from digitop.verify import random_continuous_function, random_function, random_image
 
 
@@ -147,6 +150,18 @@ class TestTrustedRows:
             assert f.pairs == tuple(zip(f.domain.vertices,
                                         (f.codomain.vertices[v] for v in f.row)))
             assert "pairs" in f.__dict__
+
+    def test_identity_maps_leave_adjacency_rows_unbuilt(self):
+        # identity_map counts vertices with len(space), so building it does
+        # not build a family's or a function graph's adjacency rows
+        X = interval(0, 3)
+        rows = build_function_graph(X, X, PHI).rows
+        for space in (family_of(X, "connected"), family_of(X, "full"),
+                      FunctionGraph(X, X, PHI, rows)):
+            f = identity_map(space)
+            assert "adjacency_rows" not in space.__dict__
+            assert len(space) == len(space.vertices)
+            assert f.row == tuple(range(len(space.vertices)))
 
     def test_equal_rows_over_different_codomains_are_unequal(self):
         X = interval(0, 1)
@@ -351,7 +366,59 @@ class TestFindInducingMap:
         assert len(outcomes) == 4
 
 
+# a point of a map document: the images' points, points of neither, and
+# values that are no point (bool, float, scalar, empty, too long)
+MAP_X = DigitalImage.of([(0, 0), (0, 1), (1, 1)], 1)
+MAP_Y = DigitalImage.of([(-3, 5), (-2, 6)], 2)
+no_points = st.sampled_from([[9, 9], [0, True], [1.0, 1], [0.5, 0], 5, None, "ab", [], [0],
+                             [0, 0, 0], (0, 0), (-3, 5), [[0, 0]]])
+x_values = st.one_of(st.sampled_from(MAP_X.points).map(list), no_points,
+                     st.sampled_from(MAP_Y.points).map(list))
+y_values = st.one_of(st.sampled_from(MAP_Y.points).map(list), no_points,
+                     st.sampled_from(MAP_X.points).map(list))
+
+
+def pair_by_pair(domain, codomain, pairs):
+    """The map document reader that checks each pair's x and then its y."""
+    return FiniteFunction(domain, codomain, tuple((_as_point(x), _as_point(y))
+                                                  for x, y in _pairs(pairs, "function")))
+
+
 class TestSerialization:
+    @given(st.lists(st.tuples(x_values, y_values).map(list), max_size=3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=400)
+    def test_rows_read_from_point_indices_as_pair_by_pair(self, noise, rng):
+        # a valid document with some x or y changed, or some pairs dropped,
+        # repeated, added or cut short: the reader builds the map the
+        # pair-by-pair reader builds, and on a refusal gives its message
+        pairs = [[list(x), list(rng.choice(MAP_Y.points))] for x in MAP_X.points]
+        for entry in noise:
+            k = rng.randrange(len(pairs) + 1)
+            action = rng.choice(("x", "y", "y", "insert", "drop", "repeat", "cut"))
+            if action in ("x", "y") and k < len(pairs):
+                end = action == "y"
+                pairs[k] = pairs[k][:end] + entry[end:end + 1] + pairs[k][end + 1:]
+            elif action == "cut" and k < len(pairs):
+                pairs[k] = pairs[k][:1]
+            elif action == "drop" and k < len(pairs):
+                del pairs[k]
+            elif action == "repeat" and k < len(pairs):
+                pairs.insert(k, pairs[k])
+            else:
+                pairs.insert(k, entry)
+
+        def outcome(read):
+            try:
+                return read().row
+            except ValueError as exc:
+                return str(exc)
+
+        doc = {"domain": image_to_json(MAP_X), "codomain": image_to_json(MAP_Y), "pairs": pairs}
+        expect = outcome(lambda: pair_by_pair(MAP_X, MAP_Y, pairs))
+        assert outcome(lambda: function_from_json(doc)) == expect
+        assert outcome(lambda: pair_from_json({"f": doc, "g": doc})[1]) == expect
+
     def test_function_round_trip(self):
         X = DigitalImage.of([(0, 0), (1, 1)], 2)
         f = fn(X, X, (1, 1), (0, 0))

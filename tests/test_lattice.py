@@ -1,8 +1,9 @@
 """Lattice layer: c_u adjacency, neighborhoods, connectivity, paths."""
 
 import itertools
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from digitop import (DigitalImage, HomotopyTable, LatticePath, as_multifunction,
 from digitop.cli import _run_check
 from digitop.functions import family_function_from_json, family_function_to_json
 from digitop.graphmetrics import as_finite_graph, bfs_distances, connected_components
-from digitop.lattice import _bits, _components, _cover, _flood
+from digitop.lattice import _as_point, _bits, _components, _cover, _flood
 from digitop.verify import random_image
 
 points_1d = st.integers(-5, 5).map(lambda v: (v,))
@@ -80,12 +81,37 @@ class TestNeighbors:
         st.sets(lattice_points(d), min_size=1, max_size=30), st.integers(1, d))))
     @settings(max_examples=100)
     def test_rows_match_pair_scan(self, data):
-        # rows come from step lookups when 3**dim <= 4 * #points, else from a pair scan
+        # rows come from a pair scan when #points <= 5 + #steps/4, else from integer keys
         pts, u = data
         X = DigitalImage.of(pts, u)
         for i, p in enumerate(X.points):
             expect = {q for q in X.points if cu_adjacent(p, q, u)}
             assert X.points_of(X.neighbor_masks[i]) == expect == X.neighbors(p)
+
+    def test_both_kernels_match_cu_adjacent_pairs(self):
+        # 3,000 random images of dims 1-4, about half on each side of the size
+        # rule (a pair scan up to 5 + s/4 points for s c_u steps, integer keys
+        # above), dense or sparse, around the origin or far from it, with
+        # coordinates of mixed signs and beyond 64 bits
+        rng = random.Random(32)
+        sides = Counter()
+        for _ in range(3000):
+            dim = rng.randint(1, 4)
+            u = rng.randint(1, dim)
+            steps = sum(math.comb(dim, k) * 2 ** k for k in range(1, u + 1))
+            limit = (20 + steps) // 4
+            n = rng.choice((rng.randint(1, limit), rng.randint(limit + 1, limit + 12)))
+            side = max(rng.choice((1, 2, 4, 60)), math.ceil(n ** (1 / dim)))
+            base = [rng.choice((0, -7, 10 ** 6, -10 ** 12, 2 ** 70)) for _ in range(dim)]
+            pts = set()
+            while len(pts) < n:
+                pts.add(tuple(b + rng.randint(-side, side) for b in base))
+            X = DigitalImage(dim, list(pts), u)
+            expect = tuple(sum(1 << j for j, q in enumerate(X.points) if cu_adjacent(p, q, u))
+                           for p in X.points)
+            assert X.neighbor_masks == expect, (dim, u, X.points)
+            sides[n <= limit] += 1
+        assert min(sides[True], sides[False]) > 1200
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -375,6 +401,37 @@ class TestImageConstruction:
         assert (1,) in X and [1] in X
         for value in (0, None, 1.5, [[0]], "0", ()):
             assert value not in X
+
+    @given(st.integers(1, 3), st.lists(st.one_of(
+        lattice_points(2), lattice_points(1), lattice_points(3), lattice_points(2).map(list),
+        st.sampled_from([(0, True), [1.0, 0], (0.5,), 5, None, "ab", (), [], [[0, 0]],
+                         (False, 1), [0, 0], (0, 0)])), max_size=8))
+    @settings(max_examples=300)
+    def test_points_checked_in_one_pass_as_point_by_point(self, dim, points):
+        # the one-pass check builds what the per-point check builds, and on
+        # any refusal the message is the per-point check's
+        def per_point():
+            pts = tuple(sorted(_as_point(p, dim) for p in points))
+            if not pts:
+                raise ValueError("a digital image needs at least one point")
+            for a, b in zip(pts, pts[1:]):
+                if a == b:
+                    raise ValueError(f"duplicate point {a}")
+            return pts
+
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+
+        expect = outcome(per_point)
+        for given_as in (list, tuple, iter):
+            got = outcome(lambda: DigitalImage(dim, given_as(points), 1).points)
+            assert got == expect
+        if isinstance(expect, tuple):
+            X = DigitalImage(dim, points, 1)
+            assert X.point_index == {p: i for i, p in enumerate(expect)}
 
     def test_json_round_trip(self):
         X = DigitalImage.of([(0, 1), (1, 1), (2, 0)], 2)

@@ -1,6 +1,7 @@
 """Value types: equality, hash, repr and immutability from the fields, and
 a start-up that imports neither ``dataclasses`` nor what it pulls in."""
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import digitop
 from digitop import (CycleWitness, DigitalImage, EgsResult, FiniteFunction, FiniteGraph,
                      FunctionGraph, HomotopyDecision, HomotopyTable, LatticePath, MultiFunction,
                      Subdivision, SubsetFamily)
+from digitop.value import Value, cached_property
 from digitop.verify import CheckResult
 
 X = DigitalImage(1, ((0,), (1,)), 1)
@@ -117,6 +119,43 @@ def test_cached_views_still_build():
     f = FiniteFunction._trusted(X, X, (0, 0))
     assert f.pairs == F_PAIRS and f.table == dict(F_PAIRS)
     assert X.neighbor_masks == (2, 1)
+
+
+def test_lazy_value_is_computed_once_into_the_instance_dict():
+    calls = []
+
+    class Box(Value):
+        n: int
+
+        def __init__(self, n):
+            self.__dict__.update(n=n, _key=(n,))
+
+        @cached_property
+        def double(self):
+            """Twice n."""
+            calls.append(self.n)
+            return 2 * self.n
+
+    box = Box(3)
+    assert "double" not in box.__dict__
+    assert box.double == 6 and box.double == 6
+    assert calls == [3] and box.__dict__["double"] == 6
+    # read on the class, it is the descriptor, with the function's doc
+    assert isinstance(Box.double, cached_property) and Box.double.__doc__ == "Twice n."
+    with pytest.raises(AttributeError):
+        box.double = 7
+    assert Box(3) == box and Box(3).double == 6 and calls == [3, 3]
+
+
+def test_views_are_the_lock_free_cached_property():
+    # every module's lazy views are value.cached_property, none functools'
+    views = [v for module in (digitop.lattice, digitop.functions, digitop.hyperspace,
+                              digitop.graphmetrics, digitop.homotopy, digitop.multivalued)
+             for cls in vars(module).values() if isinstance(cls, type)
+             for v in vars(cls).values()]
+    assert not any(isinstance(v, functools.cached_property) for v in views)
+    assert sum(isinstance(v, cached_property) for v in views) >= 6
+    assert isinstance(vars(DigitalImage)["neighbor_masks"], cached_property)
 
 
 def test_cli_start_up_imports_no_dataclasses():
