@@ -15,10 +15,12 @@ library returns vertex indices, witnesses included; only the CLI names them,
 from the points, member masks and map rows of the space.  A member's text,
 in a hyperspace document or a printed name, is its prefix's text (the member
 less its highest point) and that point's text, memoised per mask.
-A command line that starts with a known verb is parsed by that verb's
-subparser alone; the top parser reports what it leaves over and parses
-every other command line, so exits and messages are those of
-``build_parser().parse_args``.
+``build_parser()`` is the one declaration of the command line.  A
+well-formed command line of a verb whose options each take one value is
+read from that verb's option table, taken once from the shared parser's
+actions (``_read``); every other one, and every error and help request,
+goes to the shared parser's ``parse_args``, so namespaces, exits and
+messages are those of ``build_parser().parse_args``.
 """
 
 from __future__ import annotations
@@ -567,33 +569,86 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _option_table(verb: str, sub: argparse.ArgumentParser) -> tuple | None:
+    """``verb``'s table for ``_read``, taken from its subparser's actions: its
+    option strings to their actions, its positionals in order, the namespace
+    it starts from, and the dests it requires.  None if an action (help
+    apart) is not a one-value store, or has a str default that argparse
+    would convert with its ``type``."""
+    actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+    if not all(type(a) is argparse._StoreAction and a.nargs is None
+               and not (isinstance(a.default, str) and a.type is not None) for a in actions):
+        return None
+    # argparse sets the actions' defaults first and the verb's set_defaults
+    # only on dests still unset
+    start = {**sub._defaults, **{a.dest: a.default for a in actions}, "command": verb}
+    return ({s: a for a in actions for s in a.option_strings},
+            tuple(a for a in actions if not a.option_strings), start,
+            frozenset(a.dest for a in actions if a.required))
+
+
 @functools.cache
 def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser of every ``main`` call in this process, built on first use,
-    and its verbs map: each verb's name to its subparser."""
+    and the option table of each verb ``_read`` takes."""
     parser = build_parser()
-    return parser, next(action.choices for action in parser._actions
-                        if isinstance(action, argparse._SubParsersAction))
+    verbs = next(action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    tables = {verb: _option_table(verb, sub) for verb, sub in verbs.items()}
+    return parser, {verb: table for verb, table in tables.items() if table is not None}
+
+
+def _read(table, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args`` gives the verb's ``tokens``, or None
+    where the command line is not one ``_read`` takes.
+
+    Each token is an exact option string followed by a value that does not
+    start with ``-``, or the verb's next positional.  Each value passes the
+    action's ``type``, then its ``choices``, as in argparse; a repeated
+    option keeps its last value; every required dest must be given.
+    """
+    options, positionals, start, required = table
+    args = argparse.Namespace()
+    values, given, pending, i = vars(args), set(), iter(positionals), 0
+    values.update(start)
+    while i < len(tokens):
+        text = tokens[i]
+        action = options.get(text)
+        if action is None:
+            action = next(pending, None)
+            if action is None or text[:1] == "-":
+                return None
+            i += 1
+        else:
+            i += 2
+            if i > len(tokens) or tokens[i - 1][:1] == "-":
+                return None
+            text = tokens[i - 1]
+        if action.type is not None:
+            try:
+                text = action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and text not in action.choices:
+            return None
+        values[action.dest] = text
+        given.add(action.dest)
+    return args if required <= given else None
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same namespace, exit and messages.
 
-    The top parser would hand everything after the verb to the verb's
-    subparser anyway, so a command line that starts with a known verb is
-    parsed by that subparser alone, and anything it leaves over is reported
-    by the top parser, as ``parse_args`` reports it.  Any other command line
-    (empty, help, an unknown verb, an option before the verb) goes to the
-    top parser.
+    A command line that starts with a verb ``_read`` takes, and that
+    ``_read`` reads, is not handed to argparse.  Every other command line
+    (help, abbreviations, ``--opt=value``, ``--``, a value that starts with
+    ``-``, a token too many or too few, any error) is parsed by the shared
+    parser itself.
     """
-    parser, verbs = _shared_parser()
-    sub = verbs.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if rest:
-        parser.error("unrecognized arguments: " + " ".join(rest))
-    return args
+    parser, tables = _shared_parser()
+    table = tables.get(argv[0]) if argv else None
+    args = None if table is None else _read(table, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -43,7 +43,8 @@ from .errors import BudgetError
 from .functions import (FiniteFunction, function_from_json, function_to_json, induced_map,
                         is_continuous)
 from .hyperspace import DEFAULT_POINT_BUDGET, family_of
-from .lattice import DigitalImage, _as_point, _bfs, _bits, _fields, _flood, _row_pairs
+from .lattice import (DigitalImage, _array, _as_point, _bfs, _bits, _fields, _flood,
+                      _row_pairs)
 from .value import Value, cached_property
 
 #: Cap on the raw search space #Y ** #X of a function enumeration, and on
@@ -630,7 +631,10 @@ def homotopy_to_json(H: HomotopyTable) -> dict:
 
 def homotopy_from_json(doc: dict) -> HomotopyTable:
     m, slices = _fields(doc, "homotopy", "m", "slices")
-    slices = [function_from_json(s) for s in slices]
+    # bool is an int subclass, but true/false are not a slice count
+    if type(m) is not int:
+        raise ValueError(f"homotopy document's m must be an integer, got {m!r}")
+    slices = [function_from_json(s) for s in _array(slices, "homotopy", "slices")]
     if not slices or m != len(slices) - 1:
         raise ValueError("homotopy document slice count does not match m")
     return HomotopyTable(slices[0].domain, slices[0].codomain, tuple(slices))

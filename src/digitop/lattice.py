@@ -22,8 +22,9 @@ positive steps up as integer keys (see ``neighbor_masks``).
 Every JSON document loader (images here, families, maps, multifunctions,
 homotopy tables and the CLI's map pairs) reads its top-level fields through
 ``_fields``, the one place a non-object or a missing key is refused, and
-every map-like document's ``pairs`` through ``_pairs``, and every member or
-value set of points through ``_point_list``.
+every map-like document's ``pairs`` through ``_pairs``, every member or
+value set of points through ``_point_list``, and any other array field
+(a homotopy's ``slices``) through ``_array``.
 """
 
 from __future__ import annotations
@@ -515,15 +516,21 @@ def _fields(doc, what: str, *keys: str) -> list:
     return [doc[key] for key in keys]
 
 
+def _array(value, what: str, field: str) -> list:
+    """A document's ``field``, checked to be an array; a ValueError names the
+    document kind and the field."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} document's {field} must be an array, got {value!r}")
+    return value
+
+
 def _pairs(pairs, what: str) -> list:
     """A document's ``pairs``, checked to be an array of two-item arrays.
 
     The map, family-map and multifunction loaders unpack their pairs
     through here.  A ValueError names the document kind and the entry.
     """
-    if not isinstance(pairs, list):
-        raise ValueError(f"{what} document's pairs must be an array, got {pairs!r}")
-    for entry in pairs:
+    for entry in _array(pairs, what, "pairs"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"{what} document's pair {entry!r} is not a two-item array")
     return pairs
@@ -541,15 +548,22 @@ def _point_list(value, what: str, entry: str) -> list:
     return value
 
 
+#: An adjacency selector's only spelling: no sign, blank, leading zero or non-ASCII digit.
+_SELECTOR = re.compile(r"c(0|[1-9][0-9]*)")
+
+
 def image_from_json(doc: dict) -> DigitalImage:
     dim, adjacency, points = _fields(doc, "image", "dim", "adjacency", "points")
     if type(dim) is not int:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if not isinstance(points, list):
         raise ValueError("points must be an array of point arrays")
-    # only the canonical spelling: no sign, blank or leading zero
-    if not isinstance(adjacency, str) or not re.fullmatch(r"c(0|[1-9][0-9]*)", adjacency):
+    if not isinstance(adjacency, str) or not _SELECTOR.fullmatch(adjacency):
         raise ValueError(f"bad adjacency selector {adjacency!r} (expected e.g. 'c1')")
-    # arrays become tuples, as a refused point's message prints them
-    points = tuple(tuple(p) if isinstance(p, list) else p for p in points)
-    return DigitalImage(dim, points, int(adjacency[1:]))
+    try:
+        # the one-pass check makes each point array a tuple once
+        return DigitalImage(dim, points, int(adjacency[1:]))
+    except ValueError:
+        # refused: build again from tuples, as a refused point's message prints them
+        return DigitalImage(dim, [tuple(p) if isinstance(p, list) else p for p in points],
+                            int(adjacency[1:]))

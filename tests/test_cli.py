@@ -1521,6 +1521,12 @@ json_values = st.recursive(
     max_leaves=8)
 
 
+# Python's own TypeError and AttributeError texts: a refusal that reads like
+# one of these leaked from the library instead of naming the document's fault.
+PYTHON_MESSAGES = ("object is not iterable", "not subscriptable", "unhashable type",
+                   "has no len()", "object has no attribute")
+
+
 class TestDocumentFuzz:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -1542,12 +1548,43 @@ class TestDocumentFuzz:
         assert message == "" or (message.count("\n") == 1 and message.endswith("\n"))
         if rc == 2:
             assert message.startswith(("error:", "parse error:"))
+            assert not any(leak in message for leak in PYTHON_MESSAGES), message
 
+
+# Well-formed command lines of each verb but verify, which ``cli._read``
+# reads from the verb's option table without argparse.
+READ_ARGV = [
+    ["hyperspace", "--input", "x.json"],
+    ["hyperspace", "--input", ""],
+    ["hyperspace", "--input", "check"],
+    ["hyperspace", "--input", "x.json", "--kind", "full", "--kind", "connected"],
+    ["check", "egs-continuous", "--input", "x.json", "--r-max", "2", "--budget-subdivision", "9",
+     "--format", "json"],
+    ["check", "--input", "x.json", "homotopic", "--budget-functions", "300"],
+    ["check", "--input", "x.json", "--format", "json", "contractible"],
+    ["check", "contractible", "--input", "x.json", "--budget-functions", "\u0663"],
+    ["check", "--input", "metrics", "homotopic", "--output", "girth"],
+    ["girth", "--input", "x.json", "--view", "connected", "--budget-cycle", "12"],
+    ["dominate", "--input", "x.json", "--view", "full", "--budget-dominating", "9"],
+    ["metrics", "--input", "x.json", "--view", "functions", "--codomain", "y.json",
+     "--flavor", "psi", "--format", "csv"],
+    ["export-dot", "--input", "x.json", "--highlight", "girth", "--input", "z.json"],
+]
+# One command line per verb as the benchmark's jobs write them.
+BENCH_ARGV = [
+    ["hyperspace", "--input", "/w/img.json", "--kind", "connected", "--format", "json"],
+    ["check", "homotopic", "--input", "/w/pair.json", "--format", "json"],
+    ["girth", "--input", "/w/img.json", "--view", "connected", "--format", "json"],
+    ["dominate", "--input", "/w/img.json", "--view", "full", "--format", "json"],
+    ["metrics", "--input", "/w/img.json", "--view", "connected", "--format", "csv"],
+    ["export-dot", "--input", "/w/img.json", "--view", "image", "--highlight", "long-cycle"],
+]
 
 # Command lines on which ``main`` must parse as the top parser does: every
-# help, usage and error path of the top parser and of the verbs, and a
-# success of each verb.  No document is read, so the paths need not exist.
-PARSE_ARGV = [
+# help, usage and error path of the top parser and of the verbs, the edges
+# the reader hands on to argparse, and the command lines it reads.  No
+# document is read, so the paths need not exist.
+PARSE_ARGV = READ_ARGV + [
     [], ["-h"], ["--help"],
     ["nosuch"], ["hyp", "--input", "x.json"],
     ["hyperspace", "-h"], ["check", "homotopic", "--input", "x.json", "--help"],
@@ -1574,20 +1611,23 @@ PARSE_ARGV = [
     ["verify", "--suite", "cardinality", "--", "induced"],
     ["--input", "x.json", "hyperspace"], ["-h", "hyperspace"], ["--bogus", "hyperspace"],
     ["--", "hyperspace", "--input", "x.json"],
-    ["hyperspace", "--input", "x.json"],
     ["hyperspace", "--input=x.json", "--kind", "full", "--format", "dot", "--output", "o.dot",
      "--budget-hyperspace", "6"],
-    ["check", "egs-continuous", "--input", "x.json", "--r-max", "2", "--budget-subdivision", "9",
-     "--format", "json"],
-    ["check", "--input", "x.json", "homotopic", "--budget-functions", "300"],
     ["verify"],
     ["verify", "--suite", "hausdorff", "homotopy", "--seed", "-3", "--max-points", "5",
      "--samples", "7", "--output", "v.txt"],
-    ["girth", "--input", "x.json", "--view", "connected", "--budget-cycle", "12"],
-    ["dominate", "--input", "x.json", "--view", "full", "--budget-dominating", "9"],
-    ["metrics", "--input", "x.json", "--view", "functions", "--codomain", "y.json",
-     "--flavor", "psi", "--format", "csv"],
-    ["export-dot", "--input", "x.json", "--highlight", "girth", "--input", "z.json"],
+    # handed on by the reader: values that start with "-", a bad value
+    # before or after a good one, an empty value that fails its type, an
+    # option of another verb
+    ["check", "egs-continuous", "--input", "x.json", "--r-max", "-1"],
+    ["hyperspace", "--input", "-x.json"],
+    ["girth", "--input", "x.json", "--budget-cycle", ""],
+    ["hyperspace", "--input", "x.json", "--kind", "full", "--kind", "bogus"],
+    ["hyperspace", "--input", "x.json", "--kind", "bogus", "--kind", "full"],
+    ["hyperspace", "--input", "x.json", "--view", "full"],
+    ["check", "", "--input", "x.json"],
+    # verify's --suite takes one or more values: never read from a table
+    ["verify", "--suite", "homotopy", "--seed", "3"],
 ]
 PARSE_ARGV += [[verb] + (["contractible"] if verb == "check" else []) + ["--input", "x.json",
                                                                          flag, "5"]
@@ -1611,12 +1651,14 @@ ARGV_TOKENS = (sorted(VERB_BUDGETS) + ["verify", "hyp", "homotopic", "contractib
                                        "--help", "--", "--input", "--inp", "--input=x.json",
                                        "--kind", "--format", "--view", "--suite", "--seed",
                                        "--bogus", "x.json", "full", "json", "all", "0", "5",
-                                       "-1"] + sorted(ALL_BUDGETS))
+                                       "-1", "-5", "", "\u0663", "--r-max",
+                                       "--budget-functions"] + sorted(ALL_BUDGETS))
 
 
 class TestParse:
-    """``main`` parses with the verb's own subparser, and every outcome is
-    that of the running interpreter's ``build_parser().parse_args``."""
+    """``main`` reads a well-formed command line from the verb's option
+    table and hands every other one to argparse, and every outcome is that
+    of the running interpreter's ``build_parser().parse_args``."""
 
     @pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
     def test_matches_the_top_parser(self, argv):
@@ -1628,6 +1670,19 @@ class TestParse:
     def test_token_sequences_match_the_top_parser(self, argv):
         want = parse_outcome(digitop.cli.build_parser().parse_args, argv)
         assert parse_outcome(digitop.cli._parse, argv) == want
+
+    def test_well_formed_command_lines_are_read_without_argparse(self, monkeypatch):
+        want = [vars(digitop.cli.build_parser().parse_args(argv))
+                for argv in READ_ARGV + BENCH_ARGV]
+        digitop.cli._shared_parser()  # built before argparse is refused
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a well-formed command line")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert [vars(digitop.cli._parse(argv)) for argv in READ_ARGV + BENCH_ARGV] == want
+        assert {argv[0] for argv in READ_ARGV} == set(VERB_BUDGETS)
 
     @pytest.mark.parametrize("argv, rc, usage", [
         (["nosuch"], 2, "usage: digitop [-h]"),

@@ -1157,3 +1157,21 @@ class TestSerialization:
         doc["m"] = 5
         with pytest.raises(ValueError):
             homotopy_from_json(doc)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("slices", 5, "homotopy document's slices must be an array, got 5"),
+        ("slices", None, "homotopy document's slices must be an array, got None"),
+        ("slices", "ab", "homotopy document's slices must be an array, got 'ab'"),
+        ("slices", {}, "homotopy document's slices must be an array, got {}"),
+        ("m", True, "homotopy document's m must be an integer, got True"),
+        ("m", 1.0, "homotopy document's m must be an integer, got 1.0"),
+        ("m", "1", "homotopy document's m must be an integer, got '1'"),
+        ("m", None, "homotopy document's m must be an integer, got None"),
+    ])
+    def test_malformed_field_is_refused_by_name(self, field, value, message):
+        X = interval(0, 1)
+        doc = homotopy_to_json(HomotopyTable(X, X, (identity_map(X), identity_map(X))))
+        doc[field] = value
+        with pytest.raises(ValueError) as exc:
+            homotopy_from_json(doc)
+        assert str(exc.value) == message
