@@ -371,7 +371,7 @@ def _run_check(name: str, doc: dict, args):
             return bad is None, None if bad is None else {
                 "x": xs[bad[0]], "y": xs[bad[1]], "unmatched": F.codomain.points[bad[2]]}
         if name == "connectivity-preserving":
-            return is_connectivity_preserving(F, args.budget_hyperspace), None
+            return is_connectivity_preserving(F), None
         result = is_egs_continuous(F, args.r_max, args.budget_subdivision)
         if not result:
             return False, {"r_max": result.r_max}
@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named check on a JSON document")
     p.add_argument("name", choices=CHECKS)
-    _add_common(p, ("hyperspace", "functions", "subdivision"))
+    _add_common(p, ("functions", "subdivision"))
     p.add_argument("--r-max", type=int, default=4,
                    help="largest subdivision factor for the generator search")
     p.set_defaults(func=cmd_check)

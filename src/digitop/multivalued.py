@@ -13,8 +13,10 @@ built on first use.  Every check reads that row and adjacency rows.  A
 value set's closed cover is the OR of its values' closed neighbourhood
 rows, so x, y meet weakly when ``cover(masks[x]) & masks[y]`` is nonzero
 and F(x) has an unmatched value in F(y) when
-``masks[x] & ~cover(masks[y])`` is; the image of a domain mask is the OR
-of its points' masks, tested with one flood.  A witness value is the
+``masks[x] & ~cover(masks[y])`` is.  Connectivity preservation is a local
+test: each value mask floods to itself and F is weakly continuous, as a
+connected set's images chain along its edges.  A generator search runs
+only where that test holds.  A witness value is the
 lowest unmatched one in codomain order, so it does not depend on how a
 document lists a value set.  Witnesses are indices: the caller names them.
 """
@@ -26,7 +28,7 @@ from collections.abc import Iterable
 
 from .errors import BudgetError
 from .functions import FiniteFunction, induced_map, is_continuous
-from .hyperspace import DEFAULT_POINT_BUDGET, enumerate_connected_subsets, family_of
+from .hyperspace import DEFAULT_POINT_BUDGET, family_of
 from .lattice import (DigitalImage, Point, _as_point, _cover, _fields, _flood, _pairs,
                       _point_list, _row_pairs, image_from_json, image_to_json)
 from .value import Value, cached_property
@@ -124,16 +126,11 @@ def strong_continuity_counterexample(F: MultiFunction) -> tuple[int, int, int] |
     return None
 
 
-def is_connectivity_preserving(F: MultiFunction,
-                               budget: int = DEFAULT_POINT_BUDGET) -> bool:
-    """Every connected subset of the domain has a connected image."""
-    family = enumerate_connected_subsets(F.domain, budget)
-    rows, masks = F.codomain.neighbor_masks, F.masks
-    for member in family.masks:
-        image = _cover(masks, member)
-        if _flood(rows, image & -image, image) != image:
-            return False
-    return True
+def is_connectivity_preserving(F: MultiFunction) -> bool:
+    """Every connected subset of the domain has a connected image: iff each F(x)
+    is connected and F is weakly continuous (Boxer and Staecker, JMIV 55, 2016)."""
+    rows = F.codomain.neighbor_masks
+    return all(_flood(rows, m & -m, m) == m for m in F.masks) and has_weak_continuity(F)
 
 
 # -- subdivisions ------------------------------------------------------------
@@ -199,11 +196,13 @@ def is_egs_continuous(F: MultiFunction, r_max: int,
     """Search r = 1..r_max for a continuous generator on the subdivision.
 
     A generator is a continuous f on S(X, r) whose value set over each cell
-    equals F at that cell's base point.  A negative result only means no
-    generator exists for any r up to r_max.
+    equals F at that cell's base point, so F preserves connectivity.  A
+    negative result only means no generator exists for any r up to r_max.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    if not is_connectivity_preserving(F):
+        return EgsResult(False, None, None, r_max)
     for r in range(1, r_max + 1):
         sub = Subdivision(F.domain, r)
         n_points = len(F.domain) * r ** F.domain.dim

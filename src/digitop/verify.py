@@ -17,7 +17,8 @@ only the maps whose value there is close to its own, against one table of
 close value pairs from ``Y.adjacent_or_equal``.  The homotopy module's
 masks, row kernel and searches are not used.  ``oracle_pairwise_connected``
 looks for a path inside the set between every pair of its points with
-``X.adjacent``.
+``X.adjacent``.  ``oracle_connectivity_preserving`` floods the image of
+every member of K(X), where the library tests only points and edges.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .homotopy import (PHI, PSI, build_function_graph, enumerate_continuous_maps
 from .hyperspace import (enumerate_all_subsets, enumerate_connected_subsets,
                          hausdorff_distance, hyper_adjacent, hyperspace_graph,
                          lift_dominating, union_of_family)
-from .lattice import DigitalImage, cycle_image, cycle_points, interval
+from .lattice import DigitalImage, _cover, _flood, cycle_image, cycle_points, interval
 from .multivalued import (MultiFunction, Subdivision, as_multifunction, generates,
                           has_strong_continuity, has_weak_continuity,
                           induced_multifunction_map, is_connectivity_preserving,
@@ -219,6 +220,17 @@ def oracle_pairwise_connected(pts, X: DigitalImage) -> bool:
                     seen.add(q)
                     stack.append(q)
         if not found:
+            return False
+    return True
+
+
+def oracle_connectivity_preserving(F: MultiFunction) -> bool:
+    """Connectivity preservation by its definition: every member of K(X), as
+    ``enumerate_connected_subsets`` lists it, has an image that floods to itself."""
+    rows = F.codomain.neighbor_masks
+    for member in enumerate_connected_subsets(F.domain).masks:
+        image = _cover(F.masks, member)
+        if _flood(rows, image & -image, image) != image:
             return False
     return True
 
@@ -603,10 +615,13 @@ def suite_multivalued(rng, max_points=5, samples=200) -> list[CheckResult]:
     sample.extend(random_multifunction(rng, random_image(rng, max_points),
                                        random_image(rng, max_points))
                   for _ in range(samples))
+    local_viol = []
     for M in sample:
         weak = has_weak_continuity(M)
         strong = has_strong_continuity(M)
         cp = is_connectivity_preserving(M)
+        if cp != oracle_connectivity_preserving(M):
+            local_viol.append(M)
         if strong and not weak:
             impl_viol.append(("strong-without-weak", M))
         if cp and not weak:
@@ -616,6 +631,7 @@ def suite_multivalued(rng, max_points=5, samples=200) -> list[CheckResult]:
     if not seen_nonstrong_weak:
         impl_viol.append(("no weak+cp+non-strong sample found", None))
     out.append(_claim("continuity-implication-lattice", impl_viol, f"{samples} samples"))
+    out.append(_claim("connectivity-preserving-iff-local-test", local_viol))
 
     strong_viol = []
     produced = 0

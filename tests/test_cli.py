@@ -16,8 +16,8 @@ import digitop.cli
 import digitop.graphmetrics
 from digitop import (DigitalImage, FiniteFunction, cycle_image, enumerate_connected_subsets,
                      family_from_json, find_inducing_map, function_from_json, function_to_json,
-                     has_weak_continuity, homotopic, homotopy_to_json, identity_map,
-                     image_from_json, image_to_json, induced_map, interval,
+                     has_weak_continuity, homotopic, homotopy_from_json, homotopy_to_json,
+                     identity_map, image_from_json, image_to_json, induced_map, interval,
                      is_connectivity_preserving, is_egs_continuous, is_retraction,
                      multifunction_from_json, strongly_homotopic)
 from digitop.errors import InternalError
@@ -263,6 +263,20 @@ class TestCheck:
                      "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["witness"]["r"] == 2
+
+    @pytest.mark.parametrize("split, rc", [(False, 0), (True, 1)], ids=["constant", "split"])
+    def test_connectivity_preserving_past_the_hyperspace_budget(self, tmp_path, capsys,
+                                                                 split, rc):
+        # a 5x6 c2 box has 30 points, too many to enumerate K(X) under the
+        # default budget; the split map sends the columns i >= 3 two steps away
+        box = [[i, j] for i in range(5) for j in range(6)]
+        doc = write(tmp_path, "mf.json", {
+            "domain": {"dim": 2, "adjacency": "c2", "points": box},
+            "codomain": {"dim": 1, "adjacency": "c1", "points": [[0], [1], [2]]},
+            "pairs": [[p, [[2 if split and p[0] >= 3 else 0]]] for p in box]})
+        assert main(["check", "connectivity-preserving", "--input", doc]) == rc
+        verdict = "false" if split else "true"
+        assert capsys.readouterr() == (f"connectivity-preserving: {verdict}\n", "")
 
     def test_contractible(self, tmp_path, capsys):
         doc = write(tmp_path, "img.json", image_to_json(interval(0, 2)))
@@ -975,7 +989,7 @@ class TestNamesOnlyWherePrinted:
 # The budget flags each verb reads; every other budget flag is refused.
 VERB_BUDGETS = {
     "hyperspace": {"--budget-hyperspace"},
-    "check": {"--budget-hyperspace", "--budget-functions", "--budget-subdivision"},
+    "check": {"--budget-functions", "--budget-subdivision"},
     "girth": {"--budget-hyperspace", "--budget-functions", "--budget-cycle"},
     "dominate": {"--budget-hyperspace", "--budget-functions", "--budget-dominating"},
     "metrics": {"--budget-hyperspace", "--budget-functions"},
@@ -992,7 +1006,7 @@ class TestBudgetFlags:
             options = {opt for action in verbs.choices[verb]._actions
                        for opt in action.option_strings if opt.startswith("--budget-")}
             assert options == flags, verb
-        assert sum(map(len, VERB_BUDGETS.values())) == 15
+        assert sum(map(len, VERB_BUDGETS.values())) == 14
 
     @pytest.mark.parametrize("verb, flag", sorted(
         (verb, flag) for verb, flags in VERB_BUDGETS.items() for flag in ALL_BUDGETS - flags))
@@ -1507,7 +1521,7 @@ FUZZ_JOBS = _fuzz_jobs()
 _VIEW_BUDGETS = ["--budget-hyperspace", "6", "--budget-functions", "2000"]
 SMALL_BUDGETS = {  # verb -> small values of the budget flags it takes
     "hyperspace": ["--budget-hyperspace", "6"],
-    "check": _VIEW_BUDGETS + ["--budget-subdivision", "16"],
+    "check": ["--budget-functions", "2000", "--budget-subdivision", "16"],
     "girth": _VIEW_BUDGETS + ["--budget-cycle", "12"],
     "dominate": _VIEW_BUDGETS + ["--budget-dominating", "16"],
     "metrics": _VIEW_BUDGETS,
@@ -1549,6 +1563,63 @@ class TestDocumentFuzz:
         if rc == 2:
             assert message.startswith(("error:", "parse error:"))
             assert not any(leak in message for leak in PYTHON_MESSAGES), message
+
+
+def _nested_documents():
+    """One valid document per kind whose nested entries the table replaces:
+    the check that reads it, or "homotopy", which no verb reads."""
+    X = {"dim": 1, "adjacency": "c1", "points": [[0], [1]]}
+    fam = {"base": X, "kind": "connected", "members": [[[0]], [[1]], [[0], [1]]]}
+    f = {"domain": X, "codomain": X, "pairs": [[[0], [0]], [[1], [1]]]}
+    return {"induced-by": {"domain": fam, "codomain": fam,
+                           "pairs": [[m, m] for m in fam["members"]]},
+            "weak-continuity": {"domain": X, "codomain": X,
+                                "pairs": [[[0], [[0]]], [[1], [[1]]]]},
+            "continuity": f, "homotopy": {"m": 0, "slices": [f]}}
+
+
+# Each nested entry ``lattice._pairs``, ``_point_list`` and ``_array`` (and
+# the homotopy's ``m`` check) read, replaced by null, a scalar and an entry
+# of the wrong shape: (kind, path, value, message).  Fuzzing every field of
+# every document reaches a given entry too rarely to stand in for these.
+NESTED_REFUSALS = [
+    (kind, path, value, message.format(value=repr(value)))
+    for kind, path, message, values in [
+        ("induced-by", ("domain", "members", 1),
+         "family document's member {value} is not an array of points", (None, 5, {})),
+        ("induced-by", ("pairs", 1, 0),
+         "family function document's member {value} is not an array of points", (None, 5, {})),
+        ("weak-continuity", ("pairs", 1, 1),
+         "multifunction document's value set {value} is not an array of points", (None, 5, {})),
+        ("continuity", ("pairs", 1),
+         "function document's pair {value} is not a two-item array", (None, 5, [[0]])),
+        ("homotopy", ("slices",),
+         "homotopy document's slices must be an array, got {value}", (None, 5, {})),
+        ("homotopy", ("m",),
+         "homotopy document's m must be an integer, got {value}", (None, True, [0])),
+    ]
+    for value in values
+]
+
+
+class TestNestedRefusals:
+    @pytest.mark.parametrize("kind, path, value, message", NESTED_REFUSALS,
+                             ids=[f"{kind}-{'.'.join(map(str, path))}-{json.dumps(value)}"
+                                  for kind, path, value, _ in NESTED_REFUSALS])
+    def test_exit_2_with_the_message_naming_the_entry(self, tmp_path, capsys, kind, path,
+                                                      value, message):
+        doc = _nested_documents()[kind]
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = value
+        if kind == "homotopy":  # no verb reads a homotopy document
+            with pytest.raises(ValueError) as exc:
+                homotopy_from_json(doc)
+            assert str(exc.value) == message
+            return
+        assert main(["check", kind, "--input", write(tmp_path, "doc.json", doc)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Well-formed command lines of each verb but verify, which ``cli._read``

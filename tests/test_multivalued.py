@@ -62,8 +62,9 @@ def pair_scan_weak_continuity(F):
 
 
 def point_level_connectivity_preserving(F):
-    """The point-level check ``is_connectivity_preserving`` replaced: each
-    connected member's image as a point set, tested for connectivity."""
+    """Connectivity preservation by its definition, the reference of the
+    local test: each member of K(X)'s image as a point set, tested for
+    connectivity."""
     for member in enumerate_connected_subsets(F.domain).members:
         if not F.codomain.is_connected_subset(F.image_of(member)):
             return False
@@ -250,6 +251,17 @@ class TestConnectivityPreserving:
             f = random_continuous_function(rng, X, Y)
             assert is_connectivity_preserving(as_multifunction(f))
 
+    def test_domain_larger_than_the_hyperspace_budget(self):
+        # a 5x6 c2 box has 30 points, more than enumerating K(X) admits
+        X = DigitalImage.of([(i, j) for i in range(5) for j in range(6)], 2)
+        Y = interval(0, 2)
+        with pytest.raises(BudgetError):
+            enumerate_connected_subsets(X)
+        assert is_connectivity_preserving(mf(X, Y, *[{(1,)}] * 30))
+        # the columns i < 3 go to 0 and the others to 2, two steps away
+        assert not is_connectivity_preserving(
+            mf(X, Y, *[{(0,)} if i < 3 else {(2,)} for i, _ in X.points]))
+
 
 class TestSubdivision:
     def test_cardinality(self):
@@ -310,10 +322,50 @@ class TestGeneratorContinuity:
         assert not generates(jump, ladder, sub)
 
     def test_budget(self):
-        # never generable, so the search climbs r until the budget trips
-        F = mf(interval(0, 1), interval(0, 2), {(0,), (2,)}, {(1,)})
+        # F(0) has 40 values, so a generator needs 40 points in the cell:
+        # the search climbs r until the budget trips
+        Y = interval(0, 39)
+        F = mf(interval(0, 0), Y, set(Y.points))
         with pytest.raises(BudgetError):
             is_egs_continuous(F, 40, budget=16)
+        # a disconnected value set fails the local test before any subdivision
+        G = mf(interval(0, 1), interval(0, 2), {(0,), (2,)}, {(1,)})
+        result = is_egs_continuous(G, 40, budget=16)
+        assert not result and result.r_max == 40
+
+    @pytest.mark.parametrize("points, adjacency, values, codomain, cu", [
+        # at r = 4, 32 subdivision points: the search alone does not end in minutes
+        ([(0, 3), (1, 3)], 1, [[(2, 1), (2, 2), (2, 3)], [(2, 1), (2, 3), (3, 3)]],
+         [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)], 1),
+        # at r = 4, 48 subdivision points: the search alone runs past ten seconds
+        ([(1, 1), (1, 2), (2, 1)], 2, [[(2, 1), (2, 2)], [(1, 1), (2, 2)],
+                                       [(1, 1), (2, 1), (2, 2)]],
+         [(1, 1), (2, 1), (2, 2)], 1),
+    ], ids=["two-cells", "three-cells"])
+    def test_failing_the_local_test_is_decided_at_once(self, points, adjacency, values,
+                                                       codomain, cu):
+        X, Y = DigitalImage.of(points, adjacency), DigitalImage.of(codomain, cu)
+        F = MultiFunction.from_table(X, Y, dict(zip(points, values)))
+        assert not is_connectivity_preserving(F)
+        result = is_egs_continuous(F, 4)
+        assert not result and result.r is None and result.r_max == 4
+
+    def test_no_generator_where_the_local_test_fails(self):
+        # the r-loop over the search, without the local test, finds nothing either
+        rng = random.Random(11)
+        failed = 0
+        while failed < 150:
+            X = random_image(rng, 3) if failed % 2 else random_connected_image(rng, 3)
+            F = random_multifunction(rng, X, random_connected_image(rng, 5), 3)
+            if is_connectivity_preserving(F):
+                continue
+            failed += 1
+            assert not is_egs_continuous(F, 4)
+            for r in range(1, 5):
+                sub = Subdivision(X, r)
+                if len(sub.points) > 16:
+                    break
+                assert _find_generator(F, sub) is None
 
     def test_bad_rmax(self, ladder):
         with pytest.raises(ValueError):
