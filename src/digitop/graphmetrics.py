@@ -39,8 +39,7 @@ import io
 from collections.abc import Iterable, Iterator
 
 from .errors import BudgetError
-from .lattice import (DigitalImage, Point, _bfs, _bits, _components, _flood, _row_pairs,
-                      is_connected)
+from .lattice import DigitalImage, Point, _bfs, _bits, _components, _flood, _row_pairs
 from .value import Value, cached_property
 
 #: Vertex cap for the exponential longest-cycle search.
@@ -438,14 +437,10 @@ def diameter(G: FiniteGraph) -> int:
 
 def disconnects(Y: Iterable[Point], X: DigitalImage) -> bool:
     """True iff removing Y leaves the image disconnected."""
-    removed = {tuple(p) for p in Y}
-    for p in removed:
-        if p not in X.point_set:
-            raise ValueError(f"point {p} is not in the image")
-    rest = [p for p in X.points if p not in removed]
+    rest = ((1 << len(X)) - 1) & ~X.mask_of(Y)
     if not rest:
         raise ValueError("cannot remove every point of the image")
-    return not is_connected(rest, X)
+    return _flood(X.neighbor_masks, rest & -rest, rest) != rest
 
 
 # -- export -------------------------------------------------------------------

@@ -14,10 +14,10 @@ neighbours in the order given; girth, ``FunctionGraph.find_path`` and
 contractibility call it.  The homotopy searches grow their balls from
 both ends in ``homotopy._RowGraph.path``, which states when they meet.
 
-An image's neighbour masks come from one of two kernels, picked by a size
-rule measured at their crossover: with s c_u steps, an image of at most
-5 + s/4 points scans its point pairs, and a larger one looks each point's
-positive steps up as integer keys (see ``neighbor_masks``).
+An image's neighbour masks come from one kernel: each point is one integer
+key in a mixed radix wide enough that no c_u step wraps, so each of its
+positive steps is one addition and one lookup (see ``neighbor_masks``).
+The constructor checks each point once, with ``_as_point``.
 
 Every JSON document loader (images here, families, maps, multifunctions,
 homotopy tables and the CLI's map pairs) reads its top-level fields through
@@ -94,21 +94,6 @@ def _as_point(p, dim: int | None = None) -> Point:
     return pt
 
 
-def _checked_points(points, dim: int) -> tuple[Point, ...] | None:
-    """The points sorted, each a tuple, or None if one is not a lattice point of ``dim``.
-
-    One pass over all coordinates, for points given as lists or tuples
-    of ints; on any other input it returns None, and the caller checks
-    point by point.
-    """
-    if type(points) not in (list, tuple) or not {list, tuple}.issuperset(map(type, points)):
-        return None
-    pts = list(map(tuple, points))
-    if set(map(len, pts)) != {dim} or set(map(type, itertools.chain.from_iterable(pts))) != {int}:
-        return None
-    return tuple(sorted(pts))
-
-
 class DigitalImage(Value):
     """A finite digital image (X, c_u): lattice points plus a c_u selector.
 
@@ -126,9 +111,8 @@ class DigitalImage(Value):
             raise ValueError("dimension must be positive")
         if not 1 <= adjacency <= dim:
             raise ValueError(f"adjacency c_{adjacency} is invalid for dimension {dim}")
-        pts = _checked_points(points, dim)
-        if pts is None:  # point by point, so a refusal names the first bad point
-            pts = tuple(sorted(_as_point(p, dim) for p in points))
+        # point by point, so a refusal names the first bad point
+        pts = tuple(sorted(_as_point(p, dim) for p in points))
         if not pts:
             raise ValueError("a digital image needs at least one point")
         # the point index, built here, finds any duplicate at once
@@ -142,10 +126,11 @@ class DigitalImage(Value):
 
     @classmethod
     def of(cls, points: Iterable, adjacency: AdjacencyKind = 1) -> DigitalImage:
-        pts = [_as_point(p) for p in points]
+        """The image on ``points``, of the first point's dimension; the constructor checks all."""
+        pts = list(points)
         if not pts:
             raise ValueError("a digital image needs at least one point")
-        return cls(len(pts[0]), tuple(pts), adjacency)
+        return cls(len(_as_point(pts[0])), pts, adjacency)
 
     # -- the generic vertex-space protocol (shared with families and
     #    function graphs): vertices / vertex_index / adjacency_rows --------
@@ -196,45 +181,18 @@ class DigitalImage(Value):
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per point, the bitmask (over the point order) of its open neighborhood.
 
-        Two kernels give the same masks, and a size rule picks the faster:
-        with s the number of c_u steps, an image of n <= 5 + s/4 points
-        scans its point pairs, and a larger one looks up integer keys.  The
-        rule is the crossover measured on connected images of dims 1-4 and
-        every u, about 6 points for c_1 in Z^2 and 24 for c_4 in Z^4.
-
-        The scan compares coordinates inline, and stops a point's scan at
-        the first later point whose first coordinate is more than one
-        above.  The keys read each point's coordinates as the digits of a
-        mixed radix, each coordinate after the first in a radix two more
-        than its extent (max - min).  A point's coordinate and a stepped
-        point's differ by at most extent + 1, less than the radix, so no
-        step wraps: the neighbour across a step is the point whose key is
-        the point's key plus the step's.  Each step with a positive key
-        is one addition and one dictionary lookup, and sets both ends.
+        Each point is read as one integer key: its coordinates are the
+        digits of a mixed radix, each coordinate after the first in a radix
+        two more than its extent (max - min).  A point's coordinate and a
+        stepped point's differ by at most extent + 1, less than the radix,
+        so no step wraps: the neighbour across a step is the point whose
+        key is the point's key plus the step's.  Each step with a positive
+        key is one addition and one dictionary lookup, and sets both ends.
         """
-        pts, u = self.points, self.adjacency
+        pts = self.points
         n = len(pts)
         masks = [0] * n
-        cols = _positive_steps(self.dim, u)
-        if 4 * n <= 20 + 2 * len(cols[0]):
-            for i in range(n - 1):
-                p = pts[i]
-                top = p[0] + 1
-                for j in range(i + 1, n):
-                    q = pts[j]
-                    if q[0] > top:
-                        break
-                    ones = 0
-                    for a, b in zip(p, q):
-                        if a != b:
-                            if a - b > 1 or b - a > 1:
-                                break
-                            ones += 1
-                    else:
-                        if ones <= u:
-                            masks[i] |= 1 << j
-                            masks[j] |= 1 << i
-            return tuple(masks)
+        cols = _positive_steps(self.dim, self.adjacency)
         coords = tuple(zip(*pts))
         keys, steps = coords[0], cols[0]
         for coord, col in zip(coords[1:], cols[1:]):
@@ -560,10 +518,6 @@ def image_from_json(doc: dict) -> DigitalImage:
         raise ValueError("points must be an array of point arrays")
     if not isinstance(adjacency, str) or not _SELECTOR.fullmatch(adjacency):
         raise ValueError(f"bad adjacency selector {adjacency!r} (expected e.g. 'c1')")
-    try:
-        # the one-pass check makes each point array a tuple once
-        return DigitalImage(dim, points, int(adjacency[1:]))
-    except ValueError:
-        # refused: build again from tuples, as a refused point's message prints them
-        return DigitalImage(dim, [tuple(p) if isinstance(p, list) else p for p in points],
-                            int(adjacency[1:]))
+    # each point array becomes a tuple once, so a refused point's message prints a tuple
+    return DigitalImage(dim, [tuple(p) if isinstance(p, list) else p for p in points],
+                        int(adjacency[1:]))

@@ -24,6 +24,7 @@ every member of K(X), where the library tests only points and edges.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from . import graphmetrics as gm
 from .functions import (FiniteFunction, compose, constant_map, identity_map,
@@ -203,8 +204,6 @@ def oracle_homotopic(f: FiniteFunction, g: FiniteFunction) -> bool:
 
 def oracle_pairwise_connected(pts, X: DigitalImage) -> bool:
     """Connectivity by explicitly finding a path inside A for every pair."""
-    from itertools import combinations
-
     pts = sorted(set(pts))
     inside = set(pts)
     for a, b in combinations(pts, 2):

@@ -17,7 +17,7 @@ from digitop import (BudgetError, DigitalImage, FiniteGraph, SubsetFamily,
                      radius, to_dot, cycle_image)
 from digitop.graphmetrics import bfs_distances, bounded_eccentricities, seed_eccentricities
 from digitop.hyperspace import family_of
-from digitop.lattice import _bits
+from digitop.lattice import _bits, is_connected
 from digitop.verify import (oracle_longest_cycle, random_connected_image,
                             random_graph, random_image)
 
@@ -761,6 +761,43 @@ class TestDisconnects:
     def test_point_outside_the_image_refused(self):
         with pytest.raises(ValueError, match=r"^point \(5,\) is not in the image$"):
             disconnects([(1,), (5,)], interval(0, 2))
+
+    @pytest.mark.parametrize("Y, message", [
+        ([5], "not a lattice point: 5"),
+        ([[1.0, 1.0]], r"not a lattice point: \[1\.0, 1\.0\]"),
+        ([(0, 0, 0)], r"point \(0, 0, 0\) has dimension 3, expected 2"),
+    ], ids=["not-a-sequence", "float-coordinates", "wrong-dimension"])
+    def test_a_bad_point_is_named(self, Y, message):
+        X = DigitalImage.of([(0, 0), (1, 0), (1, 1)])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            disconnects(Y, X)
+
+    def test_matches_point_set_reference(self):
+        # every subset of 400 random images of up to 8 points, in shuffled order,
+        # against the point-set form: remove Y's tuples, test the rest's connectivity
+        def reference(Y, X):
+            removed = {tuple(p) for p in Y}
+            for p in removed:
+                if p not in X.point_set:
+                    raise ValueError(f"point {p} is not in the image")
+            rest = [p for p in X.points if p not in removed]
+            if not rest:
+                raise ValueError("cannot remove every point of the image")
+            return not is_connected(rest, X)
+
+        def outcome(f, Y, X):
+            try:
+                return f(Y, X)
+            except ValueError as e:
+                return str(e)
+
+        rng = random.Random(35)
+        for _ in range(400):
+            X = random_image(rng, 8)
+            for mask in range(1 << len(X)):
+                Y = [X.points[i] for i in _bits(mask)]
+                rng.shuffle(Y)
+                assert outcome(disconnects, Y, X) == outcome(reference, Y, X), (X, Y)
 
     def test_lifts_to_hyperspace(self):
         X = interval(0, 4)

@@ -81,18 +81,18 @@ class TestNeighbors:
         st.sets(lattice_points(d), min_size=1, max_size=30), st.integers(1, d))))
     @settings(max_examples=100)
     def test_rows_match_pair_scan(self, data):
-        # rows come from a pair scan when #points <= 5 + #steps/4, else from integer keys
+        # the integer-key rows against a scan of every point pair with cu_adjacent
         pts, u = data
         X = DigitalImage.of(pts, u)
         for i, p in enumerate(X.points):
             expect = {q for q in X.points if cu_adjacent(p, q, u)}
             assert X.points_of(X.neighbor_masks[i]) == expect == X.neighbors(p)
 
-    def test_both_kernels_match_cu_adjacent_pairs(self):
-        # 3,000 random images of dims 1-4, about half on each side of the size
-        # rule (a pair scan up to 5 + s/4 points for s c_u steps, integer keys
-        # above), dense or sparse, around the origin or far from it, with
-        # coordinates of mixed signs and beyond 64 bits
+    def test_masks_match_cu_adjacent_pairs(self):
+        # the one kernel against cu_adjacent on 3,000 random images of dims 1-4,
+        # small and large: about half have at most 5 + s/4 points for s c_u
+        # steps and half more, dense or sparse, around the origin or far from
+        # it, with coordinates of mixed signs and beyond 64 bits
         rng = random.Random(32)
         sides = Counter()
         for _ in range(3000):
@@ -407,9 +407,9 @@ class TestImageConstruction:
         st.sampled_from([(0, True), [1.0, 0], (0.5,), 5, None, "ab", (), [], [[0, 0]],
                          (False, 1), [0, 0], (0, 0)])), max_size=8))
     @settings(max_examples=300)
-    def test_points_checked_in_one_pass_as_point_by_point(self, dim, points):
-        # the one-pass check builds what the per-point check builds, and on
-        # any refusal the message is the per-point check's
+    def test_points_checked_point_by_point_in_any_container(self, dim, points):
+        # given as a list, a tuple or an iterator, the constructor builds what
+        # the per-point check builds, and on any refusal gives its message
         def per_point():
             pts = tuple(sorted(_as_point(p, dim) for p in points))
             if not pts:
@@ -432,6 +432,37 @@ class TestImageConstruction:
         if isinstance(expect, tuple):
             X = DigitalImage(dim, points, 1)
             assert X.point_index == {p: i for i, p in enumerate(expect)}
+
+    @pytest.mark.parametrize("points, message", [
+        ([(0, 0), (1, True)], "not a lattice point: (1, True)"),
+        ([(0, 0), (1, 0, 0)], "point (1, 0, 0) has dimension 3, expected 2"),
+        ([(0, 0), (1, 0), (0, 0)], "duplicate point (0, 0)"),
+    ], ids=["bad-later-point", "later-point-of-another-dimension", "duplicate"])
+    def test_of_refuses_with_the_constructors_message(self, points, message):
+        # DigitalImage.of checks only its first point, for the dimension
+        for build in (lambda: DigitalImage(2, points, 1), lambda: DigitalImage.of(points),
+                      lambda: DigitalImage.of(iter(points))):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    @given(st.one_of(lattice_points(2), lattice_points(3)), st.lists(st.one_of(
+        lattice_points(2), lattice_points(3), lattice_points(2).map(list),
+        st.sampled_from([(0, True), [1.0, 0], 5, None, (), (0, 0)])), max_size=6),
+        st.integers(0, 4))
+    @settings(max_examples=300)
+    def test_of_is_the_constructor_on_the_first_points_dimension(self, first, rest, u):
+        # so on a list with two faults (a bad adjacency or an earlier point of
+        # another dimension, then a bad later point) it names the constructor's
+        def outcome(build):
+            try:
+                return build()
+            except ValueError as exc:
+                return str(exc)
+
+        points = [first, *rest]
+        assert outcome(lambda: DigitalImage.of(points, u)) == \
+            outcome(lambda: DigitalImage(len(first), points, u))
 
     def test_json_round_trip(self):
         X = DigitalImage.of([(0, 1), (1, 1), (2, 0)], 2)
