@@ -6,10 +6,10 @@ error, 3 resource limit exceeded, 4 internal error (a witness failed its
 re-validation, or an output held a value the JSON writer does not take).
 Every ``--format json`` document comes from one writer, ``_dumps``, whose
 bytes are those of ``json.dumps(value, indent=2)``.  ``check`` hands it each
-map witness (a homotopy's slices, the egs generator, the inducing map) as a
-``_Map``, which it writes from the map's value row with the bytes of
-``function_to_json``'s document; the text form's ``witness:`` line is
-``json.dumps`` of the same value, each ``_Map`` turned into that document.
+map witness (a homotopy's slices, the egs generator, the inducing map) as
+the ``FiniteFunction`` itself, which it writes from the map's value row with
+the bytes of ``function_to_json``'s document; the text form's ``witness:``
+line is ``json.dumps`` of the same value, each map turned into that document.
 Each verb takes only the ``--budget-*`` flags it reads (``BUDGETS``).  The
 library returns vertex indices, witnesses included; only the CLI names them,
 from the points, member masks and map rows of the space.  A member's text,
@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import graphmetrics as gm
 from .errors import BudgetError, InternalError
-from .functions import (continuity_counterexample, family_function_from_json,
+from .functions import (FiniteFunction, continuity_counterexample, family_function_from_json,
                         function_from_json, function_to_json, is_isomorphism, is_retraction,
                         find_inducing_map, pair_from_json)
 from .homotopy import (DEFAULT_FUNCTION_BUDGET, PHI, PSI, build_function_graph, homotopic,
@@ -93,16 +93,16 @@ def _dumps(value) -> str:
     A list, tuple or str-keyed dict whose values are all ints (bools are
     not) writes them with ``int.__repr__``, not one ``write`` call each.
 
-    Two values stand for the documents the library would build:
+    Two values are written as the documents the library would build from them:
 
     - ``_Members`` is written as its list of point lists: each point's text
       once, at its depth, and each member's text joined from its points'
       texts in ascending bit order.
-    - ``_Map`` is written as ``function_to_json(f)``'s document.  Per
-      (domain, codomain, depth) the writer builds each image's document
-      text once, each point's text once (shared by the image's ``points``
-      and the pairs), and each (x, f(x)) pair's text on first use, so a
-      map is one join over its value row.  The tables are keyed by the
+    - A ``FiniteFunction`` is written as ``function_to_json(f)``'s
+      document.  Per (domain, codomain, depth) the writer builds each
+      image's document text once, each point's text once (shared by the
+      image's ``points`` and the pairs), and each (x, f(x)) pair's text on
+      first use, so a map is one join over its value row.  The tables are keyed by the
       identity of the map's images, which the document keeps alive.
     """
     images: dict[tuple[int, int], tuple[str, list[str]]] = {}
@@ -122,8 +122,8 @@ def _dumps(value) -> str:
             return "null"
         if kind is bool:
             return "true" if v else "false"
-        if kind is _Map:
-            return write_map(v.f, depth)
+        if kind is FiniteFunction:
+            return write_map(v, depth)
         if kind is _Members:
             return write_members(v, depth)
         raise InternalError(f"cannot write a {kind.__name__} as JSON")
@@ -219,19 +219,6 @@ class _Members:
 
     def __init__(self, points: tuple, masks: tuple[int, ...]):
         self.points, self.masks = points, masks
-
-
-class _Map:
-    """A map between digital images, ``f``: ``_dumps`` writes it as the bytes of
-    ``document()``, ``function_to_json(f)``, without building that document."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def document(self) -> dict:
-        return function_to_json(self.f)
 
 
 def _point_names(image: DigitalImage) -> list[str]:
@@ -357,7 +344,7 @@ def _run_check(name: str, doc: dict, args):
         mode = "plain" if name == "homotopic" else "strong"
         if not verify_homotopy(table, f, g, mode=mode):
             raise InternalError("witness failed re-validation")
-        return True, {"m": table.m, "slices": [_Map(h) for h in table.slices]}
+        return True, {"m": table.m, "slices": list(table.slices)}
     if name == "contractible":
         return is_contractible(image_from_json(doc), args.budget_functions), None
     if name in ("weak-continuity", "strong-continuity", "connectivity-preserving",
@@ -377,11 +364,11 @@ def _run_check(name: str, doc: dict, args):
             return False, {"r_max": result.r_max}
         if not generates(result.generator, F, Subdivision(F.domain, result.r)):
             raise InternalError("generator failed re-validation")
-        return True, {"r": result.r, "generator": _Map(result.generator)}
+        return True, {"r": result.r, "generator": result.generator}
     if name == "induced-by":
         F = family_function_from_json(doc)
         f = find_inducing_map(F)
-        return f is not None, None if f is None else _Map(f)
+        return f is not None, f
     raise ValueError(f"unknown check {name!r}")
 
 
@@ -392,7 +379,7 @@ def cmd_check(args) -> int:
     else:
         lines = [f"{args.name}: {'true' if verdict else 'false'}"]
         if witness is not None:
-            lines.append(f"witness: {json.dumps(witness, default=_Map.document)}")
+            lines.append(f"witness: {json.dumps(witness, default=function_to_json)}")
         _emit(args, "\n".join(lines) + "\n")
     return 0 if verdict else 1
 

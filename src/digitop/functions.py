@@ -50,16 +50,7 @@ class FiniteFunction(Value):
             if y not in index:
                 raise ValueError(f"value {y!r} at {x!r} is outside the codomain")
         row = tuple(index[table[x]] for x in verts)
-        self.__dict__.update(domain=domain, codomain=codomain, row=row,
-                             _key=(domain, codomain, row))
-
-    @classmethod
-    def _trusted(cls, domain, codomain, row: tuple[int, ...]) -> FiniteFunction:
-        """The map with a value row that is valid by construction, unchecked."""
-        f = object.__new__(cls)
-        f.__dict__.update(domain=domain, codomain=codomain, row=row,
-                          _key=(domain, codomain, row))
-        return f
+        self._set(domain, codomain, row)
 
     @classmethod
     def from_table(cls, domain, codomain, table: Mapping) -> "FiniteFunction":

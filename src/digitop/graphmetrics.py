@@ -65,14 +65,7 @@ class FiniteGraph(Value):
             for j in _bits(row):
                 if not adj[j] >> i & 1:
                     raise ValueError(f"edge {i}-{j} is not symmetric")
-        self.__dict__.update(n=n, adj=adj, _key=(n, adj))
-
-    @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "FiniteGraph":
-        """A graph from rows that are symmetric and loop-free by construction, unchecked."""
-        graph = object.__new__(cls)
-        graph.__dict__.update(n=n, adj=adj, _key=(n, adj))
-        return graph
+        self._set(n, adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "FiniteGraph":
@@ -255,7 +248,7 @@ class CycleWitness(Value):
     vertices: tuple[int, ...]
 
     def __init__(self, vertices: tuple[int, ...]):
-        self.__dict__.update(vertices=vertices, _key=(vertices,))
+        self._set(vertices)
 
     @property
     def length(self) -> int:

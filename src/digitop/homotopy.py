@@ -18,11 +18,12 @@ decided.  The homotopy searches grow balls from f and from g, one level
 (one kernel call) at a time, in ``_RowGraph.path``, whose docstring
 states when they meet; their witness is the lexicographically least
 shortest path from f, the one a search from f alone finds over sorted
-neighbours.  Contractibility searches from the identity, one row at a
-time, for a map one phi step from a constant.  A search charges its
-function budget, per row generated, the number of expanded maps whose
-box holds it: the rows that expanding each map alone would generate; a
-row of an intersected box counts once.
+neighbours.  A disconnected image is not contractible; on a connected
+one, contractibility searches from the identity, one row at a time, for
+a map one phi step from a constant.  A search charges its function
+budget, per row generated, the number of expanded maps whose box holds
+it: the rows that expanding each map alone would generate; a row of an
+intersected box counts once.
 ``build_function_graph`` enumerates the maps with one full box and their
 adjacency with one kernel call over all their boxes; its ``vertices``
 are built only when asked for, and its ``find_path`` is the reference
@@ -62,13 +63,11 @@ def _check_same_signature(f: FiniteFunction, g: FiniteFunction) -> None:
 
 def phi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     """Pointwise closeness: f != g and f(x), g(x) adjacent or equal for all x."""
-    _check_same_signature(f, g)
     return f != g and phi_counterexample(f, g) is None
 
 
 def psi_adjacent(f: FiniteFunction, g: FiniteFunction) -> bool:
     """Cross closeness: f != g and f(x0), g(x1) adjacent or equal whenever x0, x1 are."""
-    _check_same_signature(f, g)
     return f != g and psi_counterexample(f, g) is None
 
 
@@ -361,8 +360,7 @@ class FunctionGraph(Value):
 
     def __init__(self, domain: DigitalImage, codomain: DigitalImage, flavor: str,
                  rows: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(domain=domain, codomain=codomain, flavor=flavor, rows=rows,
-                             _key=(domain, codomain, flavor, rows))
+        self._set(domain, codomain, flavor, rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -448,8 +446,7 @@ class HomotopyTable(Value):
         for h in slices:
             if h.domain != domain or h.codomain != codomain:
                 raise ValueError("slice signature does not match the table")
-        self.__dict__.update(domain=domain, codomain=codomain, slices=slices,
-                             _key=(domain, codomain, slices))
+        self._set(domain, codomain, slices)
 
     @property
     def m(self) -> int:
@@ -466,7 +463,7 @@ class HomotopyDecision(Value):
     path: tuple[FiniteFunction, ...] | None
 
     def __init__(self, related: bool, path: tuple[FiniteFunction, ...] | None):
-        self.__dict__.update(related=related, path=path, _key=(related, path))
+        self._set(related, path)
 
     def __bool__(self) -> bool:
         return self.related
@@ -586,14 +583,19 @@ _family_cached = lru_cache(maxsize=64)(family_of)
 def is_contractible(X: DigitalImage, budget: int = DEFAULT_FUNCTION_BUDGET) -> bool:
     """True iff the identity reaches some constant map in the phi graph of X^X.
 
-    A breadth-first search from the identity stops one step short of the
-    constants: a row is phi-adjacent or equal to the constant c exactly
-    when c is adjacent or equal to each of its values, so the goal is a
-    row whose values' closed neighbourhoods share a point.  It does not
-    search from the constants as well: a constant's neighbours are all the
-    continuous rows into one closed neighbourhood, so that ball grows wide.
-    The rows the search generates are charged to ``budget``.
+    A disconnected image is not contractible, decided without a search: a
+    homotopy moves each point inside its own component, so it never reaches
+    a constant.  On a connected image a breadth-first search from the
+    identity stops one step short of the constants: a row is phi-adjacent
+    or equal to the constant c exactly when c is adjacent or equal to each
+    of its values, so the goal is a row whose values' closed neighbourhoods
+    share a point.  It does not search from the constants as well: a
+    constant's neighbours are all the continuous rows into one closed
+    neighbourhood, so that ball grows wide.  The rows the search generates
+    are charged to ``budget``.
     """
+    if not X.is_connected():
+        return False
     closed = X.closed_neighbor_masks
 
     def near_constant(row: tuple[int, ...]) -> bool:

@@ -46,8 +46,8 @@ from collections.abc import Iterable
 
 from .errors import BudgetError
 from .graphmetrics import bounded_eccentricities
-from .lattice import (DigitalImage, Point, _bits, _cover, _fields, _flood, _point_list,
-                      _row_pairs, image_from_json, image_to_json)
+from .lattice import (DigitalImage, Point, _array, _bits, _cover, _fields, _flood,
+                      _point_list, _row_pairs, image_from_json, image_to_json)
 from .value import Value, cached_property
 
 #: Images with more points than this may not be expanded into hyperspaces.
@@ -95,15 +95,7 @@ class SubsetFamily(Value):
             for m in masks:
                 if _flood(nbr, m & -m, m) != m:
                     raise ValueError("connected family contains a disconnected member")
-        self.__dict__.update(base=base, masks=masks, kind=kind, _key=(base, masks, kind))
-
-    @classmethod
-    def _trusted(cls, base: DigitalImage, masks: tuple[int, ...], kind: str) -> SubsetFamily:
-        """A family from ascending, distinct, valid member masks, unchecked."""
-        family = object.__new__(cls)
-        family.__dict__.update(base=base, masks=masks, kind=kind,
-                               _key=(base, masks, kind))
-        return family
+        self._set(base, masks, kind)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -392,10 +384,8 @@ def family_to_json(family: SubsetFamily) -> dict:
 def family_from_json(doc: dict) -> SubsetFamily:
     base, kind, members = _fields(doc, "family", "base", "kind", "members")
     base = image_from_json(base)
-    if not isinstance(members, list):
-        raise ValueError(f"family document's members must be an array, got {members!r}")
     # arrays become tuples, as a refused point's message prints them
     masks = tuple(base.mask_of(tuple(p) if isinstance(p, list) else p
                                for p in _point_list(m, "family", "member"))
-                  for m in members)
+                  for m in _array(members, "family", "members"))
     return SubsetFamily(base, masks, kind)

@@ -107,8 +107,13 @@ class DigitalImage(Value):
     adjacency: AdjacencyKind
 
     def __init__(self, dim: int, points: Iterable, adjacency: AdjacencyKind):
+        # bool is an int subclass, but true/false are no dimension or selector
+        if type(dim) is not int:
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError("dimension must be positive")
+        if type(adjacency) is not int:
+            raise ValueError(f"adjacency must be an integer, got {adjacency!r}")
         if not 1 <= adjacency <= dim:
             raise ValueError(f"adjacency c_{adjacency} is invalid for dimension {dim}")
         # point by point, so a refusal names the first bad point
@@ -121,8 +126,8 @@ class DigitalImage(Value):
             for a, b in zip(pts, pts[1:]):
                 if a == b:
                     raise ValueError(f"duplicate point {a}")
-        self.__dict__.update(dim=dim, points=pts, adjacency=adjacency, _key=(dim, pts, adjacency),
-                             point_index=index)
+        self._set(dim, pts, adjacency)
+        self.__dict__["point_index"] = index
 
     @classmethod
     def of(cls, points: Iterable, adjacency: AdjacencyKind = 1) -> DigitalImage:
@@ -161,8 +166,8 @@ class DigitalImage(Value):
 
     def __contains__(self, p) -> bool:
         try:
-            return tuple(p) in self.point_set
-        except TypeError:  # not a sequence, or one holding unhashable items
+            return _as_point(p, self.dim) in self.point_index
+        except ValueError:  # not a lattice point, or one of another dimension
             return False
 
     @cached_property
@@ -394,7 +399,7 @@ class LatticePath(Value):
         for a, b in zip(steps, steps[1:]):
             if not image.adjacent_or_equal(a, b):
                 raise ValueError(f"consecutive path points {a}, {b} are not adjacent")
-        self.__dict__.update(image=image, steps=steps, _key=(image, steps))
+        self._set(image, steps)
 
     @property
     def start(self) -> Point:

@@ -61,16 +61,7 @@ class MultiFunction(Value):
                 raise ValueError(f"value set at {x} leaves the codomain")
         index = codomain.point_index
         masks = tuple(sum(1 << index[p] for p in table[x]) for x in domain.points)
-        self.__dict__.update(domain=domain, codomain=codomain, masks=masks,
-                             _key=(domain, codomain, masks))
-
-    @classmethod
-    def _trusted(cls, domain, codomain, masks: tuple[int, ...]) -> MultiFunction:
-        """The multifunction with value masks that are valid by construction, unchecked."""
-        F = object.__new__(cls)
-        F.__dict__.update(domain=domain, codomain=codomain, masks=masks,
-                          _key=(domain, codomain, masks))
-        return F
+        self._set(domain, codomain, masks)
 
     @classmethod
     def from_table(cls, domain, codomain, table) -> "MultiFunction":
@@ -149,7 +140,7 @@ class Subdivision(Value):
     def __init__(self, base: DigitalImage, r: int):
         if r < 1:
             raise ValueError("subdivision factor must be a positive integer")
-        self.__dict__.update(base=base, r=r, _key=(base, r))
+        self._set(base, r)
 
     @cached_property
     def image(self) -> DigitalImage:
@@ -184,8 +175,7 @@ class EgsResult(Value):
     r_max: int
 
     def __init__(self, found: bool, r: int | None, generator: FiniteFunction | None, r_max: int):
-        self.__dict__.update(found=found, r=r, generator=generator, r_max=r_max,
-                             _key=(found, r, generator, r_max))
+        self._set(found, r, generator, r_max)
 
     def __bool__(self) -> bool:
         return self.found

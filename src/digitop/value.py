@@ -1,8 +1,10 @@
 """The base class of the value types: equality, hash and repr from fields.
 
 A subclass lists its fields as class annotations, in order.  Its own
-``__init__`` sets them through ``self.__dict__``, together with ``_key``,
-the tuple of their values in that order.  Instances of one class are equal
+``__init__`` checks its arguments and stores the fields with ``_set``, which
+also stores ``_key``, the tuple of their values in that order; the rule is
+written here alone.  ``_trusted`` builds a value from fields that are valid
+by construction, without the checks.  Instances of one class are equal
 when their keys are, hash as the key and print as ``Name(field=value, ...)``.
 Assignment and deletion raise ``AttributeError``; views made with this
 module's ``cached_property`` still work, since it writes the instance
@@ -38,6 +40,22 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
+
+    def _set(self, *values):
+        """Store the fields, given in annotation order, and their key."""
+        self.__dict__.update(zip(self._fields, values), _key=values)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The value with these fields, in annotation order, valid by construction.
+
+        It stores the fields and nothing else: no check runs, and nothing a
+        constructor derives is kept.  An image also keeps its point index,
+        so images are built only by their constructor.
+        """
+        value = object.__new__(cls)
+        value.__dict__.update(zip(cls._fields, values), _key=values)
+        return value
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -53,8 +53,7 @@ class CheckResult(Value):
     details: str
 
     def __init__(self, name: str, passed: bool, details: str = ""):
-        self.__dict__.update(name=name, passed=passed, details=details,
-                             _key=(name, passed, details))
+        self._set(name, passed, details)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

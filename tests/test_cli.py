@@ -26,7 +26,7 @@ from digitop.functions import (continuity_counterexample, family_function_from_j
 from digitop.homotopy import phi_counterexample, psi_counterexample
 from digitop.hyperspace import family_of
 from digitop.multivalued import strong_continuity_counterexample
-from digitop.cli import _Map, _Members, _dumps, main
+from digitop.cli import _Members, _dumps, main
 
 
 def write(tmp_path, name, doc):
@@ -1119,8 +1119,9 @@ class TestInternalError:
         assert captured.err == "internal error: cycle witness failed re-validation\n"
 
     def test_unwritable_json_value_exit_code(self, monkeypatch, capsys, remark_docs):
-        # each slice of the homotopy witness becomes a float the writer refuses
-        monkeypatch.setattr(digitop.cli, "_Map", lambda f: 1.0)
+        # the homotopy witness holds a float the writer refuses
+        monkeypatch.setattr(digitop.cli, "_run_check",
+                            lambda *args: (True, {"m": 1, "slices": [1.0]}))
         assert main(["check", "homotopic", "--input", remark_docs[2], "--format", "json"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1451,7 +1452,7 @@ class TestDumps:
                                      min_size=len(X), max_size=len(X)), label="row")
             maps.append(FiniteFunction._trusted(X, Y, tuple(row)))
         # the first map again, one level shallower than the list
-        value = {"first": _Map(maps[0]), "maps": [_Map(f) for f in maps]}
+        value = {"first": maps[0], "maps": maps}
         document = {"first": function_to_json(maps[0]),
                     "maps": [function_to_json(f) for f in maps]}
         if data.draw(st.booleans(), label="bare"):

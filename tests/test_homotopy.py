@@ -699,6 +699,12 @@ class TestContractible:
     def test_six_cycle_not_contractible(self):
         assert not is_contractible(cycle_image(6))
 
+    def test_disconnected_image_decided_without_a_search(self):
+        # a homotopy moves each point inside its own component; the search
+        # from the identity would need more than a million rows here
+        X = DigitalImage.of([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (2, 2), (9, 9)], 2)
+        assert not is_contractible(X, budget=1)
+
 
 def _graph_paths(path):
     return None if path is None else [h.pairs for h in path]

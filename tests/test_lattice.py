@@ -396,11 +396,29 @@ class TestImageConstruction:
             assert str(exc.value) == "not a lattice point: 0"
 
     def test_membership_of_a_value_that_is_no_point(self):
-        # False, not Python's TypeError from tuple(0) or from hashing a list
+        # False, not Python's TypeError from tuple(0) or from hashing a list,
+        # and False for what neighbors and mask_of refuse as no lattice point
         X = interval(0, 2)
         assert (1,) in X and [1] in X
-        for value in (0, None, 1.5, [[0]], "0", ()):
+        for value in (0, None, 1.5, [[0]], "0", (), (1.0,), (True,), [1.0]):
             assert value not in X
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: DigitalImage("2", [(0,)], 1), "dim must be an integer, got '2'"),
+        (lambda: DigitalImage(1.0, [(0,)], 1), "dim must be an integer, got 1.0"),
+        (lambda: DigitalImage(True, [(0,)], 1), "dim must be an integer, got True"),
+        (lambda: DigitalImage(1, [(0,)], True), "adjacency must be an integer, got True"),
+        (lambda: DigitalImage(2, [(0, 0)], 1.0), "adjacency must be an integer, got 1.0"),
+        (lambda: DigitalImage.of([(0,), (1,)], None), "adjacency must be an integer, got None"),
+        (lambda: DigitalImage.of([(0,)], True), "adjacency must be an integer, got True"),
+    ], ids=["str-dim", "float-dim", "bool-dim", "bool-adjacency", "float-adjacency",
+            "of-none-adjacency", "of-bool-adjacency"])
+    def test_dim_and_adjacency_that_are_no_int_refused(self, call, message):
+        # a ValueError with image_from_json's words, not Python's TypeError
+        # from comparing them, nor an image printing dim=1.0 or adjacency=True
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
     @given(st.integers(1, 3), st.lists(st.one_of(
         lattice_points(2), lattice_points(1), lattice_points(3), lattice_points(2).map(list),

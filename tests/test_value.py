@@ -2,6 +2,8 @@
 a start-up that imports neither ``dataclasses`` nor what it pulls in."""
 
 import functools
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +115,22 @@ def test_trusted_values_equal_checked_ones():
     assert SubsetFamily._trusted(X, (1, 3), "custom") == SubsetFamily(X, (3, 1), "custom")
     assert FiniteGraph._trusted(2, (2, 1)) == FiniteGraph(2, (2, 1))
     assert MultiFunction._trusted(X, X, (1, 3)) == MultiFunction(X, X, M_PAIRS)
+    # every class from its checked value's fields; an image is left out, as
+    # its constructor also keeps the point index, which _trusted does not
+    for cls, args, _, text in CASES:
+        if cls is DigitalImage:
+            continue
+        checked = cls(*args)
+        trusted = cls._trusted(*(getattr(checked, name) for name in cls._fields))
+        assert type(trusted) is cls and trusted == checked
+        assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked) == text
+    # Value alone writes the rule, so no class under digitop keeps its own copy
+    modules = [importlib.import_module(f"digitop.{m.name}")
+               for m in pkgutil.iter_modules(digitop.__path__)]
+    classes = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__]
+    assert {c.__name__ for c, *_ in CASES} | {"Value", "_Members"} <= {c.__name__ for c in classes}
+    assert [cls for cls in classes if "_trusted" in vars(cls)] == [Value]
 
 
 def test_cached_views_still_build():
