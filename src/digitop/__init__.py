@@ -19,7 +19,7 @@ from .functions import (FiniteFunction, compose, constant_map, find_inducing_map
                         function_from_json, function_to_json, identity_map,
                         induced_map, interval_triangle_iso, is_continuous, is_isomorphism,
                         is_retraction)
-from .homotopy import (FunctionGraph, HomotopyDecision, HomotopyTable,
+from .homotopy import (FunctionGraph, HomotopyTable,
                        build_function_graph, enumerate_continuous_maps,
                        homotopic, homotopy_from_json, homotopy_to_json,
                        is_contractible, lift_homotopy_to_hyperspace,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjacencyKind", "BudgetError", "CycleWitness", "DigitalImage", "EgsResult",
     "FiniteFunction", "FiniteGraph", "FunctionGraph",
-    "HomotopyDecision", "HomotopyTable", "LatticePath",
+    "HomotopyTable", "LatticePath",
     "MultiFunction", "Point", "SubsetFamily", "Subdivision",
     "adjacent_or_equal", "as_finite_graph", "as_multifunction",
     "build_function_graph", "center", "compose", "concatenate",

@@ -337,10 +337,9 @@ def _run_check(name: str, doc: dict, args):
                 return False, {"x0": xs[bad[0]], "x1": xs[bad[1]]}
             return (True, None) if f != g else (False, {"equal": True})
         decide = homotopic if name == "homotopic" else strongly_homotopic
-        decision = decide(f, g, budget=args.budget_functions)
-        if not decision:
+        table = decide(f, g, budget=args.budget_functions)
+        if table is None:
             return False, None
-        table = decision.table()
         mode = "plain" if name == "homotopic" else "strong"
         if not verify_homotopy(table, f, g, mode=mode):
             raise InternalError("witness failed re-validation")
@@ -360,8 +359,8 @@ def _run_check(name: str, doc: dict, args):
         if name == "connectivity-preserving":
             return is_connectivity_preserving(F), None
         result = is_egs_continuous(F, args.r_max, args.budget_subdivision)
-        if not result:
-            return False, {"r_max": result.r_max}
+        if result is None:
+            return False, {"r_max": args.r_max}
         if not generates(result.generator, F, Subdivision(F.domain, result.r)):
             raise InternalError("generator failed re-validation")
         return True, {"r": result.r, "generator": result.generator}

@@ -55,6 +55,8 @@ class FiniteGraph(Value):
     adj: tuple[int, ...]
 
     def __init__(self, n: int, adj: tuple[int, ...]):
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0 or len(adj) != n:
             raise ValueError("adjacency row count must equal the vertex count")
         for i, row in enumerate(adj):

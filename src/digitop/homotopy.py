@@ -5,8 +5,8 @@ distinct maps are pointwise-adjacent ("phi") when their values at every
 point are adjacent or equal, and cross-adjacent ("psi") when values at any
 two adjacent-or-equal domain points are adjacent or equal.  Homotopy is
 decided by reachability in the phi graph and strong homotopy by
-reachability in the psi graph; each witness path converts to a step table
-that an independent verifier accepts.
+reachability in the psi graph; each search returns its witness, a step
+table that an independent verifier accepts, or None.
 
 The adjacency rule is written once, as the allow masks of
 ``_allow_masks``: per point, the values a neighbour of a map may take, a
@@ -456,28 +456,9 @@ class HomotopyTable(Value):
         return self.slices[t].table[x]
 
 
-class HomotopyDecision(Value):
-    """Outcome of a homotopy search: related or not, plus the witness path."""
-
-    related: bool
-    path: tuple[FiniteFunction, ...] | None
-
-    def __init__(self, related: bool, path: tuple[FiniteFunction, ...] | None):
-        self._set(related, path)
-
-    def __bool__(self) -> bool:
-        return self.related
-
-    def table(self) -> HomotopyTable | None:
-        if self.path is None:
-            return None
-        first = self.path[0]
-        return HomotopyTable(first.domain, first.codomain, self.path)
-
-
 def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
-            point: int | None = None) -> tuple[FiniteFunction, ...] | None:
-    """The witness path from f to g in the lazily generated function graph.
+            point: int | None = None) -> HomotopyTable | None:
+    """The witness table from f to g in the lazily generated function graph, or None.
 
     The witness is the lexicographically least shortest path, comparing
     value rows from f on: the path a breadth-first search from f finds
@@ -488,34 +469,34 @@ def _search(f: FiniteFunction, g: FiniteFunction, flavor: str, budget: int,
     kernel calls are charged to ``budget``.  With the domain index
     ``point``, only maps agreeing with f there are visited, on both sides.
     """
+    _check_same_signature(f, g)
     X, Y = f.domain, f.codomain
     if not (is_continuous(f) and is_continuous(g)):
         raise ValueError("function is not a vertex of this graph")
     pin = None if point is None else (point, f.row[point])
     path = _RowGraph(X, Y, flavor, pin, budget).path(f.row, g.row)
-    return None if path is None else tuple(FiniteFunction._trusted(X, Y, row) for row in path)
+    if path is None:
+        return None
+    # every slice is a map X -> Y, so the table is valid by construction
+    return HomotopyTable._trusted(X, Y, tuple(FiniteFunction._trusted(X, Y, row) for row in path))
 
 
 def homotopic(f: FiniteFunction, g: FiniteFunction,
-              budget: int = DEFAULT_FUNCTION_BUDGET) -> HomotopyDecision:
-    """Decide homotopy of continuous f, g by pointwise-adjacency reachability."""
-    _check_same_signature(f, g)
-    path = _search(f, g, PHI, budget)
-    return HomotopyDecision(path is not None, path)
+              budget: int = DEFAULT_FUNCTION_BUDGET) -> HomotopyTable | None:
+    """A step table of a homotopy from f to g, by pointwise-adjacency reachability, or None."""
+    return _search(f, g, PHI, budget)
 
 
 def strongly_homotopic(f: FiniteFunction, g: FiniteFunction,
-                       budget: int = DEFAULT_FUNCTION_BUDGET) -> HomotopyDecision:
-    """Decide strong homotopy by cross-adjacency reachability."""
-    _check_same_signature(f, g)
-    path = _search(f, g, PSI, budget)
-    return HomotopyDecision(path is not None, path)
+                       budget: int = DEFAULT_FUNCTION_BUDGET) -> HomotopyTable | None:
+    """A step table of a strong homotopy, by cross-adjacency reachability, or None."""
+    return _search(f, g, PSI, budget)
 
 
 def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
                       budget: int = DEFAULT_FUNCTION_BUDGET,
-                      strong: bool = False) -> HomotopyDecision:
-    """Decide (strong) homotopy holding the basepoint fixed.
+                      strong: bool = False) -> HomotopyTable | None:
+    """A step table of a (strong) homotopy holding the basepoint fixed, or None.
 
     The search runs in the subgraph of maps agreeing with f at the
     basepoint, so every step of a witness keeps the basepoint still.  The
@@ -528,9 +509,8 @@ def pointed_homotopic(f: FiniteFunction, g: FiniteFunction, basepoint,
     if i is None:
         raise ValueError(f"basepoint {basepoint!r} is not a domain vertex")
     if g.row[i] != f.row[i]:
-        return HomotopyDecision(False, None)
-    path = _search(f, g, PSI if strong else PHI, budget, i)
-    return HomotopyDecision(path is not None, path)
+        return None
+    return _search(f, g, PSI if strong else PHI, budget, i)
 
 
 def verify_homotopy(H: HomotopyTable, f: FiniteFunction, g: FiniteFunction,

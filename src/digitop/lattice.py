@@ -137,6 +137,11 @@ class DigitalImage(Value):
             raise ValueError("a digital image needs at least one point")
         return cls(len(_as_point(pts[0])), pts, adjacency)
 
+    @cached_property
+    def point_index(self) -> dict[Point, int]:
+        """Per point, its index in ``points``; the constructor stores the one it built."""
+        return dict(zip(self.points, range(len(self.points))))
+
     # -- the generic vertex-space protocol (shared with families and
     #    function graphs): vertices / vertex_index / adjacency_rows --------
 

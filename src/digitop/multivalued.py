@@ -138,6 +138,8 @@ class Subdivision(Value):
     r: int
 
     def __init__(self, base: DigitalImage, r: int):
+        if type(r) is not int:
+            raise ValueError(f"subdivision factor must be an integer, got {r!r}")
         if r < 1:
             raise ValueError("subdivision factor must be a positive integer")
         self._set(base, r)
@@ -167,32 +169,31 @@ def subdivide(X: DigitalImage, r: int) -> Subdivision:
 
 
 class EgsResult(Value):
-    """Outcome of a generator search: the witness (r, generator) if found."""
+    """The witness of a generator search: a continuous generator on S(X, r)."""
 
-    found: bool
-    r: int | None
-    generator: FiniteFunction | None
-    r_max: int
+    r: int
+    generator: FiniteFunction
 
-    def __init__(self, found: bool, r: int | None, generator: FiniteFunction | None, r_max: int):
-        self._set(found, r, generator, r_max)
-
-    def __bool__(self) -> bool:
-        return self.found
+    def __init__(self, r: int, generator: FiniteFunction):
+        self._set(r, generator)
 
 
 def is_egs_continuous(F: MultiFunction, r_max: int,
-                      budget: int = DEFAULT_SUBDIVISION_BUDGET) -> EgsResult:
-    """Search r = 1..r_max for a continuous generator on the subdivision.
+                      budget: int = DEFAULT_SUBDIVISION_BUDGET) -> EgsResult | None:
+    """The least r up to r_max with a continuous generator on S(X, r), and
+    that generator, or None.
 
     A generator is a continuous f on S(X, r) whose value set over each cell
-    equals F at that cell's base point, so F preserves connectivity.  A
-    negative result only means no generator exists for any r up to r_max.
+    equals F at that cell's base point, so F preserves connectivity.  None
+    only means no generator exists for any r up to r_max.
     """
+    # bool is an int subclass, but true/false are no count
+    if type(r_max) is not int:
+        raise ValueError(f"r_max must be an integer, got {r_max!r}")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     if not is_connectivity_preserving(F):
-        return EgsResult(False, None, None, r_max)
+        return None
     for r in range(1, r_max + 1):
         sub = Subdivision(F.domain, r)
         n_points = len(F.domain) * r ** F.domain.dim
@@ -200,8 +201,8 @@ def is_egs_continuous(F: MultiFunction, r_max: int,
             raise BudgetError("generator search", f"{n_points} subdivision points", budget)
         gen = _find_generator(F, sub)
         if gen is not None:
-            return EgsResult(True, r, gen, r_max)
-    return EgsResult(False, None, None, r_max)
+            return EgsResult(r, gen)
+    return None
 
 
 def _find_generator(F: MultiFunction, sub: Subdivision) -> FiniteFunction | None:

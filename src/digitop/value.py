@@ -50,8 +50,7 @@ class Value:
         """The value with these fields, in annotation order, valid by construction.
 
         It stores the fields and nothing else: no check runs, and nothing a
-        constructor derives is kept.  An image also keeps its point index,
-        so images are built only by their constructor.
+        constructor derives is kept.
         """
         value = object.__new__(cls)
         value.__dict__.update(zip(cls._fields, values), _key=values)

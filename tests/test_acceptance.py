@@ -159,7 +159,7 @@ def test_08_multivalued_ladder():
     ok = (has_weak_continuity(F)
           and not has_strong_continuity(F)
           and is_connectivity_preserving(F)
-          and bool(egs) and egs.r == 2
+          and egs is not None and egs.r == 2
           and generates(egs.generator, F, Subdivision(X, 2))
           and not is_continuous(induced_multifunction_map(F, "full")))
     elapsed = time.perf_counter() - t0
@@ -262,7 +262,7 @@ def test_13_oracle_equivalence():
         X, Y = random_image(rng, 3), random_image(rng, 3)
         maps = enumerate_continuous_maps(X, Y)
         f, g = rng.choice(maps), rng.choice(maps)
-        if bool(homotopic(f, g)) != oracle_homotopic(f, g):
+        if (homotopic(f, g) is not None) != oracle_homotopic(f, g):
             homotopy_disagreements += 1
     report(13, "search matches independent oracles",
            cycle_disagreements == 0 and homotopy_disagreements == 0,

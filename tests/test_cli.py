@@ -1219,17 +1219,18 @@ def _library_witness(name, doc, extra):
             bad = None if pair is None else {"x0": xs[pair[0]], "x1": xs[pair[1]]}
         return bad if bad is not None or f != g else {"equal": True}
     if name in ("homotopic", "strongly-homotopic"):
-        decision = (homotopic if name == "homotopic" else strongly_homotopic)(*pair_from_json(doc))
-        return homotopy_to_json(decision.table()) if decision else None
+        table = (homotopic if name == "homotopic" else strongly_homotopic)(*pair_from_json(doc))
+        return None if table is None else homotopy_to_json(table)
     if name == "strong-continuity":
         F = multifunction_from_json(doc)
         bad, xs = strong_continuity_counterexample(F), F.domain.points
         return None if bad is None else {
             "x": xs[bad[0]], "y": xs[bad[1]], "unmatched": F.codomain.points[bad[2]]}
     if name == "egs-continuous":
-        result = is_egs_continuous(multifunction_from_json(doc), int(extra[1]) if extra else 4)
-        if not result:
-            return {"r_max": result.r_max}
+        r_max = int(extra[1]) if extra else 4
+        result = is_egs_continuous(multifunction_from_json(doc), r_max)
+        if result is None:
+            return {"r_max": r_max}
         return {"r": result.r, "generator": function_to_json(result.generator)}
     if name == "induced-by":
         f = find_inducing_map(family_function_from_json(doc))

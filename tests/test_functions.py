@@ -139,7 +139,7 @@ class TestTrustedRows:
     def test_pairs_are_built_on_first_read(self):
         X, Y = interval(0, 2), interval(0, 3)
         maps = list(enumerate_continuous_maps(X, Y))
-        maps += homotopic(maps[0], maps[-1]).path
+        maps += homotopic(maps[0], maps[-1]).slices
         K = family_of(X, "connected")
         F = induced_map(maps[0], K)
         maps.append(F)
@@ -297,6 +297,12 @@ class TestRetraction:
         with pytest.raises(ValueError):
             is_retraction(identity_map(X), [])
 
+    def test_codomain_other_than_the_target_refused(self):
+        X = interval(0, 2)
+        with pytest.raises(ValueError) as exc:
+            is_retraction(identity_map(X), [(0,), (1,)])
+        assert str(exc.value) == "retraction codomain must equal the target set"
+
     def test_lift_fixes_small_members(self):
         X, Y = interval(0, 3), interval(0, 1)
         r = fn(X, Y, (0,), (1,), (1,), (1,))
@@ -316,6 +322,15 @@ class TestFindInducingMap:
         F = induced_map(identity_map(X), K)
         found = find_inducing_map(F)
         assert found is not None and found.pairs == identity_map(X).pairs
+
+    def test_table_off_only_on_a_larger_member_absent(self):
+        # the singletons name the identity, which is continuous, but its
+        # induced map sends the whole interval to itself
+        X = interval(0, 2)
+        K = enumerate_connected_subsets(X)
+        row = list(induced_map(identity_map(X), K).row)
+        row[K.index_of(X.points)] = K.index_of([(0,), (1,)])
+        assert find_inducing_map(FiniteFunction._trusted(K, K, tuple(row))) is None
 
     def test_constant_to_whole_absent(self):
         X = interval(0, 1)

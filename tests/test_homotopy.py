@@ -401,27 +401,28 @@ class TestFunctionGraphRows:
             fixed = f.table[x0]
             keep = lambda i: G.vertices[i].table[x0] == fixed
             path = reference_bfs(nbrs, s, t, keep)[0] if keep(t) else None
-            found = pointed_homotopic(f, g, x0, strong=flavor == PSI).path
+            found = pointed_homotopic(f, g, x0, strong=flavor == PSI)
+            found = None if found is None else found.slices
             assert (None if found is None else [G.index_of(h) for h in found]) == path
 
 
 class TestHomotopic:
     def test_reflexive_empty_path(self, remark_pair):
         f, _ = remark_pair
-        d = homotopic(f, f)
-        assert d and d.path == (f,) and d.table().m == 0
+        H = homotopic(f, f)
+        assert H is not None and H.slices == (f,) and H.m == 0
 
     def test_rotations_homotopic_with_witness(self):
         rots = rotations(5)
         for j in range(5):
             for k in range(5):
-                d = homotopic(rots[j], rots[k])
-                assert d
-                assert verify_homotopy(d.table(), rots[j], rots[k])
+                H = homotopic(rots[j], rots[k])
+                assert H is not None
+                assert verify_homotopy(H, rots[j], rots[k])
 
     def test_identity_not_homotopic_to_constant_on_cycle(self):
         S5 = cycle_image(5)
-        assert not homotopic(identity_map(S5), constant_map(S5, S5, S5.points[0]))
+        assert homotopic(identity_map(S5), constant_map(S5, S5, S5.points[0])) is None
 
     def test_matches_table_oracle(self):
         rng = random.Random(19)
@@ -429,7 +430,7 @@ class TestHomotopic:
             X, Y = random_image(rng, 3), random_image(rng, 3)
             maps = enumerate_continuous_maps(X, Y)
             f, g = rng.choice(maps), rng.choice(maps)
-            assert bool(homotopic(f, g)) == oracle_homotopic(f, g)
+            assert (homotopic(f, g) is not None) == oracle_homotopic(f, g)
 
     def test_table_oracle_matches_reference(self):
         rng = random.Random(23)
@@ -457,11 +458,11 @@ class TestHomotopic:
 class TestStronglyHomotopic:
     def test_reflexive(self, remark_pair):
         f, _ = remark_pair
-        assert strongly_homotopic(f, f)
+        assert strongly_homotopic(f, f) is not None
 
     def test_rotations_separated(self):
         rots = rotations(5)
-        assert not strongly_homotopic(rots[0], rots[1])
+        assert strongly_homotopic(rots[0], rots[1]) is None
 
     def test_remark_pair_by_component_search(self, remark_pair):
         # independent cross-step BFS oracle over all continuous self-maps
@@ -474,10 +475,10 @@ class TestStronglyHomotopic:
                    and any(psi_adjacent(p, h) for p in frontier)]
             seen.update(new)
             frontier = new
-        d = strongly_homotopic(f, g)
-        assert bool(d) == (g in seen)
-        if d:
-            assert verify_homotopy(d.table(), f, g, mode="strong")
+        H = strongly_homotopic(f, g)
+        assert (H is not None) == (g in seen)
+        if H is not None:
+            assert verify_homotopy(H, f, g, mode="strong")
 
     def test_witness_passes_strong_verifier(self):
         rng = random.Random(23)
@@ -486,10 +487,10 @@ class TestStronglyHomotopic:
             X, Y = random_image(rng, 3), random_image(rng, 3)
             maps = enumerate_continuous_maps(X, Y)
             f, g = rng.choice(maps), rng.choice(maps)
-            d = strongly_homotopic(f, g)
-            if d:
+            H = strongly_homotopic(f, g)
+            if H is not None:
                 hits += 1
-                assert verify_homotopy(d.table(), f, g, mode="strong")
+                assert verify_homotopy(H, f, g, mode="strong")
         assert hits > 0
 
 
@@ -599,10 +600,15 @@ class TestLifting:
             ident = identity_map(lifted.domain)
             assert verify_homotopy(lifted, ident, ident)
 
+    def test_table_reads_h_of_x_and_t(self):
+        X = interval(0, 2)
+        H = HomotopyTable(X, X, (identity_map(X), fn(X, X, (0,), (1,), (1,))))
+        assert [[H(x, t) for x in X.points] for t in (0, 1)] == [
+            [(0,), (1,), (2,)], [(0,), (1,), (1,)]]
+
     def test_rotation_homotopy_lifts_over_connected_family(self):
         rots = rotations(5)
-        d = homotopic(rots[0], rots[2])
-        H = d.table()
+        H = homotopic(rots[0], rots[2])
         lifted = lift_homotopy_to_hyperspace(H, "connected")
         f_star = induced_map(rots[0], lifted.domain, codomain_family=lifted.codomain)
         g_star = induced_map(rots[2], lifted.domain, codomain_family=lifted.codomain)
@@ -640,22 +646,21 @@ class TestPointedHomotopic:
         X = interval(0, 2)
         f = identity_map(X)
         g = constant_map(X, X, (0,))
-        d = pointed_homotopic(f, g, (0,))
-        assert d
-        assert verify_homotopy(d.table(), f, g, fixed_point=0)
+        H = pointed_homotopic(f, g, (0,))
+        assert H is not None
+        assert verify_homotopy(H, f, g, fixed_point=0)
 
     def test_differing_basepoint_values(self):
         X = interval(0, 2)
-        d = pointed_homotopic(identity_map(X), constant_map(X, X, (1,)), (0,))
-        assert not d
+        assert pointed_homotopic(identity_map(X), constant_map(X, X, (1,)), (0,)) is None
 
     def test_strong_variant(self):
         X = interval(0, 1)
         f = identity_map(X)
         g = constant_map(X, X, (0,))
-        d = pointed_homotopic(f, g, (0,), strong=True)
-        if d:
-            assert verify_homotopy(d.table(), f, g, mode="strong", fixed_point=0)
+        H = pointed_homotopic(f, g, (0,), strong=True)
+        if H is not None:
+            assert verify_homotopy(H, f, g, mode="strong", fixed_point=0)
 
     def test_bad_basepoint(self):
         X = interval(0, 1)
@@ -665,8 +670,8 @@ class TestPointedHomotopic:
     def test_basepoint_as_list(self):
         X = interval(0, 2)
         f, g = identity_map(X), constant_map(X, X, (0,))
-        d = pointed_homotopic(f, g, [0])
-        assert d and d == pointed_homotopic(f, g, (0,))
+        H = pointed_homotopic(f, g, [0])
+        assert H is not None and H == pointed_homotopic(f, g, (0,))
 
     @pytest.mark.parametrize("basepoint", ([0, 0], (), ("0",), [True], [0.0]))
     def test_malformed_basepoint(self, basepoint):
@@ -710,12 +715,12 @@ def _graph_paths(path):
     return None if path is None else [h.pairs for h in path]
 
 
-def _paths(decision):
-    return _graph_paths(decision.path)
+def _paths(table):
+    return _graph_paths(None if table is None else table.slices)
 
 
-def _rows(decision):
-    return None if decision.path is None else [h.row for h in decision.path]
+def _rows(table):
+    return None if table is None else [h.row for h in table.slices]
 
 
 def reference_bidirectional_bfs(start, goal, neighbors):
@@ -838,12 +843,12 @@ class TestLazySearch:
         psi = build_function_graph(X, Y, PSI)
         lazy = homotopic(f, g)
         assert _paths(lazy) == _graph_paths(phi.find_path(f, g))
-        if lazy:
-            assert verify_homotopy(lazy.table(), f, g)
+        if lazy is not None:
+            assert verify_homotopy(lazy, f, g)
         strong = strongly_homotopic(f, g)
         assert _paths(strong) == _graph_paths(psi.find_path(f, g))
-        if strong:
-            assert verify_homotopy(strong.table(), f, g, mode="strong")
+        if strong is not None:
+            assert verify_homotopy(strong, f, g, mode="strong")
         for i, x0 in enumerate(X.points):
             # a search kept to the maps that agree with f at x0 finds no g that moves it
             for flag, graph in ((False, phi), (True, psi)):
@@ -878,7 +883,7 @@ class TestLazySearch:
         maps = enumerate_continuous_maps(X, Y)
         f, g = rng.choice(maps), rng.choice(maps)
         self.assert_same_as_graph(f, g)
-        assert bool(homotopic(f, g)) == oracle_homotopic(f, g)
+        assert (homotopic(f, g) is not None) == oracle_homotopic(f, g)
 
     def test_witness_follows_graph_vertex_order(self):
         # the backtracking visits X in the order (0,0), (1,0), (1,1), (0,2),
@@ -986,11 +991,11 @@ class TestLazySearch:
             charged.clear()
             with mock.patch.object(digitop.homotopy, "_continuous_rows", counted):
                 if pinned:
-                    decision = pointed_homotopic(F, G, X.points[i], 10 ** 9, flavor == PSI)
+                    table = pointed_homotopic(F, G, X.points[i], 10 ** 9, flavor == PSI)
                 else:
                     decide = strongly_homotopic if flavor == PSI else homotopic
-                    decision = decide(F, G, 10 ** 9)
-            assert _rows(decision) == path
+                    table = decide(F, G, 10 ** 9)
+            assert _rows(table) == path
             assert (path is None) == (wanted is None)
             if path is not None:
                 assert min(len(path) - 1, 3) == wanted
@@ -1015,13 +1020,13 @@ class TestLazySearch:
         gaps = [gm.bfs_distances(codomain, a)[b] for a, b in zip(f, g)]
         for strong in (False, True):
             if pinned:
-                decision = pointed_homotopic(F, G, X.points[i], 10 ** 9, strong)
+                H = pointed_homotopic(F, G, X.points[i], 10 ** 9, strong)
             else:
-                decision = (strongly_homotopic if strong else homotopic)(F, G, 10 ** 9)
+                H = (strongly_homotopic if strong else homotopic)(F, G, 10 ** 9)
             if None in gaps:
-                assert decision.path is None
-            elif decision:
-                assert decision.table().m >= max(gaps)
+                assert H is None
+            elif H is not None:
+                assert H.m >= max(gaps)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -1052,8 +1057,8 @@ class TestLazySearch:
     def test_large_constant_map_needs_no_enumeration(self):
         X, Y = interval(0, 1499), interval(0, 0)
         f = constant_map(X, Y, (0,))
-        d = homotopic(f, f)
-        assert d and d.path == (f,)
+        H = homotopic(f, f)
+        assert H is not None and H.slices == (f,)
 
     def test_eight_cycle_not_contractible(self):
         start = time.perf_counter()
@@ -1090,7 +1095,7 @@ class TestLazySearch:
             assert 0 < rows < 5 ** 5 and search(rows) == expect
             with pytest.raises(BudgetError):
                 search(rows - 1)
-        assert homotopic(f, f, budget=0) and is_contractible(interval(0, 2), budget=0)
+        assert homotopic(f, f, budget=0) is not None and is_contractible(interval(0, 2), budget=0)
 
     def test_discontinuous_map_rejected(self):
         X = interval(0, 2)
@@ -1152,14 +1157,14 @@ class TestPostcompose:
 class TestSerialization:
     def test_round_trip(self):
         rots = rotations(5)
-        H = homotopic(rots[0], rots[1]).table()
+        H = homotopic(rots[0], rots[1])
         doc = homotopy_to_json(H)
         back = homotopy_from_json(doc)
         assert back == H
 
     def test_slice_count_checked(self):
         rots = rotations(5)
-        doc = homotopy_to_json(homotopic(rots[0], rots[1]).table())
+        doc = homotopy_to_json(homotopic(rots[0], rots[1]))
         doc["m"] = 5
         with pytest.raises(ValueError):
             homotopy_from_json(doc)

@@ -13,7 +13,7 @@ from digitop import (BudgetError, DigitalImage, SubsetFamily, as_finite_graph,
                      family_to_json, hausdorff_distance, hyper_adjacent,
                      hyperspace_graph, interval,
                      interval_triangle_iso, is_connected_graph, is_isomorphism,
-                     union_of_family)
+                     lift_dominating, triangle_image, union_of_family)
 from digitop.graphmetrics import bfs_distances, induced_subgraph
 from digitop.hyperspace import family_of
 from digitop.lattice import adjacent_or_equal
@@ -365,6 +365,24 @@ class TestConnectivityLifting:
                 keep = [i for i, m in enumerate(K.masks) if not m & ymask]
                 assert not is_connected_graph(induced_subgraph(G, keep))
         assert checked > 0
+
+
+class TestSmallQueries:
+    def test_membership_reads_the_member_set(self):
+        K = enumerate_connected_subsets(interval(0, 2))
+        assert [(0,), (1,)] in K and {(2,)} in K
+        assert [(0,), (2,)] not in K and [(5,)] not in K
+
+    def test_lift_dominating_defaults_to_the_full_family(self):
+        X = interval(0, 2)
+        full = enumerate_all_subsets(X)
+        expect = {i for i, m in enumerate(full.members) if (0,) in m}
+        assert lift_dominating([(0,)], X) == expect == lift_dominating([(0,)], X, full)
+
+    def test_reversed_triangle_refused(self):
+        with pytest.raises(ValueError) as exc:
+            triangle_image(2, 1)
+        assert str(exc.value) == "empty triangle for a=2 > b=1"
 
 
 class TestFamilyValidation:

@@ -493,6 +493,23 @@ class TestImageConstruction:
             image_from_json({"dim": 1, "points": [[0]]})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: DigitalImage(0, [(0,)], 1), "dimension must be positive"),
+    (lambda: DigitalImage.of([]), "a digital image needs at least one point"),
+    (lambda: interval(0, 2).restrict([(0,), (5,)]), "point (5,) is not in the image"),
+    (lambda: interval(2, 1), "empty interval [2, 1]"),
+    (lambda: LatticePath(interval(0, 2), ()), "a path needs at least one point"),
+    (lambda: LatticePath(interval(0, 2), [(0,), (9,)]), "path point (9,) is not in the image"),
+    (lambda: concatenate(LatticePath(interval(0, 1), [(0,)]), LatticePath(interval(0, 2), [(0,)])),
+     "paths live in different images"),
+], ids=["dim-0", "of-no-points", "restrict-outside", "interval-reversed", "empty-path",
+        "path-outside", "concatenate-across-images"])
+def test_lattice_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestCycleImages:
     @pytest.mark.parametrize("n", [4, 5, 6, 8, 10])
     def test_cycle_is_two_regular_and_cyclic(self, n):

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from digitop import (BudgetError, DigitalImage, FiniteFunction, MultiFunction, Subdivision,
-                     as_multifunction, enumerate_connected_subsets, family_of,
+from digitop import (BudgetError, DigitalImage, FiniteFunction, FiniteGraph, MultiFunction,
+                     Subdivision, as_multifunction, enumerate_connected_subsets, family_of,
                      generates, has_strong_continuity, has_weak_continuity, induced_map,
                      induced_multifunction_map, interval,
                      is_connectivity_preserving, is_continuous, is_egs_continuous,
@@ -286,6 +286,24 @@ class TestSubdivision:
             subdivide(interval(0, 1), 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda F: subdivide(F.domain, 2.0), "subdivision factor must be an integer, got 2.0"),
+    (lambda F: subdivide(F.domain, True), "subdivision factor must be an integer, got True"),
+    (lambda F: subdivide(F.domain, "2"), "subdivision factor must be an integer, got '2'"),
+    (lambda F: is_egs_continuous(F, 2.0), "r_max must be an integer, got 2.0"),
+    (lambda F: is_egs_continuous(F, True), "r_max must be an integer, got True"),
+    (lambda F: FiniteGraph(True, (0,)), "vertex count must be an integer, got True"),
+    (lambda F: FiniteGraph(1.0, (0,)), "vertex count must be an integer, got 1.0"),
+], ids=["float-factor", "bool-factor", "str-factor", "float-r-max", "bool-r-max",
+        "bool-vertex-count", "float-vertex-count"])
+def test_counts_that_are_no_int_refused(ladder, call, message):
+    # a ValueError naming the value, not Python's TypeError from comparing
+    # or ranging over it, nor a value printing r=True or n=True
+    with pytest.raises(ValueError) as exc:
+        call(ladder)
+    assert str(exc.value) == message
+
+
 class TestGeneratorContinuity:
     def test_single_valued_at_r1(self):
         rng = random.Random(4)
@@ -293,17 +311,16 @@ class TestGeneratorContinuity:
             X, Y = random_image(rng, 3), random_image(rng, 3)
             f = random_continuous_function(rng, X, Y)
             result = is_egs_continuous(as_multifunction(f), 2)
-            assert result and result.r == 1
+            assert result is not None and result.r == 1
 
     def test_ladder_witness_at_r2(self, ladder):
         result = is_egs_continuous(ladder, 3)
-        assert result and result.r == 2
+        assert result is not None and result.r == 2
         assert generates(result.generator, ladder, Subdivision(ladder.domain, 2))
 
     def test_disconnected_value_never_generated(self):
         F = mf(interval(0, 1), interval(0, 2), {(0,), (2,)}, {(1,)})
-        result = is_egs_continuous(F, 3)
-        assert not result and result.r is None and result.r_max == 3
+        assert is_egs_continuous(F, 3) is None
 
     def test_generates_is_exact(self, ladder):
         result = is_egs_continuous(ladder, 2)
@@ -330,8 +347,7 @@ class TestGeneratorContinuity:
             is_egs_continuous(F, 40, budget=16)
         # a disconnected value set fails the local test before any subdivision
         G = mf(interval(0, 1), interval(0, 2), {(0,), (2,)}, {(1,)})
-        result = is_egs_continuous(G, 40, budget=16)
-        assert not result and result.r_max == 40
+        assert is_egs_continuous(G, 40, budget=16) is None
 
     @pytest.mark.parametrize("points, adjacency, values, codomain, cu", [
         # at r = 4, 32 subdivision points: the search alone does not end in minutes
@@ -347,8 +363,7 @@ class TestGeneratorContinuity:
         X, Y = DigitalImage.of(points, adjacency), DigitalImage.of(codomain, cu)
         F = MultiFunction.from_table(X, Y, dict(zip(points, values)))
         assert not is_connectivity_preserving(F)
-        result = is_egs_continuous(F, 4)
-        assert not result and result.r is None and result.r_max == 4
+        assert is_egs_continuous(F, 4) is None
 
     def test_no_generator_where_the_local_test_fails(self):
         # the r-loop over the search, without the local test, finds nothing either
@@ -360,7 +375,7 @@ class TestGeneratorContinuity:
             if is_connectivity_preserving(F):
                 continue
             failed += 1
-            assert not is_egs_continuous(F, 4)
+            assert is_egs_continuous(F, 4) is None
             for r in range(1, 5):
                 sub = Subdivision(X, r)
                 if len(sub.points) > 16:

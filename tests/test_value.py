@@ -12,7 +12,7 @@ import pytest
 
 import digitop
 from digitop import (CycleWitness, DigitalImage, EgsResult, FiniteFunction, FiniteGraph,
-                     FunctionGraph, HomotopyDecision, HomotopyTable, LatticePath, MultiFunction,
+                     FunctionGraph, HomotopyTable, LatticePath, MultiFunction,
                      Subdivision, SubsetFamily)
 from digitop.value import Value, cached_property
 from digitop.verify import CheckResult
@@ -45,15 +45,13 @@ CASES = [
      "HomotopyTable(domain=DigitalImage(dim=1, points=((0,), (1,)), adjacency=1), "
      "codomain=DigitalImage(dim=1, points=((0,), (1,)), adjacency=1), "
      "slices=(<map (0,)->(0,), (1,)->(0,)>,))"),
-    (HomotopyDecision, (True, (F,)), dict(related=True, path=(F,)),
-     "HomotopyDecision(related=True, path=(<map (0,)->(0,), (1,)->(0,)>,))"),
     (MultiFunction, (X, X, M_PAIRS), dict(domain=X, codomain=X, pairs=M_PAIRS),
      "MultiFunction(domain=DigitalImage(dim=1, points=((0,), (1,)), adjacency=1), "
      "codomain=DigitalImage(dim=1, points=((0,), (1,)), adjacency=1), masks=(1, 3))"),
     (Subdivision, (X, 2), dict(base=X, r=2),
      "Subdivision(base=DigitalImage(dim=1, points=((0,), (1,)), adjacency=1), r=2)"),
-    (EgsResult, (False, None, None, 3), dict(found=False, r=None, generator=None, r_max=3),
-     "EgsResult(found=False, r=None, generator=None, r_max=3)"),
+    (EgsResult, (1, F), dict(r=1, generator=F),
+     "EgsResult(r=1, generator=<map (0,)->(0,), (1,)->(0,)>)"),
     (CheckResult, ("claim", False, "first (0,)"),
      dict(name="claim", passed=False, details="first (0,)"),
      "CheckResult(name='claim', passed=False, details='first (0,)')"),
@@ -101,10 +99,9 @@ def test_fields_are_the_annotations_in_order():
         "CycleWitness": ("vertices",),
         "FunctionGraph": ("domain", "codomain", "flavor", "rows"),
         "HomotopyTable": ("domain", "codomain", "slices"),
-        "HomotopyDecision": ("related", "path"),
         "MultiFunction": ("domain", "codomain", "masks"),
         "Subdivision": ("base", "r"),
-        "EgsResult": ("found", "r", "generator", "r_max"),
+        "EgsResult": ("r", "generator"),
         "CheckResult": ("name", "passed", "details"),
     }
 
@@ -115,15 +112,15 @@ def test_trusted_values_equal_checked_ones():
     assert SubsetFamily._trusted(X, (1, 3), "custom") == SubsetFamily(X, (3, 1), "custom")
     assert FiniteGraph._trusted(2, (2, 1)) == FiniteGraph(2, (2, 1))
     assert MultiFunction._trusted(X, X, (1, 3)) == MultiFunction(X, X, M_PAIRS)
-    # every class from its checked value's fields; an image is left out, as
-    # its constructor also keeps the point index, which _trusted does not
+    # every class from its checked value's fields
     for cls, args, _, text in CASES:
-        if cls is DigitalImage:
-            continue
         checked = cls(*args)
         trusted = cls._trusted(*(getattr(checked, name) for name in cls._fields))
         assert type(trusted) is cls and trusted == checked
         assert hash(trusted) == hash(checked) and repr(trusted) == repr(checked) == text
+    # a trusted image builds its point index on first use
+    image = DigitalImage._trusted(1, ((0,), (1,)), 1)
+    assert image.neighbors((0,)) == frozenset({(1,)}) and image.point_index == X.point_index
     # Value alone writes the rule, so no class under digitop keeps its own copy
     modules = [importlib.import_module(f"digitop.{m.name}")
                for m in pkgutil.iter_modules(digitop.__path__)]
